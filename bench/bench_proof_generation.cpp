@@ -2,10 +2,11 @@
 //
 // Paper §IV: "Generating membership proof to a group size of 2^32 (tree
 // depth 32) takes ~0.5 s on an iPhone 8". Absolute numbers differ (our
-// backend is the simulated Groth16 on a workstation; see DESIGN.md), but
-// the SHAPE must hold: prover cost grows roughly linearly with tree depth
-// (the circuit adds one Poseidon permutation + path constraints per level)
-// and is otherwise independent of the actual group population.
+// backend is the simulated Groth16 on a workstation; see
+// docs/ARCHITECTURE.md, "Substitutions"), but the SHAPE must hold: prover
+// cost grows roughly linearly with tree depth (the circuit adds one
+// Poseidon permutation + path constraints per level) and is otherwise
+// independent of the actual group population.
 #include <benchmark/benchmark.h>
 
 #include <cmath>

@@ -42,22 +42,9 @@ struct RelayFixture {
                            Rng& rng) const {
     WakuMessage msg;
     msg.payload = to_bytes(body);
-    zksnark::RlnProverInput input;
-    input.sk = member.sk;
-    input.path = group.path_of(member_index);
-    input.x = message_hash(msg);
-    input.epoch = ff::Fr::from_u64(epoch);
-    zksnark::RlnCircuit c = zksnark::build_rln_circuit(input);
-    const zksnark::Keypair& kp = zksnark::rln_keypair(kDepth);
-    RateLimitProof bundle;
-    bundle.share_x = c.publics.x;
-    bundle.share_y = c.publics.y;
-    bundle.nullifier = c.publics.nullifier;
-    bundle.epoch = epoch;
-    bundle.root = c.publics.root;
-    bundle.proof =
-        zksnark::prove(kp.pk, c.builder.cs(), c.builder.assignment(), rng);
-    attach_proof(msg, bundle);
+    attach_proof(msg, make_rate_limit_proof(member.sk,
+                                            group.path_of(member_index), msg,
+                                            epoch, rng));
     return msg;
   }
 };

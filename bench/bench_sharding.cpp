@@ -51,7 +51,6 @@ struct Workload {
 
   Workload() {
     Rng rng(0x5A4DB);
-    const zksnark::Keypair& kp = zksnark::rln_keypair(kDepth);
     // One member per message, all in epoch 100: distinct nullifiers, so
     // every message survives to the verifier and is accepted — the
     // all-honest hot path whose throughput sharding multiplies.
@@ -68,21 +67,8 @@ struct Workload {
       msg.payload = to_bytes("payload " + std::to_string(i));
       // Topics spread uniformly; each ShardMap partitions them its way.
       msg.content_topic = "/waku/2/app-" + std::to_string(i) + "/proto";
-      zksnark::RlnProverInput input;
-      input.sk = members[i].sk;
-      input.path = group.path_of(i);
-      input.x = message_hash(msg);
-      input.epoch = ff::Fr::from_u64(100);
-      zksnark::RlnCircuit c = zksnark::build_rln_circuit(input);
-      RateLimitProof bundle;
-      bundle.share_x = c.publics.x;
-      bundle.share_y = c.publics.y;
-      bundle.nullifier = c.publics.nullifier;
-      bundle.epoch = 100;
-      bundle.root = c.publics.root;
-      bundle.proof = zksnark::prove(kp.pk, c.builder.cs(),
-                                    c.builder.assignment(), rng);
-      attach_proof(msg, bundle);
+      attach_proof(msg, make_rate_limit_proof(members[i].sk, group.path_of(i),
+                                              msg, 100, rng));
       messages.push_back(std::move(msg));
     }
   }

@@ -75,7 +75,6 @@ struct Workload {
 
   Workload() {
     Rng rng(0x0B5E);
-    const zksnark::Keypair& kp = zksnark::rln_keypair(kDepth);
     std::vector<Identity> members;
     for (std::size_t i = 0; i < kMessages; ++i) {
       members.push_back(Identity::generate(rng));
@@ -87,21 +86,8 @@ struct Workload {
     for (std::size_t i = 0; i < kMessages; ++i) {
       WakuMessage msg;
       msg.payload = to_bytes("telemetry payload " + std::to_string(i));
-      zksnark::RlnProverInput input;
-      input.sk = members[i].sk;
-      input.path = group.path_of(i);
-      input.x = message_hash(msg);
-      input.epoch = ff::Fr::from_u64(100);
-      zksnark::RlnCircuit c = zksnark::build_rln_circuit(input);
-      RateLimitProof bundle;
-      bundle.share_x = c.publics.x;
-      bundle.share_y = c.publics.y;
-      bundle.nullifier = c.publics.nullifier;
-      bundle.epoch = 100;
-      bundle.root = c.publics.root;
-      bundle.proof = zksnark::prove(kp.pk, c.builder.cs(),
-                                    c.builder.assignment(), rng);
-      attach_proof(msg, bundle);
+      attach_proof(msg, make_rate_limit_proof(members[i].sk, group.path_of(i),
+                                              msg, 100, rng));
       messages.push_back(std::move(msg));
     }
   }

@@ -7,11 +7,11 @@
 //
 // Structure follows the Poseidon reference for BN254 (x^5 S-box, 8 full
 // rounds, 56..60 partial rounds depending on width, secure Cauchy MDS).
-// SUBSTITUTION (documented in DESIGN.md): round constants and the Cauchy
-// generators are derived from a SHA-256-based nothing-up-my-sleeve PRF
-// instead of the reference Grain-LFSR stream; the algebraic structure is
-// identical and no benchmark or protocol behaviour depends on the
-// particular constant stream.
+// SUBSTITUTION (docs/ARCHITECTURE.md, "Substitutions"): round constants
+// and the Cauchy generators are derived from a SHA-256-based
+// nothing-up-my-sleeve PRF instead of the reference Grain-LFSR stream; the
+// algebraic structure is identical and no benchmark or protocol behaviour
+// depends on the particular constant stream.
 #pragma once
 
 #include <cstddef>

@@ -1,8 +1,8 @@
 // Deterministic discrete-event simulator — the substrate that stands in
-// for real libp2p transports (see DESIGN.md substitution 4). All protocol
-// behaviour above this layer (gossip meshes, RLN validation, block mining)
-// is driven by events scheduled here, so every experiment is reproducible
-// from a seed.
+// for real libp2p transports (see docs/ARCHITECTURE.md, "Substitutions",
+// item 1). All protocol behaviour above this layer (gossip meshes, RLN
+// validation, block mining) is driven by events scheduled here, so every
+// experiment is reproducible from a seed.
 #pragma once
 
 #include <cstdint>

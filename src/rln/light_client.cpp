@@ -19,11 +19,21 @@ RlnFullServiceNode::RlnFullServiceNode(net::Network& network,
 }
 
 void RlnFullServiceNode::on_message(net::NodeId from, BytesView payload) {
+  // Every byte here comes from a peer: a frame that does not parse is
+  // dropped and counted, never thrown through the network's delivery.
   ByteReader r(payload);
+  if (r.exhausted()) {
+    ++malformed_frames_;
+    return;
+  }
   const auto type = static_cast<LightFrame>(r.read_u8());
   switch (type) {
     case LightFrame::kTreeReq: {
       ++tree_requests_;
+      if (r.remaining() < sizeof(std::uint64_t)) {
+        ++malformed_frames_;
+        return;
+      }
       const std::uint64_t index = r.read_u64();
       if (index >= node_.group().member_count()) return;  // unknown member
       ByteWriter w;
@@ -353,42 +363,41 @@ void RlnLightClient::publish(net::NodeId service, Bytes payload,
 }
 
 void RlnLightClient::on_message(net::NodeId from, BytesView payload) {
+  // Every byte here comes from a peer: a frame that does not parse is
+  // dropped and counted, never thrown through the network's delivery.
   ByteReader r(payload);
+  if (r.exhausted()) {
+    ++malformed_frames_;
+    return;
+  }
   const auto type = static_cast<LightFrame>(r.read_u8());
   switch (type) {
     case LightFrame::kTreeResp: {
       if (pending_.empty()) return;
+      // Parse before popping: a malformed response must not consume the
+      // publish a well-formed one can still complete.
+      std::optional<merkle::MerklePath> path;
+      try {
+        (void)r.read_raw(32);  // root (implied by the path)
+        (void)r.read_u64();    // member count
+        path = merkle::deserialize_path(r.read_bytes());
+      } catch (const std::exception&) {
+      }
+      if (!path.has_value() || path->siblings.empty()) {  // no depth-0 RLN
+        ++malformed_frames_;
+        return;
+      }
       PendingPublish job = std::move(pending_.front());
       pending_.erase(pending_.begin());
-
-      (void)Fr::from_bytes_reduce(r.read_raw(32));  // root (implied by path)
-      (void)r.read_u64();                           // member count
-      const merkle::MerklePath path = merkle::deserialize_path(r.read_bytes());
 
       // Build the proof bundle locally: the secret key never leaves us.
       WakuMessage msg;
       msg.payload = std::move(job.payload);
       msg.content_topic = job.content_topic;
       msg.timestamp_ms = network_.local_time(id_);
-
-      const std::uint64_t epoch = epoch_.epoch_at(network_.local_time(id_));
-      zksnark::RlnProverInput input;
-      input.sk = identity_.sk;
-      input.path = path;
-      input.x = message_hash(msg);
-      input.epoch = Fr::from_u64(epoch);
-      zksnark::RlnCircuit circuit = zksnark::build_rln_circuit(input);
-      const zksnark::Keypair& kp =
-          zksnark::rln_keypair(path.siblings.size());
-      RateLimitProof bundle;
-      bundle.share_x = circuit.publics.x;
-      bundle.share_y = circuit.publics.y;
-      bundle.nullifier = circuit.publics.nullifier;
-      bundle.epoch = epoch;
-      bundle.root = circuit.publics.root;
-      bundle.proof = zksnark::prove(kp.pk, circuit.builder.cs(),
-                                    circuit.builder.assignment(), rng_);
-      attach_proof(msg, bundle);
+      attach_proof(msg, make_rate_limit_proof(
+                            identity_.sk, std::move(*path), msg,
+                            epoch_.epoch_at(network_.local_time(id_)), rng_));
 
       ByteWriter w;
       w.write_u8(static_cast<std::uint8_t>(LightFrame::kPushReq));
@@ -402,6 +411,10 @@ void RlnLightClient::on_message(net::NodeId from, BytesView payload) {
       break;
     }
     case LightFrame::kPushResp: {
+      if (r.exhausted()) {
+        ++malformed_frames_;
+        return;
+      }
       const bool accepted = r.read_u8() != 0;
       if (accepted) ++acked_;
       if (!pending_acks_.empty()) {

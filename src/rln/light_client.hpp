@@ -87,6 +87,10 @@ class RlnFullServiceNode : public net::NetNode {
   [[nodiscard]] std::uint64_t pushes_rejected() const {
     return pushes_rejected_;
   }
+  /// Peer frames dropped because they did not parse (empty, truncated).
+  [[nodiscard]] std::uint64_t malformed_frames() const {
+    return malformed_frames_;
+  }
 
  private:
   net::Network& network_;
@@ -100,6 +104,7 @@ class RlnFullServiceNode : public net::NetNode {
   std::uint64_t delta_fallbacks_served_ = 0;
   std::uint64_t pushes_accepted_ = 0;
   std::uint64_t pushes_rejected_ = 0;
+  std::uint64_t malformed_frames_ = 0;
 };
 
 /// Client half: a registered member (identity + member index known, e.g.
@@ -215,6 +220,10 @@ class RlnLightClient : public net::NetNode {
   [[nodiscard]] const Identity& identity() const { return identity_; }
   [[nodiscard]] std::uint64_t published() const { return published_; }
   [[nodiscard]] std::uint64_t acked() const { return acked_; }
+  /// Peer frames dropped because they did not parse (empty, truncated).
+  [[nodiscard]] std::uint64_t malformed_frames() const {
+    return malformed_frames_;
+  }
 
  private:
   struct PendingPublish {
@@ -240,6 +249,7 @@ class RlnLightClient : public net::NetNode {
   std::vector<PushResult> pending_acks_;
   std::uint64_t published_ = 0;
   std::uint64_t acked_ = 0;
+  std::uint64_t malformed_frames_ = 0;
 
   // Checkpoint bootstrap state. `group_` must outlive `validator_` (the
   // per-shard pipelines hold references); both are torn down together.

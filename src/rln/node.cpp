@@ -400,26 +400,8 @@ WakuMessage WakuRlnRelayNode::build_message(Bytes payload,
   msg.payload = std::move(payload);
   msg.content_topic = content_topic;
   msg.timestamp_ms = network_.local_time(node_id());
-
-  zksnark::RlnProverInput input;
-  input.sk = identity_.sk;
-  input.path = group_.own_path();
-  input.x = message_hash(msg);
-  input.epoch = Fr::from_u64(epoch);
-
-  zksnark::RlnCircuit circuit = zksnark::build_rln_circuit(input);
-  const zksnark::Keypair& kp = zksnark::rln_keypair(config_.tree_depth);
-  const zksnark::Proof proof = zksnark::prove(
-      kp.pk, circuit.builder.cs(), circuit.builder.assignment(), rng_);
-
-  RateLimitProof bundle;
-  bundle.share_x = circuit.publics.x;
-  bundle.share_y = circuit.publics.y;
-  bundle.nullifier = circuit.publics.nullifier;
-  bundle.epoch = epoch;
-  bundle.root = circuit.publics.root;
-  bundle.proof = proof;
-  attach_proof(msg, bundle);
+  attach_proof(msg, make_rate_limit_proof(identity_.sk, group_.own_path(), msg,
+                                          epoch, rng_));
   return msg;
 }
 

@@ -42,6 +42,28 @@ Fr message_hash(const WakuMessage& message) {
   return Fr::from_bytes_reduce(hash::sha256_bytes(message.signal_bytes()));
 }
 
+RateLimitProof make_rate_limit_proof(const Fr& sk, merkle::MerklePath path,
+                                     const WakuMessage& message,
+                                     std::uint64_t epoch, Rng& rng) {
+  const std::size_t depth = path.depth();
+  zksnark::RlnProverInput input;
+  input.sk = sk;
+  input.path = std::move(path);
+  input.x = message_hash(message);
+  input.epoch = Fr::from_u64(epoch);
+  const zksnark::RlnCircuit circuit = zksnark::build_rln_circuit(input);
+  RateLimitProof bundle;
+  bundle.share_x = circuit.publics.x;
+  bundle.share_y = circuit.publics.y;
+  bundle.nullifier = circuit.publics.nullifier;
+  bundle.epoch = epoch;
+  bundle.root = circuit.publics.root;
+  bundle.proof = zksnark::prove(zksnark::rln_keypair(depth).pk,
+                                circuit.builder.cs(),
+                                circuit.builder.assignment(), rng);
+  return bundle;
+}
+
 void attach_proof(WakuMessage& message, const RateLimitProof& proof) {
   message.rate_limit_proof = proof.serialize();
 }

@@ -39,6 +39,14 @@ struct RateLimitProof {
 /// H(m): hashes the message signal into the Shamir x-coordinate.
 Fr message_hash(const WakuMessage& message);
 
+/// The one proof-bundle builder: witnesses the RLN circuit for
+/// (sk, path, H(message), epoch), proves it with the path depth's shared
+/// keypair, and fills the bundle from the circuit's public values. `rng`
+/// is drawn from by prove() only.
+RateLimitProof make_rate_limit_proof(const Fr& sk, merkle::MerklePath path,
+                                     const WakuMessage& message,
+                                     std::uint64_t epoch, Rng& rng);
+
 /// Attaches a serialized proof to a message (in place).
 void attach_proof(WakuMessage& message, const RateLimitProof& proof);
 

@@ -155,6 +155,49 @@ void DepositChurner::on_tick(AdversaryContext& ctx) {
   ++next_slot_;
 }
 
+// -- CrossGenerationPairAttacker ---------------------------------------------
+
+void CrossGenerationPairAttacker::on_tick(AdversaryContext& ctx) {
+  if (!ctx.harness.alive(slot_)) return;
+  WakuRlnRelayNode& node = ctx.harness.node(slot_);
+  if (!node.is_registered()) return;  // slashed: the flood is over
+  const std::uint64_t epoch = node.current_epoch();
+  if (epoch != current_epoch_) {
+    current_epoch_ = epoch;
+    pairs_this_epoch_ = 0;
+  }
+  if (pairs_this_epoch_ >= pairs_per_epoch_) return;
+  ++pairs_this_epoch_;
+  spam_sent_ += 2;
+  ctx.metrics.counter("spam.sent").inc(2);
+  // "spam|p<epoch>|old|<pair #>" / "...|new|..." — observe_delivery parses
+  // the epoch and the half back out.
+  const auto half = [&](const char* generation) {
+    std::string body = "p";
+    body.append(std::to_string(epoch)).append("|").append(generation);
+    return spam_payload(body.append("|").append(std::to_string(pairs_sent())));
+  };
+  node.force_publish_generation(half("old"), content_topic_,
+                                /*use_next_generation=*/false);
+  node.force_publish_generation(half("new"), content_topic_,
+                                /*use_next_generation=*/true);
+}
+
+void CrossGenerationPairAttacker::observe_delivery(std::size_t node,
+                                                   std::string_view payload) {
+  if (node == slot_ || !payload.starts_with(kSpamTag)) return;
+  std::uint64_t epoch = 0;
+  std::size_t pos = kSpamTag.size() + 1;  // past the 'p'
+  while (pos < payload.size() && payload[pos] >= '0' && payload[pos] <= '9') {
+    epoch = epoch * 10 + static_cast<std::uint64_t>(payload[pos] - '0');
+    ++pos;
+  }
+  const std::uint8_t bit = payload.compare(pos, 5, "|old|") == 0 ? 1 : 2;
+  std::uint8_t& mask = seen_[{node, epoch}];
+  if (mask != 0 && (mask & bit) == 0) ++quota_double_deliveries_;
+  mask |= bit;
+}
+
 // -- StaleCheckpointService --------------------------------------------------
 
 StaleCheckpointService::StaleCheckpointService(net::Network& network,
@@ -164,9 +207,8 @@ StaleCheckpointService::StaleCheckpointService(net::Network& network,
       id_(network.add_node(this)) {}
 
 void StaleCheckpointService::on_message(net::NodeId from, BytesView payload) {
-  ByteReader r(payload);
-  if (static_cast<rln::LightFrame>(r.read_u8()) !=
-      rln::LightFrame::kCheckpointReq) {
+  if (payload.empty() || static_cast<rln::LightFrame>(payload[0]) !=
+                             rln::LightFrame::kCheckpointReq) {
     return;  // only the bootstrap path is impersonated
   }
   ++served_;

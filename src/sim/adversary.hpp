@@ -18,6 +18,9 @@
 //   DepositChurner       join / spam / withdraw-front-run cycles — the
 //                        §IV-B "escape punishment by early withdrawal"
 //                        open problem, measured as escape rate;
+//   CrossGenerationPairAttacker  same-epoch pairs split across the old
+//                        and new shard generation during a live reshard —
+//                        must be folded into one signal and slashed;
 //   StaleCheckpointService  a light-bootstrap service replaying an old but
 //                        correctly signed checkpoint (the eclipse payload;
 //                        campaign orchestration lives in scenario.hpp).
@@ -58,27 +61,35 @@ class Adversary {
   std::uint64_t spam_sent_ = 0;
 };
 
+/// An adversary driving one harness slot.
+class SlotAdversary : public Adversary {
+ public:
+  explicit SlotAdversary(std::size_t slot) : slot_(slot) {}
+  [[nodiscard]] std::vector<std::size_t> controlled_nodes() const override {
+    return {slot_};
+  }
+
+ protected:
+  std::size_t slot_;
+};
+
 /// Publishes up to `burst_per_epoch` valid-proof messages per epoch from
 /// one registered member (one per tick, so the flood spans the epoch).
 /// Stops producing once slashed — force_publish refuses unregistered.
 /// `content_topic` aims the flood at one relay shard (shard-targeted
 /// attacks must stay confined to the shard the topic maps onto).
-class RateLimitFlooder : public Adversary {
+class RateLimitFlooder : public SlotAdversary {
  public:
   RateLimitFlooder(std::size_t slot, std::uint64_t burst_per_epoch,
                    std::string content_topic = rln::kDefaultContentTopic)
-      : slot_(slot),
+      : SlotAdversary(slot),
         burst_per_epoch_(burst_per_epoch),
         content_topic_(std::move(content_topic)) {}
 
   [[nodiscard]] std::string name() const override { return "flooder"; }
-  [[nodiscard]] std::vector<std::size_t> controlled_nodes() const override {
-    return {slot_};
-  }
   void on_tick(AdversaryContext& ctx) override;
 
  private:
-  std::size_t slot_;
   std::uint64_t burst_per_epoch_;
   std::string content_topic_;
   std::uint64_t current_epoch_ = ~std::uint64_t{0};
@@ -88,40 +99,32 @@ class RateLimitFlooder : public Adversary {
 /// One message per epoch, placed adjacent to epoch boundaries (end of even
 /// epochs, start of odd ones) — back-to-back bursts that stay inside the
 /// 1-per-epoch quota. The verdict must show delivery without slashing.
-class EpochBoundaryStraddler : public Adversary {
+class EpochBoundaryStraddler : public SlotAdversary {
  public:
-  explicit EpochBoundaryStraddler(std::size_t slot) : slot_(slot) {}
+  explicit EpochBoundaryStraddler(std::size_t slot) : SlotAdversary(slot) {}
 
   [[nodiscard]] std::string name() const override { return "straddler"; }
-  [[nodiscard]] std::vector<std::size_t> controlled_nodes() const override {
-    return {slot_};
-  }
   void on_tick(AdversaryContext& ctx) override;
 
  private:
-  std::size_t slot_;
   std::uint64_t last_published_epoch_ = ~std::uint64_t{0};
 };
 
 /// Floods garbage proofs (`per_tick` each tick) — cheap to generate, dies
 /// at kRejectBadProof, and the sender is graylisted by peer scoring.
 /// Shard-targetable via `content_topic`.
-class InvalidProofFlooder : public Adversary {
+class InvalidProofFlooder : public SlotAdversary {
  public:
   InvalidProofFlooder(std::size_t slot, std::uint64_t per_tick,
                       std::string content_topic = rln::kDefaultContentTopic)
-      : slot_(slot),
+      : SlotAdversary(slot),
         per_tick_(per_tick),
         content_topic_(std::move(content_topic)) {}
 
   [[nodiscard]] std::string name() const override { return "invalid-proof"; }
-  [[nodiscard]] std::vector<std::size_t> controlled_nodes() const override {
-    return {slot_};
-  }
   void on_tick(AdversaryContext& ctx) override;
 
  private:
-  std::size_t slot_;
   std::uint64_t per_tick_;
   std::string content_topic_;
 };
@@ -130,42 +133,34 @@ class InvalidProofFlooder : public Adversary {
 /// settled by the O(1) root stage (pipeline.stale_root), not the verifier.
 /// Shard-targetable via `content_topic` (a coalition pairs it with a
 /// flooder on the same shard).
-class StaleRootReplayer : public Adversary {
+class StaleRootReplayer : public SlotAdversary {
  public:
   StaleRootReplayer(std::size_t slot, std::uint64_t per_tick,
                     std::string content_topic = rln::kDefaultContentTopic)
-      : slot_(slot),
+      : SlotAdversary(slot),
         per_tick_(per_tick),
         content_topic_(std::move(content_topic)) {}
 
   [[nodiscard]] std::string name() const override { return "stale-root"; }
-  [[nodiscard]] std::vector<std::size_t> controlled_nodes() const override {
-    return {slot_};
-  }
   void on_tick(AdversaryContext& ctx) override;
 
  private:
-  std::size_t slot_;
   std::uint64_t per_tick_;
   std::string content_topic_;
 };
 
 /// Once per epoch, sends two conflicting same-epoch shares to disjoint
 /// halves of its mesh neighborhood (WakuRlnRelayNode::force_publish_split).
-class SplitEquivocator : public Adversary {
+class SplitEquivocator : public SlotAdversary {
  public:
-  explicit SplitEquivocator(std::size_t slot) : slot_(slot) {}
+  explicit SplitEquivocator(std::size_t slot) : SlotAdversary(slot) {}
 
   [[nodiscard]] std::string name() const override {
     return "split-equivocator";
   }
-  [[nodiscard]] std::vector<std::size_t> controlled_nodes() const override {
-    return {slot_};
-  }
   void on_tick(AdversaryContext& ctx) override;
 
  private:
-  std::size_t slot_;
   std::uint64_t last_split_epoch_ = ~std::uint64_t{0};
 };
 
@@ -194,6 +189,46 @@ class DepositChurner : public Adversary {
   std::size_t next_slot_ = 0;
   std::uint64_t last_churn_epoch_ = ~std::uint64_t{0};
   std::uint64_t withdraw_attempts_ = 0;
+};
+
+/// Live-reshard overlap attacker: each tick, one same-epoch valid-proof
+/// pair on `content_topic` — one half forced onto the old generation's
+/// mesh, one onto the new — up to `pairs_per_epoch` pairs per epoch
+/// (same epoch -> same nullifier: the shared domain log must fold the pair
+/// into ONE signal and slash). The campaign decides when it ticks (the
+/// dual-generation window). observe_delivery() is the doubled-quota
+/// ledger: both halves of one epoch's pair delivered at one honest node.
+class CrossGenerationPairAttacker : public SlotAdversary {
+ public:
+  CrossGenerationPairAttacker(std::size_t slot, std::uint64_t pairs_per_epoch,
+                              std::string content_topic)
+      : SlotAdversary(slot),
+        pairs_per_epoch_(pairs_per_epoch),
+        content_topic_(std::move(content_topic)) {}
+
+  [[nodiscard]] std::string name() const override {
+    return "cross-generation-pair";
+  }
+  void on_tick(AdversaryContext& ctx) override;
+
+  /// Ledger feed: one delivery of `payload` at node slot `node`.
+  void observe_delivery(std::size_t node, std::string_view payload);
+
+  [[nodiscard]] std::uint64_t pairs_sent() const { return spam_sent_ / 2; }
+  /// (node, epoch) pairs where BOTH halves arrived — each one a doubled
+  /// quota.
+  [[nodiscard]] std::uint64_t quota_double_deliveries() const {
+    return quota_double_deliveries_;
+  }
+
+ private:
+  std::uint64_t pairs_per_epoch_;
+  std::string content_topic_;
+  std::uint64_t current_epoch_ = ~std::uint64_t{0};
+  std::uint64_t pairs_this_epoch_ = 0;
+  /// (node, epoch) -> halves seen (bit 1 = old generation, bit 2 = new).
+  std::map<std::pair<std::size_t, std::uint64_t>, std::uint8_t> seen_;
+  std::uint64_t quota_double_deliveries_ = 0;
 };
 
 /// Attacker-run light-bootstrap service: answers kCheckpointReq with a

@@ -1,29 +1,8 @@
 #include "sim/metrics.hpp"
 
-#include <cstdio>
+#include "sim/report.hpp"
 
 namespace waku::sim {
-
-namespace {
-
-void append_kv(std::string& out, const std::string& name, double value,
-               bool first) {
-  char buf[64];
-  std::snprintf(buf, sizeof buf, "%.6g", value);
-  if (!first) out += ", ";
-  out += "\"" + name + "\": " + buf;
-}
-
-void append_kv(std::string& out, const std::string& name, std::uint64_t value,
-               bool first) {
-  char buf[32];
-  std::snprintf(buf, sizeof buf, "%llu",
-                static_cast<unsigned long long>(value));
-  if (!first) out += ", ";
-  out += "\"" + name + "\": " + buf;
-}
-
-}  // namespace
 
 Histogram::Histogram(std::vector<double> upper_bounds)
     : bounds_(std::move(upper_bounds)), counts_(bounds_.size() + 1, 0) {}
@@ -72,79 +51,42 @@ std::uint64_t MetricsRegistry::counter_value(const std::string& name) const {
 }
 
 std::string MetricsRegistry::to_json() const {
-  // Metric names are code-controlled identifiers (no quotes/backslashes),
-  // so they are emitted without escaping.
-  std::string out = "{\n\"counters\": {";
-  bool first = true;
-  for (const auto& [name, c] : counters_) {
-    append_kv(out, name, c.value(), first);
-    first = false;
-  }
-  out += "},\n\"gauges\": {";
-  first = true;
-  for (const auto& [name, g] : gauges_) {
-    append_kv(out, name, g.value(), first);
-    first = false;
-  }
-  out += "},\n\"histograms\": {";
-  first = true;
+  JsonObject counters;
+  for (const auto& [name, c] : counters_) counters.integer(name, c.value());
+  JsonObject gauges;
+  for (const auto& [name, g] : gauges_) gauges.number(name, g.value(), "%.6g");
+  JsonObject histograms;
   for (const auto& [name, h] : histograms_) {
-    if (!first) out += ", ";
-    first = false;
-    out += "\"" + name + "\": {\"bounds\": [";
-    for (std::size_t i = 0; i < h.bounds().size(); ++i) {
-      char buf[64];
-      std::snprintf(buf, sizeof buf, "%s%.6g", i > 0 ? ", " : "",
-                    h.bounds()[i]);
-      out += buf;
-    }
-    out += "], \"counts\": [";
-    for (std::size_t i = 0; i < h.counts().size(); ++i) {
-      char buf[32];
-      std::snprintf(buf, sizeof buf, "%s%llu", i > 0 ? ", " : "",
-                    static_cast<unsigned long long>(h.counts()[i]));
-      out += buf;
-    }
-    char tail[96];
-    std::snprintf(tail, sizeof tail, "], \"total\": %llu, \"sum\": %.6g}",
-                  static_cast<unsigned long long>(h.total()), h.sum());
-    out += tail;
+    histograms.raw(name,
+                   JsonObject()
+                       .numbers("bounds", h.bounds(), "%.6g")
+                       .integers("counts", h.counts())
+                       .integer("total", h.total())
+                       .number("sum", h.sum(), "%.6g")
+                       .str(),
+                   "{}");
   }
-  out += "},\n\"series\": {";
-  first = true;
+  JsonObject series;
   for (const auto& [name, points] : series_) {
-    if (!first) out += ", ";
-    first = false;
-    out += "\"" + name + "\": [";
+    std::string array = "[";
     for (std::size_t i = 0; i < points.size(); ++i) {
-      char buf[96];
-      std::snprintf(buf, sizeof buf, "%s{\"epoch\": %llu, \"value\": %.6g}",
-                    i > 0 ? ", " : "",
-                    static_cast<unsigned long long>(points[i].epoch),
-                    points[i].value);
-      out += buf;
+      if (i > 0) array += ", ";
+      array += JsonObject()
+                   .integer("epoch", points[i].epoch)
+                   .number("value", points[i].value, "%.6g")
+                   .str();
     }
-    out += "]";
+    series.raw(name, array + "]", "[]");
   }
-  out += "}\n}";
-  return out;
-}
-
-void MetricsRegistry::reset() {
-  counters_.clear();
-  gauges_.clear();
-  histograms_.clear();
-  series_.clear();
-}
-
-MetricsRegistry& global_metrics() {
-  static MetricsRegistry registry;
-  return registry;
+  return "{\n\"counters\": " + counters.str() + ",\n\"gauges\": " +
+         gauges.str() + ",\n\"histograms\": " + histograms.str() +
+         ",\n\"series\": " + series.str() + "\n}";
 }
 
 // -- HarnessProbe ------------------------------------------------------------
 
-HarnessProbe::HarnessProbe(rln::RlnHarness& harness, MetricsRegistry& registry)
+HarnessProbe::HarnessProbe(rln::RlnHarness& harness, MetricsRegistry& registry,
+                           rln::RlnHarness::NodeHook node_hook)
     : harness_(harness),
       registry_(registry),
       shard_map_(harness.config().node.shards),
@@ -157,7 +99,9 @@ HarnessProbe::HarnessProbe(rln::RlnHarness& harness, MetricsRegistry& registry)
   // delivered content topic maps to). Installed through the harness hook
   // so restart_node() re-attaches it to the fresh instance (a dead node's
   // handler dies with it).
-  harness_.set_node_hook([this](std::size_t i, rln::WakuRlnRelayNode& node) {
+  harness_.set_node_hook([this, node_hook = std::move(node_hook)](
+                             std::size_t i, rln::WakuRlnRelayNode& node) {
+    if (node_hook) node_hook(i, node);
     node.set_message_handler([this, i](const WakuMessage& msg) {
       const std::string_view payload(
           reinterpret_cast<const char*>(msg.payload.data()),
@@ -180,6 +124,7 @@ HarnessProbe::HarnessProbe(rln::RlnHarness& harness, MetricsRegistry& registry)
       } else {
         registry_.counter("other.delivered").inc();
       }
+      if (observer_) observer_(i, payload);
     });
   });
 

@@ -1,7 +1,7 @@
 // Metrics registry for the adversarial scenario engine: named counters,
 // gauges, and fixed-bucket histograms with per-epoch time series and JSON
 // export. One registry per scenario keeps campaigns deterministic and
-// comparable; global_metrics() exists for ad-hoc probes.
+// comparable.
 //
 // The registry is fed two ways:
 //   * event-driven — adversaries, traffic generators, and the HarnessProbe
@@ -14,6 +14,7 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <map>
 #include <optional>
 #include <string>
@@ -90,17 +91,12 @@ class MetricsRegistry {
   /// "histograms": {...}, "series": {...}}.
   [[nodiscard]] std::string to_json() const;
 
-  void reset();
-
  private:
   std::map<std::string, Counter> counters_;
   std::map<std::string, Gauge> gauges_;
   std::map<std::string, Histogram> histograms_;
   std::map<std::string, std::vector<SeriesPoint>> series_;
 };
-
-/// Shared default registry for probes outside a scenario.
-MetricsRegistry& global_metrics();
 
 /// Payload tags the scenario engine uses to classify delivered traffic.
 /// Generators and adversaries prefix payloads; the probe's per-node
@@ -121,9 +117,14 @@ inline constexpr std::string_view kSpamTag = "spam|";
 ///   * sample(epoch) reads router/pipeline/nullifier-log/peer-score/node
 ///     counters across the deployment into gauges (pipeline verdicts also
 ///     per shard) and snapshots the series.
+///
+/// The probe owns the harness's single node hook; `node_hook` (optional)
+/// runs inside it first, so campaign per-node setup also survives
+/// kill/restart.
 class HarnessProbe {
  public:
-  HarnessProbe(rln::RlnHarness& harness, MetricsRegistry& registry);
+  HarnessProbe(rln::RlnHarness& harness, MetricsRegistry& registry,
+               rln::RlnHarness::NodeHook node_hook = nullptr);
   ~HarnessProbe();
 
   HarnessProbe(const HarnessProbe&) = delete;
@@ -135,6 +136,14 @@ class HarnessProbe {
   /// Marks "the attack started now" — slash latencies observed later are
   /// measured against this.
   void mark_attack_start();
+
+  /// Also hands every delivery (node slot, payload) to `observer`, after
+  /// classification — campaign-specific ledgers ride on the probe's
+  /// handler instead of replacing it.
+  using DeliveryObserver = std::function<void(std::size_t, std::string_view)>;
+  void set_delivery_observer(DeliveryObserver observer) {
+    observer_ = std::move(observer);
+  }
 
   struct SlashEvent {
     std::uint64_t index;
@@ -174,12 +183,6 @@ class HarnessProbe {
   [[nodiscard]] std::optional<net::TimeMs> attack_start_ms() const {
     return attack_start_ms_;
   }
-  [[nodiscard]] std::optional<net::TimeMs> first_slash_ms() const {
-    return slashes_.empty() ? std::nullopt
-                            : std::optional<net::TimeMs>(slashes_[0].at_ms);
-  }
-
-  [[nodiscard]] MetricsRegistry& registry() { return registry_; }
 
  private:
   rln::RlnHarness& harness_;
@@ -196,6 +199,7 @@ class HarnessProbe {
   std::vector<SlashEvent> withdrawals_;
   std::optional<net::TimeMs> attack_start_ms_;
   std::uint64_t chain_subscription_ = 0;
+  DeliveryObserver observer_;
 };
 
 }  // namespace waku::sim

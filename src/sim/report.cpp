@@ -6,81 +6,88 @@ namespace waku::sim {
 
 namespace {
 
-void field(std::string& out, const char* name, std::uint64_t v,
-           bool trailing_comma = true) {
-  char buf[96];
-  std::snprintf(buf, sizeof buf, "\"%s\": %llu%s", name,
-                static_cast<unsigned long long>(v),
-                trailing_comma ? ", " : "");
-  out += buf;
-}
-
-void field(std::string& out, const char* name, double v,
-           bool trailing_comma = true) {
-  char buf[96];
-  std::snprintf(buf, sizeof buf, "\"%s\": %.6f%s", name, v,
-                trailing_comma ? ", " : "");
-  out += buf;
-}
-
-void optional_field(std::string& out, const char* name,
-                    const std::optional<std::uint64_t>& v) {
-  if (v.has_value()) {
-    field(out, name, *v);
-  } else {
-    out += std::string("\"") + name + "\": null, ";
-  }
+std::string format_double(double v, const char* format) {
+  char buf[64];
+  std::snprintf(buf, sizeof buf, format, v);
+  return buf;
 }
 
 }  // namespace
 
+JsonObject& JsonObject::add(std::string_view key, const std::string& value) {
+  if (out_.size() > 1) out_ += ", ";
+  out_.append("\"").append(key).append("\": ").append(value);
+  return *this;
+}
+
+JsonObject& JsonObject::number(std::string_view key, double v,
+                               const char* format) {
+  return add(key, format_double(v, format));
+}
+
+JsonObject& JsonObject::integers(std::string_view key,
+                                 const std::vector<std::uint64_t>& v) {
+  std::string array = "[";
+  for (std::size_t i = 0; i < v.size(); ++i) {
+    if (i > 0) array += ", ";
+    array += std::to_string(v[i]);
+  }
+  return add(key, array + "]");
+}
+
+JsonObject& JsonObject::numbers(std::string_view key,
+                                const std::vector<double>& v,
+                                const char* format) {
+  std::string array = "[";
+  for (std::size_t i = 0; i < v.size(); ++i) {
+    if (i > 0) array += ", ";
+    array += format_double(v[i], format);
+  }
+  return add(key, array + "]");
+}
+
 std::string AdversaryVerdict::to_json() const {
-  std::string out = "{";
-  out += "\"name\": \"" + name + "\", ";
-  field(out, "spam_sent", spam_sent);
-  field(out, "controlled_nodes", controlled_nodes);
-  field(out, "slashes", slashes);
-  optional_field(out, "time_to_slash_ms", time_to_slash_ms);
-  out += "\"schema\": 1}";
-  return out;
+  return JsonObject()
+      .string("name", name)
+      .integer("spam_sent", spam_sent)
+      .integer("controlled_nodes", controlled_nodes)
+      .integer("slashes", slashes)
+      .optional("time_to_slash_ms", time_to_slash_ms)
+      .integer("schema", 1)
+      .str();
 }
 
 std::string ScenarioVerdict::to_json() const {
-  std::string out = "{";
-  out += "\"scenario\": \"" + scenario + "\", ";
-  field(out, "seed", seed);
-  field(out, "nodes", nodes);
-  field(out, "honest_nodes", honest_nodes);
-  field(out, "adversary_nodes", adversary_nodes);
-  field(out, "spam_sent", spam_sent);
-  field(out, "spam_delivered_honest", spam_delivered_honest);
-  field(out, "spam_containment_ratio", spam_containment_ratio);
-  field(out, "honest_sent", honest_sent);
-  field(out, "honest_delivered_honest", honest_delivered_honest);
-  field(out, "honest_delivery_ratio", honest_delivery_ratio);
-  field(out, "slashes", slashes);
-  field(out, "adversary_slashes", adversary_slashes);
-  field(out, "honest_slashes", honest_slashes);
-  field(out, "honest_false_positive_rate", honest_false_positive_rate);
-  field(out, "withdrawals", withdrawals);
-  optional_field(out, "time_to_slash_ms", time_to_slash_ms);
-  optional_field(out, "time_to_slash_epochs", time_to_slash_epochs);
-  out += "\"per_adversary\": [";
+  std::string adversaries = "[";
   for (std::size_t i = 0; i < per_adversary.size(); ++i) {
-    if (i > 0) out += ", ";
-    out += per_adversary[i].to_json();
+    if (i > 0) adversaries += ", ";
+    adversaries += per_adversary[i].to_json();
   }
-  out += "], ";
-  out += "\"fleet_timeline\": " +
-         (fleet_timeline_json.empty() ? std::string("[]")
-                                      : fleet_timeline_json) +
-         ", ";
-  out += "\"propagation\": " +
-         (propagation_json.empty() ? std::string("{}") : propagation_json) +
-         ", ";
-  // Trailing sentinel keeps the field() helpers uniform.
-  out += "\"schema\": 4}";
-  return out;
+  adversaries += "]";
+  return JsonObject()
+      .string("scenario", scenario)
+      .integer("seed", seed)
+      .integer("nodes", nodes)
+      .integer("honest_nodes", honest_nodes)
+      .integer("adversary_nodes", adversary_nodes)
+      .integer("spam_sent", spam_sent)
+      .integer("spam_delivered_honest", spam_delivered_honest)
+      .number("spam_containment_ratio", spam_containment_ratio, "%.6f")
+      .integer("honest_sent", honest_sent)
+      .integer("honest_delivered_honest", honest_delivered_honest)
+      .number("honest_delivery_ratio", honest_delivery_ratio, "%.6f")
+      .integer("slashes", slashes)
+      .integer("adversary_slashes", adversary_slashes)
+      .integer("honest_slashes", honest_slashes)
+      .number("honest_false_positive_rate", honest_false_positive_rate, "%.6f")
+      .integer("withdrawals", withdrawals)
+      .optional("time_to_slash_ms", time_to_slash_ms)
+      .optional("time_to_slash_epochs", time_to_slash_epochs)
+      .raw("per_adversary", adversaries, "[]")
+      .raw("fleet_timeline", fleet_timeline_json, "[]")
+      .raw("propagation", propagation_json, "{}")
+      .integer("schema", 4)
+      .str();
 }
 
 std::string Report::to_json() const {

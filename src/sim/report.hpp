@@ -16,9 +16,48 @@
 #include <cstdint>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 namespace waku::sim {
+
+/// Flat JSON object writer shared by every verdict, outcome and metrics
+/// export: `"key": value` pairs joined by ", ". Keys are code-controlled
+/// identifiers, emitted without escaping; doubles print through the
+/// caller's printf format ("%.4f", "%.6g", ...).
+class JsonObject {
+ public:
+  JsonObject& integer(std::string_view key, std::uint64_t v) {
+    return add(key, std::to_string(v));
+  }
+  JsonObject& number(std::string_view key, double v, const char* format);
+  JsonObject& boolean(std::string_view key, bool v) {
+    return add(key, v ? "true" : "false");
+  }
+  JsonObject& string(std::string_view key, const std::string& v) {
+    return add(key, "\"" + v + "\"");
+  }
+  /// `null` when empty.
+  JsonObject& optional(std::string_view key,
+                       const std::optional<std::uint64_t>& v) {
+    return add(key, v.has_value() ? std::to_string(*v) : "null");
+  }
+  /// Pre-rendered JSON; `fallback` when `json` is empty.
+  JsonObject& raw(std::string_view key, const std::string& json,
+                  const char* fallback) {
+    return add(key, json.empty() ? fallback : json);
+  }
+  JsonObject& integers(std::string_view key,
+                       const std::vector<std::uint64_t>& v);
+  JsonObject& numbers(std::string_view key, const std::vector<double>& v,
+                      const char* format);
+  [[nodiscard]] std::string str() const { return out_ + "}"; }
+
+ private:
+  JsonObject& add(std::string_view key, const std::string& value);
+
+  std::string out_ = "{";
+};
 
 /// Per-adversary breakdown for coalition campaigns (several strategies
 /// attacking in one scenario): each strategy gets its own slash

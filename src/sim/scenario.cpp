@@ -1,7 +1,6 @@
 #include "sim/scenario.hpp"
 
 #include <algorithm>
-#include <cstdio>
 #include <unordered_set>
 
 #include "chain/rln_contract.hpp"
@@ -10,71 +9,43 @@
 
 namespace waku::sim {
 
+namespace {
+
+/// part / whole; 1.0 when the whole is empty (nothing was owed).
+double fraction(std::uint64_t part, std::uint64_t whole) {
+  return whole == 0 ? 1.0
+                    : static_cast<double>(part) / static_cast<double>(whole);
+}
+
+}  // namespace
+
 Scenario::Scenario(ScenarioConfig config)
     : config_(std::move(config)),
-      harness_(config_.harness),
-      probe_(harness_, metrics_),
-      traffic_rng_(config_.harness.seed ^ 0x7AF1C0DEULL) {}
+      campaign_(config_.harness, 0x7AF1C0DEULL, config_.tick_ms,
+                config_.honest_rate_per_epoch) {}
 
 Scenario& Scenario::add_phase(PhaseSpec phase) {
   phases_.push_back(std::move(phase));
   return *this;
 }
 
-std::uint64_t Scenario::epoch_now() {
-  return config_.harness.node.validator.epoch.epoch_at(harness_.sim().now());
-}
-
-void Scenario::sample_if_epoch_turned() {
-  const std::uint64_t epoch = epoch_now();
-  if (epoch == last_sampled_epoch_) return;
-  last_sampled_epoch_ = epoch;
-  probe_.sample(epoch);
-  scrape_fleet(epoch);
-}
-
-void Scenario::collect_propagation() {
-  if (config_.harness.node.obs.trace.sample_every == 0) return;
-  std::map<shard::ShardId, std::size_t> subscribers;
-  for (std::size_t i = 0; i < harness_.size(); ++i) {
-    if (!harness_.alive(i)) continue;
-    rln::WakuRlnRelayNode& node = harness_.node(i);
-    // Adversary publishes bypass the traced publish path; anchoring
-    // their node ids routes those trees to forensics instead of the
-    // honest-reconstruction count.
-    if (is_adversary_slot(i)) propagation_.mark_adversary(node.node_id());
-    propagation_.ingest(node.node_id(), node.trace_dump());
-    propagation_.ingest_flight(node.node_id(),
-                               node.flight_recorder().events());
-    for (const shard::ShardId s : node.validator().subscribed()) {
-      ++subscribers[s];
-    }
-  }
-  // Reachability denominators follow the CURRENT subscription map, so a
-  // kill mid-campaign shrinks the ideal receiver set with it.
-  for (const auto& [s, count] : subscribers) {
-    propagation_.set_subscribers(s, count);
-  }
-}
-
 void Scenario::scrape_fleet(std::uint64_t epoch) {
-  if (epoch == last_fleet_epoch_) return;
-  last_fleet_epoch_ = epoch;
+  rln::RlnHarness& h = campaign_.harness;
   std::uint64_t spam_total = 0;
   for (const Adversary* adversary : all_adversaries_) {
     spam_total += adversary->spam_sent();
   }
-  for (std::size_t i = 0; i < harness_.size(); ++i) {
-    if (is_adversary_slot(i) || !harness_.alive(i)) continue;
-    obs::NodeHealthSample s = harness_.node(i).health_sample();
+  for (std::size_t i = 0; i < h.size(); ++i) {
+    if (!campaign_.honest(i) || !h.alive(i)) continue;
+    obs::NodeHealthSample s = h.node(i).health_sample();
     s.epoch = epoch;
     // Ground truth only the harness knows. Ideal delivery is "every
     // honest/spam message reaches every honest node", so each node's
     // share of the fleet-wide ideal is the cumulative sent total — the
     // aggregator's sums then reproduce the verdict's ratios.
-    s.honest_delivered = probe_.node_honest_delivered(i);
-    s.honest_ideal = honest_sent_;
-    s.spam_delivered = probe_.node_spam_delivered(i);
+    s.honest_delivered = campaign_.probe.node_honest_delivered(i);
+    s.honest_ideal = campaign_.honest_sent;
+    s.spam_delivered = campaign_.probe.node_spam_delivered(i);
     s.spam_sent = spam_total;
     fleet_.ingest(std::move(s));
   }
@@ -83,66 +54,44 @@ void Scenario::scrape_fleet(std::uint64_t epoch) {
   // feed the same numbers back to each node's self-monitor — that is
   // what arms the propagation-latency SLO rule for the operator loop.
   if (config_.harness.node.obs.trace.sample_every != 0) {
-    collect_propagation();
+    campaign_.harvest_traces(propagation_);
     const obs::PropagationSummary ps = propagation_.summary();
     const double p95_ms = static_cast<double>(ps.p95_ns) / 1e6;
     fleet_.set_propagation(p95_ms, ps.redundancy_ratio, ps.reachability,
                            ps.incomplete_trees);
-    for (std::size_t i = 0; i < harness_.size(); ++i) {
-      if (is_adversary_slot(i) || !harness_.alive(i)) continue;
-      harness_.node(i).set_propagation_health(p95_ms, ps.redundancy_ratio,
-                                              ps.reachability,
-                                              ps.incomplete_trees);
+    for (std::size_t i = 0; i < h.size(); ++i) {
+      if (!campaign_.honest(i) || !h.alive(i)) continue;
+      h.node(i).set_propagation_health(p95_ms, ps.redundancy_ratio,
+                                       ps.reachability, ps.incomplete_trees);
     }
   }
   fleet_.close_epoch(epoch);
 }
 
-void Scenario::generate_honest_traffic() {
-  const double per_tick_p =
-      config_.honest_rate_per_epoch *
-      static_cast<double>(config_.tick_ms) /
-      static_cast<double>(
-          config_.harness.node.validator.epoch.epoch_length_ms);
-  std::size_t publishers_seen = 0;
-  for (std::size_t i = 0; i < harness_.size(); ++i) {
-    if (is_adversary_slot(i) || !harness_.alive(i)) continue;
-    ++publishers_seen;
-    if (config_.honest_publishers != 0 &&
-        publishers_seen > config_.honest_publishers) {
-      break;  // sampled-sender mode for large deployments
-    }
-    if (!traffic_rng_.chance(per_tick_p)) continue;
-    const auto status = harness_.node(i).try_publish(to_bytes(
-        std::string(kHonestTag) + "n" + std::to_string(i) + "#" +
-        std::to_string(honest_sent_)));
-    if (status == rln::WakuRlnRelayNode::PublishStatus::kOk) {
-      ++honest_sent_;
-      metrics_.counter("honest.sent").inc();
-    }
-  }
-}
-
 void Scenario::run_phase(const PhaseSpec& phase) {
-  AdversaryContext ctx{harness_, metrics_, traffic_rng_, config_.tick_ms};
-  if (!phase.adversaries.empty() && !probe_.attack_start_ms().has_value()) {
-    probe_.mark_attack_start();
+  AdversaryContext ctx = campaign_.context();
+  if (!phase.adversaries.empty() &&
+      !campaign_.probe.attack_start_ms().has_value()) {
+    campaign_.probe.mark_attack_start();
   }
   for (Adversary* adversary : phase.adversaries) {
     adversary->on_phase_start(ctx);
   }
-  const net::TimeMs phase_end = harness_.sim().now() + phase.duration_ms;
-  while (harness_.sim().now() < phase_end) {
-    const net::TimeMs step =
-        std::min<net::TimeMs>(config_.tick_ms,
-                              phase_end - harness_.sim().now());
-    harness_.run_ms(step);
-    if (phase.honest_traffic) generate_honest_traffic();
+  campaign_.run_ticks(phase.duration_ms, [&] {
+    if (phase.honest_traffic) {
+      campaign_.honest_tick(
+          [](std::size_t) { return rln::kDefaultContentTopic; },
+          nullptr, config_.honest_publishers);
+    }
     for (Adversary* adversary : phase.adversaries) {
       adversary->on_tick(ctx);
     }
-    sample_if_epoch_turned();
-  }
+    if (campaign_.epoch_turned()) {
+      campaign_.probe.sample(campaign_.epoch_now());
+      scrape_fleet(campaign_.epoch_now());
+    }
+    return true;
+  });
 }
 
 Report Scenario::run() {
@@ -157,12 +106,14 @@ Report Scenario::run() {
         all_adversaries_.push_back(adversary);
       }
       for (const std::size_t slot : adversary->controlled_nodes()) {
-        adversary_slots_.insert(slot);
+        campaign_.adversary_slots.insert(slot);
       }
     }
   }
 
-  harness_.register_all();
+  rln::RlnHarness& h = campaign_.harness;
+  const HarnessProbe& probe = campaign_.probe;
+  h.register_all();
 
   // Member index -> honest/adversary classification for slash attribution
   // (an index outlives the membership it names; capture it while every
@@ -174,7 +125,7 @@ Report Scenario::run() {
       all_adversaries_.size());
   for (std::size_t a = 0; a < all_adversaries_.size(); ++a) {
     for (const std::size_t slot : all_adversaries_[a]->controlled_nodes()) {
-      if (const auto index = harness_.node(slot).group().own_index()) {
+      if (const auto index = h.node(slot).group().own_index()) {
         adversary_indices.insert(*index);
         indices_per_adversary[a].insert(*index);
       }
@@ -185,26 +136,25 @@ Report Scenario::run() {
 
   // Drain: let in-flight publishes, validation windows, and slash txs
   // settle before judging delivery ratios.
-  harness_.run_ms(config_.drain_ms);
-  probe_.sample(epoch_now());
-  scrape_fleet(epoch_now());  // final row: the post-drain steady state
+  h.run_ms(config_.drain_ms);
+  campaign_.probe.sample(campaign_.epoch_now());
+  if (campaign_.epoch_turned()) {
+    scrape_fleet(campaign_.epoch_now());  // final row: post-drain state
+  }
 
   ScenarioVerdict verdict;
   verdict.scenario = config_.name;
   verdict.seed = config_.harness.seed;
-  verdict.nodes = harness_.size();
-  verdict.adversary_nodes = adversary_slots_.size();
-  verdict.honest_nodes = harness_.size() - adversary_slots_.size();
+  verdict.nodes = h.size();
+  verdict.adversary_nodes = campaign_.adversary_slots.size();
+  verdict.honest_nodes = h.size() - campaign_.adversary_slots.size();
 
   for (const Adversary* adversary : all_adversaries_) {
     verdict.spam_sent += adversary->spam_sent();
   }
-  for (std::size_t i = 0; i < harness_.size(); ++i) {
-    if (is_adversary_slot(i)) continue;
-    verdict.spam_delivered_honest += probe_.node_spam_delivered(i);
-    verdict.honest_delivered_honest += probe_.node_honest_delivered(i);
-  }
-  verdict.honest_sent = honest_sent_;
+  verdict.spam_delivered_honest = campaign_.spam_delivered();
+  verdict.honest_delivered_honest = campaign_.honest_delivered();
+  verdict.honest_sent = campaign_.honest_sent;
   // Ideal delivery: every spam/honest message reaching every honest node
   // (local delivery included) scores 1.0.
   const double honest_nodes = static_cast<double>(verdict.honest_nodes);
@@ -219,31 +169,34 @@ Report Scenario::run() {
           : static_cast<double>(verdict.honest_delivered_honest) /
                 (static_cast<double>(verdict.honest_sent) * honest_nodes);
 
-  verdict.slashes = probe_.slashes().size();
-  verdict.withdrawals = probe_.withdrawals().size();
-  std::optional<net::TimeMs> first_adversary_slash;
-  for (const HarnessProbe::SlashEvent& slash : probe_.slashes()) {
-    if (adversary_indices.contains(slash.index)) {
-      ++verdict.adversary_slashes;
-      if (!first_adversary_slash.has_value()) {
-        first_adversary_slash = slash.at_ms;
+  // Slash attribution over a member-index set: the count, and the latency
+  // of the first one since the attack began.
+  const auto attribute = [&](const std::unordered_set<std::uint64_t>& indices,
+                             std::uint64_t& slashes) {
+    std::optional<std::uint64_t> latency;
+    for (const HarnessProbe::SlashEvent& slash : probe.slashes()) {
+      if (!indices.contains(slash.index)) continue;
+      ++slashes;
+      if (!latency.has_value() && probe.attack_start_ms().has_value()) {
+        latency = slash.at_ms - *probe.attack_start_ms();
       }
-    } else {
-      ++verdict.honest_slashes;
     }
-  }
+    return latency;
+  };
+  verdict.slashes = probe.slashes().size();
+  verdict.withdrawals = probe.withdrawals().size();
+  verdict.time_to_slash_ms =
+      attribute(adversary_indices, verdict.adversary_slashes);
+  verdict.honest_slashes = verdict.slashes - verdict.adversary_slashes;
   verdict.honest_false_positive_rate =
       verdict.honest_nodes == 0
           ? 0
           : static_cast<double>(verdict.honest_slashes) / honest_nodes;
-  if (first_adversary_slash.has_value() &&
-      probe_.attack_start_ms().has_value()) {
-    const std::uint64_t latency =
-        *first_adversary_slash - *probe_.attack_start_ms();
-    verdict.time_to_slash_ms = latency;
-    verdict.time_to_slash_epochs =
-        (latency + config_.harness.node.validator.epoch.epoch_length_ms - 1) /
+  if (verdict.time_to_slash_ms.has_value()) {
+    const std::uint64_t epoch_ms =
         config_.harness.node.validator.epoch.epoch_length_ms;
+    verdict.time_to_slash_epochs =
+        (*verdict.time_to_slash_ms + epoch_ms - 1) / epoch_ms;
   }
 
   // Coalition breakdown: one verdict per distinct adversary strategy.
@@ -252,15 +205,7 @@ Report Scenario::run() {
     av.name = all_adversaries_[a]->name();
     av.spam_sent = all_adversaries_[a]->spam_sent();
     av.controlled_nodes = all_adversaries_[a]->controlled_nodes().size();
-    std::optional<net::TimeMs> first;
-    for (const HarnessProbe::SlashEvent& slash : probe_.slashes()) {
-      if (!indices_per_adversary[a].contains(slash.index)) continue;
-      ++av.slashes;
-      if (!first.has_value()) first = slash.at_ms;
-    }
-    if (first.has_value() && probe_.attack_start_ms().has_value()) {
-      av.time_to_slash_ms = *first - *probe_.attack_start_ms();
-    }
+    av.time_to_slash_ms = attribute(indices_per_adversary[a], av.slashes);
     verdict.per_adversary.push_back(std::move(av));
   }
 
@@ -269,7 +214,7 @@ Report Scenario::run() {
     verdict.propagation_json = propagation_.summary_json();
   }
 
-  return Report{verdict, metrics_.to_json()};
+  return Report{verdict, campaign_.metrics.to_json()};
 }
 
 // -- Eclipse campaign --------------------------------------------------------
@@ -295,1028 +240,6 @@ void register_external_member(rln::RlnHarness& h, std::uint64_t tag) {
 }
 
 }  // namespace
-
-// -- Shard-targeted flood campaign -------------------------------------------
-
-std::string ShardFloodOutcome::to_json() const {
-  std::string out = "{";
-  char buf[128];
-  std::snprintf(buf, sizeof buf,
-                "\"num_shards\": %u, \"attacked_shard\": %u, "
-                "\"spam_sent\": %llu, \"attacker_slashed\": %s, ",
-                num_shards, attacked_shard,
-                static_cast<unsigned long long>(spam_sent),
-                attacker_slashed ? "true" : "false");
-  out += buf;
-  if (time_to_slash_ms.has_value()) {
-    std::snprintf(buf, sizeof buf, "\"time_to_slash_ms\": %llu, ",
-                  static_cast<unsigned long long>(*time_to_slash_ms));
-    out += buf;
-  } else {
-    out += "\"time_to_slash_ms\": null, ";
-  }
-  const auto u64_array = [&out](const char* name,
-                                const std::vector<std::uint64_t>& v) {
-    out += std::string("\"") + name + "\": [";
-    for (std::size_t i = 0; i < v.size(); ++i) {
-      char b[32];
-      std::snprintf(b, sizeof b, "%s%llu", i > 0 ? ", " : "",
-                    static_cast<unsigned long long>(v[i]));
-      out += b;
-    }
-    out += "], ";
-  };
-  u64_array("honest_sent_by_shard", honest_sent_by_shard);
-  u64_array("honest_delivered_by_shard", honest_delivered_by_shard);
-  u64_array("spam_delivered_by_shard", spam_delivered_by_shard);
-  out += "\"honest_delivery_by_shard\": [";
-  for (std::size_t i = 0; i < honest_delivery_by_shard.size(); ++i) {
-    std::snprintf(buf, sizeof buf, "%s%.4f", i > 0 ? ", " : "",
-                  honest_delivery_by_shard[i]);
-    out += buf;
-  }
-  std::snprintf(buf, sizeof buf,
-                "], \"min_non_attacked_delivery\": %.4f, "
-                "\"spam_on_non_attacked_shards\": %llu, ",
-                min_non_attacked_delivery,
-                static_cast<unsigned long long>(
-                    spam_on_non_attacked_shards));
-  out += buf;
-  char pbuf[512];
-  std::snprintf(pbuf, sizeof pbuf,
-                "\"propagation_trees\": %zu, "
-                "\"propagation_complete\": %zu, "
-                "\"propagation_incomplete\": %zu, "
-                "\"propagation_rejected\": %zu, "
-                "\"propagation_adversary\": %zu, "
-                "\"complete_tree_fraction\": %.4f, "
-                "\"propagation_p95_ms\": %.4f, "
-                "\"propagation_redundancy\": %.4f, "
-                "\"propagation_reachability\": %.4f, ",
-                propagation_trees, propagation_complete,
-                propagation_incomplete, propagation_rejected,
-                propagation_adversary, complete_tree_fraction,
-                propagation_p95_ms, propagation_redundancy,
-                propagation_reachability);
-  out += pbuf;
-  out += "\"propagation\": " +
-         (propagation_json.empty() ? std::string("{}") : propagation_json) +
-         "}";
-  return out;
-}
-
-ShardFloodOutcome run_shard_flood_campaign(const ShardFloodConfig& config) {
-  rln::HarnessConfig hcfg = config.harness;
-  const std::uint16_t num_shards = hcfg.node.shards.num_shards;
-  const shard::ShardId attacked = config.attacked_shard;
-  WAKU_EXPECTS(attacked < num_shards);
-  // Round-robin partition: slot i hosts exactly shard i mod S. The
-  // flooder is the first slot homed on the attacked shard.
-  hcfg.shard_assignment = [num_shards](std::size_t i) {
-    return std::vector<shard::ShardId>{
-        static_cast<shard::ShardId>(i % num_shards)};
-  };
-  rln::RlnHarness h(hcfg);
-  const std::size_t flooder_slot = attacked;  // slot id == home shard id
-
-  // The random degree-k graph does not know about shards; gossipsub meshes
-  // only form between neighbors subscribed to the same topic, so stitch
-  // each shard's hosts into a ring with one chord — guaranteed intra-shard
-  // connectivity at any shard count (connect() is idempotent).
-  for (std::uint16_t s = 0; s < num_shards; ++s) {
-    std::vector<std::size_t> hosts;
-    for (std::size_t i = s; i < h.size(); i += num_shards) hosts.push_back(i);
-    for (std::size_t k = 0; k + 1 < hosts.size(); ++k) {
-      h.network().connect(h.node(hosts[k]).node_id(),
-                          h.node(hosts[k + 1]).node_id());
-    }
-    if (hosts.size() > 2) {
-      h.network().connect(h.node(hosts.back()).node_id(),
-                          h.node(hosts.front()).node_id());
-      h.network().connect(h.node(hosts[0]).node_id(),
-                          h.node(hosts[hosts.size() / 2]).node_id());
-    }
-  }
-
-  MetricsRegistry metrics;
-  HarnessProbe probe(h, metrics);
-  h.register_all();
-
-  const shard::ShardMap map(hcfg.node.shards);
-  // Per-shard honest target topics, computed once.
-  std::vector<std::string> shard_topic(num_shards);
-  for (std::uint16_t s = 0; s < num_shards; ++s) {
-    shard_topic[s] = shard::content_topic_for_shard(map, s);
-  }
-
-  ShardFloodOutcome out;
-  out.num_shards = num_shards;
-  out.attacked_shard = attacked;
-  out.honest_sent_by_shard.assign(num_shards, 0);
-
-  const std::uint64_t flooder_index =
-      h.node(flooder_slot).group().own_index().value();
-
-  Rng traffic_rng(hcfg.seed ^ 0x5A4DF100DULL);
-  RateLimitFlooder flooder(flooder_slot, config.flood_burst_per_epoch,
-                           shard_topic[attacked]);
-  AdversaryContext ctx{h, metrics, traffic_rng, config.tick_ms};
-
-  // Cross-node propagation assembly: harvest every node's trace rings at
-  // each epoch turn (idempotent ingest — a ring re-collected later only
-  // enriches its trees) and once more after the drain.
-  const bool tracing = hcfg.node.obs.trace.sample_every != 0;
-  obs::PropagationAssembler assembler;
-  if (tracing) {
-    // The flooder injects spam below the traced publish path (no honest
-    // telemetry from an attacker); anchor its trees as attack evidence
-    // so they feed forensics instead of the honest-reconstruction rate.
-    assembler.mark_adversary(h.node(flooder_slot).node_id());
-    for (std::uint16_t s = 0; s < num_shards; ++s) {
-      std::size_t hosts = 0;
-      for (std::size_t i = s; i < h.size(); i += num_shards) ++hosts;
-      assembler.set_subscribers(s, hosts);
-    }
-  }
-  const auto collect_rings = [&] {
-    if (!tracing) return;
-    for (std::size_t i = 0; i < h.size(); ++i) {
-      if (!h.alive(i)) continue;
-      assembler.ingest(h.node(i).node_id(), h.node(i).trace_dump());
-      assembler.ingest_flight(h.node(i).node_id(),
-                              h.node(i).flight_recorder().events());
-    }
-  };
-  std::uint64_t last_collect_epoch = ~std::uint64_t{0};
-
-  const double per_tick_p =
-      config.honest_rate_per_epoch * static_cast<double>(config.tick_ms) /
-      static_cast<double>(hcfg.node.validator.epoch.epoch_length_ms);
-  std::uint64_t honest_seq = 0;
-  const auto honest_tick = [&] {
-    for (std::size_t i = 0; i < h.size(); ++i) {
-      if (i == flooder_slot || !h.alive(i)) continue;
-      if (!traffic_rng.chance(per_tick_p)) continue;
-      const auto home = static_cast<shard::ShardId>(i % num_shards);
-      const auto status = h.node(i).try_publish(
-          to_bytes(std::string(kHonestTag) + "n" + std::to_string(i) + "#" +
-                   std::to_string(honest_seq)),
-          shard_topic[home]);
-      if (status == rln::WakuRlnRelayNode::PublishStatus::kOk) {
-        ++honest_seq;
-        ++out.honest_sent_by_shard[home];
-        metrics.counter("honest.sent").inc();
-      }
-    }
-  };
-  const auto run_ticks = [&](net::TimeMs duration, bool attack) {
-    const net::TimeMs end = h.sim().now() + duration;
-    while (h.sim().now() < end) {
-      const net::TimeMs step =
-          std::min<net::TimeMs>(config.tick_ms, end - h.sim().now());
-      h.run_ms(step);
-      honest_tick();
-      if (attack) flooder.on_tick(ctx);
-      const std::uint64_t epoch =
-          hcfg.node.validator.epoch.epoch_at(h.sim().now());
-      if (tracing && epoch != last_collect_epoch) {
-        last_collect_epoch = epoch;
-        collect_rings();
-      }
-    }
-  };
-
-  run_ticks(config.warmup_ms, false);
-  probe.mark_attack_start();
-  run_ticks(config.attack_ms, true);
-  // Drain: let in-flight publishes, validation windows, and the slash
-  // commit-reveal settle before judging containment.
-  h.run_ms(config.drain_ms);
-
-  out.spam_sent = flooder.spam_sent();
-
-  // Slash attribution: the flooder's member index on the chain event log.
-  for (const HarnessProbe::SlashEvent& slash : probe.slashes()) {
-    if (slash.index != flooder_index) continue;
-    out.attacker_slashed = true;
-    if (probe.attack_start_ms().has_value()) {
-      out.time_to_slash_ms = slash.at_ms - *probe.attack_start_ms();
-    }
-    break;
-  }
-
-  // Per-shard delivery accounting. Honest hosts of shard s (flooder
-  // excluded) are the ideal receiver set for that shard's traffic — the
-  // publisher's local delivery included.
-  out.honest_delivered_by_shard.assign(num_shards, 0);
-  out.spam_delivered_by_shard.assign(num_shards, 0);
-  out.honest_delivery_by_shard.assign(num_shards, 0.0);
-  out.min_non_attacked_delivery = 1.0;
-  for (std::uint16_t s = 0; s < num_shards; ++s) {
-    std::uint64_t hosts = 0;
-    for (std::size_t i = s; i < h.size(); i += num_shards) {
-      if (i == flooder_slot || !h.alive(i)) continue;
-      ++hosts;
-      out.honest_delivered_by_shard[s] +=
-          probe.node_shard_honest_delivered(i, s);
-      out.spam_delivered_by_shard[s] += probe.node_shard_spam_delivered(i, s);
-    }
-    const std::uint64_t ideal = out.honest_sent_by_shard[s] * hosts;
-    out.honest_delivery_by_shard[s] =
-        ideal == 0 ? 1.0
-                   : static_cast<double>(out.honest_delivered_by_shard[s]) /
-                         static_cast<double>(ideal);
-    if (s != attacked) {
-      out.min_non_attacked_delivery = std::min(
-          out.min_non_attacked_delivery, out.honest_delivery_by_shard[s]);
-      out.spam_on_non_attacked_shards += out.spam_delivered_by_shard[s];
-    }
-  }
-
-  if (tracing) {
-    collect_rings();  // post-drain: traces finished during the drain
-    const obs::PropagationSummary ps = assembler.summary();
-    out.propagation_trees = ps.trees;
-    out.propagation_complete = ps.complete_trees;
-    out.propagation_incomplete = ps.incomplete_trees;
-    out.propagation_rejected = ps.rejected_trees;
-    out.propagation_adversary = ps.adversary_trees;
-    const std::size_t honest_trees =
-        ps.trees - ps.rejected_trees - ps.adversary_trees;
-    out.complete_tree_fraction =
-        honest_trees == 0 ? 1.0
-                          : static_cast<double>(ps.complete_trees) /
-                                static_cast<double>(honest_trees);
-    out.propagation_p95_ms = static_cast<double>(ps.p95_ns) / 1e6;
-    out.propagation_redundancy = ps.redundancy_ratio;
-    out.propagation_reachability = ps.reachability;
-    // Compact rollup only (no per-tree detail): campaign outcomes are
-    // committed as bench baselines, where a 256-node trees_detail array
-    // would be megabytes of noise.
-    // Compact rollup only (no per-tree detail): campaign outcomes are
-    // committed as bench baselines, where a 256-node trees_detail array
-    // would be megabytes of noise.
-    out.propagation_json = ps.to_json();
-    out.chrome_trace_json = assembler.chrome_trace_json();
-  }
-  return out;
-}
-
-// -- Live reshard campaign ---------------------------------------------------
-
-std::string LiveReshardOutcome::to_json() const {
-  std::string out = "{";
-  char buf[256];
-  std::snprintf(buf, sizeof buf,
-                "\"from_shards\": %u, \"to_shards\": %u, "
-                "\"all_nodes_converged\": %s, ",
-                from_shards, to_shards,
-                all_nodes_converged ? "true" : "false");
-  out += buf;
-  std::snprintf(buf, sizeof buf,
-                "\"honest_sent\": %llu, \"honest_delivered\": %llu, "
-                "\"honest_ideal\": %llu, \"honest_delivery\": %.4f, ",
-                static_cast<unsigned long long>(honest_sent),
-                static_cast<unsigned long long>(honest_delivered),
-                static_cast<unsigned long long>(honest_ideal),
-                honest_delivery);
-  out += buf;
-  std::snprintf(buf, sizeof buf,
-                "\"spam_pairs_sent\": %llu, \"spam_delivered\": %llu, "
-                "\"quota_double_deliveries\": %llu, "
-                "\"attacker_slashed\": %s, ",
-                static_cast<unsigned long long>(spam_pairs_sent),
-                static_cast<unsigned long long>(spam_delivered),
-                static_cast<unsigned long long>(quota_double_deliveries),
-                attacker_slashed ? "true" : "false");
-  out += buf;
-  if (time_to_slash_ms.has_value()) {
-    std::snprintf(buf, sizeof buf, "\"time_to_slash_ms\": %llu, ",
-                  static_cast<unsigned long long>(*time_to_slash_ms));
-  } else {
-    std::snprintf(buf, sizeof buf, "\"time_to_slash_ms\": null, ");
-  }
-  out += buf;
-  std::snprintf(
-      buf, sizeof buf,
-      "\"cutover_duration_ms\": %llu, \"steady_msgs_per_sec\": %.2f, "
-      "\"cutover_msgs_per_sec\": %.2f, \"post_msgs_per_sec\": %.2f, "
-      "\"throughput_dip\": %.4f, \"overlap_messages_in_flight\": %llu, "
-      "\"rebalance_was_recommended\": %s}",
-      static_cast<unsigned long long>(cutover_duration_ms),
-      steady_msgs_per_sec, cutover_msgs_per_sec, post_msgs_per_sec,
-      throughput_dip,
-      static_cast<unsigned long long>(overlap_messages_in_flight),
-      rebalance_was_recommended ? "true" : "false");
-  out += buf;
-  return out;
-}
-
-LiveReshardOutcome run_live_reshard_campaign(const LiveReshardConfig& config) {
-  rln::HarnessConfig hcfg = config.harness;
-  const std::uint16_t from = hcfg.node.shards.num_shards;
-  const std::uint16_t to = config.target_shards;
-  WAKU_EXPECTS(from >= 1 && to > from && to % from == 0);
-  // Round-robin on BOTH layouts: slot i hosts old shard i mod F and will
-  // host new shard i mod T — a refinement pair by construction
-  // ((i mod T) mod F == i mod F), which is what lets every node enforce
-  // the shared cutover quota for the topics it hosts.
-  hcfg.shard_assignment = [from](std::size_t i) {
-    return std::vector<shard::ShardId>{
-        static_cast<shard::ShardId>(i % from)};
-  };
-  rln::RlnHarness h(hcfg);
-  const std::size_t n = h.size();
-  const std::size_t attack_slot = config.flood_pairs_per_epoch > 0 ? 1 : n;
-
-  // Intra-shard ring stitching for both generations' host groups (the
-  // random graph does not know about shards; connect() is idempotent).
-  const auto stitch = [&h, n](std::uint16_t groups) {
-    for (std::uint16_t s = 0; s < groups; ++s) {
-      std::vector<std::size_t> hosts;
-      for (std::size_t i = s; i < n; i += groups) hosts.push_back(i);
-      for (std::size_t k = 0; k + 1 < hosts.size(); ++k) {
-        h.network().connect(h.node(hosts[k]).node_id(),
-                            h.node(hosts[k + 1]).node_id());
-      }
-      if (hosts.size() > 2) {
-        h.network().connect(h.node(hosts.back()).node_id(),
-                            h.node(hosts.front()).node_id());
-      }
-    }
-  };
-  stitch(from);
-  stitch(to);
-
-  // -- Accounting (self-contained: the campaign needs per-message epoch
-  // classification the shared probe does not track).
-  std::vector<std::uint64_t> honest_delivered(n, 0);
-  std::uint64_t spam_delivered = 0;
-  std::uint64_t quota_double_deliveries = 0;
-  // Per (node, epoch): which halves of an attacker pair arrived
-  // (bit 1 = old-generation mesh, bit 2 = new). Both bits on one node in
-  // one epoch = the migration doubled a quota.
-  std::vector<std::map<std::uint64_t, std::uint8_t>> pair_seen(n);
-  h.set_node_hook([&](std::size_t i, rln::WakuRlnRelayNode& node) {
-    node.set_message_handler([&, i](const WakuMessage& msg) {
-      if (i == attack_slot) return;  // honest-side accounting only
-      const std::string payload(msg.payload.begin(), msg.payload.end());
-      if (payload.starts_with(kHonestTag)) {
-        ++honest_delivered[i];
-        return;
-      }
-      if (!payload.starts_with(kSpamTag)) return;
-      ++spam_delivered;
-      // Attacker payload: "spam|p<epoch>|old|..." / "...|new|...".
-      const std::size_t epoch_at = kSpamTag.size() + 1;
-      std::uint64_t epoch = 0;
-      std::size_t pos = epoch_at;
-      while (pos < payload.size() && payload[pos] >= '0' &&
-             payload[pos] <= '9') {
-        epoch = epoch * 10 + static_cast<std::uint64_t>(payload[pos] - '0');
-        ++pos;
-      }
-      const bool old_half = payload.compare(pos, 5, "|old|") == 0;
-      const std::uint8_t bit = old_half ? 1 : 2;
-      std::uint8_t& mask = pair_seen[i][epoch];
-      if (mask != 0 && (mask & bit) == 0) ++quota_double_deliveries;
-      mask |= bit;
-    });
-  });
-
-  struct SlashEvent {
-    std::uint64_t index;
-    net::TimeMs at_ms;
-  };
-  std::vector<SlashEvent> slashes;
-  const std::uint64_t chain_sub =
-      h.chain().subscribe_events([&](const chain::Event& ev) {
-        if (ev.name == "MemberSlashed") {
-          slashes.push_back(SlashEvent{ev.topics[0].limb[0], h.sim().now()});
-        }
-      });
-
-  h.register_all();
-  const std::uint64_t attacker_index =
-      attack_slot < n ? h.node(attack_slot).group().own_index().value() : 0;
-
-  const shard::ShardMap old_map(hcfg.node.shards);
-  const shard::ShardMap new_map =
-      old_map.split(static_cast<std::uint16_t>(to / from));
-  std::vector<std::string> topic_old(from);
-  for (std::uint16_t s = 0; s < from; ++s) {
-    topic_old[s] = shard::content_topic_for_shard(old_map, s);
-  }
-  std::vector<std::string> topic_new(to);
-  for (std::uint16_t s = 0; s < to; ++s) {
-    topic_new[s] = shard::content_topic_for_shard(new_map, s);
-  }
-
-  // Honest host counts per mesh (attacker excluded) — the ideal receiver
-  // sets delivery is judged against.
-  const auto honest_hosts = [&](std::uint16_t groups, shard::ShardId s) {
-    std::uint64_t hosts = 0;
-    for (std::size_t i = s; i < n; i += groups) {
-      if (i != attack_slot) ++hosts;
-    }
-    return hosts;
-  };
-
-  LiveReshardOutcome out;
-  out.from_shards = from;
-  out.to_shards = to;
-
-  Rng traffic_rng(hcfg.seed ^ 0x11FE5A4DULL);
-  const double per_tick_p =
-      config.honest_rate_per_epoch * static_cast<double>(config.tick_ms) /
-      static_cast<double>(hcfg.node.validator.epoch.epoch_length_ms);
-  std::uint64_t honest_seq = 0;
-
-  // The overlap attacker: same-epoch valid-proof pairs, one half forced
-  // onto each generation's mesh of one topic the attacker hosts under
-  // both layouts (same epoch -> same nullifier; the shared domain log
-  // must fold the pair into ONE signal and slash).
-  std::string attack_topic;
-  if (attack_slot < n) {
-    const auto old_home = static_cast<shard::ShardId>(attack_slot % from);
-    const auto new_home = static_cast<shard::ShardId>(attack_slot % to);
-    for (std::uint64_t probe = 0;; ++probe) {
-      std::string t =
-          "/waku/2/reshard-attack-" + std::to_string(probe) + "/proto";
-      if (old_map.shard_of(t) == old_home && new_map.shard_of(t) == new_home) {
-        attack_topic = std::move(t);
-        break;
-      }
-    }
-  }
-  std::uint64_t attack_epoch = ~std::uint64_t{0};
-  std::uint64_t pairs_this_epoch = 0;
-  const auto attacker_tick = [&] {
-    if (attack_slot >= n || !h.alive(attack_slot) ||
-        !h.node(attack_slot).is_registered()) {
-      return;  // slashed (or disabled): the flood is over
-    }
-    const std::uint64_t epoch = h.node(attack_slot).current_epoch();
-    if (epoch != attack_epoch) {
-      attack_epoch = epoch;
-      pairs_this_epoch = 0;
-    }
-    if (pairs_this_epoch >= config.flood_pairs_per_epoch) return;
-    ++pairs_this_epoch;
-    ++out.spam_pairs_sent;
-    const std::string base = std::string(kSpamTag) + "p" +
-                             std::to_string(epoch) + "|";
-    const std::string suffix =
-        "|" + std::to_string(out.spam_pairs_sent);
-    h.node(attack_slot).force_publish_generation(
-        to_bytes(base + "old" + suffix), attack_topic,
-        /*use_next_generation=*/false);
-    h.node(attack_slot).force_publish_generation(
-        to_bytes(base + "new" + suffix), attack_topic,
-        /*use_next_generation=*/true);
-  };
-
-  const auto honest_tick = [&](bool new_generation_topics) {
-    for (std::size_t i = 0; i < n; ++i) {
-      if (i == attack_slot || !h.alive(i)) continue;
-      if (!traffic_rng.chance(per_tick_p)) continue;
-      const auto home_old = static_cast<shard::ShardId>(i % from);
-      const auto home_new = static_cast<shard::ShardId>(i % to);
-      const std::string& topic =
-          new_generation_topics ? topic_new[home_new] : topic_old[home_old];
-      const auto status = h.node(i).try_publish(
-          to_bytes(std::string(kHonestTag) + "n" + std::to_string(i) + "#" +
-                   std::to_string(honest_seq)),
-          topic);
-      if (status == rln::WakuRlnRelayNode::PublishStatus::kOk) {
-        ++honest_seq;
-        ++out.honest_sent;
-        out.honest_ideal += new_generation_topics
-                                ? honest_hosts(to, home_new)
-                                : honest_hosts(from, home_old);
-      }
-    }
-  };
-
-  const auto total_honest_delivered = [&] {
-    std::uint64_t sum = 0;
-    for (std::size_t i = 0; i < n; ++i) sum += honest_delivered[i];
-    return sum;
-  };
-  // Segment throughput in fully-delivered messages/sec: raw deliveries
-  // are fan-out dependent (a T-shard mesh has fewer hosts per message
-  // than an F-shard one), so normalize by the segment's ideal receiver
-  // count — sent × (delivered/ideal) is "messages that fully arrived".
-  struct SegmentMark {
-    std::uint64_t sent, ideal, delivered;
-  };
-  const auto mark = [&] {
-    return SegmentMark{out.honest_sent, out.honest_ideal,
-                       total_honest_delivered()};
-  };
-  const auto segment_msgs_per_sec = [](const SegmentMark& a,
-                                       const SegmentMark& b,
-                                       net::TimeMs duration) {
-    const std::uint64_t ideal = b.ideal - a.ideal;
-    if (ideal == 0 || duration == 0) return 0.0;
-    const double completion =
-        static_cast<double>(b.delivered - a.delivered) /
-        static_cast<double>(ideal);
-    return static_cast<double>(b.sent - a.sent) * completion * 1000.0 /
-           static_cast<double>(duration);
-  };
-
-  const auto run_ticks = [&](net::TimeMs duration, bool new_topics,
-                             bool attack) {
-    const net::TimeMs end = h.sim().now() + duration;
-    while (h.sim().now() < end) {
-      const net::TimeMs step =
-          std::min<net::TimeMs>(config.tick_ms, end - h.sim().now());
-      h.run_ms(step);
-      honest_tick(new_topics);
-      if (attack) attacker_tick();
-    }
-  };
-
-  // -- Steady state (throughput baseline + the "reshard now" signal).
-  const SegmentMark warmup_start = mark();
-  run_ticks(config.warmup_ms, false, false);
-  const SegmentMark warmup_end = mark();
-  out.steady_msgs_per_sec =
-      segment_msgs_per_sec(warmup_start, warmup_end, config.warmup_ms);
-  {
-    // The operator-side signal: feed the fleet's per-shard accepted
-    // totals into a load tracker whose per-shard budget the current
-    // layout exceeds — exactly the situation that should recommend this
-    // campaign's reshard.
-    shard::ShardLoadTracker::Config tcfg;
-    tcfg.window_ms = config.warmup_ms + 1;
-    tcfg.overload_msgs_per_sec =
-        std::max(0.001, out.steady_msgs_per_sec / (2.0 * from));
-    shard::ShardLoadTracker tracker(tcfg);
-    for (std::uint16_t s = 0; s < from; ++s) {
-      std::uint64_t accepted = 0;
-      std::size_t log_entries = 0;
-      for (std::size_t i = s; i < n; i += from) {
-        if (!h.alive(i)) continue;
-        accepted += h.node(i).validator().pipeline(s).stats().accepted;
-        log_entries += h.node(i).validator().pipeline(s).log().entry_count();
-      }
-      tracker.record(s, 0, log_entries, 0);
-      tracker.record(s, accepted, log_entries, config.warmup_ms);
-    }
-    const shard::RebalanceRecommendation rec =
-        tracker.recommend(old_map, topic_old);
-    out.rebalance_was_recommended =
-        rec.reshard_recommended && rec.target_shards > from;
-  }
-
-  // -- Staged cutover, fleet-wide lockstep.
-  const net::TimeMs cutover_start = h.sim().now();
-  for (std::size_t i = 0; i < n; ++i) {
-    h.node(i).begin_reshard(to, {static_cast<shard::ShardId>(i % to)});
-  }
-  run_ticks(config.announce_ms, false, false);
-  for (std::size_t i = 0; i < n; ++i) h.node(i).advance_reshard();  // overlap
-  const net::TimeMs attack_start = h.sim().now();
-  const std::uint64_t pre_overlap_delivered = total_honest_delivered();
-  run_ticks(config.overlap_ms, false, config.flood_pairs_per_epoch > 0);
-  out.overlap_messages_in_flight =
-      total_honest_delivered() - pre_overlap_delivered;
-  for (std::size_t i = 0; i < n; ++i) h.node(i).advance_reshard();  // drain
-  run_ticks(config.drain_phase_ms, true, false);
-  for (std::size_t i = 0; i < n; ++i) h.node(i).advance_reshard();  // drop-old
-  const net::TimeMs cutover_end = h.sim().now();
-  out.cutover_duration_ms = cutover_end - cutover_start;
-  out.cutover_msgs_per_sec =
-      segment_msgs_per_sec(warmup_end, mark(), cutover_end - cutover_start);
-
-  // -- Post-cutover steady state + final quiesce. The first epoch after
-  // drop-old is blanked by the conservative quota merge (by design);
-  // measure the recovered rate from the epoch after it.
-  run_ticks(hcfg.node.validator.epoch.epoch_length_ms, true, false);
-  const SegmentMark settle_start = mark();
-  run_ticks(config.settle_ms, true, false);
-  out.post_msgs_per_sec =
-      segment_msgs_per_sec(settle_start, mark(), config.settle_ms);
-  h.run_ms(config.quiesce_ms);
-
-  out.throughput_dip =
-      out.steady_msgs_per_sec > 0
-          ? std::max(0.0, 1.0 - out.cutover_msgs_per_sec /
-                                    out.steady_msgs_per_sec)
-          : 0.0;
-  out.honest_delivered = total_honest_delivered();
-  out.honest_delivery =
-      out.honest_ideal == 0
-          ? 1.0
-          : static_cast<double>(out.honest_delivered) /
-                static_cast<double>(out.honest_ideal);
-  out.spam_delivered = spam_delivered;
-  out.quota_double_deliveries = quota_double_deliveries;
-
-  out.all_nodes_converged = true;
-  for (std::size_t i = 0; i < n; ++i) {
-    if (!h.alive(i)) continue;
-    const shard::ShardMap& map = h.node(i).shard_map();
-    if (map.num_shards() != to ||
-        map.generation() != old_map.generation() + 1 ||
-        h.node(i).reshard_phase() != shard::ReshardPhase::kStable) {
-      out.all_nodes_converged = false;
-    }
-  }
-
-  for (const SlashEvent& slash : slashes) {
-    if (attack_slot < n && slash.index == attacker_index) {
-      out.attacker_slashed = true;
-      out.time_to_slash_ms = slash.at_ms - attack_start;
-      break;
-    }
-  }
-  h.chain().unsubscribe_events(chain_sub);
-  h.set_node_hook(nullptr);
-  return out;
-}
-
-// -- Operator hotspot campaign ------------------------------------------------
-
-std::string OperatorHotspotConfig::to_json() const {
-  char buf[448];
-  std::snprintf(
-      buf, sizeof buf,
-      "{\"nodes\": %llu, \"target_shards\": %u, \"max_epochs\": %llu, "
-      "\"honest_rate_per_epoch\": %.2f, \"flood_pairs_per_epoch\": %llu, "
-      "\"overload_msgs_per_sec\": %.2f, \"cooldown_epochs\": %llu, "
-      "\"trip_epochs\": %llu, \"phase_dwell_epochs\": %llu, \"seed\": %llu}",
-      static_cast<unsigned long long>(harness.num_nodes), target_shards,
-      static_cast<unsigned long long>(max_epochs), honest_rate_per_epoch,
-      static_cast<unsigned long long>(flood_pairs_per_epoch),
-      overload_msgs_per_sec, static_cast<unsigned long long>(cooldown_epochs),
-      static_cast<unsigned long long>(trip_epochs),
-      static_cast<unsigned long long>(phase_dwell_epochs),
-      static_cast<unsigned long long>(harness.seed));
-  return buf;
-}
-
-std::string OperatorHotspotOutcome::to_json() const {
-  std::string out = "{";
-  char buf[384];
-  std::snprintf(buf, sizeof buf,
-                "\"from_shards\": %u, \"to_shards\": %u, "
-                "\"operator_triggered\": %s, \"trigger_epoch\": %llu, "
-                "\"converged\": %s, \"converged_epoch\": %llu, "
-                "\"epochs_to_converge\": %llu, \"operator_decisions\": %llu, ",
-                from_shards, to_shards, operator_triggered ? "true" : "false",
-                static_cast<unsigned long long>(trigger_epoch),
-                converged ? "true" : "false",
-                static_cast<unsigned long long>(converged_epoch),
-                static_cast<unsigned long long>(epochs_to_converge),
-                static_cast<unsigned long long>(operator_decisions));
-  out += buf;
-  std::snprintf(buf, sizeof buf,
-                "\"honest_sent\": %llu, \"honest_delivered\": %llu, "
-                "\"honest_ideal\": %llu, \"honest_delivery\": %.4f, ",
-                static_cast<unsigned long long>(honest_sent),
-                static_cast<unsigned long long>(honest_delivered),
-                static_cast<unsigned long long>(honest_ideal),
-                honest_delivery);
-  out += buf;
-  std::snprintf(buf, sizeof buf,
-                "\"spam_pairs_sent\": %llu, \"spam_delivered\": %llu, "
-                "\"quota_double_deliveries\": %llu, "
-                "\"attacker_slashed\": %s, ",
-                static_cast<unsigned long long>(spam_pairs_sent),
-                static_cast<unsigned long long>(spam_delivered),
-                static_cast<unsigned long long>(quota_double_deliveries),
-                attacker_slashed ? "true" : "false");
-  out += buf;
-  if (time_to_slash_ms.has_value()) {
-    std::snprintf(buf, sizeof buf, "\"time_to_slash_ms\": %llu, ",
-                  static_cast<unsigned long long>(*time_to_slash_ms));
-  } else {
-    std::snprintf(buf, sizeof buf, "\"time_to_slash_ms\": null, ");
-  }
-  out += buf;
-  std::snprintf(buf, sizeof buf, "\"anomalies_fired\": %llu, ",
-                static_cast<unsigned long long>(anomalies_fired));
-  out += buf;
-  out += "\"fleet_timeline\": " +
-         (fleet_timeline_json.empty() ? std::string("[]")
-                                      : fleet_timeline_json) +
-         ", ";
-  out += "\"postmortem\": " +
-         (postmortem_json.empty() ? std::string("null") : postmortem_json) +
-         "}";
-  return out;
-}
-
-OperatorHotspotOutcome run_operator_hotspot_campaign(
-    const OperatorHotspotConfig& config) {
-  rln::HarnessConfig hcfg = config.harness;
-  const std::uint16_t from = hcfg.node.shards.num_shards;
-  const std::uint16_t to = config.target_shards;
-  WAKU_EXPECTS(from >= 1 && to > from && to % from == 0);
-  hcfg.shard_assignment = [from](std::size_t i) {
-    return std::vector<shard::ShardId>{
-        static_cast<shard::ShardId>(i % from)};
-  };
-  // The loop under test: every node watches its OWN tracker + anomaly
-  // engine in upkeep and acts alone — the campaign never calls
-  // begin_reshard/advance_reshard.
-  hcfg.node.operator_loop.enabled = true;
-  hcfg.node.operator_loop.cooldown_epochs = config.cooldown_epochs;
-  hcfg.node.operator_loop.trip_epochs = config.trip_epochs;
-  hcfg.node.operator_loop.phase_dwell_epochs = config.phase_dwell_epochs;
-  hcfg.node.load_tracker.overload_msgs_per_sec = config.overload_msgs_per_sec;
-  rln::RlnHarness h(hcfg);
-  const std::size_t n = h.size();
-  const std::size_t attack_slot = config.flood_pairs_per_epoch > 0 ? 1 : n;
-
-  // Intra-shard ring stitching for both layouts' host groups (the random
-  // graph does not know about shards; connect() is idempotent).
-  const auto stitch = [&h, n](std::uint16_t groups) {
-    for (std::uint16_t s = 0; s < groups; ++s) {
-      std::vector<std::size_t> hosts;
-      for (std::size_t i = s; i < n; i += groups) hosts.push_back(i);
-      for (std::size_t k = 0; k + 1 < hosts.size(); ++k) {
-        h.network().connect(h.node(hosts[k]).node_id(),
-                            h.node(hosts[k + 1]).node_id());
-      }
-      if (hosts.size() > 2) {
-        h.network().connect(h.node(hosts.back()).node_id(),
-                            h.node(hosts.front()).node_id());
-      }
-    }
-  };
-  stitch(from);
-  stitch(to);
-
-  OperatorHotspotOutcome out;
-  out.from_shards = from;
-
-  // -- Accounting (same shape as the live-reshard campaign).
-  std::vector<std::uint64_t> honest_delivered(n, 0);
-  std::vector<std::uint64_t> spam_delivered_at(n, 0);
-  std::uint64_t quota_double_deliveries = 0;
-  std::vector<std::map<std::uint64_t, std::uint8_t>> pair_seen(n);
-  h.set_node_hook([&](std::size_t i, rln::WakuRlnRelayNode& node) {
-    // Per-slot chooser: spread the new-generation family round-robin
-    // (slot i hosts new shard i mod target). Installed via the hook so a
-    // restarted node re-learns it before its operator resumes.
-    node.set_operator_subscribe_chooser([i](std::uint16_t target) {
-      return std::vector<shard::ShardId>{
-          static_cast<shard::ShardId>(i % target)};
-    });
-    node.set_message_handler([&, i](const WakuMessage& msg) {
-      if (i == attack_slot) return;  // honest-side accounting only
-      const std::string payload(msg.payload.begin(), msg.payload.end());
-      if (payload.starts_with(kHonestTag)) {
-        ++honest_delivered[i];
-        return;
-      }
-      if (!payload.starts_with(kSpamTag)) return;
-      ++spam_delivered_at[i];
-      const std::size_t epoch_at = kSpamTag.size() + 1;
-      std::uint64_t epoch = 0;
-      std::size_t pos = epoch_at;
-      while (pos < payload.size() && payload[pos] >= '0' &&
-             payload[pos] <= '9') {
-        epoch = epoch * 10 + static_cast<std::uint64_t>(payload[pos] - '0');
-        ++pos;
-      }
-      const bool old_half = payload.compare(pos, 5, "|old|") == 0;
-      const std::uint8_t bit = old_half ? 1 : 2;
-      std::uint8_t& mask = pair_seen[i][epoch];
-      if (mask != 0 && (mask & bit) == 0) ++quota_double_deliveries;
-      mask |= bit;
-    });
-  });
-
-  struct SlashEvent {
-    std::uint64_t index;
-    net::TimeMs at_ms;
-  };
-  std::vector<SlashEvent> slashes;
-  const std::uint64_t chain_sub =
-      h.chain().subscribe_events([&](const chain::Event& ev) {
-        if (ev.name == "MemberSlashed") {
-          slashes.push_back(SlashEvent{ev.topics[0].limb[0], h.sim().now()});
-        }
-      });
-
-  h.register_all();
-  const std::uint64_t attacker_index =
-      attack_slot < n ? h.node(attack_slot).group().own_index().value() : 0;
-
-  const shard::ShardMap old_map(hcfg.node.shards);
-  const std::uint32_t gen0 = old_map.generation();
-  const shard::ShardMap new_map =
-      old_map.split(static_cast<std::uint16_t>(to / from));
-
-  // Pre-picked per-slot topics: slot i's topic is homed on old shard
-  // i mod F and new shard i mod T, so it stays publishable by the same
-  // node through the whole cutover — only its mesh moves.
-  std::vector<std::string> topic_for(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    const auto old_home = static_cast<shard::ShardId>(i % from);
-    const auto new_home = static_cast<shard::ShardId>(i % to);
-    for (std::uint64_t probe = 0;; ++probe) {
-      std::string t = "/waku/2/hotspot-" + std::to_string(i) + "-" +
-                      std::to_string(probe) + "/proto";
-      if (old_map.shard_of(t) == old_home && new_map.shard_of(t) == new_home) {
-        topic_for[i] = std::move(t);
-        break;
-      }
-    }
-  }
-
-  const auto honest_hosts = [&](std::uint16_t groups, shard::ShardId s) {
-    std::uint64_t hosts = 0;
-    for (std::size_t i = s; i < n; i += groups) {
-      if (i != attack_slot) ++hosts;
-    }
-    return hosts;
-  };
-
-  Rng traffic_rng(hcfg.seed ^ 0x0B5E7A70ULL);
-  const std::uint64_t epoch_ms = hcfg.node.validator.epoch.epoch_length_ms;
-  const double per_tick_p = config.honest_rate_per_epoch *
-                            static_cast<double>(config.tick_ms) /
-                            static_cast<double>(epoch_ms);
-  std::uint64_t honest_seq = 0;
-  const auto honest_tick = [&] {
-    for (std::size_t i = 0; i < n; ++i) {
-      if (i == attack_slot || !h.alive(i)) continue;
-      if (!traffic_rng.chance(per_tick_p)) continue;
-      rln::WakuRlnRelayNode& node = h.node(i);
-      // The ideal receiver set follows the PUBLISHER's routing: old mesh
-      // (every host of old home) until this node's drain, new mesh (the
-      // new home's hosts) from drain on.
-      const bool new_routing =
-          node.shard_map().generation() != gen0 ||
-          node.reshard_phase() == shard::ReshardPhase::kDrain;
-      const auto status = node.try_publish(
-          to_bytes(std::string(kHonestTag) + "n" + std::to_string(i) + "#" +
-                   std::to_string(honest_seq)),
-          topic_for[i]);
-      if (status != rln::WakuRlnRelayNode::PublishStatus::kOk) continue;
-      ++honest_seq;
-      ++out.honest_sent;
-      out.honest_ideal +=
-          new_routing
-              ? honest_hosts(to, static_cast<shard::ShardId>(i % to))
-              : honest_hosts(from, static_cast<shard::ShardId>(i % from));
-    }
-  };
-
-  // The overlap attacker: cross-generation same-epoch pairs on its own
-  // topic, but ONLY while its own node is in the dual-generation window
-  // (overlap/drain) — which it reaches when ITS operator loop fires, not
-  // on any driver schedule.
-  std::uint64_t attack_epoch = ~std::uint64_t{0};
-  std::uint64_t pairs_this_epoch = 0;
-  std::optional<net::TimeMs> first_pair_ms;
-  const auto attacker_tick = [&] {
-    if (attack_slot >= n || !h.alive(attack_slot) ||
-        !h.node(attack_slot).is_registered()) {
-      return;  // disabled, or already slashed
-    }
-    const shard::ReshardPhase phase = h.node(attack_slot).reshard_phase();
-    if (phase != shard::ReshardPhase::kOverlap &&
-        phase != shard::ReshardPhase::kDrain) {
-      return;
-    }
-    const std::uint64_t epoch = h.node(attack_slot).current_epoch();
-    if (epoch != attack_epoch) {
-      attack_epoch = epoch;
-      pairs_this_epoch = 0;
-    }
-    if (pairs_this_epoch >= config.flood_pairs_per_epoch) return;
-    ++pairs_this_epoch;
-    ++out.spam_pairs_sent;
-    if (!first_pair_ms.has_value()) first_pair_ms = h.sim().now();
-    const std::string base =
-        std::string(kSpamTag) + "p" + std::to_string(epoch) + "|";
-    const std::string suffix = "|" + std::to_string(out.spam_pairs_sent);
-    h.node(attack_slot).force_publish_generation(
-        to_bytes(base + "old" + suffix), topic_for[attack_slot],
-        /*use_next_generation=*/false);
-    h.node(attack_slot).force_publish_generation(
-        to_bytes(base + "new" + suffix), topic_for[attack_slot],
-        /*use_next_generation=*/true);
-  };
-
-  // Fleet plane: scrape every honest node's health each epoch; a
-  // fleet-side anomaly engine watches the rows the same way an operator
-  // dashboard would.
-  obs::FleetAggregator fleet;
-  obs::AnomalyEngine fleet_anomaly;
-  std::uint64_t last_epoch = ~std::uint64_t{0};
-  const auto scrape = [&](std::uint64_t epoch) {
-    bool first_honest = true;
-    for (std::size_t i = 0; i < n; ++i) {
-      if (i == attack_slot || !h.alive(i)) continue;
-      obs::NodeHealthSample s = h.node(i).health_sample();
-      s.epoch = epoch;
-      s.honest_delivered = honest_delivered[i];
-      s.spam_delivered = spam_delivered_at[i];
-      if (first_honest) {
-        // Campaign-wide totals ride on one sample so the aggregator's
-        // sums reproduce the outcome ratios. spam_delivered is summed
-        // per RECEIVER, so the sent side carries the same weight: both
-        // halves of every pair, fanned out to every honest node.
-        s.honest_ideal = out.honest_ideal;
-        s.spam_sent =
-            out.spam_pairs_sent * 2 * static_cast<std::uint64_t>(n - 1);
-        first_honest = false;
-      }
-      fleet.ingest(std::move(s));
-    }
-    if (const obs::FleetEpochSeries* row = fleet.close_epoch(epoch)) {
-      (void)fleet_anomaly.evaluate(*row);
-    }
-  };
-
-  const auto epoch_of = [&] {
-    return hcfg.node.validator.epoch.epoch_at(h.sim().now());
-  };
-  const net::TimeMs t_end =
-      h.sim().now() + config.max_epochs * epoch_ms;
-  while (h.sim().now() < t_end) {
-    h.run_ms(config.tick_ms);
-    honest_tick();
-    attacker_tick();
-    const std::uint64_t epoch = epoch_of();
-    if (epoch == last_epoch) continue;
-    last_epoch = epoch;
-    scrape(epoch);
-    if (!out.operator_triggered) {
-      std::uint64_t earliest = ~std::uint64_t{0};
-      for (std::size_t i = 0; i < n; ++i) {
-        if (!h.alive(i) || h.node(i).operator_decisions() == 0) continue;
-        earliest = std::min(earliest, h.node(i).operator_last_action_epoch());
-      }
-      if (earliest != ~std::uint64_t{0}) {
-        out.operator_triggered = true;
-        out.trigger_epoch = earliest;
-      }
-    }
-    bool all_converged = true;
-    for (std::size_t i = 0; i < n; ++i) {
-      if (!h.alive(i)) continue;
-      const shard::ShardMap& map = h.node(i).shard_map();
-      if (map.num_shards() != to || map.generation() != gen0 + 1 ||
-          h.node(i).reshard_phase() != shard::ReshardPhase::kStable) {
-        all_converged = false;
-        break;
-      }
-    }
-    if (all_converged) {
-      out.converged = true;
-      out.converged_epoch = epoch;
-      break;
-    }
-  }
-
-  // Quiesce: in-flight traffic + the attacker's slash commit-reveal.
-  h.run_ms(config.quiesce_ms);
-  if (epoch_of() != last_epoch) {
-    last_epoch = epoch_of();
-    scrape(last_epoch);
-  }
-
-  out.to_shards = h.node(0).shard_map().num_shards();
-  out.epochs_to_converge =
-      out.converged ? out.converged_epoch - out.trigger_epoch : 0;
-  for (std::size_t i = 0; i < n; ++i) {
-    if (!h.alive(i)) continue;
-    out.operator_decisions += h.node(i).operator_decisions();
-    if (i != attack_slot) out.honest_delivered += honest_delivered[i];
-    if (i != attack_slot) out.spam_delivered += spam_delivered_at[i];
-  }
-  out.honest_delivery =
-      out.honest_ideal == 0
-          ? 1.0
-          : static_cast<double>(out.honest_delivered) /
-                static_cast<double>(out.honest_ideal);
-  out.quota_double_deliveries = quota_double_deliveries;
-  for (const SlashEvent& slash : slashes) {
-    if (attack_slot < n && slash.index == attacker_index) {
-      out.attacker_slashed = true;
-      if (first_pair_ms.has_value()) {
-        out.time_to_slash_ms = slash.at_ms - *first_pair_ms;
-      }
-      break;
-    }
-  }
-  out.anomalies_fired = fleet_anomaly.fired_total();
-  out.fleet_timeline_json = fleet.timeline_json();
-  out.postmortem_json =
-      h.node(0).flight_recorder().postmortem_json("operator-hotspot-campaign");
-  h.chain().unsubscribe_events(chain_sub);
-  h.set_node_hook(nullptr);
-  return out;
-}
 
 EclipseOutcome run_eclipse_campaign(const EclipseConfig& config) {
   rln::RlnHarness h(config.harness);
@@ -1377,6 +300,534 @@ EclipseOutcome run_eclipse_campaign(const EclipseConfig& config) {
   victim.bootstrap(honest_service.node_id(), nullptr);
   h.run_ms(3'000);
   out.honest_bootstrap_after = victim.bootstrapped();
+  return out;
+}
+
+// -- Shard-targeted flood campaign -------------------------------------------
+
+std::string ShardFloodOutcome::to_json() const {
+  return JsonObject()
+      .integer("num_shards", num_shards)
+      .integer("attacked_shard", attacked_shard)
+      .integer("spam_sent", spam_sent)
+      .boolean("attacker_slashed", attacker_slashed)
+      .optional("time_to_slash_ms", time_to_slash_ms)
+      .integers("honest_sent_by_shard", honest_sent_by_shard)
+      .integers("honest_delivered_by_shard", honest_delivered_by_shard)
+      .integers("spam_delivered_by_shard", spam_delivered_by_shard)
+      .numbers("honest_delivery_by_shard", honest_delivery_by_shard, "%.4f")
+      .number("min_non_attacked_delivery", min_non_attacked_delivery, "%.4f")
+      .integer("spam_on_non_attacked_shards", spam_on_non_attacked_shards)
+      .integer("propagation_trees", propagation_trees)
+      .integer("propagation_complete", propagation_complete)
+      .integer("propagation_incomplete", propagation_incomplete)
+      .integer("propagation_rejected", propagation_rejected)
+      .integer("propagation_adversary", propagation_adversary)
+      .number("complete_tree_fraction", complete_tree_fraction, "%.4f")
+      .number("propagation_p95_ms", propagation_p95_ms, "%.4f")
+      .number("propagation_redundancy", propagation_redundancy, "%.4f")
+      .number("propagation_reachability", propagation_reachability, "%.4f")
+      .raw("propagation", propagation_json, "{}")
+      .str();
+}
+
+ShardFloodOutcome run_shard_flood_campaign(const ShardFloodConfig& config) {
+  rln::HarnessConfig hcfg = config.harness;
+  const std::uint16_t num_shards = hcfg.node.shards.num_shards;
+  const shard::ShardId attacked = config.attacked_shard;
+  WAKU_EXPECTS(attacked < num_shards);
+  hcfg.shard_assignment = round_robin(num_shards);
+  Campaign c(hcfg, 0x5A4DF100DULL, config.tick_ms,
+             config.honest_rate_per_epoch);
+  // The flooder is the first slot homed on the attacked shard.
+  const std::size_t flooder_slot = attacked;
+  c.adversary_slots.insert(flooder_slot);
+  c.stitch_rings(num_shards, /*chord=*/true);
+  c.harness.register_all();
+  const std::uint64_t flooder_index =
+      c.harness.node(flooder_slot).group().own_index().value();
+
+  const std::vector<std::string> shard_topic =
+      shard_topics(shard::ShardMap(hcfg.node.shards));
+
+  ShardFloodOutcome out;
+  out.num_shards = num_shards;
+  out.attacked_shard = attacked;
+  out.honest_sent_by_shard.assign(num_shards, 0);
+
+  RateLimitFlooder flooder(flooder_slot, config.flood_burst_per_epoch,
+                           shard_topic[attacked]);
+  AdversaryContext ctx = c.context();
+  // Trace rings are harvested at each epoch turn and once more after the
+  // drain.
+  const bool tracing = hcfg.node.obs.trace.sample_every != 0;
+  obs::PropagationAssembler assembler;
+  const auto run = [&](net::TimeMs duration, bool attack) {
+    c.run_ticks(duration, [&] {
+      c.honest_tick(
+          [&](std::size_t i) { return shard_topic[i % num_shards]; },
+          [&](std::size_t i) { ++out.honest_sent_by_shard[i % num_shards]; });
+      if (attack) flooder.on_tick(ctx);
+      if (tracing && c.epoch_turned()) c.harvest_traces(assembler);
+      return true;
+    });
+  };
+  run(config.warmup_ms, false);
+  c.probe.mark_attack_start();
+  run(config.attack_ms, true);
+  // Drain: let in-flight publishes, validation windows, and the slash
+  // commit-reveal settle before judging containment.
+  c.harness.run_ms(config.drain_ms);
+
+  out.spam_sent = flooder.spam_sent();
+  c.record_slash(flooder_index, out);
+
+  // Per-shard delivery accounting. Honest hosts of shard s (flooder
+  // excluded) are the ideal receiver set for that shard's traffic — the
+  // publisher's local delivery included.
+  out.honest_delivered_by_shard.assign(num_shards, 0);
+  out.spam_delivered_by_shard.assign(num_shards, 0);
+  out.honest_delivery_by_shard.assign(num_shards, 0.0);
+  out.min_non_attacked_delivery = 1.0;
+  for (std::uint16_t s = 0; s < num_shards; ++s) {
+    std::uint64_t hosts = 0;
+    for (std::size_t i = s; i < c.harness.size(); i += num_shards) {
+      if (!c.honest(i) || !c.harness.alive(i)) continue;
+      ++hosts;
+      out.honest_delivered_by_shard[s] +=
+          c.probe.node_shard_honest_delivered(i, s);
+      out.spam_delivered_by_shard[s] +=
+          c.probe.node_shard_spam_delivered(i, s);
+    }
+    out.honest_delivery_by_shard[s] = fraction(
+        out.honest_delivered_by_shard[s], out.honest_sent_by_shard[s] * hosts);
+    if (s != attacked) {
+      out.min_non_attacked_delivery = std::min(
+          out.min_non_attacked_delivery, out.honest_delivery_by_shard[s]);
+      out.spam_on_non_attacked_shards += out.spam_delivered_by_shard[s];
+    }
+  }
+
+  if (tracing) {
+    c.harvest_traces(assembler);  // post-drain: traces finished during it
+    const obs::PropagationSummary ps = assembler.summary();
+    out.propagation_trees = ps.trees;
+    out.propagation_complete = ps.complete_trees;
+    out.propagation_incomplete = ps.incomplete_trees;
+    out.propagation_rejected = ps.rejected_trees;
+    out.propagation_adversary = ps.adversary_trees;
+    out.complete_tree_fraction = fraction(
+        ps.complete_trees, ps.trees - ps.rejected_trees - ps.adversary_trees);
+    out.propagation_p95_ms = static_cast<double>(ps.p95_ns) / 1e6;
+    out.propagation_redundancy = ps.redundancy_ratio;
+    out.propagation_reachability = ps.reachability;
+    // Compact rollup only (no per-tree detail): campaign outcomes are
+    // committed as bench baselines, where a 256-node trees_detail array
+    // would be megabytes of noise.
+    out.propagation_json = ps.to_json();
+    out.chrome_trace_json = assembler.chrome_trace_json();
+  }
+  return out;
+}
+
+// -- Live reshard campaign ---------------------------------------------------
+
+std::string LiveReshardOutcome::to_json() const {
+  return JsonObject()
+      .integer("from_shards", from_shards)
+      .integer("to_shards", to_shards)
+      .boolean("all_nodes_converged", all_nodes_converged)
+      .integer("honest_sent", honest_sent)
+      .integer("honest_delivered", honest_delivered)
+      .integer("honest_ideal", honest_ideal)
+      .number("honest_delivery", honest_delivery, "%.4f")
+      .integer("spam_pairs_sent", spam_pairs_sent)
+      .integer("spam_delivered", spam_delivered)
+      .integer("quota_double_deliveries", quota_double_deliveries)
+      .boolean("attacker_slashed", attacker_slashed)
+      .optional("time_to_slash_ms", time_to_slash_ms)
+      .integer("cutover_duration_ms", cutover_duration_ms)
+      .number("steady_msgs_per_sec", steady_msgs_per_sec, "%.2f")
+      .number("cutover_msgs_per_sec", cutover_msgs_per_sec, "%.2f")
+      .number("post_msgs_per_sec", post_msgs_per_sec, "%.2f")
+      .number("throughput_dip", throughput_dip, "%.4f")
+      .integer("overlap_messages_in_flight", overlap_messages_in_flight)
+      .boolean("rebalance_was_recommended", rebalance_was_recommended)
+      .str();
+}
+
+LiveReshardOutcome run_live_reshard_campaign(const LiveReshardConfig& config) {
+  rln::HarnessConfig hcfg = config.harness;
+  const std::uint16_t from = hcfg.node.shards.num_shards;
+  const std::uint16_t to = config.target_shards;
+  WAKU_EXPECTS(from >= 1 && to > from && to % from == 0);
+  // Round-robin on BOTH layouts: slot i hosts old shard i mod F and will
+  // host new shard i mod T — a refinement pair by construction
+  // ((i mod T) mod F == i mod F), which is what lets every node enforce
+  // the shared cutover quota for the topics it hosts.
+  hcfg.shard_assignment = round_robin(from);
+  const shard::ShardMap old_map(hcfg.node.shards);
+  const shard::ShardMap new_map =
+      old_map.split(static_cast<std::uint16_t>(to / from));
+  const std::vector<std::string> topic_old = shard_topics(old_map);
+  const std::vector<std::string> topic_new = shard_topics(new_map);
+
+  // The overlap attacker works one topic it hosts under both layouts. It
+  // outlives the campaign, whose probe feeds its ledger.
+  const bool attack = config.flood_pairs_per_epoch > 0;
+  const std::size_t attack_slot = 1;
+  CrossGenerationPairAttacker attacker(
+      attack_slot, config.flood_pairs_per_epoch,
+      topic_homed_on("/waku/2/reshard-attack-", attack_slot, old_map,
+                     new_map));
+  Campaign c(hcfg, 0x11FE5A4DULL, config.tick_ms,
+             config.honest_rate_per_epoch);
+  rln::RlnHarness& h = c.harness;
+  const std::size_t n = h.size();
+  if (attack) c.adversary_slots.insert(attack_slot);
+  c.stitch_rings(from);
+  c.stitch_rings(to);
+  c.probe.set_delivery_observer(
+      [&attacker](std::size_t i, std::string_view payload) {
+        attacker.observe_delivery(i, payload);
+      });
+  h.register_all();
+  const std::uint64_t attacker_index =
+      attack ? h.node(attack_slot).group().own_index().value() : 0;
+
+  LiveReshardOutcome out;
+  out.from_shards = from;
+  out.to_shards = to;
+  AdversaryContext ctx = c.context();
+  const auto run = [&](net::TimeMs duration, bool new_topics, bool pairs) {
+    c.run_ticks(duration, [&] {
+      c.honest_tick(
+          [&](std::size_t i) {
+            return new_topics ? topic_new[i % to] : topic_old[i % from];
+          },
+          [&](std::size_t i) {
+            out.honest_ideal += new_topics ? c.honest_hosts(to, i % to)
+                                           : c.honest_hosts(from, i % from);
+          });
+      if (pairs) attacker.on_tick(ctx);
+      return true;
+    });
+  };
+
+  // Segment throughput in fully-delivered messages/sec: raw deliveries
+  // are fan-out dependent (a T-shard mesh has fewer hosts per message
+  // than an F-shard one), so normalize by the segment's ideal receiver
+  // count — sent × (delivered/ideal) is "messages that fully arrived".
+  struct SegmentMark {
+    std::uint64_t sent, ideal, delivered;
+  };
+  const auto mark = [&] {
+    return SegmentMark{c.honest_sent, out.honest_ideal, c.honest_delivered()};
+  };
+  const auto segment_msgs_per_sec = [](const SegmentMark& a,
+                                       const SegmentMark& b,
+                                       net::TimeMs duration) {
+    const std::uint64_t ideal = b.ideal - a.ideal;
+    if (ideal == 0 || duration == 0) return 0.0;
+    const double completion =
+        static_cast<double>(b.delivered - a.delivered) /
+        static_cast<double>(ideal);
+    return static_cast<double>(b.sent - a.sent) * completion * 1000.0 /
+           static_cast<double>(duration);
+  };
+
+  // -- Steady state (throughput baseline + the "reshard now" signal).
+  const SegmentMark warmup_start = mark();
+  run(config.warmup_ms, false, false);
+  const SegmentMark warmup_end = mark();
+  out.steady_msgs_per_sec =
+      segment_msgs_per_sec(warmup_start, warmup_end, config.warmup_ms);
+  {
+    // The operator-side signal: feed the fleet's per-shard accepted
+    // totals into a load tracker whose per-shard budget the current
+    // layout exceeds — exactly the situation that should recommend this
+    // campaign's reshard.
+    shard::ShardLoadTracker::Config tcfg;
+    tcfg.window_ms = config.warmup_ms + 1;
+    tcfg.overload_msgs_per_sec =
+        std::max(0.001, out.steady_msgs_per_sec / (2.0 * from));
+    shard::ShardLoadTracker tracker(tcfg);
+    for (std::uint16_t s = 0; s < from; ++s) {
+      std::uint64_t accepted = 0;
+      std::size_t log_entries = 0;
+      for (std::size_t i = s; i < n; i += from) {
+        if (!h.alive(i)) continue;
+        accepted += h.node(i).validator().pipeline(s).stats().accepted;
+        log_entries += h.node(i).validator().pipeline(s).log().entry_count();
+      }
+      tracker.record(s, 0, log_entries, 0);
+      tracker.record(s, accepted, log_entries, config.warmup_ms);
+    }
+    const shard::RebalanceRecommendation rec =
+        tracker.recommend(old_map, topic_old);
+    out.rebalance_was_recommended =
+        rec.reshard_recommended && rec.target_shards > from;
+  }
+
+  // -- Staged cutover, fleet-wide lockstep.
+  const net::TimeMs cutover_start = h.sim().now();
+  for (std::size_t i = 0; i < n; ++i) {
+    h.node(i).begin_reshard(to, {static_cast<shard::ShardId>(i % to)});
+  }
+  run(config.announce_ms, false, false);
+  const auto advance_all = [&] {
+    for (std::size_t i = 0; i < n; ++i) h.node(i).advance_reshard();
+  };
+  advance_all();  // overlap
+  c.probe.mark_attack_start();
+  const std::uint64_t pre_overlap_delivered = c.honest_delivered();
+  run(config.overlap_ms, false, attack);
+  out.overlap_messages_in_flight =
+      c.honest_delivered() - pre_overlap_delivered;
+  advance_all();  // drain
+  run(config.drain_phase_ms, true, false);
+  advance_all();  // drop-old
+  const net::TimeMs cutover_end = h.sim().now();
+  out.cutover_duration_ms = cutover_end - cutover_start;
+  out.cutover_msgs_per_sec =
+      segment_msgs_per_sec(warmup_end, mark(), cutover_end - cutover_start);
+
+  // -- Post-cutover steady state + final quiesce. The first epoch after
+  // drop-old is blanked by the conservative quota merge (by design);
+  // measure the recovered rate from the epoch after it.
+  run(hcfg.node.validator.epoch.epoch_length_ms, true, false);
+  const SegmentMark settle_start = mark();
+  run(config.settle_ms, true, false);
+  out.post_msgs_per_sec =
+      segment_msgs_per_sec(settle_start, mark(), config.settle_ms);
+  h.run_ms(config.quiesce_ms);
+
+  out.throughput_dip =
+      out.steady_msgs_per_sec > 0
+          ? std::max(0.0, 1.0 - out.cutover_msgs_per_sec /
+                                    out.steady_msgs_per_sec)
+          : 0.0;
+  out.honest_sent = c.honest_sent;
+  out.honest_delivered = c.honest_delivered();
+  out.honest_delivery = fraction(out.honest_delivered, out.honest_ideal);
+  out.spam_pairs_sent = attacker.pairs_sent();
+  out.spam_delivered = c.spam_delivered();
+  out.quota_double_deliveries = attacker.quota_double_deliveries();
+  out.all_nodes_converged = c.all_converged(to, old_map.generation() + 1);
+  if (attack) c.record_slash(attacker_index, out);
+  return out;
+}
+
+// -- Operator hotspot campaign ------------------------------------------------
+
+std::string OperatorHotspotConfig::to_json() const {
+  return JsonObject()
+      .integer("nodes", harness.num_nodes)
+      .integer("target_shards", target_shards)
+      .integer("max_epochs", max_epochs)
+      .number("honest_rate_per_epoch", honest_rate_per_epoch, "%.2f")
+      .integer("flood_pairs_per_epoch", flood_pairs_per_epoch)
+      .number("overload_msgs_per_sec", overload_msgs_per_sec, "%.2f")
+      .integer("cooldown_epochs", cooldown_epochs)
+      .integer("trip_epochs", trip_epochs)
+      .integer("phase_dwell_epochs", phase_dwell_epochs)
+      .integer("seed", harness.seed)
+      .str();
+}
+
+std::string OperatorHotspotOutcome::to_json() const {
+  return JsonObject()
+      .integer("from_shards", from_shards)
+      .integer("to_shards", to_shards)
+      .boolean("operator_triggered", operator_triggered)
+      .integer("trigger_epoch", trigger_epoch)
+      .boolean("converged", converged)
+      .integer("converged_epoch", converged_epoch)
+      .integer("epochs_to_converge", epochs_to_converge)
+      .integer("operator_decisions", operator_decisions)
+      .integer("honest_sent", honest_sent)
+      .integer("honest_delivered", honest_delivered)
+      .integer("honest_ideal", honest_ideal)
+      .number("honest_delivery", honest_delivery, "%.4f")
+      .integer("spam_pairs_sent", spam_pairs_sent)
+      .integer("spam_delivered", spam_delivered)
+      .integer("quota_double_deliveries", quota_double_deliveries)
+      .boolean("attacker_slashed", attacker_slashed)
+      .optional("time_to_slash_ms", time_to_slash_ms)
+      .integer("anomalies_fired", anomalies_fired)
+      .raw("fleet_timeline", fleet_timeline_json, "[]")
+      .raw("postmortem", postmortem_json, "null")
+      .str();
+}
+
+OperatorHotspotOutcome run_operator_hotspot_campaign(
+    const OperatorHotspotConfig& config) {
+  rln::HarnessConfig hcfg = config.harness;
+  const std::uint16_t from = hcfg.node.shards.num_shards;
+  const std::uint16_t to = config.target_shards;
+  WAKU_EXPECTS(from >= 1 && to > from && to % from == 0);
+  hcfg.shard_assignment = round_robin(from);
+  // The loop under test: every node watches its OWN tracker + anomaly
+  // engine in upkeep and acts alone — the campaign never calls
+  // begin_reshard/advance_reshard.
+  hcfg.node.operator_loop.enabled = true;
+  hcfg.node.operator_loop.cooldown_epochs = config.cooldown_epochs;
+  hcfg.node.operator_loop.trip_epochs = config.trip_epochs;
+  hcfg.node.operator_loop.phase_dwell_epochs = config.phase_dwell_epochs;
+  hcfg.node.load_tracker.overload_msgs_per_sec = config.overload_msgs_per_sec;
+
+  const shard::ShardMap old_map(hcfg.node.shards);
+  const std::uint32_t gen0 = old_map.generation();
+  const shard::ShardMap new_map =
+      old_map.split(static_cast<std::uint16_t>(to / from));
+  // Pre-picked per-slot topics: slot i's topic is homed on old shard
+  // i mod F and new shard i mod T, so it stays publishable by the same
+  // node through the whole cutover — only its mesh moves.
+  const std::size_t n = hcfg.num_nodes;
+  std::vector<std::string> topic_for(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    topic_for[i] = topic_homed_on(
+        "/waku/2/hotspot-" + std::to_string(i) + "-", i, old_map, new_map);
+  }
+
+  // The overlap attacker sends on its own topic, but ONLY while its own
+  // node is in the dual-generation window (overlap/drain) — which it
+  // reaches when ITS operator loop fires, not on any campaign schedule.
+  // Slash latency runs from its first pair. It outlives the campaign,
+  // whose probe feeds its ledger.
+  const bool attack = config.flood_pairs_per_epoch > 0;
+  const std::size_t attack_slot = 1;
+  CrossGenerationPairAttacker attacker(
+      attack_slot, config.flood_pairs_per_epoch, topic_for[attack_slot]);
+
+  // Per-slot chooser: spread the new-generation family round-robin (slot
+  // i hosts new shard i mod target). Installed via the probe's node hook
+  // so a restarted node re-learns it before its operator resumes.
+  Campaign c(hcfg, 0x0B5E7A70ULL, config.tick_ms, config.honest_rate_per_epoch,
+             [](std::size_t i, rln::WakuRlnRelayNode& node) {
+               node.set_operator_subscribe_chooser([i](std::uint16_t target) {
+                 return round_robin(target)(i);
+               });
+             });
+  rln::RlnHarness& h = c.harness;
+  if (attack) c.adversary_slots.insert(attack_slot);
+  c.stitch_rings(from);
+  c.stitch_rings(to);
+  c.probe.set_delivery_observer(
+      [&attacker](std::size_t i, std::string_view payload) {
+        attacker.observe_delivery(i, payload);
+      });
+  h.register_all();
+  const std::uint64_t attacker_index =
+      attack ? h.node(attack_slot).group().own_index().value() : 0;
+  AdversaryContext ctx = c.context();
+  const auto attacker_tick = [&] {
+    if (!attack || !h.alive(attack_slot)) return;
+    const shard::ReshardPhase phase = h.node(attack_slot).reshard_phase();
+    if (phase != shard::ReshardPhase::kOverlap &&
+        phase != shard::ReshardPhase::kDrain) {
+      return;
+    }
+    attacker.on_tick(ctx);
+    if (attacker.pairs_sent() > 0 && !c.probe.attack_start_ms()) {
+      c.probe.mark_attack_start();
+    }
+  };
+
+  OperatorHotspotOutcome out;
+  out.from_shards = from;
+
+  // Fleet plane: scrape every honest node's health each epoch; a
+  // fleet-side anomaly engine watches the rows the same way an operator
+  // dashboard would.
+  obs::FleetAggregator fleet;
+  obs::AnomalyEngine fleet_anomaly;
+  const auto scrape = [&](std::uint64_t epoch) {
+    bool first_honest = true;
+    for (std::size_t i = 0; i < n; ++i) {
+      if (!c.honest(i) || !h.alive(i)) continue;
+      obs::NodeHealthSample s = h.node(i).health_sample();
+      s.epoch = epoch;
+      s.honest_delivered = c.probe.node_honest_delivered(i);
+      s.spam_delivered = c.probe.node_spam_delivered(i);
+      if (first_honest) {
+        // Campaign-wide totals ride on one sample so the aggregator's
+        // sums reproduce the outcome ratios. spam_delivered is summed
+        // per RECEIVER, so the sent side carries the same weight: both
+        // halves of every pair, fanned out to every honest node.
+        s.honest_ideal = out.honest_ideal;
+        s.spam_sent = attacker.spam_sent() * static_cast<std::uint64_t>(n - 1);
+        first_honest = false;
+      }
+      fleet.ingest(std::move(s));
+    }
+    if (const obs::FleetEpochSeries* row = fleet.close_epoch(epoch)) {
+      (void)fleet_anomaly.evaluate(*row);
+    }
+  };
+
+  // Tick until every node converged, within the epoch budget.
+  const auto tick = [&] {
+    c.honest_tick(
+        [&](std::size_t i) { return topic_for[i]; },
+        [&](std::size_t i) {
+          // The ideal receiver set follows the PUBLISHER's routing: old
+          // mesh (every host of old home) until this node's drain, new
+          // mesh (the new home's hosts) from drain on.
+          rln::WakuRlnRelayNode& node = h.node(i);
+          const bool new_routing =
+              node.shard_map().generation() != gen0 ||
+              node.reshard_phase() == shard::ReshardPhase::kDrain;
+          out.honest_ideal += new_routing ? c.honest_hosts(to, i % to)
+                                          : c.honest_hosts(from, i % from);
+        });
+    attacker_tick();
+    if (!c.epoch_turned()) return true;
+    const std::uint64_t epoch = c.epoch_now();
+    scrape(epoch);
+    if (!out.operator_triggered) {
+      std::uint64_t earliest = ~std::uint64_t{0};
+      for (std::size_t i = 0; i < n; ++i) {
+        if (!h.alive(i) || h.node(i).operator_decisions() == 0) continue;
+        earliest = std::min(earliest, h.node(i).operator_last_action_epoch());
+      }
+      if (earliest != ~std::uint64_t{0}) {
+        out.operator_triggered = true;
+        out.trigger_epoch = earliest;
+      }
+    }
+    if (!c.all_converged(to, gen0 + 1)) return true;
+    out.converged = true;
+    out.converged_epoch = epoch;
+    return false;
+  };
+  // The budget is rounded up to whole ticks: every tick runs in full.
+  const net::TimeMs budget =
+      config.max_epochs * hcfg.node.validator.epoch.epoch_length_ms;
+  c.run_ticks((budget + config.tick_ms - 1) / config.tick_ms * config.tick_ms,
+              tick);
+
+  // Quiesce: in-flight traffic + the attacker's slash commit-reveal.
+  h.run_ms(config.quiesce_ms);
+  if (c.epoch_turned()) scrape(c.epoch_now());
+
+  out.to_shards = h.node(0).shard_map().num_shards();
+  out.epochs_to_converge =
+      out.converged ? out.converged_epoch - out.trigger_epoch : 0;
+  for (std::size_t i = 0; i < n; ++i) {
+    if (h.alive(i)) out.operator_decisions += h.node(i).operator_decisions();
+  }
+  out.honest_sent = c.honest_sent;
+  out.honest_delivered = c.honest_delivered();
+  out.honest_delivery = fraction(out.honest_delivered, out.honest_ideal);
+  out.spam_pairs_sent = attacker.pairs_sent();
+  out.spam_delivered = c.spam_delivered();
+  out.quota_double_deliveries = attacker.quota_double_deliveries();
+  if (attack) c.record_slash(attacker_index, out);
+  out.anomalies_fired = fleet_anomaly.fired_total();
+  out.fleet_timeline_json = fleet.timeline_json();
+  out.postmortem_json =
+      h.node(0).flight_recorder().postmortem_json("operator-hotspot-campaign");
   return out;
 }
 

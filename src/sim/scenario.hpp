@@ -9,12 +9,8 @@
 // config replays the same campaign event-for-event.
 #pragma once
 
-#include <memory>
-#include <set>
-
 #include "obs/fleet.hpp"
-#include "obs/propagation.hpp"
-#include "sim/adversary.hpp"
+#include "sim/campaign.hpp"
 #include "sim/report.hpp"
 
 namespace waku::sim {
@@ -54,9 +50,9 @@ class Scenario {
   /// and computes the verdict. Callable once.
   Report run();
 
-  [[nodiscard]] rln::RlnHarness& harness() { return harness_; }
-  [[nodiscard]] MetricsRegistry& metrics() { return metrics_; }
-  [[nodiscard]] HarnessProbe& probe() { return probe_; }
+  [[nodiscard]] rln::RlnHarness& harness() { return campaign_.harness; }
+  [[nodiscard]] MetricsRegistry& metrics() { return campaign_.metrics; }
+  [[nodiscard]] HarnessProbe& probe() { return campaign_.probe; }
   [[nodiscard]] obs::FleetAggregator& fleet() { return fleet_; }
   /// Cross-node propagation assembler, fed from every node's trace rings
   /// each epoch while tracing is enabled (harness.node.obs.trace
@@ -68,32 +64,19 @@ class Scenario {
 
  private:
   void run_phase(const PhaseSpec& phase);
-  void generate_honest_traffic();
-  void sample_if_epoch_turned();
   void scrape_fleet(std::uint64_t epoch);
-  void collect_propagation();
-  [[nodiscard]] std::uint64_t epoch_now();
-  [[nodiscard]] bool is_adversary_slot(std::size_t i) const {
-    return adversary_slots_.contains(i);
-  }
 
   ScenarioConfig config_;
-  rln::RlnHarness harness_;
-  MetricsRegistry metrics_;
-  HarnessProbe probe_;
+  /// Deployment, metrics, probe and the honest-traffic generator.
+  Campaign campaign_;
   /// Per-epoch cross-node health rows — the fleet-health timeline that
   /// rides in the verdict JSON (see ScenarioVerdict::fleet_timeline_json).
   obs::FleetAggregator fleet_;
   /// Per-epoch trace-ring harvest (ingestion is idempotent, so rings
   /// collected every epoch survive later kills/restarts of their node).
   obs::PropagationAssembler propagation_;
-  Rng traffic_rng_;
   std::vector<PhaseSpec> phases_;
   std::vector<Adversary*> all_adversaries_;
-  std::set<std::size_t> adversary_slots_;
-  std::uint64_t honest_sent_ = 0;
-  std::uint64_t last_sampled_epoch_ = ~std::uint64_t{0};
-  std::uint64_t last_fleet_epoch_ = ~std::uint64_t{0};
   bool ran_ = false;
 };
 

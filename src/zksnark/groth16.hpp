@@ -1,5 +1,6 @@
 // Simulated Groth16 (paper §II-B uses real Groth16 [11] with an MPC setup
-// [12-15]; see DESIGN.md "Substitutions" for why and how this stands in).
+// [12-15]; see docs/ARCHITECTURE.md, "Substitutions", for why and how
+// this stands in).
 //
 // What is real here:
 //   * the R1CS relation and witness checking — `prove` refuses to produce a

@@ -1,5 +1,6 @@
 // Tests for SHA-256 / Keccak-256 against published vectors, and structural
-// tests for Poseidon (whose constants are project-specific; see DESIGN.md).
+// tests for Poseidon (whose constants are project-specific; see
+// docs/ARCHITECTURE.md, "Substitutions").
 #include <gtest/gtest.h>
 
 #include <array>

@@ -396,5 +396,78 @@ TEST_F(LightFixture, ClientSecretNeverNeededByService) {
   EXPECT_EQ(rejected, 0u);
 }
 
+// -- Malformed frames from a peer --------------------------------------------
+
+/// A peer that only injects raw frames (and ignores whatever it receives).
+struct RawPeer : net::NetNode {
+  explicit RawPeer(net::Network& net) : network(net), id(net.add_node(this)) {}
+  void on_message(net::NodeId, BytesView) override {}
+  net::Network& network;
+  net::NodeId id;
+};
+
+struct MalformedFrameFixture : LightFixture {
+  std::unique_ptr<RawPeer> peer;
+
+  void SetUp() override {
+    LightFixture::SetUp();
+    peer = std::make_unique<RawPeer>(h->network());
+    h->network().connect(peer->id, service->node_id());
+    h->network().connect(peer->id, client->node_id());
+  }
+
+  /// A light publish started now; true once the service acked it.
+  bool publish_is_acked(const std::string& body) {
+    bool acked = false;
+    client->publish(service->node_id(), to_bytes(body), "/t",
+                    [&](bool ok) { acked = ok; });
+    h->run_ms(5'000);
+    return acked;
+  }
+};
+
+TEST_F(MalformedFrameFixture, EmptyFrameIsDroppedAtBothEndpoints) {
+  h->network().send(peer->id, service->node_id(), Bytes{});
+  h->network().send(peer->id, client->node_id(), Bytes{});
+  EXPECT_NO_THROW(h->run_ms(1'000));
+  EXPECT_EQ(service->malformed_frames(), 1u);
+  EXPECT_EQ(client->malformed_frames(), 1u);
+  EXPECT_TRUE(publish_is_acked("after an empty frame"));
+}
+
+TEST_F(MalformedFrameFixture, TruncatedTreeRequestIsDropped) {
+  // kTreeReq wants a u64 member index; three bytes are not one.
+  h->network().send(peer->id, service->node_id(),
+                    Bytes{static_cast<std::uint8_t>(LightFrame::kTreeReq), 1,
+                          2, 3});
+  EXPECT_NO_THROW(h->run_ms(1'000));
+  EXPECT_EQ(service->malformed_frames(), 1u);
+  EXPECT_TRUE(publish_is_acked("after a truncated tree request"));
+}
+
+TEST_F(MalformedFrameFixture, TruncatedTreeResponseKeepsThePendingPublish) {
+  // Forged responses (one hop) land before the service's real one (two
+  // hops) while the publish is pending: each must be dropped without
+  // consuming that publish — a truncated frame, and a well-framed one
+  // whose path has no levels (no RLN circuit exists for it).
+  bool acked = false;
+  client->publish(service->node_id(), to_bytes("raced by a forged response"),
+                  "/t", [&](bool ok) { acked = ok; });
+  h->network().send(peer->id, client->node_id(),
+                    Bytes{static_cast<std::uint8_t>(LightFrame::kTreeResp), 9,
+                          9});
+  ByteWriter depth_zero;
+  depth_zero.write_u8(static_cast<std::uint8_t>(LightFrame::kTreeResp));
+  depth_zero.write_raw(Bytes(32, 0));
+  depth_zero.write_u64(1);
+  depth_zero.write_bytes(merkle::serialize_path(merkle::MerklePath{}));
+  h->network().send(peer->id, client->node_id(),
+                    std::move(depth_zero).take());
+  EXPECT_NO_THROW(h->run_ms(5'000));
+  EXPECT_EQ(client->malformed_frames(), 2u);
+  EXPECT_TRUE(acked);
+  EXPECT_EQ(client->published(), 1u);
+}
+
 }  // namespace
 }  // namespace waku::rln

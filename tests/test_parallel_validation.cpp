@@ -345,7 +345,6 @@ struct ProvenWorkload {
 
   ProvenWorkload() {
     Rng rng(0xFACE);
-    const zksnark::Keypair& kp = zksnark::rln_keypair(kDepth);
     std::vector<Identity> members;
     constexpr std::size_t kMembers = 6;
     for (std::size_t i = 0; i < kMembers; ++i) {
@@ -358,21 +357,9 @@ struct ProvenWorkload {
     const auto prove = [&](std::size_t member, const std::string& body) {
       WakuMessage msg;
       msg.payload = to_bytes(body);
-      zksnark::RlnProverInput input;
-      input.sk = members[member].sk;
-      input.path = group.path_of(member);
-      input.x = message_hash(msg);
-      input.epoch = Fr::from_u64(100);
-      zksnark::RlnCircuit c = zksnark::build_rln_circuit(input);
-      RateLimitProof bundle;
-      bundle.share_x = c.publics.x;
-      bundle.share_y = c.publics.y;
-      bundle.nullifier = c.publics.nullifier;
-      bundle.epoch = 100;
-      bundle.root = c.publics.root;
-      bundle.proof = zksnark::prove(kp.pk, c.builder.cs(),
-                                    c.builder.assignment(), rng);
-      attach_proof(msg, bundle);
+      attach_proof(msg, make_rate_limit_proof(members[member].sk,
+                                              group.path_of(member), msg, 100,
+                                              rng));
       return msg;
     };
     // A mixed window: honest messages, a gossip echo (same message twice),

@@ -187,22 +187,9 @@ struct CutoverPipelines : ::testing::Test {
     WakuMessage msg;
     msg.payload = to_bytes(body);
     msg.content_topic = topic;
-    zksnark::RlnProverInput input;
-    input.sk = mallory.sk;
-    input.path = group.path_of(0);
-    input.x = rln::message_hash(msg);
-    input.epoch = Fr::from_u64(epoch);
-    zksnark::RlnCircuit c = zksnark::build_rln_circuit(input);
-    const zksnark::Keypair& kp = zksnark::rln_keypair(kDepth);
-    rln::RateLimitProof bundle;
-    bundle.share_x = c.publics.x;
-    bundle.share_y = c.publics.y;
-    bundle.nullifier = c.publics.nullifier;
-    bundle.epoch = epoch;
-    bundle.root = c.publics.root;
-    bundle.proof =
-        zksnark::prove(kp.pk, c.builder.cs(), c.builder.assignment(), rng);
-    rln::attach_proof(msg, bundle);
+    rln::attach_proof(msg, rln::make_rate_limit_proof(mallory.sk,
+                                                      group.path_of(0), msg,
+                                                      epoch, rng));
     return msg;
   }
 };

@@ -334,22 +334,8 @@ struct ValidatorFixture : ::testing::Test {
                            const std::string& body, std::uint64_t epoch) {
     WakuMessage msg;
     msg.payload = to_bytes(body);
-    zksnark::RlnProverInput input;
-    input.sk = who.sk;
-    input.path = group.path_of(who_index);
-    input.x = message_hash(msg);
-    input.epoch = Fr::from_u64(epoch);
-    zksnark::RlnCircuit c = zksnark::build_rln_circuit(input);
-    const zksnark::Keypair& kp = zksnark::rln_keypair(kDepth);
-    RateLimitProof bundle;
-    bundle.share_x = c.publics.x;
-    bundle.share_y = c.publics.y;
-    bundle.nullifier = c.publics.nullifier;
-    bundle.epoch = epoch;
-    bundle.root = c.publics.root;
-    bundle.proof =
-        zksnark::prove(kp.pk, c.builder.cs(), c.builder.assignment(), rng);
-    attach_proof(msg, bundle);
+    attach_proof(msg, make_rate_limit_proof(who.sk, group.path_of(who_index),
+                                            msg, epoch, rng));
     return msg;
   }
 };
@@ -443,22 +429,9 @@ TEST_F(ValidatorFixture, NonMemberCannotForgeProof) {
   const Identity eve = Identity::generate(rng2);
   WakuMessage msg;
   msg.payload = to_bytes("evil");
-  zksnark::RlnProverInput input;
-  input.sk = eve.sk;
-  input.path = group.path_of(0);
-  input.x = message_hash(msg);
-  input.epoch = Fr::from_u64(10);
-  zksnark::RlnCircuit c = zksnark::build_rln_circuit(input);
-  const zksnark::Keypair& kp = zksnark::rln_keypair(kDepth);
-  RateLimitProof bundle;
-  bundle.share_x = c.publics.x;
-  bundle.share_y = c.publics.y;
-  bundle.nullifier = c.publics.nullifier;
-  bundle.epoch = 10;
-  bundle.root = c.publics.root;  // root of a tree containing eve -- fake
-  bundle.proof =
-      zksnark::prove(kp.pk, c.builder.cs(), c.builder.assignment(), rng2);
-  attach_proof(msg, bundle);
+  // The bundle's root is that of a tree containing eve -- fake.
+  attach_proof(msg, make_rate_limit_proof(eve.sk, group.path_of(0), msg, 10,
+                                          rng2));
   EXPECT_EQ(validator.validate(msg, 10'500).verdict, Verdict::kRejectStaleRoot);
 }
 

@@ -3,8 +3,9 @@
 // while honest delivery stays >= 99%, a boundary straddler is never
 // slashed, a split-equivocator cannot hide conflicting shares from the
 // relay overlap, a deposit churner's spam stays quota-bound, an eclipse
-// victim detects a stale bootstrap checkpoint, and instrumentation
-// survives a node kill/restart (the harness re-attaches hooks).
+// victim detects a stale bootstrap checkpoint, instrumentation survives
+// a node kill/restart (the harness re-attaches hooks), and every campaign
+// runner replays byte-identically from its seed.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -324,6 +325,62 @@ TEST(Scenarios, MetricsRegistryJsonAndSeries) {
   EXPECT_NE(json.find("\"a.count\": 4"), std::string::npos);
   EXPECT_NE(json.find("\"b.level\": 1.5"), std::string::npos);
   EXPECT_NE(json.find("\"series\""), std::string::npos);
+}
+
+// Every campaign replays event-for-event from its harness seed, so two
+// runs of one config emit byte-identical outcome JSON — the property the
+// committed bench baselines (and any refactor of the runners) rely on.
+// Configs are the smallest the sharding/reshard suites already run.
+TEST(Scenarios, CampaignsReplayByteIdentical) {
+  ShardFloodConfig flood;
+  flood.harness.num_nodes = 12;
+  flood.harness.degree = 4;
+  flood.harness.block_interval_ms = 4'000;
+  flood.harness.node.tree_depth = 10;
+  flood.harness.node.validator.epoch.epoch_length_ms = 10'000;
+  flood.harness.node.gossip.validation_batch_max = 8;
+  flood.harness.node.shards.num_shards = 3;
+  flood.harness.seed = 0x5F100D;
+  flood.attacked_shard = 1;
+  flood.flood_burst_per_epoch = 5;
+  flood.warmup_ms = 8'000;
+  flood.attack_ms = 24'000;
+  flood.drain_ms = 8'000;
+  const ShardFloodOutcome flood_out = run_shard_flood_campaign(flood);
+  EXPECT_GT(flood_out.spam_sent, 0u);
+  EXPECT_EQ(flood_out.to_json(), run_shard_flood_campaign(flood).to_json());
+
+  LiveReshardConfig reshard;
+  reshard.harness = flood.harness;
+  reshard.harness.node.shards.num_shards = 2;
+  reshard.harness.seed = 0x11FE;
+  reshard.target_shards = 4;
+  reshard.warmup_ms = 10'000;
+  reshard.announce_ms = 3'000;
+  reshard.overlap_ms = 14'000;
+  reshard.drain_phase_ms = 6'000;
+  reshard.settle_ms = 10'000;
+  reshard.flood_pairs_per_epoch = 2;
+  const LiveReshardOutcome reshard_out = run_live_reshard_campaign(reshard);
+  EXPECT_GT(reshard_out.spam_pairs_sent, 0u);
+  EXPECT_EQ(reshard_out.to_json(),
+            run_live_reshard_campaign(reshard).to_json());
+
+  OperatorHotspotConfig hotspot;
+  hotspot.harness = flood.harness;
+  hotspot.harness.num_nodes = 24;
+  hotspot.harness.degree = 5;
+  hotspot.harness.node.validator.epoch.epoch_length_ms = 5'000;
+  hotspot.harness.node.shards.num_shards = 1;
+  hotspot.harness.seed = 0x0F5E;
+  hotspot.target_shards = 2;
+  hotspot.max_epochs = 30;
+  hotspot.flood_pairs_per_epoch = 2;
+  const OperatorHotspotOutcome hotspot_out =
+      run_operator_hotspot_campaign(hotspot);
+  EXPECT_TRUE(hotspot_out.converged);
+  EXPECT_EQ(hotspot_out.to_json(),
+            run_operator_hotspot_campaign(hotspot).to_json());
 }
 
 }  // namespace

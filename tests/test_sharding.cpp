@@ -153,22 +153,9 @@ struct ShardedPipelineFixture {
     WakuMessage msg;
     msg.payload = to_bytes(payload);
     msg.content_topic = content_topic;
-    zksnark::RlnProverInput input;
-    input.sk = members[member].sk;
-    input.path = group.path_of(member);
-    input.x = message_hash(msg);
-    input.epoch = ff::Fr::from_u64(100);
-    zksnark::RlnCircuit c = zksnark::build_rln_circuit(input);
-    const zksnark::Keypair& kp = zksnark::rln_keypair(kDepth);
-    RateLimitProof bundle;
-    bundle.share_x = c.publics.x;
-    bundle.share_y = c.publics.y;
-    bundle.nullifier = c.publics.nullifier;
-    bundle.epoch = 100;
-    bundle.root = c.publics.root;
-    bundle.proof = zksnark::prove(kp.pk, c.builder.cs(),
-                                  c.builder.assignment(), rng);
-    attach_proof(msg, bundle);
+    attach_proof(msg, make_rate_limit_proof(members[member].sk,
+                                            group.path_of(member), msg, 100,
+                                            rng));
     return msg;
   }
 };

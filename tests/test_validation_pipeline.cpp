@@ -48,22 +48,8 @@ struct PipelineFixture : ::testing::Test {
                            const std::string& body, std::uint64_t epoch) {
     WakuMessage msg;
     msg.payload = to_bytes(body);
-    zksnark::RlnProverInput input;
-    input.sk = who.sk;
-    input.path = group.path_of(who_index);
-    input.x = message_hash(msg);
-    input.epoch = Fr::from_u64(epoch);
-    zksnark::RlnCircuit c = zksnark::build_rln_circuit(input);
-    const zksnark::Keypair& kp = zksnark::rln_keypair(kDepth);
-    RateLimitProof bundle;
-    bundle.share_x = c.publics.x;
-    bundle.share_y = c.publics.y;
-    bundle.nullifier = c.publics.nullifier;
-    bundle.epoch = epoch;
-    bundle.root = c.publics.root;
-    bundle.proof =
-        zksnark::prove(kp.pk, c.builder.cs(), c.builder.assignment(), rng);
-    attach_proof(msg, bundle);
+    attach_proof(msg, make_rate_limit_proof(who.sk, group.path_of(who_index),
+                                            msg, epoch, rng));
     return msg;
   }
 
@@ -208,21 +194,8 @@ TEST_F(PipelineFixture, StaleRootRejectedAfterCacheEviction) {
 
   WakuMessage msg;
   msg.payload = to_bytes("proved against a soon-stale root");
-  zksnark::RlnProverInput input;
-  input.sk = alice.sk;
-  input.path = narrow.path_of(0);
-  input.x = message_hash(msg);
-  input.epoch = Fr::from_u64(10);
-  zksnark::RlnCircuit c = zksnark::build_rln_circuit(input);
-  const zksnark::Keypair& kp = zksnark::rln_keypair(kDepth);
-  RateLimitProof bundle;
-  bundle.share_x = c.publics.x;
-  bundle.share_y = c.publics.y;
-  bundle.nullifier = c.publics.nullifier;
-  bundle.epoch = 10;
-  bundle.root = c.publics.root;
-  bundle.proof =
-      zksnark::prove(kp.pk, c.builder.cs(), c.builder.assignment(), rng);
+  const RateLimitProof bundle =
+      make_rate_limit_proof(alice.sk, narrow.path_of(0), msg, 10, rng);
   attach_proof(msg, bundle);
 
   EXPECT_TRUE(narrow.is_recent_root(bundle.root));
