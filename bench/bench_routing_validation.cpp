@@ -12,7 +12,7 @@
 #include "merkle/merkle_tree.hpp"
 #include "rln/group_manager.hpp"
 #include "rln/rate_limit_proof.hpp"
-#include "rln/validator.hpp"
+#include "rln/validation_pipeline.hpp"
 #include "zksnark/rln_circuit.hpp"
 
 namespace {
@@ -54,7 +54,7 @@ struct RelayFixture {
 void BM_ValidateAccept(benchmark::State& state) {
   RelayFixture fx;
   Rng rng(0xE2B1);
-  auto validator = std::make_unique<RlnValidator>(
+  auto validator = std::make_unique<ValidationPipeline>(
       zksnark::rln_keypair(kDepth).vk, fx.group, fx.vcfg);
   // Pre-generate messages so proving is outside the measurement.
   std::vector<WakuMessage> messages;
@@ -67,12 +67,12 @@ void BM_ValidateAccept(benchmark::State& state) {
   for (auto _ : state) {
     const auto& msg = messages[i % messages.size()];
     const std::uint64_t now = (100 + (i % messages.size())) * 10'000 + 500;
-    auto outcome = validator->validate(msg, now);
+    auto outcome = validator->validate_one(msg, now);
     benchmark::DoNotOptimize(outcome);
     ++i;
     if (i % messages.size() == 0) {
       state.PauseTiming();
-      validator = std::make_unique<RlnValidator>(
+      validator = std::make_unique<ValidationPipeline>(
           zksnark::rln_keypair(kDepth).vk, fx.group, fx.vcfg);
       state.ResumeTiming();
     }
@@ -84,10 +84,11 @@ BENCHMARK(BM_ValidateAccept)->Unit(benchmark::kMicrosecond);
 void BM_ValidateRejectEpochGap(benchmark::State& state) {
   RelayFixture fx;
   Rng rng(0xE2B2);
-  RlnValidator validator(zksnark::rln_keypair(kDepth).vk, fx.group, fx.vcfg);
+  ValidationPipeline validator(zksnark::rln_keypair(kDepth).vk,
+                               fx.group, fx.vcfg);
   const WakuMessage msg = fx.make_message("stale", 5, rng);
   for (auto _ : state) {
-    auto outcome = validator.validate(msg, 1'000'000'000);  // far future
+    auto outcome = validator.validate_one(msg, 1'000'000'000);  // far future
     benchmark::DoNotOptimize(outcome);
   }
 }
@@ -96,13 +97,14 @@ BENCHMARK(BM_ValidateRejectEpochGap)->Unit(benchmark::kMicrosecond);
 void BM_ValidateRejectGarbageProof(benchmark::State& state) {
   RelayFixture fx;
   Rng rng(0xE2B3);
-  RlnValidator validator(zksnark::rln_keypair(kDepth).vk, fx.group, fx.vcfg);
+  ValidationPipeline validator(zksnark::rln_keypair(kDepth).vk,
+                               fx.group, fx.vcfg);
   WakuMessage msg = fx.make_message("junk", 100, rng);
   auto bundle = *extract_proof(msg);
   bundle.proof = zksnark::Proof::deserialize(rng.next_bytes(128));
   attach_proof(msg, bundle);
   for (auto _ : state) {
-    auto outcome = validator.validate(msg, 100 * 10'000 + 500);
+    auto outcome = validator.validate_one(msg, 100 * 10'000 + 500);
     benchmark::DoNotOptimize(outcome);
   }
 }
@@ -113,7 +115,8 @@ void BM_ValidateDuplicateWithLogSize(benchmark::State& state) {
   const auto entries = static_cast<std::uint64_t>(state.range(0));
   RelayFixture fx;
   Rng rng(0xE2B4);
-  RlnValidator validator(zksnark::rln_keypair(kDepth).vk, fx.group, fx.vcfg);
+  ValidationPipeline validator(zksnark::rln_keypair(kDepth).vk,
+                               fx.group, fx.vcfg);
   // Preload the log with `entries` synthetic observations... via the
   // public API: distinct epochs share the log structure.
   NullifierLog log;
@@ -122,9 +125,10 @@ void BM_ValidateDuplicateWithLogSize(benchmark::State& state) {
                 sss::Share{ff::Fr::from_u64(i), ff::Fr::from_u64(i)});
   }
   const WakuMessage msg = fx.make_message("dup", 100, rng);
-  (void)validator.validate(msg, 100 * 10'000 + 500);  // first: accept
+  (void)validator.validate_one(msg, 100 * 10'000 + 500);  // first: accept
   for (auto _ : state) {
-    auto outcome = validator.validate(msg, 100 * 10'000 + 600);  // duplicate
+    // duplicate
+    auto outcome = validator.validate_one(msg, 100 * 10'000 + 600);
     benchmark::DoNotOptimize(outcome);
   }
   state.counters["log_entries"] = static_cast<double>(log.entry_count());

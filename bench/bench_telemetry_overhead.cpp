@@ -176,9 +176,8 @@ double run_pass(const Workload& wl, Mode mode, std::uint64_t seed,
         }
       }
       if (recording) {
-        // Mirrors the node's upkeep tick: record_health_snapshot +
-        // self-fleet ingest/close + one flight event, here once per
-        // window instead of once per epoch.
+        // Mirrors the node's upkeep tick: one flight event + self-fleet
+        // ingest/close, here once per window instead of once per epoch.
         recorder.record(obs::steady_clock().now_ns(), fleet_epoch,
                         "backpressure", "rejected_delta=0");
         obs::NodeHealthSample sample;

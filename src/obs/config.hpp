@@ -20,10 +20,6 @@ struct ObsConfig {
   // hash unless a test opts in).
   TraceCollectorConfig trace;
 
-  // Ring of epoch-boundary health snapshots (JSON lines) kept in
-  // memory for operators; see WakuRlnRelayNode::health_log().
-  std::size_t health_log_capacity = 64;
-
   // Flight-recorder ring of structured lifecycle events (reshard phase
   // transitions, slashes, backpressure rejects, anomaly firings,
   // operator decisions); dumped as a postmortem JSON on any anomaly

@@ -8,7 +8,7 @@
 // Lifecycle events are rare (epochs, not messages), so unlike the
 // telemetry record path this ring is mutex-guarded — simplicity over
 // lock-freedom is the right trade at one event per epoch. Bounded like
-// every other obs ring (TraceCollector, health_log): the oldest event is
+// every other obs ring (TraceCollector): the oldest event is
 // evicted and counted, so a long-running node cannot leak memory into
 // its own black box.
 //

@@ -1,14 +1,12 @@
 #include "rln/node.hpp"
 
 #include <algorithm>
-#include <cinttypes>
 #include <cstdio>
 #include <random>
 #include <stdexcept>
 
 #include "common/expect.hpp"
 #include "common/serde.hpp"
-#include "hash/poseidon.hpp"
 #include "rln/keystore.hpp"
 #include "waku/message.hpp"
 #include "zksnark/rln_circuit.hpp"
@@ -19,6 +17,80 @@ using chain::Transaction;
 using gossipsub::ValidationResult;
 
 namespace {
+
+/// Node snapshot payload version (docs/FORMATS.md); v5 added the
+/// operator-loop bookkeeping.
+constexpr std::uint8_t kStateVersion = 5;
+
+/// The exported ValidatorStats fields, in exposition order: the
+/// waku_pipeline_verdicts_total reason series, the per-shard families, and
+/// the keys of metrics_json()'s deployment-wide "pipeline" section.
+struct PipelineField {
+  std::uint64_t ValidatorStats::* field;
+  const char* json_key;   ///< nullptr: Prometheus only
+  const char* reason;     ///< verdict reason label, else...
+  const char* prom_name;  ///< ...a per-shard family of its own
+  bool gauge;
+  const char* help;
+};
+constexpr PipelineField kPipelineFields[] = {
+    {&ValidatorStats::accepted, "accepted", "accept", nullptr, false, nullptr},
+    {&ValidatorStats::epoch_gap, "epoch_gap", "epoch_gap", nullptr, false,
+     nullptr},
+    {&ValidatorStats::duplicates, "duplicates", "duplicate", nullptr, false,
+     nullptr},
+    {&ValidatorStats::no_proof, "no_proof", "no_proof", nullptr, false,
+     nullptr},
+    {&ValidatorStats::bad_proof, "bad_proof", "bad_proof", nullptr, false,
+     nullptr},
+    {&ValidatorStats::stale_root, "stale_root", "stale_root", nullptr, false,
+     nullptr},
+    {&ValidatorStats::spam_detected, "spam_detected", "spam", nullptr, false,
+     nullptr},
+    {&ValidatorStats::batches, "batches", nullptr,
+     "waku_pipeline_batches_total", false, "validate_batch windows run"},
+    {&ValidatorStats::batch_aggregated, "batch_aggregated", nullptr,
+     "waku_pipeline_batch_aggregated_total", false,
+     "Windows settled by one RLC-aggregated Groth16 check"},
+    {&ValidatorStats::batch_fallbacks, "batch_fallbacks", nullptr,
+     "waku_pipeline_batch_fallbacks_total", false,
+     "Windows that isolated per proof"},
+    {&ValidatorStats::precheck_duplicates, "precheck_duplicates", nullptr,
+     "waku_pipeline_precheck_duplicates_total", false,
+     "Gossip echoes dropped before the verifier"},
+    {&ValidatorStats::log_entries, "log_entries", nullptr,
+     "waku_nullifier_log_entries", true, "Live (epoch, nullifier) records"},
+    {&ValidatorStats::log_buckets, nullptr, nullptr,
+     "waku_nullifier_log_buckets", true, "Live epoch buckets"},
+    {&ValidatorStats::log_conflicts, "log_conflicts", nullptr,
+     "waku_nullifier_log_conflicts_total", false, "Double-signals observed"},
+    {&ValidatorStats::log_min_epoch, nullptr, nullptr,
+     "waku_nullifier_log_min_epoch", true, "GC watermark"},
+};
+
+/// The pipeline stages with a latency histogram, in registration and
+/// exposition order.
+struct StageRef {
+  const char* name;
+  obs::Histogram* PipelineMetrics::* member;
+};
+constexpr StageRef kStages[] = {
+    {"epoch_gate", &PipelineMetrics::epoch_gate},
+    {"root_check", &PipelineMetrics::root_check},
+    {"nullifier_precheck", &PipelineMetrics::nullifier_precheck},
+    {"groth16_batch", &PipelineMetrics::groth16_batch},
+    {"groth16_fallback", &PipelineMetrics::groth16_fallback},
+    {"double_signal", &PipelineMetrics::double_signal},
+};
+
+void write_sample(obs::PrometheusWriter& w, const char* name, bool gauge,
+                  const std::string& labels, std::uint64_t value) {
+  if (gauge) {
+    w.gauge(name, labels, static_cast<double>(value));
+  } else {
+    w.counter(name, labels, value);
+  }
+}
 
 /// OS entropy for the keystore seal RNG. Deliberately NOT derived from the
 /// deterministic node seed: a restarted node re-seeded deterministically
@@ -51,11 +123,11 @@ WakuRlnRelayNode::WakuRlnRelayNode(net::Network& network,
       // diversified per generation and per shard): senders must not be
       // able to predict another node's weight stream.
       base_validator_seed_(seed ^ 0x52C4A55E9D1ULL),
-      shards_(zksnark::rln_keypair(config.tree_depth).vk, group_,
-              config.validator, config.shards,
-              validator_seed(config.shards.generation)),
+      shards_(make_validator(shard::ShardMap(config.shards), config.shards)),
       reshard_(config.shards),
       load_tracker_(config.load_tracker),
+      slashing_(rng_, journal_, stats_, chain, contract, config.account,
+                config.slash_expiry_epochs),
       tracer_(config.obs.trace),
       recorder_(config.obs.recorder) {
   group_.set_own_identity(identity_);
@@ -67,7 +139,7 @@ WakuRlnRelayNode::WakuRlnRelayNode(net::Network& network,
 
   if (!config_.persist_dir.empty()) {
     try {
-      state_store_.emplace(config_.persist_dir, config_.persist);
+      journal_.open(config_.persist_dir, config_.persist);
       restore_from_store();
     } catch (...) {
       // The relay registered itself with the network in the member-init
@@ -76,7 +148,8 @@ WakuRlnRelayNode::WakuRlnRelayNode(net::Network& network,
       network_.remove_node(relay_.node_id());
       throw;
     }
-    state_store_->set_snapshot_provider([this] { return serialize_state(); });
+    journal_.store()->set_snapshot_provider(
+        [this] { return serialize_state(); });
   }
 }
 
@@ -99,13 +172,7 @@ void WakuRlnRelayNode::install_validator_hooks(
                                          const Fr& nullifier,
                                          const sss::Share& share,
                                          std::uint64_t proof_fp) {
-    ByteWriter w;
-    w.write_u64(epoch);
-    w.write_raw(nullifier.to_bytes_be());
-    w.write_raw(share.x.to_bytes_be());
-    w.write_raw(share.y.to_bytes_be());
-    w.write_u64(proof_fp);
-    journal(tag, w.data(), shard);
+    journal_.append_observation(tag, shard, epoch, nullifier, share, proof_fp);
   });
   for (const shard::ShardId s : validator.subscribed()) {
     ValidationPipeline& pipeline = validator.pipeline(s);
@@ -128,13 +195,8 @@ void WakuRlnRelayNode::install_validator_hooks(
           const std::optional<shard::ShardId> domain =
               reshard_.domain_of(msg.content_topic);
           if (!domain.has_value()) return;
-          ByteWriter w;
-          w.write_u64(epoch);
-          w.write_raw(nullifier.to_bytes_be());
-          w.write_raw(share.x.to_bytes_be());
-          w.write_raw(share.y.to_bytes_be());
-          w.write_u64(proof_fp);
-          journal(WalTag::kCutoverObservation, w.data(), *domain);
+          journal_.append_observation(WalTag::kCutoverObservation, *domain,
+                                      epoch, nullifier, share, proof_fp);
         });
   }
 }
@@ -283,7 +345,7 @@ void WakuRlnRelayNode::start() {
   // Durable nodes resume the contract event stream from their replay
   // cursor (everything older is already folded into the restored state);
   // ephemeral nodes keep the historical live-only behaviour.
-  if (state_store_.has_value()) {
+  if (persistent()) {
     chain_.replay_events(event_cursor_,
                          [this](const chain::Event& ev) {
                            handle_chain_event(ev);
@@ -331,7 +393,7 @@ void WakuRlnRelayNode::start() {
           // Journal before applying (same fail-closed order as the
           // phase transitions): a later cutover's WAL records must
           // replay onto a coordinator that already ended this linger.
-          journal(WalTag::kReshardLingerEnd, {});
+          journal_.append(WalTag::kReshardLingerEnd, {});
           record_flight(current_epoch(), "reshard", "linger_end");
           end_reshard_linger();
         }
@@ -343,10 +405,9 @@ void WakuRlnRelayNode::start() {
                                shards_.pipeline(s).log().entry_count(), now,
                                shard_p95_validate_ms(s));
         }
-        expire_pending_slashes();
+        slashing_.expire(current_epoch());
         if (obs_clock_ != nullptr) {
           const std::uint64_t epoch = current_epoch();
-          record_health_snapshot(epoch);
           // Backpressure rejects are a lifecycle event, not just a
           // counter: the per-epoch delta joins the flight ring so a
           // postmortem shows WHEN the executor started shedding.
@@ -468,7 +529,7 @@ WakuRlnRelayNode::PublishStatus WakuRlnRelayNode::try_publish(
   // restart rebuilds the per-shard quota map.
   ByteWriter w;
   w.write_u64(epoch);
-  journal(WalTag::kOwnPublish, w.data(), route->quota_shard);
+  journal_.append(WalTag::kOwnPublish, w.data(), route->quota_shard);
   const WakuMessage msg =
       build_message(std::move(payload), content_topic, epoch);
   if (traced(msg)) {
@@ -508,6 +569,19 @@ WakuRlnRelayNode::PublishStatus WakuRlnRelayNode::force_publish_generation(
 
 void WakuRlnRelayNode::publish_with_invalid_proof(
     Bytes payload, const std::string& content_topic) {
+  publish_garbage_proof(std::move(payload), content_topic,
+                        /*stale_root=*/false);
+}
+
+void WakuRlnRelayNode::publish_with_stale_root(
+    Bytes payload, const std::string& content_topic) {
+  publish_garbage_proof(std::move(payload), content_topic,
+                        /*stale_root=*/true);
+}
+
+void WakuRlnRelayNode::publish_garbage_proof(Bytes payload,
+                                             const std::string& content_topic,
+                                             bool stale_root) {
   WakuMessage msg;
   msg.payload = std::move(payload);
   msg.content_topic = content_topic;
@@ -518,32 +592,12 @@ void WakuRlnRelayNode::publish_with_invalid_proof(
   junk.share_y = Fr::random(rng_);
   junk.nullifier = Fr::random(rng_);
   junk.epoch = current_epoch();
-  junk.root = group_.root();  // recent root, but the proof is garbage
+  // A recent root dies in the verifier; a root no validator has in its
+  // window dies in the cheap root stage (kRejectStaleRoot) before it.
+  junk.root = stale_root ? Fr::random(rng_) : group_.root();
   const Bytes garbage = rng_.next_bytes(zksnark::Proof::kSerializedSize);
   junk.proof = zksnark::Proof::deserialize(garbage);
   attach_proof(msg, junk);
-  relay_.publish_on(shard_topic_for(content_topic), msg);
-  ++stats_.published;
-}
-
-void WakuRlnRelayNode::publish_with_stale_root(
-    Bytes payload, const std::string& content_topic) {
-  WakuMessage msg;
-  msg.payload = std::move(payload);
-  msg.content_topic = content_topic;
-  msg.timestamp_ms = network_.local_time(node_id());
-
-  RateLimitProof bundle;
-  bundle.share_x = message_hash(msg);
-  bundle.share_y = Fr::random(rng_);
-  bundle.nullifier = Fr::random(rng_);
-  bundle.epoch = current_epoch();
-  // A root no validator has in its window: the message must die in the
-  // cheap root stage (kRejectStaleRoot), never reaching the verifier.
-  bundle.root = Fr::random(rng_);
-  const Bytes garbage = rng_.next_bytes(zksnark::Proof::kSerializedSize);
-  bundle.proof = zksnark::Proof::deserialize(garbage);
-  attach_proof(msg, bundle);
   relay_.publish_on(shard_topic_for(content_topic), msg);
   ++stats_.published;
 }
@@ -575,12 +629,17 @@ bool WakuRlnRelayNode::force_publish_split(Bytes payload_a, Bytes payload_b) {
 
 // -- Live reshard ------------------------------------------------------------
 
+shard::ShardedValidator WakuRlnRelayNode::make_validator(
+    shard::ShardMap map, const shard::ShardConfig& layout) const {
+  return shard::ShardedValidator(zksnark::rln_keypair(config_.tree_depth).vk,
+                                 group_, config_.validator, std::move(map),
+                                 layout.subscribed_shards(),
+                                 validator_seed(layout.generation));
+}
+
 void WakuRlnRelayNode::create_next_validator() {
-  const shard::ShardConfig& next = reshard_.next_config();
   next_shards_ = std::make_unique<shard::ShardedValidator>(
-      zksnark::rln_keypair(config_.tree_depth).vk, group_, config_.validator,
-      reshard_.next_map(), next.subscribed_shards(),
-      validator_seed(next.generation));
+      make_validator(reshard_.next_map(), reshard_.next_config()));
   install_validator_hooks(*next_shards_, /*next_generation=*/true);
 }
 
@@ -667,7 +726,7 @@ void WakuRlnRelayNode::journal_reshard_phase(
     w.write_u16(static_cast<std::uint16_t>(next.subscribe.size()));
     for (const shard::ShardId s : next.subscribe) w.write_u16(s);
   }
-  journal(WalTag::kReshardPhase, w.data());
+  journal_.append(WalTag::kReshardPhase, w.data());
 }
 
 bool WakuRlnRelayNode::begin_reshard(
@@ -714,153 +773,41 @@ bool WakuRlnRelayNode::advance_reshard() {
 
 // -- Autonomous operator loop -------------------------------------------------
 
-void WakuRlnRelayNode::journal_operator_decision(std::uint8_t action,
-                                                 std::uint64_t epoch,
-                                                 std::uint16_t target) {
-  ByteWriter w;
-  w.write_u8(action);
-  w.write_u64(epoch);
-  w.write_u16(target);
-  journal(WalTag::kOperatorDecision, w.data());
-}
-
 void WakuRlnRelayNode::operator_tick() {
-  const OperatorConfig& op = config_.operator_loop;
-  if (!op.enabled) return;
-  const std::uint64_t epoch = current_epoch();
-
-  if (reshard_.in_cutover()) {
-    // Dwell in each phase long enough for every peer's own loop (same
-    // epoch cadence, at most one epoch of skew) to reach it — advancing
-    // faster would let this node hit kDrain while a peer is still
-    // announcing, and honest traffic published to the new generation
-    // would miss hosts.
-    if (epoch < operator_phase_entered_epoch_ + op.phase_dwell_epochs) {
-      return;
-    }
-    const char* from = shard::reshard_phase_name(reshard_.phase());
-    // Journal-before-act, same order as the transition itself: a crash
-    // between the two records replays the decision's bookkeeping and
-    // then the phase record; a crash before the phase record replays a
-    // decision whose transition re-fires from the restored phase.
-    journal_operator_decision(/*action=*/1, epoch, 0);
-    operator_phase_entered_epoch_ = epoch;
-    ++operator_decisions_;
-    record_flight(epoch, "operator", std::string("advance from=") + from);
+  if (!config_.operator_loop.enabled) return;
+  OperatorInputs in;
+  in.epoch = current_epoch();
+  in.in_cutover = reshard_.in_cutover();
+  in.lingering = reshard_.lingering();
+  in.recommendation = load_tracker_.recommend(shards_.map());
+  in.p95_budget_breach = anomaly_.firing(obs::AnomalyRule::kP95BudgetBreach);
+  in.propagation_latency_breach =
+      anomaly_.firing(obs::AnomalyRule::kPropagationLatency);
+  in.current = reshard_.current_config();
+  std::optional<OperatorDecision> decision =
+      operator_.decide(config_.operator_loop, in);
+  if (!decision.has_value()) return;
+  // Journal and bookkeeping first, then the flight event, then the act —
+  // the fail-closed order the replay relies on.
+  operator_.commit(*decision, journal_);
+  if (decision->action == OperatorDecision::Action::kAdvance) {
+    record_flight(in.epoch, "operator",
+                  std::string("advance from=") +
+                      shard::reshard_phase_name(reshard_.phase()));
     advance_reshard();
     return;
   }
-  if (reshard_.lingering()) return;
-
-  // Stable: act once the load tracker's recommendation (or the
-  // self-monitor's p95-budget anomaly) holds for trip_epochs consecutive
-  // upkeep ticks and the cooldown since the last begin has passed.
-  const shard::RebalanceRecommendation rec =
-      load_tracker_.recommend(shards_.map());
-  // Mesh-level propagation-latency SLO joins the pressure signal: a
-  // fleet whose publish->delivery p95 blows the budget needs capacity
-  // even when every individual shard's validate p95 still looks fine.
-  const bool pressure =
-      rec.reshard_recommended ||
-      anomaly_.firing(obs::AnomalyRule::kP95BudgetBreach) ||
-      anomaly_.firing(obs::AnomalyRule::kPropagationLatency);
-  if (!pressure) {
-    operator_consecutive_recommend_ = 0;
-    return;
-  }
-  ++operator_consecutive_recommend_;
-  if (operator_consecutive_recommend_ < op.trip_epochs) return;
-  if (operator_last_action_epoch_ != 0 &&
-      epoch < operator_last_action_epoch_ + op.cooldown_epochs) {
-    return;
-  }
-  // A p95-only trigger (recommendation not set) still needs a valid
-  // split target; double the current layout.
-  const std::uint16_t target =
-      rec.reshard_recommended
-          ? rec.target_shards
-          : static_cast<std::uint16_t>(shards_.map().num_shards() * 2);
-  // Without a chooser, fall back to the conservative refinement (each
-  // old home keeps its lowest family member) — always a valid split
-  // subscription, so an un-configured operator still acts.
-  std::vector<shard::ShardId> subscribe =
-      op.subscribe_chooser
-          ? op.subscribe_chooser(target)
-          : shard::refined_subscription(reshard_.current_config(), target);
-  journal_operator_decision(/*action=*/0, epoch, target);
-  operator_last_action_epoch_ = epoch;
-  operator_phase_entered_epoch_ = epoch;
-  operator_consecutive_recommend_ = 0;
-  ++operator_decisions_;
-  record_flight(epoch, "operator",
-                "begin target=" + std::to_string(target) +
-                    " reason=" + rec.reason);
-  begin_reshard(target, std::move(subscribe));
+  record_flight(in.epoch, "operator",
+                "begin target=" + std::to_string(decision->target) +
+                    " reason=" + in.recommendation.reason);
+  begin_reshard(decision->target, std::move(decision->subscribe));
 }
 
 void WakuRlnRelayNode::trigger_slash(const Fr& spammer_sk) {
-  const Fr pk = hash::poseidon1(spammer_sk);
-  const std::optional<std::uint64_t> index = group_.index_of(pk);
-  if (!index.has_value()) return;  // unknown/already slashed, or light node
-  if (slashes_in_flight_.contains(*index)) return;
-  slashes_in_flight_.insert(*index);
-
-  PendingSlash pending;
-  pending.sk = spammer_sk;
-  pending.index = *index;
-  pending.salt = ff::U256{rng_.next_u64(), rng_.next_u64(), rng_.next_u64(),
-                          rng_.next_u64()};
-  pending.commitment = chain::RlnMembershipContract::make_slash_commitment(
-      spammer_sk, pending.salt, config_.account);
-  pending.commit_epoch = current_epoch();
-
-  // Write-ahead: the salt exists nowhere else. A crash between this
-  // commit and the reveal must not forfeit the slashing reward (the
-  // journaled entry lets the restarted node reveal).
-  ByteWriter w;
-  w.write_raw(pending.sk.to_bytes_be());
-  w.write_raw(ff::u256_to_bytes_be(pending.salt));
-  w.write_u64(pending.index);
-  w.write_raw(ff::u256_to_bytes_be(pending.commitment));
-  w.write_u64(pending.commit_epoch);
-  journal(WalTag::kSlashCommit, w.data());
-  record_flight(pending.commit_epoch, "slash",
-                "commit index=" + std::to_string(pending.index));
-
-  Transaction commit;
-  commit.from = config_.account;
-  commit.to = contract_;
-  commit.method = "commit_slash";
-  commit.calldata = ff::u256_to_bytes_be(pending.commitment);
-  chain_.submit(std::move(commit));
-  ++stats_.slash_commits;
-  pending_slashes_.push_back(pending);
-}
-
-void WakuRlnRelayNode::resolve_slash(std::uint64_t index) {
-  const std::size_t erased = std::erase_if(
-      pending_slashes_,
-      [index](const PendingSlash& p) { return p.index == index; });
-  const bool in_flight = slashes_in_flight_.erase(index) > 0;
-  if (erased > 0 || in_flight) {
-    ByteWriter w;
-    w.write_u64(index);
-    journal(WalTag::kSlashResolve, w.data());
-  }
-}
-
-void WakuRlnRelayNode::expire_pending_slashes() {
   const std::uint64_t epoch = current_epoch();
-  std::vector<std::uint64_t> expired;
-  for (const PendingSlash& pending : pending_slashes_) {
-    if (epoch_distance(epoch, pending.commit_epoch) >
-        config_.slash_expiry_epochs) {
-      expired.push_back(pending.index);
-    }
-  }
-  for (const std::uint64_t index : expired) {
-    ++stats_.slashes_expired;
-    resolve_slash(index);
+  if (const std::optional<std::uint64_t> index =
+          slashing_.commit(spammer_sk, group_, epoch)) {
+    record_flight(epoch, "slash", "commit index=" + std::to_string(*index));
   }
 }
 
@@ -882,64 +829,10 @@ void WakuRlnRelayNode::handle_chain_event(const chain::Event& event) {
     }
   }
 
-  if (event.name == "SlashCommitted") {
-    // Our commitment is mined: submit the reveal (it lands in a later
-    // block, satisfying the contract's maturity check). During restart
-    // replay this is exactly where a crash-interrupted commit-reveal
-    // resumes: the journaled pending entry meets its re-replayed
-    // SlashCommitted event.
-    for (PendingSlash& pending : pending_slashes_) {
-      if (pending.revealed || event.topics[0] != pending.commitment) continue;
-      pending.revealed = true;
-
-      ByteWriter w;
-      w.write_raw(pending.sk.to_bytes_be());
-      w.write_raw(ff::u256_to_bytes_be(pending.salt));
-      w.write_u64(pending.index);
-      // Attach the pre-removal auth path for partial-view peers ([18]).
-      if (group_.mode() == TreeMode::kFullTree) {
-        w.write_raw(merkle::serialize_path(group_.path_of(pending.index)));
-      }
-      Transaction reveal;
-      reveal.from = config_.account;
-      reveal.to = contract_;
-      reveal.method = "reveal_slash";
-      reveal.calldata = std::move(w).take();
-      chain_.submit(std::move(reveal));
-      ++stats_.slash_reveals;
-
-      // Journaled only after the submit: a crash in between makes the
-      // restarted node re-submit the reveal (the contract rejects the
-      // duplicate — cheap), whereas journaling first would record a
-      // reveal that never reached the chain and forfeit the reward.
-      ByteWriter j;
-      j.write_raw(ff::u256_to_bytes_be(pending.commitment));
-      journal(WalTag::kSlashReveal, j.data());
-    }
-  } else if (event.name == "MemberSlashed") {
+  if (const std::optional<std::uint64_t> slashed =
+          slashing_.on_chain_event(event, group_)) {
     record_flight(current_epoch(), "slash",
-                  "member_slashed index=" +
-                      std::to_string(event.topics[0].limb[0]));
-    resolve_slash(event.topics[0].limb[0]);
-    // The third topic names the rewarded slasher.
-    if (event.topics.size() >= 3 &&
-        event.topics[2] == config_.account.to_u256()) {
-      ++stats_.slash_rewards;
-    }
-  } else if (event.name == "MemberWithdrawn") {
-    // A withdraw that races our commit-reveal would otherwise leave the
-    // index blocked in slashes_in_flight_ forever.
-    resolve_slash(event.topics[0].limb[0]);
-  } else if (event.name == "MembersWithdrawn") {
-    // Batched exit: resolve every index in the record list, same race as
-    // the single-withdraw case above.
-    const std::uint64_t n = event.topics[0].limb[0];
-    ByteReader r(event.data);
-    for (std::uint64_t i = 0; i < n; ++i) {
-      resolve_slash(r.read_u64());
-      r.read_raw(32);  // pk
-      r.read_bytes();  // echoed auth path
-    }
+                  "member_slashed index=" + std::to_string(*slashed));
   }
 }
 
@@ -964,19 +857,13 @@ PipelineMetrics& WakuRlnRelayNode::metrics_for_shard(shard::ShardId shard) {
   const auto it = pipeline_metrics_.find(shard);
   if (it != pipeline_metrics_.end()) return it->second;
   const std::string shard_label = "shard=\"" + std::to_string(shard) + "\"";
-  const auto stage = [&](const char* name) {
-    return &telemetry_.histogram(
-        "waku_pipeline_stage_seconds",
-        std::string("stage=\"") + name + "\"," + shard_label,
-        "Per-stage validation latency");
-  };
   PipelineMetrics& m = pipeline_metrics_[shard];
-  m.epoch_gate = stage("epoch_gate");
-  m.root_check = stage("root_check");
-  m.nullifier_precheck = stage("nullifier_precheck");
-  m.groth16_batch = stage("groth16_batch");
-  m.groth16_fallback = stage("groth16_fallback");
-  m.double_signal = stage("double_signal");
+  for (const StageRef& stage : kStages) {
+    m.*(stage.member) = &telemetry_.histogram(
+        "waku_pipeline_stage_seconds",
+        std::string("stage=\"") + stage.name + "\"," + shard_label,
+        "Per-stage validation latency");
+  }
   m.window = &telemetry_.histogram("waku_pipeline_validate_seconds",
                                    shard_label,
                                    "Whole validate_batch window latency");
@@ -1032,27 +919,6 @@ NodeTelemetrySnapshot WakuRlnRelayNode::telemetry_snapshot() const {
   t.pending_validation = relay_.router().pending_validation_total();
   t.trace = tracer_.stats();
   return t;
-}
-
-void WakuRlnRelayNode::record_health_snapshot(std::uint64_t epoch) {
-  const NodeTelemetrySnapshot t = telemetry_snapshot();
-  char buf[512];
-  std::snprintf(
-      buf, sizeof buf,
-      "{\"epoch\":%" PRIu64 ",\"published\":%" PRIu64
-      ",\"delivered\":%" PRIu64 ",\"accepted\":%" PRIu64
-      ",\"spam_detected\":%" PRIu64 ",\"batches\":%" PRIu64
-      ",\"executor_executed\":%" PRIu64 ",\"log_entries\":%" PRIu64
-      ",\"pending_validation\":%zu,\"graylisted\":%zu,\"open_traces\":%zu"
-      ",\"p95_validate_ms\":%.3f}",
-      epoch, t.node.published, t.node.delivered, t.pipeline.accepted,
-      t.pipeline.spam_detected, t.pipeline.batches, t.executor.executed,
-      t.pipeline.log_entries, t.pending_validation, t.graylisted,
-      tracer_.open_count(), shard_p95_validate_ms(shards_.default_shard()));
-  health_log_.emplace_back(buf);
-  while (health_log_.size() > config_.obs.health_log_capacity) {
-    health_log_.pop_front();
-  }
 }
 
 void WakuRlnRelayNode::record_flight(std::uint64_t epoch, const char* kind,
@@ -1122,133 +988,125 @@ void WakuRlnRelayNode::dump_postmortem(const std::string& reason) {
   std::fclose(f);
 }
 
+std::vector<WakuRlnRelayNode::ScalarMetric> WakuRlnRelayNode::scalar_metrics(
+    const NodeTelemetrySnapshot& t) const {
+  // Row order is exposition order within each section.
+  return {
+      {"node", "published", "waku_node_published_total", false,
+       "Messages this node published", t.node.published},
+      {"node", "publish_rate_limited", "waku_node_publish_rate_limited_total",
+       false, "Honest publishes refused by the 1-per-epoch-per-shard quota",
+       t.node.publish_rate_limited},
+      {"node", "publish_wrong_shard", "waku_node_publish_wrong_shard_total",
+       false, "Publishes refused: topic maps to an unhosted shard",
+       t.node.publish_wrong_shard},
+      {"node", "delivered", "waku_node_delivered_total", false,
+       "Validated messages delivered locally", t.node.delivered},
+      {"node", "slash_commits", "waku_node_slash_commits_total", false,
+       "Slash commitments submitted", t.node.slash_commits},
+      {"node", "slash_reveals", "waku_node_slash_reveals_total", false,
+       "Slash reveals submitted", t.node.slash_reveals},
+      {"node", "slash_rewards", "waku_node_slash_rewards_total", false,
+       "MemberSlashed events paying us", t.node.slash_rewards},
+      {"node", "slashes_expired", "waku_node_slashes_expired_total", false,
+       "Pending slashes dropped by the expiry window", t.node.slashes_expired},
+
+      {"router", "delivered", "waku_router_delivered_total", false,
+       "Unique valid messages delivered", t.router.delivered},
+      {"router", "duplicates", "waku_router_duplicates_total", false,
+       "Already-seen publishes received", t.router.duplicates},
+      {"router", "rejected", "waku_router_rejected_total", false,
+       "Validation rejects", t.router.rejected},
+      {"router", "ignored", "waku_router_ignored_total", false,
+       "Validation ignores", t.router.ignored},
+      {"router", "forwarded", "waku_router_forwarded_total", false,
+       "Publishes relayed onward", t.router.forwarded},
+      {"router", "validation_windows_flushed",
+       "waku_router_validation_windows_flushed_total", false,
+       "Batched-validation windows handed to a validator",
+       t.router.validation_windows_flushed},
+      {"router", "pending_validation", "waku_router_pending_validation", true,
+       "Messages buffered awaiting batched validation", t.pending_validation},
+      {"router", nullptr, "waku_score_graylisted", true,
+       "Peers currently below the graylist threshold", t.graylisted},
+
+      {"executor", "submitted", "waku_executor_submitted_total", false,
+       "Windows accepted (queued or inline)", t.executor.submitted},
+      {"executor", "executed", "waku_executor_executed_total", false,
+       "Windows completed", t.executor.executed},
+      {"executor", "rejected", "waku_executor_rejected_total", false,
+       "Windows refused by backpressure", t.executor.rejected},
+      {"executor", "blocked", "waku_executor_blocked_total", false,
+       "Submits that waited on a full queue", t.executor.blocked},
+      {"executor", "workers", "waku_executor_workers", true,
+       "Worker pool size (0 = deterministic/inline)", t.executor.workers},
+
+      {"trace", "sampled", "waku_trace_sampled_total", false,
+       "Lifecycle spans opened", t.trace.sampled},
+      {"trace", "finished", "waku_trace_finished_total", false,
+       "Spans closed normally", t.trace.finished},
+      {"trace", "evicted", "waku_trace_evicted_total", false,
+       "Completed-ring evictions", t.trace.evicted},
+      {"trace", "truncated", "waku_trace_truncated_total", false,
+       "Open spans force-closed (cap hit)", t.trace.truncated},
+      {"trace", "open", "waku_trace_open", true, "Spans currently open",
+       tracer_.open_count()},
+
+      // Operator loop / flight recorder / self-monitor anomalies.
+      {"operator", "decisions", "waku_operator_decisions_total", false,
+       "Autonomous operator begin/advance decisions",
+       operator_.bookkeeping().decisions},
+      {"operator", "last_action_epoch", nullptr, false, nullptr,
+       operator_.bookkeeping().last_action_epoch},
+      {"operator", "consecutive_recommend", nullptr, false, nullptr,
+       operator_.bookkeeping().consecutive_recommend},
+      {"operator", "flight_recorded", "waku_flight_events_total", false,
+       "Lifecycle events recorded to the flight ring", recorder_.recorded()},
+      {"operator", "flight_evicted", "waku_flight_evicted_total", false,
+       "Flight events dropped off the bounded ring", recorder_.evicted()},
+      {"operator", "anomalies_fired", "waku_anomaly_fired_total", false,
+       "Self-monitor anomaly rule fire transitions", anomaly_.fired_total()},
+  };
+}
+
 std::string WakuRlnRelayNode::metrics_text() const {
   const NodeTelemetrySnapshot t = telemetry_snapshot();
   obs::PrometheusWriter w;
   const auto shard_label = [](shard::ShardId s) {
     return "shard=\"" + std::to_string(s) + "\"";
   };
-
-  struct Sample {
-    const char* name;
-    const char* help;
-    std::uint64_t value;
+  const std::vector<ScalarMetric> scalars = scalar_metrics(t);
+  const auto render = [&](std::string_view section) {
+    for (const ScalarMetric& m : scalars) {
+      if (m.prom_name == nullptr || section != m.section) continue;
+      w.help_type(m.prom_name, m.gauge ? "gauge" : "counter", m.help);
+      write_sample(w, m.prom_name, m.gauge, "", m.value);
+    }
   };
-  const Sample node_counters[] = {
-      {"waku_node_published_total", "Messages this node published",
-       t.node.published},
-      {"waku_node_publish_rate_limited_total",
-       "Honest publishes refused by the 1-per-epoch-per-shard quota",
-       t.node.publish_rate_limited},
-      {"waku_node_publish_wrong_shard_total",
-       "Publishes refused: topic maps to an unhosted shard",
-       t.node.publish_wrong_shard},
-      {"waku_node_delivered_total", "Validated messages delivered locally",
-       t.node.delivered},
-      {"waku_node_slash_commits_total", "Slash commitments submitted",
-       t.node.slash_commits},
-      {"waku_node_slash_reveals_total", "Slash reveals submitted",
-       t.node.slash_reveals},
-      {"waku_node_slash_rewards_total", "MemberSlashed events paying us",
-       t.node.slash_rewards},
-      {"waku_node_slashes_expired_total",
-       "Pending slashes dropped by the expiry window", t.node.slashes_expired},
-  };
-  for (const Sample& s : node_counters) {
-    w.help_type(s.name, "counter", s.help);
-    w.counter(s.name, "", s.value);
-  }
+  render("node");
+  render("router");
 
-  const Sample router_counters[] = {
-      {"waku_router_delivered_total", "Unique valid messages delivered",
-       t.router.delivered},
-      {"waku_router_duplicates_total", "Already-seen publishes received",
-       t.router.duplicates},
-      {"waku_router_rejected_total", "Validation rejects", t.router.rejected},
-      {"waku_router_ignored_total", "Validation ignores", t.router.ignored},
-      {"waku_router_forwarded_total", "Publishes relayed onward",
-       t.router.forwarded},
-      {"waku_router_validation_windows_flushed_total",
-       "Batched-validation windows handed to a validator",
-       t.router.validation_windows_flushed},
-  };
-  for (const Sample& s : router_counters) {
-    w.help_type(s.name, "counter", s.help);
-    w.counter(s.name, "", s.value);
-  }
-  w.help_type("waku_router_pending_validation", "gauge",
-              "Messages buffered awaiting batched validation");
-  w.gauge("waku_router_pending_validation", "",
-          static_cast<double>(t.pending_validation));
-  w.help_type("waku_score_graylisted", "gauge",
-              "Peers currently below the graylist threshold");
-  w.gauge("waku_score_graylisted", "", static_cast<double>(t.graylisted));
-
-  // Per-shard verdict-reason counters: one family, labelled series.
+  // Per-shard verdict-reason counters (one family, labelled series), then
+  // one family per remaining pipeline field.
   w.help_type("waku_pipeline_verdicts_total", "counter",
               "Validation verdicts by reason, per rate-limit domain");
   for (const auto& [s, stats] : t.per_shard) {
-    const std::string sl = shard_label(s);
-    const auto verdict = [&](const char* reason, std::uint64_t v) {
+    for (const PipelineField& f : kPipelineFields) {
+      if (f.reason == nullptr) continue;
       w.counter("waku_pipeline_verdicts_total",
-                sl + ",reason=\"" + reason + "\"", v);
-    };
-    verdict("accept", stats.accepted);
-    verdict("epoch_gap", stats.epoch_gap);
-    verdict("duplicate", stats.duplicates);
-    verdict("no_proof", stats.no_proof);
-    verdict("bad_proof", stats.bad_proof);
-    verdict("stale_root", stats.stale_root);
-    verdict("spam", stats.spam_detected);
+                shard_label(s) + ",reason=\"" + f.reason + "\"",
+                stats.*(f.field));
+    }
   }
-
-  struct ShardCounter {
-    const char* name;
-    const char* help;
-    std::uint64_t ValidatorStats::* field;
-  };
-  const ShardCounter shard_counters[] = {
-      {"waku_pipeline_batches_total", "validate_batch windows run",
-       &ValidatorStats::batches},
-      {"waku_pipeline_batch_aggregated_total",
-       "Windows settled by one RLC-aggregated Groth16 check",
-       &ValidatorStats::batch_aggregated},
-      {"waku_pipeline_batch_fallbacks_total",
-       "Windows that isolated per proof", &ValidatorStats::batch_fallbacks},
-      {"waku_pipeline_precheck_duplicates_total",
-       "Gossip echoes dropped before the verifier",
-       &ValidatorStats::precheck_duplicates},
-  };
-  for (const ShardCounter& c : shard_counters) {
-    w.help_type(c.name, "counter", c.help);
+  for (const PipelineField& f : kPipelineFields) {
+    if (f.prom_name == nullptr) continue;
+    w.help_type(f.prom_name, f.gauge ? "gauge" : "counter", f.help);
     for (const auto& [s, stats] : t.per_shard) {
-      w.counter(c.name, shard_label(s), stats.*(c.field));
+      write_sample(w, f.prom_name, f.gauge, shard_label(s), stats.*(f.field));
     }
   }
 
-  // Nullifier-log view, including the stripe contention counters.
-  w.help_type("waku_nullifier_log_entries", "gauge",
-              "Live (epoch, nullifier) records");
-  for (const auto& [s, stats] : t.per_shard) {
-    w.gauge("waku_nullifier_log_entries", shard_label(s),
-            static_cast<double>(stats.log_entries));
-  }
-  w.help_type("waku_nullifier_log_buckets", "gauge", "Live epoch buckets");
-  for (const auto& [s, stats] : t.per_shard) {
-    w.gauge("waku_nullifier_log_buckets", shard_label(s),
-            static_cast<double>(stats.log_buckets));
-  }
-  w.help_type("waku_nullifier_log_conflicts_total", "counter",
-              "Double-signals observed");
-  for (const auto& [s, stats] : t.per_shard) {
-    w.counter("waku_nullifier_log_conflicts_total", shard_label(s),
-              stats.log_conflicts);
-  }
-  w.help_type("waku_nullifier_log_min_epoch", "gauge", "GC watermark");
-  for (const auto& [s, stats] : t.per_shard) {
-    w.gauge("waku_nullifier_log_min_epoch", shard_label(s),
-            static_cast<double>(stats.log_min_epoch));
-  }
+  // Stripe contention of the nullifier logs.
   w.help_type("waku_nullifier_log_stripe_acquisitions_total", "counter",
               "Hot-path lock acquisitions per stripe");
   for (const shard::ShardId s : shards_.subscribed()) {
@@ -1290,24 +1148,7 @@ std::string WakuRlnRelayNode::metrics_text() const {
   }
 
   // Executor: pool counters plus per-lane queue-wait/service histograms.
-  const Sample executor_counters[] = {
-      {"waku_executor_submitted_total", "Windows accepted (queued or inline)",
-       t.executor.submitted},
-      {"waku_executor_executed_total", "Windows completed",
-       t.executor.executed},
-      {"waku_executor_rejected_total", "Windows refused by backpressure",
-       t.executor.rejected},
-      {"waku_executor_blocked_total", "Submits that waited on a full queue",
-       t.executor.blocked},
-  };
-  for (const Sample& s : executor_counters) {
-    w.help_type(s.name, "counter", s.help);
-    w.counter(s.name, "", s.value);
-  }
-  w.help_type("waku_executor_workers", "gauge",
-              "Worker pool size (0 = deterministic/inline)");
-  w.gauge("waku_executor_workers", "",
-          static_cast<double>(t.executor.workers));
+  render("executor");
   const std::vector<LaneObsSnapshot> lanes = shards_.executor_lane_stats();
   w.help_type("waku_executor_queue_wait_seconds", "histogram",
               "Window time from enqueue to pop, per lane");
@@ -1335,20 +1176,8 @@ std::string WakuRlnRelayNode::metrics_text() const {
   // the full buckets; these gauges answer p50/p95/p99 directly).
   w.help_type("waku_pipeline_stage_quantile_seconds", "gauge",
               "Per-stage latency quantiles (<=2x log2-bucket overestimate)");
-  struct StageRef {
-    const char* name;
-    obs::Histogram* PipelineMetrics::* member;
-  };
-  const StageRef stages[] = {
-      {"epoch_gate", &PipelineMetrics::epoch_gate},
-      {"root_check", &PipelineMetrics::root_check},
-      {"nullifier_precheck", &PipelineMetrics::nullifier_precheck},
-      {"groth16_batch", &PipelineMetrics::groth16_batch},
-      {"groth16_fallback", &PipelineMetrics::groth16_fallback},
-      {"double_signal", &PipelineMetrics::double_signal},
-  };
   for (const auto& [s, m] : pipeline_metrics_) {
-    for (const StageRef& stage : stages) {
+    for (const StageRef& stage : kStages) {
       const obs::Histogram* h = m.*(stage.member);
       if (h == nullptr) continue;
       const obs::HistogramSnapshot snap = h->snapshot();
@@ -1369,38 +1198,8 @@ std::string WakuRlnRelayNode::metrics_text() const {
             shard_p95_validate_ms(s) * 1e-3);
   }
 
-  const Sample trace_counters[] = {
-      {"waku_trace_sampled_total", "Lifecycle spans opened",
-       t.trace.sampled},
-      {"waku_trace_finished_total", "Spans closed normally",
-       t.trace.finished},
-      {"waku_trace_evicted_total", "Completed-ring evictions",
-       t.trace.evicted},
-      {"waku_trace_truncated_total", "Open spans force-closed (cap hit)",
-       t.trace.truncated},
-  };
-  for (const Sample& s : trace_counters) {
-    w.help_type(s.name, "counter", s.help);
-    w.counter(s.name, "", s.value);
-  }
-  w.help_type("waku_trace_open", "gauge", "Spans currently open");
-  w.gauge("waku_trace_open", "", static_cast<double>(tracer_.open_count()));
-
-  // Operator loop / flight recorder / self-monitor anomalies.
-  const Sample ops_counters[] = {
-      {"waku_operator_decisions_total",
-       "Autonomous operator begin/advance decisions", operator_decisions_},
-      {"waku_flight_events_total",
-       "Lifecycle events recorded to the flight ring", recorder_.recorded()},
-      {"waku_flight_evicted_total",
-       "Flight events dropped off the bounded ring", recorder_.evicted()},
-      {"waku_anomaly_fired_total",
-       "Self-monitor anomaly rule fire transitions", anomaly_.fired_total()},
-  };
-  for (const Sample& s : ops_counters) {
-    w.help_type(s.name, "counter", s.help);
-    w.counter(s.name, "", s.value);
-  }
+  render("trace");
+  render("operator");
 
   // The registry renders itself (stage/window latency histograms); the
   // single-node fleet view appends its waku_fleet_* families once the
@@ -1411,109 +1210,64 @@ std::string WakuRlnRelayNode::metrics_text() const {
 std::string WakuRlnRelayNode::metrics_json() const {
   const NodeTelemetrySnapshot t = telemetry_snapshot();
   std::string out = "{";
-  char buf[256];
-  const auto obj = [&out](const char* name) {
-    out += std::string("\"") + name + "\":{";
+  std::string sep;  // between the fields of the object being written
+  const auto begin = [&](const std::string& opener) {
+    out += opener;
+    sep = "";
   };
-  const auto u64 = [&](const char* name, std::uint64_t v, bool last = false) {
-    std::snprintf(buf, sizeof buf, "\"%s\":%" PRIu64 "%s", name, v,
-                  last ? "" : ",");
-    out += buf;
+  const auto u64 = [&](const char* key, std::uint64_t v) {
+    out += sep + "\"" + key + "\":" + std::to_string(v);
+    sep = ",";
+  };
+  const std::vector<ScalarMetric> scalars = scalar_metrics(t);
+  const auto section = [&](std::string_view name) {
+    begin("\"" + std::string(name) + "\":{");
+    for (const ScalarMetric& m : scalars) {
+      if (m.json_key != nullptr && name == m.section) u64(m.json_key, m.value);
+    }
+    out += "},";
   };
 
-  obj("node");
-  u64("published", t.node.published);
-  u64("publish_rate_limited", t.node.publish_rate_limited);
-  u64("publish_wrong_shard", t.node.publish_wrong_shard);
-  u64("delivered", t.node.delivered);
-  u64("slash_commits", t.node.slash_commits);
-  u64("slash_reveals", t.node.slash_reveals);
-  u64("slash_rewards", t.node.slash_rewards);
-  u64("slashes_expired", t.node.slashes_expired, true);
+  section("node");
+  section("router");
+  begin("\"pipeline\":{");
+  for (const PipelineField& f : kPipelineFields) {
+    if (f.json_key != nullptr) u64(f.json_key, t.pipeline.*(f.field));
+  }
   out += "},";
-
-  obj("router");
-  u64("delivered", t.router.delivered);
-  u64("duplicates", t.router.duplicates);
-  u64("rejected", t.router.rejected);
-  u64("ignored", t.router.ignored);
-  u64("forwarded", t.router.forwarded);
-  u64("validation_windows_flushed", t.router.validation_windows_flushed);
-  u64("pending_validation", t.pending_validation, true);
-  out += "},";
-
-  obj("pipeline");
-  u64("accepted", t.pipeline.accepted);
-  u64("epoch_gap", t.pipeline.epoch_gap);
-  u64("duplicates", t.pipeline.duplicates);
-  u64("no_proof", t.pipeline.no_proof);
-  u64("bad_proof", t.pipeline.bad_proof);
-  u64("stale_root", t.pipeline.stale_root);
-  u64("spam_detected", t.pipeline.spam_detected);
-  u64("batches", t.pipeline.batches);
-  u64("batch_aggregated", t.pipeline.batch_aggregated);
-  u64("batch_fallbacks", t.pipeline.batch_fallbacks);
-  u64("precheck_duplicates", t.pipeline.precheck_duplicates);
-  u64("log_entries", t.pipeline.log_entries);
-  u64("log_conflicts", t.pipeline.log_conflicts, true);
-  out += "},";
-
   out += "\"per_shard\":[";
   for (std::size_t i = 0; i < t.per_shard.size(); ++i) {
     const auto& [s, stats] = t.per_shard[i];
-    if (i > 0) out += ",";
-    out += "{";
+    begin(i > 0 ? ",{" : "{");
     u64("shard", s);
     u64("accepted", stats.accepted);
     u64("spam_detected", stats.spam_detected);
     u64("stale_root", stats.stale_root);
     u64("log_entries", stats.log_entries);
-    std::snprintf(buf, sizeof buf, "\"p95_validate_ms\":%.3f}",
+    char p95[64];
+    std::snprintf(p95, sizeof p95, ",\"p95_validate_ms\":%.3f}",
                   shard_p95_validate_ms(s));
-    out += buf;
+    out += p95;
   }
   out += "],";
 
-  obj("executor");
-  u64("submitted", t.executor.submitted);
-  u64("executed", t.executor.executed);
-  u64("rejected", t.executor.rejected);
-  u64("blocked", t.executor.blocked);
-  u64("workers", t.executor.workers, true);
-  out += "},";
-
+  section("executor");
   out += "\"executor_lanes\":[";
   const std::vector<LaneObsSnapshot> lanes = shards_.executor_lane_stats();
   for (std::size_t i = 0; i < lanes.size(); ++i) {
-    if (i > 0) out += ",";
-    out += "{";
+    begin(i > 0 ? ",{" : "{");
     u64("lane", lanes[i].lane);
     u64("queue_wait_count", lanes[i].queue_wait.count);
     u64("queue_wait_p95_ns", lanes[i].queue_wait.p95);
     u64("service_count", lanes[i].service.count);
     u64("service_p95_ns", lanes[i].service.p95);
-    u64("depth_high_watermark", lanes[i].depth_high_watermark, true);
+    u64("depth_high_watermark", lanes[i].depth_high_watermark);
     out += "}";
   }
   out += "],";
 
-  obj("trace");
-  u64("sampled", t.trace.sampled);
-  u64("finished", t.trace.finished);
-  u64("evicted", t.trace.evicted);
-  u64("truncated", t.trace.truncated);
-  u64("open", tracer_.open_count(), true);
-  out += "},";
-
-  obj("operator");
-  u64("decisions", operator_decisions_);
-  u64("last_action_epoch", operator_last_action_epoch_);
-  u64("consecutive_recommend", operator_consecutive_recommend_);
-  u64("flight_recorded", recorder_.recorded());
-  u64("flight_evicted", recorder_.evicted());
-  u64("anomalies_fired", anomaly_.fired_total(), true);
-  out += "},";
-
+  section("trace");
+  section("operator");
   out += "\"fleet\":" + self_fleet_.timeline_json() + ",";
   out += "\"registry\":" + telemetry_.to_json() + "}";
   return out;
@@ -1521,20 +1275,13 @@ std::string WakuRlnRelayNode::metrics_json() const {
 
 // -- Durable state -----------------------------------------------------------
 
-void WakuRlnRelayNode::journal(WalTag tag, BytesView payload,
-                               std::uint16_t shard) {
-  if (state_store_.has_value()) {
-    state_store_->append(static_cast<std::uint8_t>(tag), payload, shard);
-  }
-}
-
 void WakuRlnRelayNode::force_snapshot() {
-  if (state_store_.has_value()) state_store_->force_snapshot();
+  if (persistent()) journal_.store()->force_snapshot();
 }
 
 Bytes WakuRlnRelayNode::serialize_state() const {
   ByteWriter w;
-  w.write_u8(5);  // version 5: + operator-loop bookkeeping
+  w.write_u8(kStateVersion);
   // The identity secret rides in the snapshot so a restart is
   // self-contained. With keystore_password set it travels sealed under the
   // ChaCha20-Poly1305 keystore (rln/keystore.hpp) — leaking a snapshot
@@ -1584,27 +1331,25 @@ Bytes WakuRlnRelayNode::serialize_state() const {
   w.write_u64(stats_.slash_reveals);
   w.write_u64(stats_.slash_rewards);
   w.write_u64(stats_.slashes_expired);
-  w.write_u32(static_cast<std::uint32_t>(pending_slashes_.size()));
-  for (const PendingSlash& p : pending_slashes_) {
-    w.write_raw(p.sk.to_bytes_be());
-    w.write_raw(ff::u256_to_bytes_be(p.salt));
-    w.write_u64(p.index);
-    w.write_raw(ff::u256_to_bytes_be(p.commitment));
-    w.write_u8(p.revealed ? 1 : 0);
-    w.write_u64(p.commit_epoch);
-  }
+  slashing_.serialize(w);
   // Operator-loop bookkeeping (v5): a restarted node resumes the
   // cooldown/dwell anchors instead of re-triggering immediately.
-  w.write_u64(operator_last_action_epoch_);
-  w.write_u64(operator_phase_entered_epoch_);
-  w.write_u64(operator_consecutive_recommend_);
-  w.write_u64(operator_decisions_);
+  operator_.serialize(w);
   return std::move(w).take();
 }
 
 void WakuRlnRelayNode::restore_snapshot(BytesView payload) {
   ByteReader r(payload);
-  WAKU_EXPECTS(r.read_u8() == 5);
+  // There is no cross-version migration, and no fallback either: the
+  // own-publish quota and the commit-reveal salts exist nowhere but here,
+  // so booting without them could double-signal or forfeit a reward.
+  const std::uint8_t version = r.read_u8();
+  if (version != kStateVersion) {
+    throw std::runtime_error("snapshot payload version " +
+                             std::to_string(version) + ", expected " +
+                             std::to_string(kStateVersion) +
+                             " (refusing to restore)");
+  }
   const std::uint8_t sealed = r.read_u8();
   if (sealed == 0) {
     identity_ = Identity::from_secret(Fr::from_bytes_reduce(r.read_raw(32)));
@@ -1636,11 +1381,7 @@ void WakuRlnRelayNode::restore_snapshot(BytesView payload) {
   // construction-time ShardConfig, so rebuild the validator containers
   // to match before restoring their pipeline state into them.
   if (!(shards_.map() == reshard_.current_map())) {
-    shards_ = shard::ShardedValidator(
-        zksnark::rln_keypair(config_.tree_depth).vk, group_,
-        config_.validator, reshard_.current_map(),
-        reshard_.current_config().subscribed_shards(),
-        validator_seed(reshard_.current_config().generation));
+    shards_ = make_validator(reshard_.current_map(), reshard_.current_config());
     install_validator_hooks(shards_, /*next_generation=*/false);
   }
   next_shards_.reset();
@@ -1669,69 +1410,41 @@ void WakuRlnRelayNode::restore_snapshot(BytesView payload) {
   stats_.slash_reveals = r.read_u64();
   stats_.slash_rewards = r.read_u64();
   stats_.slashes_expired = r.read_u64();
-  pending_slashes_.clear();
-  slashes_in_flight_.clear();
-  const std::uint32_t pending_count = r.read_u32();
-  for (std::uint32_t i = 0; i < pending_count; ++i) {
-    PendingSlash p;
-    p.sk = Fr::from_bytes_reduce(r.read_raw(32));
-    p.salt = ff::u256_from_bytes_be(r.read_raw(32));
-    p.index = r.read_u64();
-    p.commitment = ff::u256_from_bytes_be(r.read_raw(32));
-    p.revealed = r.read_u8() != 0;
-    p.commit_epoch = r.read_u64();
-    slashes_in_flight_.insert(p.index);
-    pending_slashes_.push_back(std::move(p));
-  }
-  operator_last_action_epoch_ = r.read_u64();
-  operator_phase_entered_epoch_ = r.read_u64();
-  operator_consecutive_recommend_ = r.read_u64();
-  operator_decisions_ = r.read_u64();
+  slashing_.restore(r);
+  operator_.restore(r);
 }
 
-void WakuRlnRelayNode::apply_wal_record(std::uint8_t type,
-                                        std::uint16_t shard,
+void WakuRlnRelayNode::apply_wal_record(WalTag tag, std::uint16_t shard,
                                         BytesView payload) {
   ByteReader r(payload);
-  switch (static_cast<WalTag>(type)) {
-    case WalTag::kNullifier: {
-      const std::uint64_t epoch = r.read_u64();
-      const Fr nullifier = Fr::from_bytes_reduce(r.read_raw(32));
-      sss::Share share;
-      share.x = Fr::from_bytes_reduce(r.read_raw(32));
-      share.y = Fr::from_bytes_reduce(r.read_raw(32));
-      const std::uint64_t proof_fp = r.read_u64();
+  switch (tag) {
+    case WalTag::kNullifier:
+    case WalTag::kNullifierNext:
+    case WalTag::kCutoverObservation: {
+      const Observation o = NodeJournal::read_observation(payload);
+      if (tag == WalTag::kCutoverObservation) {
+        reshard_.inject_domain_observation(shard, o.epoch, o.nullifier,
+                                           o.share, o.proof_fp);
+        break;
+      }
       // Routed by the record's shard tag into that shard's log; records
       // for shards this node no longer hosts are dropped inside.
-      shards_.inject_observation(shard, epoch, nullifier, share, proof_fp);
-      break;
-    }
-    case WalTag::kSlashCommit: {
-      PendingSlash p;
-      p.sk = Fr::from_bytes_reduce(r.read_raw(32));
-      p.salt = ff::u256_from_bytes_be(r.read_raw(32));
-      p.index = r.read_u64();
-      p.commitment = ff::u256_from_bytes_be(r.read_raw(32));
-      p.commit_epoch = r.read_u64();
-      slashes_in_flight_.insert(p.index);
-      pending_slashes_.push_back(std::move(p));
-      break;
-    }
-    case WalTag::kSlashReveal: {
-      const ff::U256 commitment = ff::u256_from_bytes_be(r.read_raw(32));
-      for (PendingSlash& p : pending_slashes_) {
-        if (p.commitment == commitment) p.revealed = true;
+      // Incoming-generation mirrors can only precede the drop-old phase
+      // record, so that container exists at this point of the replay (or
+      // the cutover never resumed — drop).
+      shard::ShardedValidator* validator =
+          tag == WalTag::kNullifier ? &shards_ : next_shards_.get();
+      if (validator != nullptr) {
+        validator->inject_observation(shard, o.epoch, o.nullifier, o.share,
+                                      o.proof_fp);
       }
       break;
     }
-    case WalTag::kSlashResolve: {
-      const std::uint64_t index = r.read_u64();
-      std::erase_if(pending_slashes_, [index](const PendingSlash& p) {
-        return p.index == index;
-      });
-      slashes_in_flight_.erase(index);
+    case WalTag::kSlashCommit:
+    case WalTag::kSlashReveal:
+    case WalTag::kSlashResolve:
+      slashing_.replay(tag, payload);
       break;
-    }
     case WalTag::kOwnPublish:
       last_published_epoch_[shard] = r.read_u64();
       break;
@@ -1754,52 +1467,18 @@ void WakuRlnRelayNode::apply_wal_record(std::uint8_t type,
       }
       break;
     }
-    case WalTag::kNullifierNext: {
-      const std::uint64_t epoch = r.read_u64();
-      const Fr nullifier = Fr::from_bytes_reduce(r.read_raw(32));
-      sss::Share share;
-      share.x = Fr::from_bytes_reduce(r.read_raw(32));
-      share.y = Fr::from_bytes_reduce(r.read_raw(32));
-      const std::uint64_t proof_fp = r.read_u64();
-      // Incoming-generation mirror; records can only precede the
-      // drop-old phase record, so the container exists at this point of
-      // the replay (or the cutover never resumed — drop).
-      if (next_shards_ != nullptr) {
-        next_shards_->inject_observation(shard, epoch, nullifier, share,
-                                         proof_fp);
-      }
-      break;
-    }
-    case WalTag::kCutoverObservation: {
-      const std::uint64_t epoch = r.read_u64();
-      const Fr nullifier = Fr::from_bytes_reduce(r.read_raw(32));
-      sss::Share share;
-      share.x = Fr::from_bytes_reduce(r.read_raw(32));
-      share.y = Fr::from_bytes_reduce(r.read_raw(32));
-      const std::uint64_t proof_fp = r.read_u64();
-      reshard_.inject_domain_observation(shard, epoch, nullifier, share,
-                                         proof_fp);
-      break;
-    }
     case WalTag::kReshardLingerEnd:
       end_reshard_linger();
       break;
     case WalTag::kOperatorDecision: {
-      // Bookkeeping only: the kReshardPhase record journaled right after
-      // this one replays the actual transition, so re-running the
-      // decision here would double-apply it.
-      const std::uint8_t action = r.read_u8();
-      const std::uint64_t epoch = r.read_u64();
-      const std::uint16_t target = r.read_u16();
-      if (action == 0) operator_last_action_epoch_ = epoch;
-      operator_phase_entered_epoch_ = epoch;
-      operator_consecutive_recommend_ = 0;
-      ++operator_decisions_;
+      const OperatorDecision d = operator_.replay(payload);
       // Re-seed the (fresh, in-memory) flight ring so a postmortem after
       // a crash still shows the operator's pre-crash decisions.
-      record_flight(epoch, "operator",
-                    std::string(action == 0 ? "begin" : "advance") +
-                        " target=" + std::to_string(target) +
+      record_flight(d.epoch, "operator",
+                    std::string(d.action == OperatorDecision::Action::kBegin
+                                    ? "begin"
+                                    : "advance") +
+                        " target=" + std::to_string(d.target) +
                         " (wal replay)");
       break;
     }
@@ -1808,7 +1487,8 @@ void WakuRlnRelayNode::apply_wal_record(std::uint8_t type,
 
 void WakuRlnRelayNode::restore_from_store() {
   bool restored = false;
-  if (const std::optional<Bytes> snapshot = state_store_->load_snapshot()) {
+  persist::StateStore& store = *journal_.store();
+  if (const std::optional<Bytes> snapshot = store.load_snapshot()) {
     restore_snapshot(*snapshot);
     restored = true;
   }
@@ -1816,12 +1496,12 @@ void WakuRlnRelayNode::restore_from_store() {
   // replayed later (in start()), after which a restored pending slash can
   // meet its SlashCommitted event and resume the reveal.
   std::size_t wal_records = 0;
-  state_store_->replay_wal(
-      [this, &wal_records](std::uint8_t type, std::uint16_t shard,
-                           BytesView payload) {
-        ++wal_records;
-        apply_wal_record(type, shard, payload);
-      });
+  store.replay_wal([this, &wal_records](std::uint8_t type,
+                                        std::uint16_t shard,
+                                        BytesView payload) {
+    ++wal_records;
+    apply_wal_record(static_cast<WalTag>(type), shard, payload);
+  });
   if (restored || wal_records > 0) {
     // A prior life existed: this boot is a crash-restart. Record it and
     // dump the black box (what the replay re-seeded) for the operator.
@@ -1832,7 +1512,7 @@ void WakuRlnRelayNode::restore_from_store() {
   }
 }
 
-Checkpoint WakuRlnRelayNode::make_checkpoint(
+std::vector<shard::ShardWatermark> WakuRlnRelayNode::hosted_watermarks(
     std::span<const shard::ShardId> shards) const {
   std::vector<shard::ShardWatermark> watermarks =
       shards_.nullifier_watermarks();
@@ -1842,7 +1522,13 @@ Checkpoint WakuRlnRelayNode::make_checkpoint(
              shards.end();
     });
   }
-  return make_group_checkpoint(group_, event_cursor_, std::move(watermarks));
+  return watermarks;
+}
+
+Checkpoint WakuRlnRelayNode::make_checkpoint(
+    std::span<const shard::ShardId> shards) const {
+  return make_group_checkpoint(group_, event_cursor_,
+                               hosted_watermarks(shards));
 }
 
 std::optional<DeltaCheckpoint> WakuRlnRelayNode::make_delta_checkpoint(
@@ -1872,14 +1558,7 @@ std::optional<DeltaCheckpoint> WakuRlnRelayNode::make_delta_checkpoint(
   delta.to_cursor = event_cursor_;
   delta.member_count = group_.member_count();
   delta.removed_count = group_.removed_count();
-  delta.nullifier_watermarks = shards_.nullifier_watermarks();
-  if (!shards.empty()) {
-    std::erase_if(delta.nullifier_watermarks,
-                  [&shards](const shard::ShardWatermark& wm) {
-                    return std::find(shards.begin(), shards.end(),
-                                     wm.shard) == shards.end();
-                  });
-  }
+  delta.nullifier_watermarks = hosted_watermarks(shards);
   delta.root_tail.reserve(transitions);
   for (std::size_t i = tail_begin; i < root_history_.size(); ++i) {
     delta.root_tail.push_back(root_history_[i].root);

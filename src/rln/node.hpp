@@ -22,6 +22,13 @@
 //     commit-reveal slashes, then resumes the contract event stream from a
 //     replay cursor instead of genesis.
 //
+// The node is a composition of owned parts, each holding its state, its
+// WAL records and its snapshot section: NodeJournal (node_journal.hpp: the
+// WalTag schema, the StateStore, the observation-record codec),
+// SlashingEngine (slashing.hpp: commit–reveal) and OperatorLoop
+// (operator_loop.hpp: the autonomous reshard operator's decide step). The
+// node wires them together and applies their decisions.
+//
 // Attacker hooks (force_publish / publish_with_invalid_proof) exist so the
 // spam experiments can drive misbehaving-but-registered peers through the
 // exact same code paths.
@@ -34,7 +41,6 @@
 #include <optional>
 #include <string>
 #include <unordered_map>
-#include <unordered_set>
 #include <utility>
 #include <vector>
 
@@ -48,7 +54,10 @@
 #include "rln/checkpoint.hpp"
 #include "rln/group_manager.hpp"
 #include "rln/identity.hpp"
-#include "rln/validator.hpp"
+#include "rln/node_journal.hpp"
+#include "rln/operator_loop.hpp"
+#include "rln/slashing.hpp"
+#include "rln/validation_pipeline.hpp"
 #include "shard/reshard.hpp"
 #include "shard/sharded_validator.hpp"
 #include "waku/relay.hpp"
@@ -59,37 +68,6 @@ namespace waku::rln {
 /// Default content topic of honest publishes.
 inline const std::string kDefaultContentTopic =
     "/waku/2/default-content/proto";
-
-/// The autonomous operator loop: closes observe -> decide -> act inside
-/// the node's own upkeep tick. While stable it watches
-/// ShardLoadTracker::recommend() (plus the self-monitor AnomalyEngine's
-/// p95-budget signal) and calls begin_reshard() once the recommendation
-/// holds for `trip_epochs` consecutive epochs and the cooldown since the
-/// last action has passed; while a cutover runs it calls
-/// advance_reshard() after dwelling `phase_dwell_epochs` in each phase.
-/// Every decision is journaled to the WAL (kOperatorDecision) before it
-/// acts and recorded to the flight recorder, so a crash-restart resumes
-/// the loop's bookkeeping exactly and a deterministic run is
-/// byte-identical.
-struct OperatorConfig {
-  bool enabled = false;
-  /// Minimum epochs between two operator-initiated reshard begins.
-  std::uint64_t cooldown_epochs = 8;
-  /// Consecutive recommending epochs before begin_reshard fires — the
-  /// hysteresis that keeps one bursty window from splitting the fleet.
-  std::size_t trip_epochs = 2;
-  /// Epochs to dwell in each cutover phase before advancing. Must give
-  /// every peer's own loop time to reach the same phase (their upkeep
-  /// ticks run on the same epoch cadence, so skew is at most one epoch).
-  std::uint64_t phase_dwell_epochs = 2;
-  /// New-generation subscription for an operator-initiated begin; the
-  /// default (unset) subscribes every new shard. Deployments that shard
-  /// hosting across nodes install a per-node chooser
-  /// (set_operator_subscribe_chooser), which survives harness restarts
-  /// via the node hook.
-  std::function<std::vector<shard::ShardId>(std::uint16_t)>
-      subscribe_chooser;
-};
 
 struct NodeConfig {
   std::size_t tree_depth = 20;
@@ -312,10 +290,10 @@ class WakuRlnRelayNode {
   /// Operator decisions taken (begin + advance), including WAL-replayed
   /// ones — a restarted node resumes the count, not restarts it.
   [[nodiscard]] std::uint64_t operator_decisions() const {
-    return operator_decisions_;
+    return operator_.bookkeeping().decisions;
   }
   [[nodiscard]] std::uint64_t operator_last_action_epoch() const {
-    return operator_last_action_epoch_;
+    return operator_.bookkeeping().last_action_epoch;
   }
 
   /// Overlap-window attacker hook: a valid-proof publish forced onto a
@@ -335,13 +313,13 @@ class WakuRlnRelayNode {
   /// Contract events applied so far — the replay cursor persisted in
   /// snapshots and resumed from on restart.
   [[nodiscard]] std::uint64_t event_cursor() const { return event_cursor_; }
-  [[nodiscard]] bool persistent() const { return state_store_.has_value(); }
+  [[nodiscard]] bool persistent() const { return journal_.store() != nullptr; }
   [[nodiscard]] const persist::StateStore* state_store() const {
-    return state_store_.has_value() ? &*state_store_ : nullptr;
+    return journal_.store();
   }
   /// Pending commit-reveal slashes currently journaled (tests/operators).
   [[nodiscard]] std::size_t pending_slash_count() const {
-    return pending_slashes_.size();
+    return slashing_.pending_count();
   }
   /// Canonical serialization of the full durable state — what snapshots
   /// hold; restart tests assert byte-identity on it.
@@ -402,7 +380,7 @@ class WakuRlnRelayNode {
   /// The same data as one JSON object (histogram quantiles included).
   [[nodiscard]] std::string metrics_json() const;
   /// Coherent counter snapshot across every subsystem (HarnessProbe's
-  /// input; also the payload of the epoch-boundary health snapshot).
+  /// input; also what health_sample() reads).
   [[nodiscard]] NodeTelemetrySnapshot telemetry_snapshot() const;
 
   /// The lock-cheap metric registry (stage histograms live here).
@@ -410,11 +388,6 @@ class WakuRlnRelayNode {
   /// Sampled message-lifecycle spans (1-in-N; see ObsConfig::trace).
   [[nodiscard]] obs::TraceCollector& tracer() { return tracer_; }
   [[nodiscard]] const obs::TraceCollector& tracer() const { return tracer_; }
-  /// Epoch-boundary health snapshots, oldest first (bounded JSON lines;
-  /// written by the upkeep tick while telemetry is enabled).
-  [[nodiscard]] const std::deque<std::string>& health_log() const {
-    return health_log_;
-  }
   /// The clock telemetry reads (virtual time under the simulator);
   /// nullptr when telemetry is disabled.
   [[nodiscard]] const obs::Clock* obs_clock() const { return obs_clock_; }
@@ -455,41 +428,19 @@ class WakuRlnRelayNode {
   [[nodiscard]] obs::NodeHealthSample health_sample() const;
 
  private:
-  /// WAL record schema (v3). Chain-derived state is NOT journaled — the
-  /// chain's event log is authoritative and replayable from the cursor;
-  /// the WAL carries only what exists nowhere else after a crash.
-  /// Shard-scoped records (kNullifier, kOwnPublish) ride under the owning
-  /// shard's WAL tag (persist/wal.hpp), so restart recovery rebuilds each
-  /// shard's state independently; node-global records carry shard tag 0.
-  ///
-  /// v3 adds the live-reshard records: kReshardPhase journals every
-  /// cutover phase transition (with its parameters) so a node that
-  /// crashes mid-reshard replays into the correct phase fail-closed;
-  /// kNullifierNext carries the incoming generation's own-log mirrors
-  /// (its shard ids collide with the outgoing generation's, so they need
-  /// their own tag); kCutoverObservation carries the shared domain-log
-  /// entries under the DOMAIN (old-generation) shard tag.
-  enum class WalTag : std::uint8_t {
-    kNullifier = 1,     ///< observed (epoch, nullifier, share, proof fp)
-    kSlashCommit = 2,   ///< local (sk, salt) behind a commit_slash tx
-    kSlashReveal = 3,   ///< reveal submitted for a commitment
-    kSlashResolve = 4,  ///< pending slash retired (slashed/withdrawn/expired)
-    kOwnPublish = 5,    ///< own-publish epoch (rate-limit state, §III-E)
-    kReshardPhase = 6,  ///< cutover phase transition + parameters
-    kNullifierNext = 7, ///< observation in the incoming generation's logs
-    kCutoverObservation = 8,  ///< shared domain-log entry (old-gen shard tag)
-    kReshardLingerEnd = 9,    ///< linger expired: domain dropped, quota re-keyed
-    /// v4 adds the operator loop: every autonomous begin/advance is
-    /// journaled (action, epoch, target) BEFORE the kReshardPhase record
-    /// it causes. Replay updates only the loop's bookkeeping (cooldown /
-    /// dwell anchors) — the following kReshardPhase record performs the
-    /// actual transition, so nothing double-applies.
-    kOperatorDecision = 10,
-  };
-
   /// Builds the §III-E message bundle: proof over (sk, path, H(m), epoch).
   WakuMessage build_message(Bytes payload, const std::string& content_topic,
                             std::uint64_t epoch);
+  /// The garbage-proof attacks: a bundle with random share/nullifier and a
+  /// random proof, rooted at the current root or (stale_root) at a random
+  /// one no validator knows.
+  void publish_garbage_proof(Bytes payload, const std::string& content_topic,
+                             bool stale_root);
+  /// A validator container over `map` with `layout`'s subscription and
+  /// generation seed (hooks are installed by the caller, at the
+  /// container's final address).
+  [[nodiscard]] shard::ShardedValidator make_validator(
+      shard::ShardMap map, const shard::ShardConfig& layout) const;
   /// Installs the shard-scoped batch validator + delivery handler on one
   /// subscribed shard's pubsub topic. The wiring resolves the validator
   /// container by GENERATION at call time, so the drop-old swap (next
@@ -551,10 +502,10 @@ class WakuRlnRelayNode {
   void handle_chain_event(const chain::Event& event);
   /// Kicks off commit-reveal slashing for a recovered secret key (§III-F).
   void trigger_slash(const Fr& spammer_sk);
-  /// Retires any pending slash for `index` (slashed, withdrawn, expired).
-  void resolve_slash(std::uint64_t index);
-  /// Drops journaled slashes older than slash_expiry_epochs.
-  void expire_pending_slashes();
+  /// The hosted shards' nullifier watermarks, filtered to `shards` unless
+  /// empty (what checkpoints carry).
+  [[nodiscard]] std::vector<shard::ShardWatermark> hosted_watermarks(
+      std::span<const shard::ShardId> shards) const;
 
   // -- Observability helpers --------------------------------------------------
 
@@ -579,8 +530,6 @@ class WakuRlnRelayNode {
   /// The shard's p95 whole-window validation latency in ms (0 until the
   /// shard validated anything, or with telemetry off).
   [[nodiscard]] double shard_p95_validate_ms(shard::ShardId shard) const;
-  /// Appends one JSON health line to health_log_ (upkeep tick).
-  void record_health_snapshot(std::uint64_t epoch);
   /// Appends one lifecycle event to the flight recorder (no-op with
   /// telemetry disabled — the recorder follows the obs master switch).
   void record_flight(std::uint64_t epoch, const char* kind,
@@ -594,15 +543,24 @@ class WakuRlnRelayNode {
   void dump_postmortem(const std::string& reason);
   /// One operator-loop step per upkeep tick (no-op unless enabled).
   void operator_tick();
-  /// Journals a kOperatorDecision record (action 0 = begin, 1 = advance).
-  void journal_operator_decision(std::uint8_t action, std::uint64_t epoch,
-                                 std::uint16_t target);
 
-  void journal(WalTag tag, BytesView payload, std::uint16_t shard = 0);
+  /// One unlabelled node-level metric: the single list both
+  /// metrics_text() and metrics_json() render.
+  struct ScalarMetric {
+    const char* section;    ///< metrics_json() object
+    const char* json_key;   ///< nullptr: Prometheus only
+    const char* prom_name;  ///< nullptr: JSON only
+    bool gauge;             ///< Prometheus type (else counter)
+    const char* help;
+    std::uint64_t value;
+  };
+  [[nodiscard]] std::vector<ScalarMetric> scalar_metrics(
+      const NodeTelemetrySnapshot& t) const;
+
   void restore_from_store();
   void restore_snapshot(BytesView payload);
-  void apply_wal_record(std::uint8_t type, std::uint16_t shard,
-                        BytesView payload);
+  /// Routes one replayed WAL record to the part that owns it.
+  void apply_wal_record(WalTag tag, std::uint16_t shard, BytesView payload);
 
   net::Network& network_;
   chain::Blockchain& chain_;
@@ -636,19 +594,9 @@ class WakuRlnRelayNode {
   /// design).
   std::unordered_map<shard::ShardId, std::uint64_t> last_published_epoch_;
   NodeStats stats_;
-
-  struct PendingSlash {
-    Fr sk;
-    ff::U256 salt;
-    std::uint64_t index;
-    ff::U256 commitment;
-    bool revealed = false;
-    std::uint64_t commit_epoch = 0;
-  };
-  std::deque<PendingSlash> pending_slashes_;
-  std::unordered_set<std::uint64_t> slashes_in_flight_;  // by member index
-
-  std::optional<persist::StateStore> state_store_;
+  NodeJournal journal_;
+  SlashingEngine slashing_;
+  OperatorLoop operator_;
   std::uint64_t event_cursor_ = 0;  ///< contract events applied
 
   /// One recorded root transition: after applying the event at `cursor`
@@ -681,7 +629,6 @@ class WakuRlnRelayNode {
   /// Stage-histogram bundles per shard id; node-based map keeps the
   /// addresses the pipelines hold stable.
   std::map<shard::ShardId, PipelineMetrics> pipeline_metrics_;
-  std::deque<std::string> health_log_;  ///< bounded JSON lines, oldest first
 
   // -- Fleet plane / operator loop (src/obs fleet + recorder) ----------------
   obs::FlightRecorder recorder_;
@@ -693,12 +640,6 @@ class WakuRlnRelayNode {
   /// Last executor rejected-counter value seen by upkeep; the delta per
   /// epoch becomes a backpressure flight event.
   std::uint64_t executor_rejected_seen_ = 0;
-  /// Operator bookkeeping — journaled (kOperatorDecision) and snapshot
-  /// (state v5), so a crash-restart resumes cooldown/dwell exactly.
-  std::uint64_t operator_last_action_epoch_ = 0;
-  std::uint64_t operator_phase_entered_epoch_ = 0;
-  std::uint64_t operator_consecutive_recommend_ = 0;
-  std::uint64_t operator_decisions_ = 0;
 };
 
 }  // namespace waku::rln

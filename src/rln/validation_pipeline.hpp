@@ -10,10 +10,9 @@
 //                          the survivors, per-proof fallback       amortized
 //   5. double-signal       nullifier-log observe + Shamir recovery
 //
-// The single-message path is the batch path with a window of one;
-// rln::RlnValidator (validator.hpp) stays as a thin adapter so existing
-// call sites keep their shape. See src/rln/README.md for the data
-// structures behind stages 2 and 5.
+// The single-message path (validate_one) is the batch path with a window
+// of one. See src/rln/README.md for the data structures behind stages 2
+// and 5.
 #pragma once
 
 #include <functional>

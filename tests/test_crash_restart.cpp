@@ -6,8 +6,10 @@
 
 #include <algorithm>
 #include <filesystem>
+#include <map>
 
 #include "common/serde.hpp"
+#include "persist/snapshot.hpp"
 #include "rln/harness.hpp"
 
 namespace waku::rln {
@@ -280,6 +282,39 @@ TEST(CrashRestart, KeystoreSealedSnapshotFailsClosedOnWrongPassword) {
   EXPECT_TRUE(h.node(0).is_registered());
 }
 
+TEST(CrashRestart, OldSnapshotVersionRefusesToBootWithTypedError) {
+  // Snapshots are strict: there is no migration path, and no fallback to
+  // chain replay either (the own-publish quota and the commit-reveal
+  // salts exist only in durable state). An old payload must fail node
+  // construction with a descriptive runtime_error, like a wrong keystore
+  // password — not with a contract violation.
+  const std::string dir = fresh_dir("old_snapshot_version");
+  RlnHarness h(persisted_config(dir));
+  h.register_all();
+  h.run_ms(3'000);
+  h.node(0).force_snapshot();
+  h.kill_node(0);
+
+  // What an older binary left behind: the newest snapshot rewritten as a
+  // version-4 payload, one generation later, same replay filter.
+  persist::SnapshotEngine engine(dir + "/node0");
+  std::optional<persist::SnapshotEngine::Loaded> latest = engine.load_latest();
+  ASSERT_TRUE(latest.has_value());
+  ASSERT_EQ(latest->payload[0], 5);
+  latest->payload[0] = 4;
+  persist::SnapshotMeta meta = latest->meta;
+  ++meta.generation;
+  engine.write(meta, latest->payload);
+
+  try {
+    h.restart_node(0);
+    FAIL() << "restart accepted a version-4 snapshot";
+  } catch (const std::runtime_error& e) {
+    EXPECT_NE(std::string(e.what()).find("version 4"), std::string::npos)
+        << e.what();
+  }
+}
+
 TEST(CrashRestart, WithdrawnMemberPurgesPendingSlash) {
   // The in-flight set must not leak: a pending slash against an index
   // that withdraws before the reveal lands is purged (and journaled as
@@ -527,6 +562,161 @@ TEST(CrashRestart, CutoverObservationSurvivesCrashWithoutSnapshot) {
   h.run_ms(3 * cfg.block_interval_ms);
   EXPECT_EQ(h.node(0).stats().slash_commits, 1u);
   EXPECT_FALSE(h.node(1).is_registered());
+}
+
+// -- On-disk layout -----------------------------------------------------------
+
+/// Reads the little-endian u64 at `offset` of a record payload.
+std::uint64_t u64_at(const Bytes& payload, std::size_t offset) {
+  ByteReader r(BytesView(payload).subspan(offset, 8));
+  return r.read_u64();
+}
+
+TEST(NodeJournalLayout, EveryWalTagMatchesFormatsDoc) {
+  // One persistent run that journals every WalTag 1..10: honest
+  // publishes, a double-signal slashed and revealed, and an
+  // operator-driven 1 -> 2 reshard through linger end. WAL-only
+  // durability, so every record stays on disk for inspection. Each tag's
+  // number, shard-tag rule, payload length and one field are checked
+  // against docs/FORMATS.md ("Node record schema"). No digest is pinned:
+  // the layout, not one compiler's float/hash output, is the contract.
+  HarnessConfig cfg;
+  cfg.num_nodes = 3;
+  cfg.degree = 2;
+  cfg.block_interval_ms = 2'000;
+  cfg.node.tree_depth = 10;
+  cfg.node.validator.epoch.epoch_length_ms = 5'000;
+  cfg.node.validator.max_epoch_gap = 2;
+  cfg.seed = 0x0B5;
+  cfg.node.operator_loop.enabled = true;
+  cfg.node.operator_loop.trip_epochs = 2;
+  cfg.node.operator_loop.phase_dwell_epochs = 1;
+  cfg.node.operator_loop.cooldown_epochs = 1'000;
+  cfg.node.load_tracker.overload_msgs_per_sec = 0.05;
+  cfg.persist_dir = fresh_dir("wal_layout");
+  cfg.node.persist.snapshot_every_records = 0;
+  RlnHarness h(cfg);
+  h.register_all();
+  h.run_ms(5'000);
+
+  const std::optional<std::uint64_t> spammer = h.node(2).group().own_index();
+  ASSERT_TRUE(spammer.has_value());
+  h.node(2).force_publish(to_bytes("spam one"));
+  h.node(2).force_publish(to_bytes("spam two"));
+  h.run_ms(10'000);
+  ASSERT_FALSE(h.node(2).is_registered());
+  for (int e = 0; e < 14; ++e) {
+    (void)h.node(static_cast<std::size_t>(e) % 2)
+        .try_publish(to_bytes("load " + std::to_string(e)));
+    h.run_ms(5'000);
+  }
+  h.run_ms(25'000);  // past the linger window
+  WakuRlnRelayNode& node = h.node(1);
+  ASSERT_EQ(node.shard_map().num_shards(), 2u);
+  ASSERT_FALSE(node.reshard().lingering());
+  const std::uint64_t now_epoch = node.current_epoch();
+
+  struct Record {
+    std::uint16_t shard;
+    Bytes payload;
+  };
+  std::map<std::uint8_t, std::vector<Record>> by_tag;
+  node.state_store()->replay_wal(
+      [&](std::uint8_t type, std::uint16_t shard, BytesView payload) {
+        by_tag[type].push_back(Record{shard, Bytes(payload.begin(),
+                                                   payload.end())});
+      });
+  for (std::uint8_t tag = 1; tag <= 10; ++tag) {
+    ASSERT_FALSE(by_tag[tag].empty()) << "no record with tag " << int(tag);
+  }
+  ASSERT_EQ(by_tag.size(), 10u);  // nothing outside the documented schema
+
+  // Observation records (1 = own generation, 7 = incoming generation,
+  // 8 = shared domain log): epoch u64 | nullifier 32 | share x 32 |
+  // share y 32 | proof fp u64, shard-tagged.
+  for (const std::uint8_t tag : {1, 7, 8}) {
+    for (const Record& rec : by_tag[tag]) {
+      ASSERT_EQ(rec.payload.size(), 112u) << int(tag);
+      EXPECT_LT(rec.shard, 2u) << int(tag);
+      EXPECT_GT(u64_at(rec.payload, 0), 0u) << int(tag);
+      EXPECT_LE(u64_at(rec.payload, 0), now_epoch) << int(tag);
+    }
+  }
+  // The domain is the old single-shard generation.
+  for (const Record& rec : by_tag[8]) EXPECT_EQ(rec.shard, 0u);
+
+  // 2: sk 32 | salt 32 | index u64 | commitment 32 | commit_epoch u64.
+  ASSERT_EQ(by_tag[2].size(), 1u);
+  const Record& commit = by_tag[2][0];
+  ASSERT_EQ(commit.payload.size(), 112u);
+  EXPECT_EQ(u64_at(commit.payload, 64), *spammer);
+  EXPECT_LE(u64_at(commit.payload, 104), now_epoch);
+  // 3: the commitment the reveal answered.
+  ASSERT_EQ(by_tag[3].size(), 1u);
+  ASSERT_EQ(by_tag[3][0].payload.size(), 32u);
+  EXPECT_TRUE(std::equal(by_tag[3][0].payload.begin(),
+                         by_tag[3][0].payload.end(),
+                         commit.payload.begin() + 72));
+  // 4: the retired index.
+  ASSERT_EQ(by_tag[4].size(), 1u);
+  ASSERT_EQ(by_tag[4][0].payload.size(), 8u);
+  EXPECT_EQ(u64_at(by_tag[4][0].payload, 0), *spammer);
+
+  // 5: own-publish epoch, under the quota shard.
+  for (const Record& rec : by_tag[5]) {
+    ASSERT_EQ(rec.payload.size(), 8u);
+    EXPECT_LT(rec.shard, 2u);
+    EXPECT_LE(u64_at(rec.payload, 0), now_epoch);
+  }
+
+  // 6: phase u8 | linger_until u64 [+ announce: target u16 | count u16 |
+  // shard u16 × count]; one record per transition, in order.
+  ASSERT_EQ(by_tag[6].size(), 4u);
+  const std::vector<std::uint8_t> phases = {1, 2, 3, 0};
+  for (std::size_t i = 0; i < phases.size(); ++i) {
+    const Bytes& p = by_tag[6][i].payload;
+    ASSERT_GE(p.size(), 9u);
+    EXPECT_EQ(p[0], phases[i]);
+  }
+  const Bytes& announce = by_tag[6][0].payload;
+  ASSERT_GE(announce.size(), 13u);
+  ByteReader ar(BytesView(announce).subspan(9));
+  EXPECT_EQ(ar.read_u16(), 2u);  // target shard count
+  const std::uint16_t subscribe_count = ar.read_u16();
+  EXPECT_EQ(announce.size(), 13u + 2u * subscribe_count);
+  EXPECT_EQ(by_tag[6][1].payload.size(), 9u);
+  EXPECT_EQ(by_tag[6][2].payload.size(), 9u);
+  EXPECT_EQ(by_tag[6][3].payload.size(), 9u);
+  EXPECT_GT(u64_at(by_tag[6][3].payload, 1), 0u);  // drop-old linger end
+
+  // 9: empty.
+  ASSERT_EQ(by_tag[9].size(), 1u);
+  EXPECT_TRUE(by_tag[9][0].payload.empty());
+
+  // 10: action u8 | epoch u64 | target u16 — one begin, then advances.
+  ASSERT_EQ(by_tag[10].size(), 4u);
+  for (std::size_t i = 0; i < by_tag[10].size(); ++i) {
+    const Bytes& p = by_tag[10][i].payload;
+    ASSERT_EQ(p.size(), 11u);
+    EXPECT_EQ(p[0], i == 0 ? 0u : 1u);
+    EXPECT_LE(u64_at(p, 1), now_epoch);
+  }
+  ByteReader br(BytesView(by_tag[10][0].payload).subspan(9));
+  EXPECT_EQ(br.read_u16(), 2u);
+
+  // Node-global records carry shard tag 0.
+  for (const std::uint8_t tag : {2, 3, 4, 6, 9, 10}) {
+    for (const Record& rec : by_tag[tag]) EXPECT_EQ(rec.shard, 0u) << int(tag);
+  }
+
+  // Snapshot payload header: version 5, plaintext (unsealed) identity.
+  const Bytes state = node.serialize_state();
+  ASSERT_GE(state.size(), 2u + 32u + 8u);
+  EXPECT_EQ(state[0], 5u);
+  EXPECT_EQ(state[1], 0u);
+  EXPECT_TRUE(std::equal(state.begin() + 2, state.begin() + 34,
+                         node.identity().sk.to_bytes_be().begin()));
+  EXPECT_EQ(u64_at(state, 34), node.event_cursor());
 }
 
 }  // namespace

@@ -886,12 +886,8 @@ TEST(NodeObservability, MetricsTextExposesPipelineAndExecutorFamilies) {
   EXPECT_GE(snap.node.delivered, 1u);
   EXPECT_EQ(snap.per_shard.size(), 1u);
 
-  // Epoch-boundary health snapshots accumulated (bounded JSON lines).
-  ASSERT_FALSE(h.node(1).health_log().empty());
-  EXPECT_NE(h.node(1).health_log().back().find("\"epoch\""),
-            std::string::npos);
-  EXPECT_NE(h.node(1).health_log().back().find("\"delivered\""),
-            std::string::npos);
+  // Epoch-boundary history accumulated as self-monitor fleet rows.
+  EXPECT_NE(json.find("\"fleet\":[{\"epoch\":"), std::string::npos);
 }
 
 TEST(NodeObservability, TelemetryOnRunsStayDeterministic) {
@@ -922,7 +918,8 @@ TEST(NodeObservability, DisabledTelemetryKeepsCountersButNoStageSeries) {
   EXPECT_EQ(h.total_delivered(), h.size());
 
   EXPECT_EQ(h.node(1).obs_clock(), nullptr);
-  EXPECT_TRUE(h.node(1).health_log().empty());
+  EXPECT_NE(h.node(1).metrics_json().find("\"fleet\":[]"),
+            std::string::npos);
   const std::string text = h.node(1).metrics_text();
   // The always-cheap counters still render...
   EXPECT_NE(text.find("waku_node_delivered_total"), std::string::npos);

@@ -10,7 +10,7 @@
 #include "rln/identity.hpp"
 #include "rln/nullifier_log.hpp"
 #include "rln/rate_limit_proof.hpp"
-#include "rln/validator.hpp"
+#include "rln/validation_pipeline.hpp"
 #include "zksnark/rln_circuit.hpp"
 
 namespace waku::rln {
@@ -317,7 +317,7 @@ struct ValidatorFixture : ::testing::Test {
   Identity bob = Identity::generate(rng);
   ValidatorConfig vcfg{.epoch = EpochConfig{.epoch_length_ms = 1000},
                        .max_epoch_gap = 2};
-  RlnValidator validator{zksnark::rln_keypair(kDepth).vk, group, vcfg};
+  ValidationPipeline validator{zksnark::rln_keypair(kDepth).vk, group, vcfg};
 
   static std::uint64_t now_seed() { return 437; }
 
@@ -342,22 +342,22 @@ struct ValidatorFixture : ::testing::Test {
 
 TEST_F(ValidatorFixture, AcceptsHonestMessage) {
   const WakuMessage msg = make_message(alice, 0, "hello", 10);
-  const auto outcome = validator.validate(msg, 10'500);  // epoch 10
+  const auto outcome = validator.validate_one(msg, 10'500);  // epoch 10
   EXPECT_EQ(outcome.verdict, Verdict::kAccept);
 }
 
 TEST_F(ValidatorFixture, IgnoresDuplicate) {
   const WakuMessage msg = make_message(alice, 0, "hello", 10);
-  (void)validator.validate(msg, 10'500);
-  EXPECT_EQ(validator.validate(msg, 10'600).verdict,
+  (void)validator.validate_one(msg, 10'500);
+  EXPECT_EQ(validator.validate_one(msg, 10'600).verdict,
             Verdict::kIgnoreDuplicate);
 }
 
 TEST_F(ValidatorFixture, DetectsDoubleSignalAndRecoversKey) {
   const WakuMessage m1 = make_message(alice, 0, "first", 10);
   const WakuMessage m2 = make_message(alice, 0, "second", 10);
-  EXPECT_EQ(validator.validate(m1, 10'500).verdict, Verdict::kAccept);
-  const auto outcome = validator.validate(m2, 10'600);
+  EXPECT_EQ(validator.validate_one(m1, 10'500).verdict, Verdict::kAccept);
+  const auto outcome = validator.validate_one(m2, 10'600);
   EXPECT_EQ(outcome.verdict, Verdict::kRejectSpam);
   ASSERT_TRUE(outcome.recovered_sk.has_value());
   EXPECT_EQ(*outcome.recovered_sk, alice.sk);  // cryptographic slashing
@@ -366,43 +366,46 @@ TEST_F(ValidatorFixture, DetectsDoubleSignalAndRecoversKey) {
 TEST_F(ValidatorFixture, DifferentEpochsDontConflict) {
   const WakuMessage m1 = make_message(alice, 0, "first", 10);
   const WakuMessage m2 = make_message(alice, 0, "second", 11);
-  EXPECT_EQ(validator.validate(m1, 10'500).verdict, Verdict::kAccept);
-  EXPECT_EQ(validator.validate(m2, 11'200).verdict, Verdict::kAccept);
+  EXPECT_EQ(validator.validate_one(m1, 10'500).verdict, Verdict::kAccept);
+  EXPECT_EQ(validator.validate_one(m2, 11'200).verdict, Verdict::kAccept);
 }
 
 TEST_F(ValidatorFixture, DifferentMembersDontConflict) {
   const WakuMessage m1 = make_message(alice, 0, "from alice", 10);
   const WakuMessage m2 = make_message(bob, 1, "from bob", 10);
-  EXPECT_EQ(validator.validate(m1, 10'500).verdict, Verdict::kAccept);
-  EXPECT_EQ(validator.validate(m2, 10'600).verdict, Verdict::kAccept);
+  EXPECT_EQ(validator.validate_one(m1, 10'500).verdict, Verdict::kAccept);
+  EXPECT_EQ(validator.validate_one(m2, 10'600).verdict, Verdict::kAccept);
 }
 
 TEST_F(ValidatorFixture, RejectsEpochTooFarPast) {
   const WakuMessage msg = make_message(alice, 0, "old", 5);
-  EXPECT_EQ(validator.validate(msg, 10'500).verdict,
+  EXPECT_EQ(validator.validate_one(msg, 10'500).verdict,
             Verdict::kIgnoreEpochGap);  // |10 - 5| > Thr = 2
 }
 
 TEST_F(ValidatorFixture, RejectsEpochTooFarFuture) {
   const WakuMessage msg = make_message(alice, 0, "future", 15);
-  EXPECT_EQ(validator.validate(msg, 10'500).verdict, Verdict::kIgnoreEpochGap);
+  EXPECT_EQ(validator.validate_one(msg, 10'500).verdict,
+            Verdict::kIgnoreEpochGap);
 }
 
 TEST_F(ValidatorFixture, AcceptsWithinEpochGap) {
   const WakuMessage msg = make_message(alice, 0, "slightly old", 9);
-  EXPECT_EQ(validator.validate(msg, 10'500).verdict, Verdict::kAccept);
+  EXPECT_EQ(validator.validate_one(msg, 10'500).verdict, Verdict::kAccept);
 }
 
 TEST_F(ValidatorFixture, RejectsMissingProof) {
   WakuMessage msg;
   msg.payload = to_bytes("bare");
-  EXPECT_EQ(validator.validate(msg, 10'500).verdict, Verdict::kRejectNoProof);
+  EXPECT_EQ(validator.validate_one(msg, 10'500).verdict,
+            Verdict::kRejectNoProof);
 }
 
 TEST_F(ValidatorFixture, RejectsTamperedPayload) {
   WakuMessage msg = make_message(alice, 0, "authentic", 10);
   msg.payload = to_bytes("tampered!");  // breaks x = H(m)
-  EXPECT_EQ(validator.validate(msg, 10'500).verdict, Verdict::kRejectBadProof);
+  EXPECT_EQ(validator.validate_one(msg, 10'500).verdict,
+            Verdict::kRejectBadProof);
 }
 
 TEST_F(ValidatorFixture, RejectsGarbageProof) {
@@ -410,7 +413,8 @@ TEST_F(ValidatorFixture, RejectsGarbageProof) {
   auto bundle = *extract_proof(msg);
   bundle.proof = zksnark::Proof::deserialize(rng.next_bytes(128));
   attach_proof(msg, bundle);
-  EXPECT_EQ(validator.validate(msg, 10'500).verdict, Verdict::kRejectBadProof);
+  EXPECT_EQ(validator.validate_one(msg, 10'500).verdict,
+            Verdict::kRejectBadProof);
 }
 
 TEST_F(ValidatorFixture, RejectsUnknownRoot) {
@@ -418,7 +422,8 @@ TEST_F(ValidatorFixture, RejectsUnknownRoot) {
   auto bundle = *extract_proof(msg);
   bundle.root = Fr::from_u64(0xBAD);
   attach_proof(msg, bundle);
-  EXPECT_EQ(validator.validate(msg, 10'500).verdict, Verdict::kRejectStaleRoot);
+  EXPECT_EQ(validator.validate_one(msg, 10'500).verdict,
+            Verdict::kRejectStaleRoot);
 }
 
 TEST_F(ValidatorFixture, NonMemberCannotForgeProof) {
@@ -432,15 +437,16 @@ TEST_F(ValidatorFixture, NonMemberCannotForgeProof) {
   // The bundle's root is that of a tree containing eve -- fake.
   attach_proof(msg, make_rate_limit_proof(eve.sk, group.path_of(0), msg, 10,
                                           rng2));
-  EXPECT_EQ(validator.validate(msg, 10'500).verdict, Verdict::kRejectStaleRoot);
+  EXPECT_EQ(validator.validate_one(msg, 10'500).verdict,
+            Verdict::kRejectStaleRoot);
 }
 
 TEST_F(ValidatorFixture, StatsAreTracked) {
-  (void)validator.validate(make_message(alice, 0, "a", 10), 10'500);
-  (void)validator.validate(make_message(alice, 0, "b", 10), 10'600);
+  (void)validator.validate_one(make_message(alice, 0, "a", 10), 10'500);
+  (void)validator.validate_one(make_message(alice, 0, "b", 10), 10'600);
   WakuMessage bare;
   bare.payload = to_bytes("no proof");
-  (void)validator.validate(bare, 10'700);
+  (void)validator.validate_one(bare, 10'700);
   const ValidatorStats& s = validator.stats();
   EXPECT_EQ(s.accepted, 1u);
   EXPECT_EQ(s.spam_detected, 1u);
@@ -448,7 +454,7 @@ TEST_F(ValidatorFixture, StatsAreTracked) {
 }
 
 TEST_F(ValidatorFixture, GcTrimsLog) {
-  (void)validator.validate(make_message(alice, 0, "a", 10), 10'500);
+  (void)validator.validate_one(make_message(alice, 0, "a", 10), 10'500);
   EXPECT_EQ(validator.log().entry_count(), 1u);
   validator.gc(100'000);  // epoch 100, far past Thr
   EXPECT_EQ(validator.log().entry_count(), 0u);
