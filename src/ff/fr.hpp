@@ -6,7 +6,10 @@
 // Elements are kept in Montgomery form (x·2^256 mod r) so multiplication is
 // a single CIOS pass. All Montgomery constants (R, R², -r⁻¹ mod 2^64) are
 // computed at compile time from the modulus, which removes a whole class of
-// hand-transcription bugs.
+// hand-transcription bugs. Addition, subtraction and multiplication are
+// inline: the prover, Poseidon and the verifier's pairing chains are loops
+// of them. None of this arithmetic is constant-time: the final reductions
+// branch on values and operator== exits early.
 #pragma once
 
 #include <cstdint>
@@ -17,16 +20,109 @@
 
 namespace waku::ff {
 
+namespace detail {
+
+/// The BN254 scalar field modulus r.
+inline constexpr U256 kFrModulus{0x43e1f593f0000001ULL, 0x2833e84879b97091ULL,
+                                 0xb85045b68181585dULL, 0x30644e72e131a029ULL};
+
+// -r^{-1} mod 2^64 via Newton iteration: x_{k+1} = x_k * (2 - r*x_k).
+// Six iterations double the correct low bits from 1 to 64.
+constexpr std::uint64_t compute_inv() {
+  const std::uint64_t r0 = kFrModulus.limb[0];
+  std::uint64_t x = 1;
+  for (int i = 0; i < 6; ++i) {
+    x *= 2 - r0 * x;  // arithmetic is mod 2^64 by construction
+  }
+  return ~x + 1;  // negate
+}
+
+// 2^256 mod r, by doubling 1 modulo r 256 times.
+constexpr U256 compute_r() {
+  U256 x{1};
+  for (int i = 0; i < 256; ++i) x = double_mod(x, kFrModulus);
+  return x;
+}
+
+inline constexpr std::uint64_t kFrInv = compute_inv();
+/// R = 2^256 mod r: the Montgomery form of one.
+inline constexpr U256 kFrR = compute_r();
+
+static_assert(kFrModulus.limb[0] * kFrInv == 0xffffffffffffffffULL,
+              "Montgomery INV constant must satisfy r*(-r^-1) == -1 mod 2^64");
+
+// t = a*b*2^{-256} mod r. Textbook CIOS with a 6-limb accumulator; the
+// result is canonical (< r).
+constexpr U256 mont_mul(const U256& a, const U256& b) {
+  std::uint64_t t[6] = {0, 0, 0, 0, 0, 0};
+  for (std::size_t i = 0; i < 4; ++i) {
+    // t += a * b[i]
+    unsigned __int128 carry = 0;
+    for (std::size_t j = 0; j < 4; ++j) {
+      const unsigned __int128 cur =
+          static_cast<unsigned __int128>(t[j]) +
+          static_cast<unsigned __int128>(a.limb[j]) * b.limb[i] + carry;
+      t[j] = static_cast<std::uint64_t>(cur);
+      carry = cur >> 64;
+    }
+    {
+      const unsigned __int128 cur =
+          static_cast<unsigned __int128>(t[4]) + carry;
+      t[4] = static_cast<std::uint64_t>(cur);
+      t[5] = static_cast<std::uint64_t>(cur >> 64);
+    }
+    // Reduce: add m*r where m = t[0]*inv mod 2^64, then shift one limb.
+    const std::uint64_t m = t[0] * kFrInv;
+    carry = (static_cast<unsigned __int128>(t[0]) +
+             static_cast<unsigned __int128>(m) * kFrModulus.limb[0]) >>
+            64;
+    for (std::size_t j = 1; j < 4; ++j) {
+      const unsigned __int128 cur =
+          static_cast<unsigned __int128>(t[j]) +
+          static_cast<unsigned __int128>(m) * kFrModulus.limb[j] + carry;
+      t[j - 1] = static_cast<std::uint64_t>(cur);
+      carry = cur >> 64;
+    }
+    {
+      const unsigned __int128 cur =
+          static_cast<unsigned __int128>(t[4]) + carry;
+      t[3] = static_cast<std::uint64_t>(cur);
+      t[4] = t[5] + static_cast<std::uint64_t>(cur >> 64);
+    }
+  }
+  U256 res{t[0], t[1], t[2], t[3]};
+  if (t[4] != 0 || res >= kFrModulus) {
+    bool borrow = false;
+    res = sub_borrow(res, kFrModulus, borrow);
+  }
+  return res;
+}
+
+constexpr U256 add_mod(const U256& a, const U256& b) {
+  return ff::add_mod(a, b, kFrModulus);
+}
+
+constexpr U256 sub_mod(const U256& a, const U256& b) {
+  bool borrow = false;
+  U256 r = sub_borrow(a, b, borrow);
+  if (borrow) {
+    bool carry = false;
+    r = add_carry(r, kFrModulus, carry);
+  }
+  return r;
+}
+
+}  // namespace detail
+
 class Fr {
  public:
   /// The BN254 scalar field modulus r.
-  static constexpr U256 kModulus{0x43e1f593f0000001ULL, 0x2833e84879b97091ULL,
-                                 0xb85045b68181585dULL, 0x30644e72e131a029ULL};
+  static constexpr U256 kModulus = detail::kFrModulus;
 
   constexpr Fr() = default;
 
   static Fr zero() noexcept { return Fr{}; }
-  static Fr one() noexcept;
+  static Fr one() noexcept { return Fr{detail::kFrR}; }
 
   /// Lifts a machine word into the field.
   static Fr from_u64(std::uint64_t v);
@@ -49,11 +145,18 @@ class Fr {
   /// Canonical 32-byte big-endian serialization.
   [[nodiscard]] Bytes to_bytes_be() const;
 
-  [[nodiscard]] bool is_zero() const { return to_u256().is_zero(); }
+  /// Zero's Montgomery form is zero, so no reduction is needed.
+  [[nodiscard]] bool is_zero() const { return mont_.is_zero(); }
 
-  Fr operator+(const Fr& o) const;
-  Fr operator-(const Fr& o) const;
-  Fr operator*(const Fr& o) const;
+  Fr operator+(const Fr& o) const {
+    return Fr{detail::add_mod(mont_, o.mont_)};
+  }
+  Fr operator-(const Fr& o) const {
+    return Fr{detail::sub_mod(mont_, o.mont_)};
+  }
+  Fr operator*(const Fr& o) const {
+    return Fr{detail::mont_mul(mont_, o.mont_)};
+  }
   Fr& operator+=(const Fr& o) { return *this = *this + o; }
   Fr& operator-=(const Fr& o) { return *this = *this - o; }
   Fr& operator*=(const Fr& o) { return *this = *this * o; }

@@ -1,5 +1,6 @@
 #include "hash/poseidon.hpp"
 
+#include <algorithm>
 #include <array>
 #include <mutex>
 #include <string>
@@ -15,6 +16,7 @@ namespace {
 // reference parameter search (R_F = 8 throughout).
 constexpr std::size_t kPartialRounds[] = {0, 0, 56, 57, 56, 60};
 constexpr std::size_t kFullRounds = 8;
+constexpr std::size_t kMaxWidth = 5;
 
 // Nothing-up-my-sleeve field element stream: Fr_i = SHA256(seed || i) mod r.
 Fr nums_element(const std::string& seed, std::uint32_t index) {
@@ -63,7 +65,7 @@ std::vector<Fr> build_mds(std::size_t t) {
 }
 
 PoseidonParams build_params(std::size_t t) {
-  WAKU_EXPECTS(t >= 2 && t <= 5);
+  WAKU_EXPECTS(t >= 2 && t <= kMaxWidth);
   PoseidonParams p;
   p.t = t;
   p.full_rounds = kFullRounds;
@@ -87,7 +89,7 @@ Fr sbox(const Fr& x) {
 }  // namespace
 
 const PoseidonParams& poseidon_params(std::size_t t) {
-  WAKU_EXPECTS(t >= 2 && t <= 5);
+  WAKU_EXPECTS(t >= 2 && t <= kMaxWidth);
   static std::array<PoseidonParams, 6> cache;
   static std::once_flag flags[6];
   std::call_once(flags[t], [t] { cache[t] = build_params(t); });
@@ -98,7 +100,7 @@ void poseidon_permute(std::span<Fr> state) {
   const std::size_t t = state.size();
   const PoseidonParams& p = poseidon_params(t);
 
-  std::vector<Fr> next(t);
+  std::array<Fr, kMaxWidth> next;
   const std::size_t half_full = p.full_rounds / 2;
 
   auto mix = [&](std::span<Fr> s) {
@@ -131,10 +133,10 @@ void poseidon_permute(std::span<Fr> state) {
 }
 
 Fr poseidon_hash(std::span<const Fr> inputs) {
-  WAKU_EXPECTS(!inputs.empty() && inputs.size() <= 4);
-  std::vector<Fr> state(inputs.size() + 1, Fr::zero());
-  for (std::size_t i = 0; i < inputs.size(); ++i) state[i + 1] = inputs[i];
-  poseidon_permute(state);
+  WAKU_EXPECTS(!inputs.empty() && inputs.size() < kMaxWidth);
+  std::array<Fr, kMaxWidth> state{};
+  std::copy(inputs.begin(), inputs.end(), state.begin() + 1);
+  poseidon_permute(std::span<Fr>(state.data(), inputs.size() + 1));
   return state[0];
 }
 

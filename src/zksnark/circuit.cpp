@@ -4,12 +4,27 @@
 
 namespace waku::zksnark {
 
+CircuitBuilder::CircuitBuilder(const ConstraintSystem& system)
+    : shared_(&system) {
+  WAKU_EXPECTS(system.sealed());
+  assignment_.reserve(system.num_variables());
+  assignment_.push_back(Fr::one());
+}
+
 Wire CircuitBuilder::allocate(const Fr& value, bool is_public) {
+  assignment_.push_back(value);
+  if (witness_only()) return Wire{{}, value};
   const VarIndex v =
       is_public ? cs_.allocate_public() : cs_.allocate_private();
-  WAKU_ASSERT(v == assignment_.size());
-  assignment_.push_back(value);
+  WAKU_ASSERT(v + 1 == assignment_.size());
   return Wire{LinearCombination::variable(v), value};
+}
+
+void CircuitBuilder::enforce(LinearCombination a, LinearCombination b,
+                             LinearCombination c, std::string_view note,
+                             std::string_view fallback) {
+  cs_.enforce(std::move(a), std::move(b), std::move(c),
+              std::string(note.empty() ? fallback : note));
 }
 
 Wire CircuitBuilder::public_input(const Fr& value) {
@@ -20,47 +35,52 @@ Wire CircuitBuilder::witness(const Fr& value) {
   return allocate(value, /*is_public=*/false);
 }
 
-Wire CircuitBuilder::constant(const Fr& c) {
+Wire CircuitBuilder::constant(const Fr& c) const {
+  if (witness_only()) return Wire{{}, c};
   return Wire{LinearCombination::constant(c), c};
 }
 
-Wire CircuitBuilder::add(const Wire& a, const Wire& b) {
+// In witness-only mode every wire's combination is empty, so these stay
+// allocation-free without a branch of their own.
+Wire CircuitBuilder::add(const Wire& a, const Wire& b) const {
   return Wire{a.lc + b.lc, a.value + b.value};
 }
 
-Wire CircuitBuilder::sub(const Wire& a, const Wire& b) {
+Wire CircuitBuilder::sub(const Wire& a, const Wire& b) const {
   return Wire{a.lc - b.lc, a.value - b.value};
 }
 
-Wire CircuitBuilder::scale(const Wire& a, const Fr& k) {
+Wire CircuitBuilder::scale(const Wire& a, const Fr& k) const {
   return Wire{a.lc.scaled(k), a.value * k};
 }
 
-Wire CircuitBuilder::mul(const Wire& a, const Wire& b,
-                         const std::string& note) {
+Wire CircuitBuilder::mul(const Wire& a, const Wire& b, std::string_view note) {
   const Wire out = witness(a.value * b.value);
-  cs_.enforce(a.lc, b.lc, out.lc, note.empty() ? "mul" : note);
+  if (!witness_only()) enforce(a.lc, b.lc, out.lc, note, "mul");
   return out;
 }
 
-Wire CircuitBuilder::materialize(const Wire& a, const std::string& note) {
+Wire CircuitBuilder::materialize(const Wire& a, std::string_view note) {
   const Wire out = witness(a.value);
-  cs_.enforce(a.lc, LinearCombination::constant(Fr::one()), out.lc,
-              note.empty() ? "materialize" : note);
+  if (!witness_only()) {
+    enforce(a.lc, LinearCombination::constant(Fr::one()), out.lc, note,
+            "materialize");
+  }
   return out;
 }
 
 void CircuitBuilder::assert_equal(const Wire& a, const Wire& b,
-                                  const std::string& note) {
-  cs_.enforce(a.lc - b.lc, LinearCombination::constant(Fr::one()),
-              LinearCombination{}, note.empty() ? "assert_equal" : note);
+                                  std::string_view note) {
+  if (witness_only()) return;
+  enforce(a.lc - b.lc, LinearCombination::constant(Fr::one()),
+          LinearCombination{}, note, "assert_equal");
 }
 
-void CircuitBuilder::assert_boolean(const Wire& bit, const std::string& note) {
+void CircuitBuilder::assert_boolean(const Wire& bit, std::string_view note) {
+  if (witness_only()) return;
   // bit * (1 - bit) = 0
-  cs_.enforce(bit.lc,
-              LinearCombination::constant(Fr::one()) - bit.lc,
-              LinearCombination{}, note.empty() ? "boolean" : note);
+  enforce(bit.lc, LinearCombination::constant(Fr::one()) - bit.lc,
+          LinearCombination{}, note, "boolean");
 }
 
 std::pair<Wire, Wire> CircuitBuilder::conditional_swap(const Wire& s,

@@ -22,9 +22,9 @@ void poseidon_permute_gadget(CircuitBuilder& b, std::vector<Wire>& state) {
     std::vector<Wire> next;
     next.reserve(t);
     for (std::size_t i = 0; i < t; ++i) {
-      Wire acc = CircuitBuilder::constant(Fr::zero());
+      Wire acc = b.constant(Fr::zero());
       for (std::size_t j = 0; j < t; ++j) {
-        acc = CircuitBuilder::add(acc, CircuitBuilder::scale(s[j], p.m(i, j)));
+        acc = b.add(acc, b.scale(s[j], p.m(i, j)));
       }
       next.push_back(acc);
     }
@@ -34,16 +34,13 @@ void poseidon_permute_gadget(CircuitBuilder& b, std::vector<Wire>& state) {
   std::size_t round = 0;
   for (std::size_t r = 0; r < half_full; ++r, ++round) {
     for (std::size_t i = 0; i < t; ++i) {
-      const Wire arc =
-          CircuitBuilder::add(state[i], CircuitBuilder::constant(p.rc(round, i)));
-      state[i] = sbox_gadget(b, arc);
+      state[i] = sbox_gadget(b, b.add(state[i], b.constant(p.rc(round, i))));
     }
     mix(state);
   }
   for (std::size_t r = 0; r < p.partial_rounds; ++r, ++round) {
     for (std::size_t i = 0; i < t; ++i) {
-      state[i] = CircuitBuilder::add(state[i],
-                                     CircuitBuilder::constant(p.rc(round, i)));
+      state[i] = b.add(state[i], b.constant(p.rc(round, i)));
     }
     state[0] = sbox_gadget(b, state[0]);
     // Materialize the linear lanes so combination sizes stay bounded across
@@ -55,9 +52,7 @@ void poseidon_permute_gadget(CircuitBuilder& b, std::vector<Wire>& state) {
   }
   for (std::size_t r = 0; r < half_full; ++r, ++round) {
     for (std::size_t i = 0; i < t; ++i) {
-      const Wire arc =
-          CircuitBuilder::add(state[i], CircuitBuilder::constant(p.rc(round, i)));
-      state[i] = sbox_gadget(b, arc);
+      state[i] = sbox_gadget(b, b.add(state[i], b.constant(p.rc(round, i))));
     }
     mix(state);
   }
@@ -67,7 +62,7 @@ Wire poseidon_gadget(CircuitBuilder& b, std::span<const Wire> inputs) {
   WAKU_EXPECTS(!inputs.empty() && inputs.size() <= 4);
   std::vector<Wire> state;
   state.reserve(inputs.size() + 1);
-  state.push_back(CircuitBuilder::constant(Fr::zero()));
+  state.push_back(b.constant(Fr::zero()));
   for (const Wire& w : inputs) state.push_back(w);
   poseidon_permute_gadget(b, state);
   return state[0];
@@ -93,12 +88,12 @@ std::vector<Wire> bits_gadget(CircuitBuilder& b, const Wire& value,
 
   std::vector<Wire> out;
   out.reserve(bits);
-  Wire sum = CircuitBuilder::constant(Fr::zero());
+  Wire sum = b.constant(Fr::zero());
   Fr weight = Fr::one();
   for (std::size_t i = 0; i < bits; ++i) {
     const Wire bit = b.witness(((v >> i) & 1) ? Fr::one() : Fr::zero());
     b.assert_boolean(bit, "range_bit");
-    sum = CircuitBuilder::add(sum, CircuitBuilder::scale(bit, weight));
+    sum = b.add(sum, b.scale(bit, weight));
     weight += weight;
     out.push_back(bit);
   }
@@ -110,12 +105,10 @@ void assert_less_than(CircuitBuilder& b, const Wire& a, const Wire& b_bound,
                       std::size_t bits) {
   WAKU_EXPECTS(bits >= 1 && bits <= 62);
   // t = a + 2^bits - b; a < b  <=>  t < 2^bits  <=>  bit `bits` of t is 0.
-  const Wire t = CircuitBuilder::add(
-      CircuitBuilder::sub(a, b_bound),
-      CircuitBuilder::constant(Fr::from_u64(std::uint64_t{1} << bits)));
+  const Wire t = b.add(b.sub(a, b_bound),
+                       b.constant(Fr::from_u64(std::uint64_t{1} << bits)));
   const std::vector<Wire> t_bits = bits_gadget(b, t, bits + 1);
-  b.assert_equal(t_bits[bits], CircuitBuilder::constant(Fr::zero()),
-                 "less_than_top_bit");
+  b.assert_equal(t_bits[bits], b.constant(Fr::zero()), "less_than_top_bit");
 }
 
 Wire merkle_root_gadget(CircuitBuilder& b, const Wire& leaf,

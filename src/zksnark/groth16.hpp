@@ -89,7 +89,8 @@ Keypair trusted_setup(const ConstraintSystem& cs, Rng& rng);
 
 /// Generates a proof for `assignment` (layout: [1, publics..., privates...]).
 /// Throws ProofError if the witness does not satisfy `cs` or the key does
-/// not match the circuit.
+/// not match the circuit. This is the one satisfaction check on the
+/// publish path; the key check is O(1) for a sealed `cs`.
 Proof prove(const ProvingKey& pk, const ConstraintSystem& cs,
             std::span<const Fr> assignment, Rng& rng);
 

@@ -63,18 +63,20 @@ Fr LinearCombination::evaluate(std::span<const Fr> assignment) const {
 }
 
 VarIndex ConstraintSystem::allocate_public() {
-  WAKU_EXPECTS(!private_allocated_);
+  WAKU_EXPECTS(!sealed_ && !private_allocated_);
   ++num_public_;
   return static_cast<VarIndex>(num_vars_++);
 }
 
 VarIndex ConstraintSystem::allocate_private() {
+  WAKU_EXPECTS(!sealed_);
   private_allocated_ = true;
   return static_cast<VarIndex>(num_vars_++);
 }
 
 void ConstraintSystem::enforce(LinearCombination a, LinearCombination b,
                                LinearCombination c, std::string annotation) {
+  WAKU_EXPECTS(!sealed_);
   constraints_.push_back(Constraint{std::move(a), std::move(b), std::move(c),
                                     std::move(annotation)});
 }
@@ -102,6 +104,15 @@ bool ConstraintSystem::is_satisfied(std::span<const Fr> assignment,
 }
 
 Fr ConstraintSystem::digest() const {
+  return sealed_ ? digest_ : compute_digest();
+}
+
+void ConstraintSystem::seal() {
+  digest_ = compute_digest();
+  sealed_ = true;
+}
+
+Fr ConstraintSystem::compute_digest() const {
   ByteWriter w;
   w.write_u64(num_vars_);
   w.write_u64(num_public_);

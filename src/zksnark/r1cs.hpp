@@ -56,7 +56,9 @@ struct Constraint {
   std::string annotation;
 };
 
-/// The constraint system plus variable bookkeeping.
+/// The constraint system plus variable bookkeeping. A finished system can
+/// be sealed: its digest is computed once and it accepts no more variables
+/// or constraints, so it can be shared read-only across threads.
 class ConstraintSystem {
  public:
   /// Allocates a public-input variable. All public inputs must be
@@ -86,13 +88,22 @@ class ConstraintSystem {
                                   std::string* first_violation = nullptr) const;
 
   /// Deterministic digest of the circuit structure; binds proofs to the
-  /// exact constraint system they were generated for.
+  /// exact constraint system they were generated for. O(1) once sealed.
   [[nodiscard]] Fr digest() const;
 
+  /// Computes and stores the digest; further allocation or enforce() calls
+  /// fail a precondition.
+  void seal();
+  [[nodiscard]] bool sealed() const { return sealed_; }
+
  private:
+  [[nodiscard]] Fr compute_digest() const;
+
   std::size_t num_vars_ = 1;  // the constant-one wire
   std::size_t num_public_ = 0;
   bool private_allocated_ = false;
+  bool sealed_ = false;
+  Fr digest_;  // valid once sealed_
   std::vector<Constraint> constraints_;
 };
 

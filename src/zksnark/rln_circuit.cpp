@@ -21,9 +21,8 @@ RlnPublicInputs rln_compute_publics(const RlnProverInput& input) {
   return out;
 }
 
-RlnCircuit build_rln_circuit(const RlnProverInput& input) {
+void wire_rln_circuit(RlnCircuit& circuit, const RlnProverInput& input) {
   WAKU_EXPECTS(!input.path.siblings.empty());
-  RlnCircuit circuit;
   circuit.publics = rln_compute_publics(input);
   CircuitBuilder& b = circuit.builder;
 
@@ -45,41 +44,66 @@ RlnCircuit build_rln_circuit(const RlnProverInput& input) {
   // (2) share validity: y = sk + a1 * x, a1 = Poseidon(sk, epoch).
   const Wire a1 = poseidon2_gadget(b, sk, epoch);
   const Wire a1x = b.mul(a1, x, "share_slope_times_x");
-  b.assert_equal(CircuitBuilder::add(sk, a1x), y, "share_validity");
+  b.assert_equal(b.add(sk, a1x), y, "share_validity");
 
   // (3) nullifier correctness: phi = Poseidon(a1).
   const Wire phi = poseidon1_gadget(b, a1);
   b.assert_equal(phi, nullifier, "nullifier_correctness");
-
-  WAKU_ENSURES(circuit.builder.satisfied());
-  return circuit;
 }
 
-ConstraintSystem rln_constraint_system(std::size_t depth) {
+namespace {
+
+// Everything trusted setup produces for one tree depth: the sealed
+// constraint system and the keypair over it. Built once per process.
+struct DepthArtifacts {
+  ConstraintSystem cs;
+  Keypair keypair;
+};
+
+const DepthArtifacts& depth_artifacts(std::size_t depth) {
   WAKU_EXPECTS(depth >= 1);
-  RlnProverInput dummy;
-  dummy.sk = Fr::from_u64(1);
-  dummy.path.index = 0;
-  dummy.path.siblings.assign(depth, Fr::zero());
-  dummy.x = Fr::from_u64(2);
-  dummy.epoch = Fr::from_u64(3);
-  RlnCircuit circuit = build_rln_circuit(dummy);
-  return circuit.builder.cs();
-}
-
-const Keypair& rln_keypair(std::size_t depth) {
-  static std::map<std::size_t, Keypair> cache;
+  static std::map<std::size_t, DepthArtifacts> cache;
   static std::mutex mu;
   std::lock_guard<std::mutex> lock(mu);
   auto it = cache.find(depth);
   if (it == cache.end()) {
+    // The structure depends only on depth: wire a dummy witness.
+    RlnProverInput dummy;
+    dummy.sk = Fr::from_u64(1);
+    dummy.path.index = 0;
+    dummy.path.siblings.assign(depth, Fr::zero());
+    dummy.x = Fr::from_u64(2);
+    dummy.epoch = Fr::from_u64(3);
+    RlnCircuit circuit;
+    wire_rln_circuit(circuit, dummy);
+    WAKU_ENSURES(circuit.builder.satisfied());
+    DepthArtifacts built{circuit.builder.cs(), {}};
+    // Sealed here, under the lock, so concurrent provers only read it.
+    built.cs.seal();
     // Deterministic ceremony randomness per depth: reproducible benches,
     // and every node in a simulation shares the same artifact.
     Rng rng(0x524c4e00 + depth);  // "RLN" + depth
-    const ConstraintSystem cs = rln_constraint_system(depth);
-    it = cache.emplace(depth, trusted_setup(cs, rng)).first;
+    built.keypair = trusted_setup(built.cs, rng);
+    it = cache.emplace(depth, std::move(built)).first;
   }
   return it->second;
+}
+
+}  // namespace
+
+RlnCircuit build_rln_circuit(const RlnProverInput& input) {
+  RlnCircuit circuit{
+      CircuitBuilder(rln_constraint_system(input.path.depth())), {}};
+  wire_rln_circuit(circuit, input);
+  return circuit;
+}
+
+const ConstraintSystem& rln_constraint_system(std::size_t depth) {
+  return depth_artifacts(depth).cs;
+}
+
+const Keypair& rln_keypair(std::size_t depth) {
+  return depth_artifacts(depth).keypair;
 }
 
 }  // namespace waku::zksnark

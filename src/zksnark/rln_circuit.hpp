@@ -45,19 +45,29 @@ struct RlnProverInput {
 /// root = ascend(H(sk), path).
 RlnPublicInputs rln_compute_publics(const RlnProverInput& input);
 
-/// A fully built and witnessed RLN circuit.
+/// A witnessed RLN circuit: the builder's cs() is the constraint system and
+/// its assignment() the witness, ready for groth16 `prove`.
 struct RlnCircuit {
   CircuitBuilder builder;
   RlnPublicInputs publics;
 };
 
-/// Builds constraints and witness for `input`. The builder's assignment is
-/// ready for groth16 `prove`.
+/// Runs the RLN gadgets for `input` on circuit.builder, in whichever mode
+/// the builder was constructed, and fills circuit.publics. The one
+/// description of the circuit: setup builds the constraint system with it,
+/// and every publish computes its witness with it.
+void wire_rln_circuit(RlnCircuit& circuit, const RlnProverInput& input);
+
+/// Computes the witness for `input` by running the circuit's gadgets in
+/// witness-only mode. No constraints are built: builder.cs() is the shared
+/// system rln_constraint_system(depth), and builder.satisfied() checks the
+/// witness against it. The witness is not checked here; `prove` does that.
 RlnCircuit build_rln_circuit(const RlnProverInput& input);
 
-/// Builds the constraint structure for a given tree depth with a dummy
-/// witness — used for trusted setup (structure depends only on depth).
-ConstraintSystem rln_constraint_system(std::size_t depth);
+/// The sealed constraint system for a tree depth (its structure depends
+/// only on depth). Built once per depth and process, together with
+/// rln_keypair(depth), and shared read-only by every prover.
+const ConstraintSystem& rln_constraint_system(std::size_t depth);
 
 /// Cached trusted-setup artifact per tree depth (the ceremony output all
 /// nodes share). Deterministic for reproducibility of the benches.

@@ -60,7 +60,7 @@ RlnCircuit build_rln_v2_circuit(const RlnV2ProverInput& input) {
   const std::array<Wire, 3> a1_in{sk, epoch, message_id};
   const Wire a1 = poseidon_gadget(b, a1_in);
   const Wire a1x = b.mul(a1, x, "v2_share_slope_times_x");
-  b.assert_equal(CircuitBuilder::add(sk, a1x), y, "v2_share_validity");
+  b.assert_equal(b.add(sk, a1x), y, "v2_share_validity");
 
   // Nullifier correctness.
   const Wire phi = poseidon1_gadget(b, a1);

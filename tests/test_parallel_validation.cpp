@@ -11,7 +11,9 @@
 //   * partition invariance — deterministic mode and parallel mode produce
 //     identical per-message verdicts on identical inputs (deterministic
 //     mode IS the pre-executor pipeline, so this pins parallel execution
-//     to the original semantics).
+//     to the original semantics);
+//   * the per-depth circuit cache — concurrent first use builds one
+//     constraint system and keypair that every prover then shares.
 //
 // These binaries are what the TSan CI flavor runs (scripts/run_tier1.sh
 // thread).
@@ -24,6 +26,8 @@
 #include <thread>
 #include <vector>
 
+#include "hash/poseidon.hpp"
+#include "merkle/merkle_tree.hpp"
 #include "rln/rate_limit_proof.hpp"
 #include "rln/validation_executor.hpp"
 #include "shard/sharded_validator.hpp"
@@ -459,6 +463,44 @@ TEST(PartitionInvariance, ConcurrentShardsSignalSpamExactlyOncePerShard) {
   validator.drain();
   EXPECT_EQ(spam.load(), 4u);  // one double-signal per shard, exactly
   EXPECT_EQ(validator.stats().spam_detected, 4u);
+}
+
+// -- Per-depth circuit cache --------------------------------------------------
+
+TEST(CircuitCache, ConcurrentFirstUseProvesLikeOneThread) {
+  // Depth 5 is used by no other case in this binary, so the four provers
+  // race to build its constraint system and keypair. Every proof must
+  // verify and equal the single-threaded proof from the same seed.
+  constexpr std::size_t kRaceDepth = 5;
+  constexpr std::size_t kThreads = 4;
+  constexpr std::uint64_t kEpoch = 42;
+  merkle::IncrementalMerkleTree tree(kRaceDepth);
+  const Fr sk = Fr::from_u64(0xC0FFEE);
+  tree.insert(Fr::from_u64(1));
+  const merkle::MerklePath path =
+      tree.auth_path(tree.insert(hash::poseidon1(sk)));
+  WakuMessage msg;
+  msg.payload = to_bytes("first use of a depth");
+  const auto prove = [&](std::uint64_t seed) {
+    Rng rng(seed);
+    return make_rate_limit_proof(sk, path, msg, kEpoch, rng);
+  };
+
+  std::vector<RateLimitProof> raced(kThreads);
+  {
+    std::vector<std::thread> threads;
+    for (std::size_t t = 0; t < kThreads; ++t) {
+      threads.emplace_back([&raced, &prove, t] { raced[t] = prove(t + 1); });
+    }
+    for (auto& t : threads) t.join();
+  }
+  const zksnark::VerifyingKey& vk = zksnark::rln_keypair(kRaceDepth).vk;
+  for (std::size_t t = 0; t < kThreads; ++t) {
+    EXPECT_TRUE(zksnark::verify(vk, raced[t].public_inputs(message_hash(msg)),
+                                raced[t].proof))
+        << "thread " << t;
+    EXPECT_EQ(raced[t], prove(t + 1)) << "thread " << t;
+  }
 }
 
 }  // namespace

@@ -3,9 +3,12 @@
 // and the structural properties the benches rely on.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "common/expect.hpp"
 #include "common/rng.hpp"
 #include "hash/poseidon.hpp"
+#include "hash/sha256.hpp"
 #include "merkle/merkle_tree.hpp"
 #include "sss/shamir.hpp"
 #include "zksnark/gadgets.hpp"
@@ -95,6 +98,21 @@ TEST(ConstraintSystem, DigestDistinguishesCircuits) {
             rln_constraint_system(4).digest());
 }
 
+TEST(ConstraintSystem, SealingFreezesStructureAndKeepsDigest) {
+  ConstraintSystem cs;
+  const VarIndex x = cs.allocate_public();
+  const VarIndex y = cs.allocate_private();
+  cs.enforce(LinearCombination::variable(x), LinearCombination::variable(y),
+             LinearCombination::variable(y), "xy=y");
+  const Fr before = cs.digest();
+  cs.seal();
+  EXPECT_TRUE(cs.sealed());
+  EXPECT_EQ(cs.digest(), before);
+  EXPECT_THROW(cs.allocate_private(), ContractViolation);
+  EXPECT_THROW(cs.enforce({}, {}, {}), ContractViolation);
+  EXPECT_TRUE(rln_constraint_system(4).sealed());
+}
+
 TEST(CircuitBuilder, MulAddsOneConstraint) {
   CircuitBuilder b;
   const Wire x = b.witness(Fr::from_u64(6));
@@ -109,9 +127,9 @@ TEST(CircuitBuilder, LinearOpsAddNoConstraints) {
   CircuitBuilder b;
   const Wire x = b.witness(Fr::from_u64(6));
   const Wire y = b.witness(Fr::from_u64(7));
-  const Wire s = CircuitBuilder::add(x, y);
-  const Wire d = CircuitBuilder::sub(x, y);
-  const Wire k = CircuitBuilder::scale(x, Fr::from_u64(3));
+  const Wire s = b.add(x, y);
+  const Wire d = b.sub(x, y);
+  const Wire k = b.scale(x, Fr::from_u64(3));
   EXPECT_EQ(s.value, Fr::from_u64(13));
   EXPECT_EQ(d.value, Fr::from_u64(6) - Fr::from_u64(7));
   EXPECT_EQ(k.value, Fr::from_u64(18));
@@ -224,6 +242,86 @@ TEST(RlnCircuit, WitnessSatisfiesConstraints) {
       fx.prover_input(Fr::from_u64(7), Fr::from_u64(1000)));
   std::string violation;
   EXPECT_TRUE(c.builder.satisfied(&violation)) << violation;
+}
+
+TEST(RlnCircuit, WitnessOnlyBuildSharesTheDepthSystem) {
+  const RlnFixture fx;
+  const RlnCircuit c =
+      build_rln_circuit(fx.prover_input(Fr::from_u64(7), Fr::from_u64(1000)));
+  EXPECT_TRUE(c.builder.witness_only());
+  EXPECT_EQ(&c.builder.cs(), &rln_constraint_system(8));
+  EXPECT_EQ(c.builder.assignment().size(), c.builder.cs().num_variables());
+}
+
+TEST(RlnCircuit, WitnessOnlyAssignmentMatchesFullBuild) {
+  const RlnFixture fx;
+  const RlnProverInput input =
+      fx.prover_input(Fr::from_u64(7), Fr::from_u64(1000));
+  RlnCircuit full;  // builds constraints alongside the witness
+  wire_rln_circuit(full, input);
+  const RlnCircuit lean = build_rln_circuit(input);
+  EXPECT_FALSE(full.builder.witness_only());
+  EXPECT_EQ(lean.publics, full.publics);
+  EXPECT_TRUE(std::ranges::equal(lean.builder.assignment(),
+                                 full.builder.assignment()));
+  // A real input wires the same structure as setup's dummy one.
+  EXPECT_EQ(full.builder.cs().digest(), rln_constraint_system(8).digest());
+}
+
+TEST(RlnCircuit, SatisfiedChecksTheSharedSystem) {
+  // Re-enter an honest witness value by value into a witness-only builder,
+  // once as is and once with one private element flipped: satisfied() must
+  // tell them apart, so it really evaluates the depth's constraints.
+  const RlnFixture fx;
+  const RlnCircuit honest =
+      build_rln_circuit(fx.prover_input(Fr::from_u64(7), Fr::from_u64(1000)));
+  const std::span<const Fr> values = honest.builder.assignment();
+  const std::size_t num_public = honest.builder.cs().num_public();
+  const auto rebuild = [&](std::size_t flip) {
+    CircuitBuilder b(rln_constraint_system(8));
+    for (std::size_t i = 1; i < values.size(); ++i) {
+      const Fr v = i == flip ? values[i] + Fr::one() : values[i];
+      (void)(i <= num_public ? b.public_input(v) : b.witness(v));
+    }
+    return b;
+  };
+  EXPECT_TRUE(rebuild(/*flip=*/0).satisfied());
+  std::string violation;
+  EXPECT_FALSE(rebuild(values.size() / 2).satisfied(&violation));
+  EXPECT_FALSE(violation.empty());
+}
+
+// The prover's output bytes, pinned: SHA-256 over four proofs (Rng(7)) and
+// their assignments, then the proving key's circuit digest. Everything
+// under it is integer arithmetic, so it does not depend on the compiler.
+std::string prover_bytes_sha256(std::size_t depth) {
+  const Keypair& kp = rln_keypair(depth);
+  IncrementalMerkleTree tree(depth);
+  const Fr sk = Fr::from_u64(0x5eed);
+  tree.insert(Fr::from_u64(1));
+  tree.insert(Fr::from_u64(2));
+  const std::uint64_t index = tree.insert(hash::poseidon1(sk));
+  Rng rng(7);
+  Bytes all;
+  const auto append = [&all](const Bytes& b) {
+    all.insert(all.end(), b.begin(), b.end());
+  };
+  for (std::uint64_t i = 0; i < 4; ++i) {
+    const RlnCircuit c = build_rln_circuit(RlnProverInput{
+        sk, tree.auth_path(index), Fr::from_u64(100 + i), Fr::from_u64(9000)});
+    append(prove(kp.pk, c.builder.cs(), c.builder.assignment(), rng)
+               .serialize());
+    for (const Fr& v : c.builder.assignment()) append(v.to_bytes_be());
+  }
+  append(kp.pk.circuit_digest.to_bytes_be());
+  return to_hex(hash::sha256_bytes(all));
+}
+
+TEST(RlnCircuit, ProverBytesArePinned) {
+  EXPECT_EQ(prover_bytes_sha256(4),
+            "4adda5115a786176c9ba551025339b2819a617d56e8767f84dde5419b987f2da");
+  EXPECT_EQ(prover_bytes_sha256(20),
+            "d5ce8f1a2fe1cc44c6cc5a01a0ffa4a99bc77244763e28cebbd23fac87b1e24f");
 }
 
 TEST(RlnCircuit, TwoSharesFromCircuitRecoverSk) {
