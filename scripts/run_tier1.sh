@@ -12,7 +12,9 @@
 # executor, striped nullifier log, seqlock'd root window, and shard-map
 # memo): data races are invisible to ASan and to an unsanitized run, and
 # TSan over the full suite is needlessly slow — the single-threaded
-# persistence suites cannot race.
+# persistence suites cannot race. It then stress-runs the striped-log
+# tests in four concurrent processes (logs: striped_log_stress_*.log in
+# the build directory).
 #
 # Usage: scripts/run_tier1.sh [sanitizer-spec]
 #   sanitizer-spec  passed to -fsanitize= (default: address,undefined);
@@ -51,6 +53,26 @@ if [ "$SAN" = "thread" ]; then
   done
   ctest --output-on-failure -j"$(nproc)" \
     -R '^(test_parallel_validation|test_sharding|test_obs)$'
+  # One unloaded run rarely hits the observe/gc interleavings of the
+  # striped nullifier log: repeat its tests in four concurrent processes
+  # so the schedulers contend, and fail if any process fails.
+  pids=()
+  for i in 1 2 3 4; do
+    ./test_parallel_validation --gtest_filter='StripedNullifierLog.*' \
+      --gtest_repeat=200 --gtest_brief=1 >"striped_log_stress_$i.log" 2>&1 &
+    pids+=("$!")
+  done
+  stress_failed=0
+  for i in 1 2 3 4; do
+    if ! wait "${pids[$((i - 1))]}"; then
+      echo "error: StripedNullifierLog stress process $i failed:" >&2
+      tail -n 50 "striped_log_stress_$i.log" >&2
+      stress_failed=1
+    fi
+  done
+  if [ "$stress_failed" -ne 0 ]; then
+    exit 1
+  fi
   echo "concurrency suites passed under -fsanitize=thread"
   exit 0
 fi

@@ -4,12 +4,13 @@
 //   r = 21888242871839275222246405745257275088548364400416034343698204186575808495617
 //
 // Elements are kept in Montgomery form (x·2^256 mod r) so multiplication is
-// a single CIOS pass. All Montgomery constants (R, R², -r⁻¹ mod 2^64) are
-// computed at compile time from the modulus, which removes a whole class of
-// hand-transcription bugs. Addition, subtraction and multiplication are
-// inline: the prover, Poseidon and the verifier's pairing chains are loops
-// of them. None of this arithmetic is constant-time: the final reductions
-// branch on values and operator== exits early.
+// a single 4-limb CIOS pass. All Montgomery constants (R, R², -r⁻¹ mod
+// 2^64) are computed at compile time from the modulus, which removes a
+// whole class of hand-transcription bugs. Addition, subtraction and
+// multiplication are inline: the prover, Poseidon and the verifier's
+// pairing chains are loops of them. None of this arithmetic is
+// constant-time: the final reductions branch on values and operator==
+// exits early.
 #pragma once
 
 #include <cstdint>
@@ -51,47 +52,38 @@ inline constexpr U256 kFrR = compute_r();
 static_assert(kFrModulus.limb[0] * kFrInv == 0xffffffffffffffffULL,
               "Montgomery INV constant must satisfy r*(-r^-1) == -1 mod 2^64");
 
-// t = a*b*2^{-256} mod r. Textbook CIOS with a 6-limb accumulator; the
+// The 4-limb CIOS loop below never carries out of the top limb only because
+// r's top limb leaves its high bit clear and is not 2^63 - 1: each partial
+// result then stays below 2r and fits in four limbs.
+static_assert(kFrModulus.limb[3] < 0x7FFFFFFFFFFFFFFFULL,
+              "4-limb Montgomery multiply needs r's top limb < 2^63 - 1");
+
+// t = a*b*2^{-256} mod r for a, b < r. CIOS with the multiply and reduce
+// passes interleaved over a 4-limb accumulator (no spill limbs); the
 // result is canonical (< r).
 constexpr U256 mont_mul(const U256& a, const U256& b) {
-  std::uint64_t t[6] = {0, 0, 0, 0, 0, 0};
+  using u128 = unsigned __int128;
+  std::uint64_t t[4] = {0, 0, 0, 0};
   for (std::size_t i = 0; i < 4; ++i) {
-    // t += a * b[i]
-    unsigned __int128 carry = 0;
-    for (std::size_t j = 0; j < 4; ++j) {
-      const unsigned __int128 cur =
-          static_cast<unsigned __int128>(t[j]) +
-          static_cast<unsigned __int128>(a.limb[j]) * b.limb[i] + carry;
-      t[j] = static_cast<std::uint64_t>(cur);
-      carry = cur >> 64;
-    }
-    {
-      const unsigned __int128 cur =
-          static_cast<unsigned __int128>(t[4]) + carry;
-      t[4] = static_cast<std::uint64_t>(cur);
-      t[5] = static_cast<std::uint64_t>(cur >> 64);
-    }
-    // Reduce: add m*r where m = t[0]*inv mod 2^64, then shift one limb.
-    const std::uint64_t m = t[0] * kFrInv;
-    carry = (static_cast<unsigned __int128>(t[0]) +
-             static_cast<unsigned __int128>(m) * kFrModulus.limb[0]) >>
-            64;
+    // t += a * b[i], then add m*r with m = t[0]*inv mod 2^64 and shift
+    // one limb; `hi` carries the product chain, `lo` the reduction chain.
+    u128 cur = static_cast<u128>(a.limb[0]) * b.limb[i] + t[0];
+    u128 hi = cur >> 64;
+    const std::uint64_t t0 = static_cast<std::uint64_t>(cur);
+    const std::uint64_t m = t0 * kFrInv;
+    u128 lo = (static_cast<u128>(m) * kFrModulus.limb[0] + t0) >> 64;
     for (std::size_t j = 1; j < 4; ++j) {
-      const unsigned __int128 cur =
-          static_cast<unsigned __int128>(t[j]) +
-          static_cast<unsigned __int128>(m) * kFrModulus.limb[j] + carry;
+      cur = static_cast<u128>(a.limb[j]) * b.limb[i] + t[j] + hi;
+      hi = cur >> 64;
+      cur = static_cast<u128>(m) * kFrModulus.limb[j] +
+            static_cast<std::uint64_t>(cur) + lo;
+      lo = cur >> 64;
       t[j - 1] = static_cast<std::uint64_t>(cur);
-      carry = cur >> 64;
     }
-    {
-      const unsigned __int128 cur =
-          static_cast<unsigned __int128>(t[4]) + carry;
-      t[3] = static_cast<std::uint64_t>(cur);
-      t[4] = t[5] + static_cast<std::uint64_t>(cur >> 64);
-    }
+    t[3] = static_cast<std::uint64_t>(hi + lo);
   }
   U256 res{t[0], t[1], t[2], t[3]};
-  if (t[4] != 0 || res >= kFrModulus) {
+  if (res >= kFrModulus) {
     bool borrow = false;
     res = sub_borrow(res, kFrModulus, borrow);
   }

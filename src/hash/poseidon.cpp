@@ -4,6 +4,7 @@
 #include <array>
 #include <mutex>
 #include <string>
+#include <utility>
 
 #include "common/expect.hpp"
 #include "hash/sha256.hpp"
@@ -80,6 +81,156 @@ PoseidonParams build_params(std::size_t t) {
   return p;
 }
 
+// --- Sparse partial rounds (Poseidon paper, App. B) ----------------------
+//
+// The native permutation computes the same function as the plain round
+// structure (add constants, S-box, multiply by M) with cheaper partial
+// rounds. Two rewrites, both exact:
+//  - Constants: in a partial round only lane 0 meets the S-box, so the
+//    constants of lanes 1..t-1 pass through it linearly. They are pushed
+//    forward as M·(0, c_1..c_{t-1}) into the next round's constants, and
+//    the last carry lands on the first full round after the partial ones.
+//  - Matrices: walking the partial rounds backwards from A = M, A factors
+//    as M_s·M_d with M_d = diag(1, Â) and
+//    M_s = [[a00, a0'·Â⁻¹], [a', I]]. M_d commutes with the lane-0 S-box,
+//    so it moves into the previous round's matrix (A <- M_d·M); the last
+//    full round before the partial ones multiplies by the final A. Each
+//    M_s costs 2t-1 multiplies.
+
+// One partial round: s0 = sbox(s0 + c), then out0 = row·s and
+// s_i += col[i]·s0 for i >= 1.
+struct SparseRound {
+  Fr c;
+  std::array<Fr, kMaxWidth> row{};
+  std::array<Fr, kMaxWidth> col{};  // col[0] unused
+};
+
+struct SparseTables {
+  /// Round constants as the native loop adds them: round-major, t per
+  /// round; partial rounds use their SparseRound::c instead.
+  std::vector<Fr> round_constants;
+  /// Replaces M in the last full round before the partial rounds.
+  std::vector<Fr> pre_partial_mds;
+  std::vector<SparseRound> partial;
+};
+
+using Matrix = std::vector<Fr>;  // n x n, row-major
+
+Matrix mat_mul(const Matrix& a, const Matrix& b, std::size_t n) {
+  Matrix out(n * n);
+  for (std::size_t i = 0; i < n; ++i) {
+    for (std::size_t j = 0; j < n; ++j) {
+      Fr acc = Fr::zero();
+      for (std::size_t k = 0; k < n; ++k) acc += a[i * n + k] * b[k * n + j];
+      out[i * n + j] = acc;
+    }
+  }
+  return out;
+}
+
+// Gauss-Jordan inverse over Fr. The blocks inverted here are products of
+// Cauchy submatrices, which are always invertible.
+Matrix mat_inverse(Matrix a, std::size_t n) {
+  Matrix inv(n * n);
+  for (std::size_t i = 0; i < n; ++i) inv[i * n + i] = Fr::one();
+  for (std::size_t col = 0; col < n; ++col) {
+    std::size_t pivot = col;
+    while (pivot < n && a[pivot * n + col].is_zero()) ++pivot;
+    WAKU_ENSURES(pivot < n);
+    for (std::size_t k = 0; k < n; ++k) {
+      std::swap(a[col * n + k], a[pivot * n + k]);
+      std::swap(inv[col * n + k], inv[pivot * n + k]);
+    }
+    const Fr scale = a[col * n + col].inverse();
+    for (std::size_t k = 0; k < n; ++k) {
+      a[col * n + k] *= scale;
+      inv[col * n + k] *= scale;
+    }
+    for (std::size_t row = 0; row < n; ++row) {
+      const Fr f = a[row * n + col];
+      if (row == col || f.is_zero()) continue;
+      for (std::size_t k = 0; k < n; ++k) {
+        a[row * n + k] -= f * a[col * n + k];
+        inv[row * n + k] -= f * inv[col * n + k];
+      }
+    }
+  }
+  return inv;
+}
+
+SparseTables build_sparse(const PoseidonParams& p) {
+  const std::size_t t = p.t;
+  const std::size_t n = t - 1;
+  const std::size_t first_partial = p.full_rounds / 2;
+  SparseTables sp;
+  sp.round_constants = p.round_constants;
+  sp.partial.resize(p.partial_rounds);
+
+  // Constants: keep lane 0 of each partial round, carry the rest forward.
+  std::array<Fr, kMaxWidth> carry{};
+  for (std::size_t r = 0; r < p.partial_rounds; ++r) {
+    const std::size_t round = first_partial + r;
+    std::array<Fr, kMaxWidth> c{};
+    for (std::size_t i = 0; i < t; ++i) c[i] = p.rc(round, i) + carry[i];
+    sp.partial[r].c = c[0];
+    for (std::size_t i = 0; i < t; ++i) {
+      Fr acc = Fr::zero();
+      for (std::size_t j = 1; j < t; ++j) acc += p.m(i, j) * c[j];
+      carry[i] = acc;
+    }
+  }
+  const std::size_t after = first_partial + p.partial_rounds;
+  for (std::size_t i = 0; i < t; ++i) {
+    sp.round_constants[after * t + i] += carry[i];
+  }
+
+  // Matrices: factor A = M_s·M_d from the last partial round backwards.
+  Matrix a = p.mds;
+  for (std::size_t r = p.partial_rounds; r-- > 0;) {
+    Matrix hat(n * n);
+    for (std::size_t i = 0; i < n; ++i) {
+      for (std::size_t j = 0; j < n; ++j) {
+        hat[i * n + j] = a[(i + 1) * t + (j + 1)];
+      }
+    }
+    const Matrix hat_inv = mat_inverse(hat, n);
+    SparseRound& sr = sp.partial[r];
+    sr.row[0] = a[0];
+    for (std::size_t j = 0; j < n; ++j) {
+      Fr acc = Fr::zero();
+      for (std::size_t k = 0; k < n; ++k) acc += a[k + 1] * hat_inv[k * n + j];
+      sr.row[j + 1] = acc;
+      sr.col[j + 1] = a[(j + 1) * t];
+    }
+    Matrix diag(t * t);
+    diag[0] = Fr::one();
+    for (std::size_t i = 0; i < n; ++i) {
+      for (std::size_t j = 0; j < n; ++j) {
+        diag[(i + 1) * t + (j + 1)] = hat[i * n + j];
+      }
+    }
+    a = mat_mul(diag, p.mds, t);
+  }
+  sp.pre_partial_mds = std::move(a);
+  return sp;
+}
+
+struct Instance {
+  PoseidonParams params;
+  SparseTables sparse;
+};
+
+const Instance& instance(std::size_t t) {
+  WAKU_EXPECTS(t >= 2 && t <= kMaxWidth);
+  static std::array<Instance, kMaxWidth + 1> cache;
+  static std::once_flag flags[kMaxWidth + 1];
+  std::call_once(flags[t], [t] {
+    cache[t].params = build_params(t);
+    cache[t].sparse = build_sparse(cache[t].params);
+  });
+  return cache[t];
+}
+
 Fr sbox(const Fr& x) {
   const Fr x2 = x.square();
   const Fr x4 = x2.square();
@@ -89,46 +240,43 @@ Fr sbox(const Fr& x) {
 }  // namespace
 
 const PoseidonParams& poseidon_params(std::size_t t) {
-  WAKU_EXPECTS(t >= 2 && t <= kMaxWidth);
-  static std::array<PoseidonParams, 6> cache;
-  static std::once_flag flags[6];
-  std::call_once(flags[t], [t] { cache[t] = build_params(t); });
-  return cache[t];
+  return instance(t).params;
 }
 
 void poseidon_permute(std::span<Fr> state) {
   const std::size_t t = state.size();
-  const PoseidonParams& p = poseidon_params(t);
+  const Instance& inst = instance(t);
+  const SparseTables& sp = inst.sparse;
+  const std::size_t half_full = inst.params.full_rounds / 2;
 
   std::array<Fr, kMaxWidth> next;
-  const std::size_t half_full = p.full_rounds / 2;
-
-  auto mix = [&](std::span<Fr> s) {
+  auto full_round = [&](std::size_t round, const std::vector<Fr>& m) {
+    for (std::size_t i = 0; i < t; ++i) {
+      state[i] = sbox(state[i] + sp.round_constants[round * t + i]);
+    }
     for (std::size_t i = 0; i < t; ++i) {
       Fr acc = Fr::zero();
-      for (std::size_t j = 0; j < t; ++j) acc += p.m(i, j) * s[j];
+      for (std::size_t j = 0; j < t; ++j) acc += m[i * t + j] * state[j];
       next[i] = acc;
     }
-    for (std::size_t i = 0; i < t; ++i) s[i] = next[i];
+    for (std::size_t i = 0; i < t; ++i) state[i] = next[i];
   };
 
   std::size_t round = 0;
-  for (std::size_t r = 0; r < half_full; ++r, ++round) {
-    for (std::size_t i = 0; i < t; ++i) {
-      state[i] = sbox(state[i] + p.rc(round, i));
+  for (; round + 1 < half_full; ++round) full_round(round, inst.params.mds);
+  full_round(round++, sp.pre_partial_mds);
+  for (const SparseRound& sr : sp.partial) {
+    const Fr s0 = sbox(state[0] + sr.c);
+    Fr out0 = sr.row[0] * s0;
+    for (std::size_t i = 1; i < t; ++i) {
+      out0 += sr.row[i] * state[i];
+      state[i] += sr.col[i] * s0;
     }
-    mix(state);
+    state[0] = out0;
   }
-  for (std::size_t r = 0; r < p.partial_rounds; ++r, ++round) {
-    for (std::size_t i = 0; i < t; ++i) state[i] += p.rc(round, i);
-    state[0] = sbox(state[0]);
-    mix(state);
-  }
+  round += sp.partial.size();
   for (std::size_t r = 0; r < half_full; ++r, ++round) {
-    for (std::size_t i = 0; i < t; ++i) {
-      state[i] = sbox(state[i] + p.rc(round, i));
-    }
-    mix(state);
+    full_round(round, inst.params.mds);
   }
 }
 

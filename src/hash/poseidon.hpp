@@ -12,6 +12,12 @@
 // nothing-up-my-sleeve PRF instead of the reference Grain-LFSR stream; the
 // algebraic structure is identical and no benchmark or protocol behaviour
 // depends on the particular constant stream.
+//
+// poseidon_permute evaluates the permutation in the sparse partial-round
+// form of the Poseidon paper (App. B): the same function, with each partial
+// round costing 2t-1 multiplies instead of t^2. The in-circuit gadget
+// (zksnark/gadgets.hpp) keeps the plain round structure described by
+// PoseidonParams, and is the reference the native code is tested against.
 #pragma once
 
 #include <cstddef>

@@ -18,6 +18,7 @@ NullifierLog::NullifierLog(NullifierLog&& other) noexcept {
         std::memory_order_relaxed);
   }
   min_epoch_ = other.min_epoch_;
+  sweep_floor_ = other.sweep_floor_;
   entries_ = other.entries_;
   bucket_count_ = other.bucket_count_;
   conflicts_.store(other.conflicts_.load(std::memory_order_relaxed),
@@ -36,6 +37,7 @@ NullifierLog& NullifierLog::operator=(NullifierLog&& other) noexcept {
         std::memory_order_relaxed);
   }
   min_epoch_ = other.min_epoch_;
+  sweep_floor_ = other.sweep_floor_;
   entries_ = other.entries_;
   bucket_count_ = other.bucket_count_;
   conflicts_.store(other.conflicts_.load(std::memory_order_relaxed),
@@ -88,6 +90,7 @@ NullifierLog::Result NullifierLog::observe(std::uint64_t epoch,
     } else {
       min_epoch_ = std::min(min_epoch_, epoch);
     }
+    sweep_floor_ = std::min(sweep_floor_, epoch);
     ++entries_;
     if (new_bucket) ++bucket_count_;
   }
@@ -116,6 +119,7 @@ void NullifierLog::gc(std::uint64_t current_epoch, std::uint64_t thr) {
       return;
     }
     if (cutoff <= min_epoch_) return;
+    sweep_floor_ = cutoff;
   }
   // Expire whole epoch buckets, one stripe at a time (meta is not held
   // across the sweep — lock rule). Each stripe holds at most ~thr/kStripes
@@ -139,9 +143,10 @@ void NullifierLog::gc(std::uint64_t current_epoch, std::uint64_t thr) {
   entries_ -= removed_entries;
   bucket_count_ -= removed_buckets;
   // An observe racing this sweep can land an entry below the cutoff after
-  // its stripe was already swept; the watermark still advances (the stale
-  // bucket is swept on the next gc), matching the documented contract.
-  min_epoch_ = std::max(min_epoch_, cutoff);
+  // its stripe was already swept. It lowered sweep_floor_ to its epoch, so
+  // the watermark stops there instead of passing over the live bucket, and
+  // the next gc sweeps it.
+  min_epoch_ = std::max(min_epoch_, sweep_floor_);
 }
 
 NullifierLog::Stats NullifierLog::stats() const {

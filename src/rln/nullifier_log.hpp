@@ -117,9 +117,10 @@ class NullifierLog {
   /// Drops entries older than `thr` epochs before `current_epoch`
   /// (messages that old are rejected up front, so the log never needs
   /// them, §III-F). Amortized O(1) per expired epoch via the watermark.
-  /// Safe concurrently with observe/peek; an observe racing the sweep with
-  /// an already-expired epoch may land below the watermark and is
-  /// reclaimed by the next gc.
+  /// Safe concurrently with observe/peek, but not with another gc (the
+  /// log's owner runs it); an observe racing the sweep with an
+  /// already-expired epoch may outlive it, and then holds the watermark at
+  /// or below its epoch until the next gc reclaims it.
   void gc(std::uint64_t current_epoch, std::uint64_t thr);
 
   [[nodiscard]] Stats stats() const;
@@ -186,6 +187,10 @@ class NullifierLog {
   /// is updated), so there is no lock-order relation to deadlock on.
   mutable std::mutex meta_mu_;
   std::uint64_t min_epoch_ = 0;  ///< no bucket is older than this watermark
+  /// While a gc sweeps: its cutoff, lowered by every epoch observe inserts
+  /// meanwhile. The sweep may miss those epochs, so it ends with the
+  /// watermark at most here.
+  std::uint64_t sweep_floor_ = 0;
   std::size_t entries_ = 0;
   std::size_t bucket_count_ = 0;
 

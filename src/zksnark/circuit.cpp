@@ -31,6 +31,11 @@ Wire CircuitBuilder::public_input(const Fr& value) {
   return allocate(value, /*is_public=*/true);
 }
 
+void CircuitBuilder::set_public(std::size_t k, const Fr& value) {
+  WAKU_EXPECTS(k < cs().num_public() && k + 1 < assignment_.size());
+  assignment_[1 + k] = value;
+}
+
 Wire CircuitBuilder::witness(const Fr& value) {
   return allocate(value, /*is_public=*/false);
 }

@@ -41,6 +41,11 @@ class CircuitBuilder {
   /// Allocates a public input carrying `value`.
   Wire public_input(const Fr& value);
 
+  /// Overwrites the value of public input `k` (0-based, allocation order).
+  /// Lets a circuit allocate its public slots first and fill in the ones
+  /// its gadgets compute afterwards.
+  void set_public(std::size_t k, const Fr& value);
+
   /// Allocates a private witness variable carrying `value`.
   Wire witness(const Fr& value);
 

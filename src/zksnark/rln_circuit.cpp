@@ -23,15 +23,15 @@ RlnPublicInputs rln_compute_publics(const RlnProverInput& input) {
 
 void wire_rln_circuit(RlnCircuit& circuit, const RlnProverInput& input) {
   WAKU_EXPECTS(!input.path.siblings.empty());
-  circuit.publics = rln_compute_publics(input);
   CircuitBuilder& b = circuit.builder;
 
-  // Public inputs first (Groth16 variable layout).
-  const Wire x = b.public_input(circuit.publics.x);
-  const Wire y = b.public_input(circuit.publics.y);
-  const Wire nullifier = b.public_input(circuit.publics.nullifier);
-  const Wire epoch = b.public_input(circuit.publics.epoch);
-  const Wire root = b.public_input(circuit.publics.root);
+  // Public inputs first (Groth16 variable layout). y, phi and the root are
+  // placeholders until the gadgets below compute them.
+  const Wire x = b.public_input(input.x);
+  const Wire y = b.public_input(Fr::zero());
+  const Wire nullifier = b.public_input(Fr::zero());
+  const Wire epoch = b.public_input(input.epoch);
+  const Wire root = b.public_input(Fr::zero());
 
   // Private witness.
   const Wire sk = b.witness(input.sk);
@@ -44,11 +44,19 @@ void wire_rln_circuit(RlnCircuit& circuit, const RlnProverInput& input) {
   // (2) share validity: y = sk + a1 * x, a1 = Poseidon(sk, epoch).
   const Wire a1 = poseidon2_gadget(b, sk, epoch);
   const Wire a1x = b.mul(a1, x, "share_slope_times_x");
-  b.assert_equal(b.add(sk, a1x), y, "share_validity");
+  const Wire share = b.add(sk, a1x);
+  b.assert_equal(share, y, "share_validity");
 
   // (3) nullifier correctness: phi = Poseidon(a1).
   const Wire phi = poseidon1_gadget(b, a1);
   b.assert_equal(phi, nullifier, "nullifier_correctness");
+
+  // Each hash ran once, in the gadgets: their wires fill the public slots.
+  circuit.publics = RlnPublicInputs{input.x, share.value, phi.value,
+                                    input.epoch, computed_root.value};
+  b.set_public(1, share.value);
+  b.set_public(2, phi.value);
+  b.set_public(4, computed_root.value);
 }
 
 namespace {

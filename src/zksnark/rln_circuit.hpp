@@ -42,7 +42,8 @@ struct RlnProverInput {
 
 /// Computes the honest public outputs for a prover input (native, outside
 /// the circuit): a1 = H(sk, epoch), y = sk + a1*x, phi = H(a1),
-/// root = ascend(H(sk), path).
+/// root = ascend(H(sk), path). The native reference tests check the
+/// circuit against; the publish path does not call it.
 RlnPublicInputs rln_compute_publics(const RlnProverInput& input);
 
 /// A witnessed RLN circuit: the builder's cs() is the constraint system and
@@ -55,7 +56,10 @@ struct RlnCircuit {
 /// Runs the RLN gadgets for `input` on circuit.builder, in whichever mode
 /// the builder was constructed, and fills circuit.publics. The one
 /// description of the circuit: setup builds the constraint system with it,
-/// and every publish computes its witness with it.
+/// and every publish computes its witness with it. x and the epoch come
+/// from `input`; y, phi and the root are read from the gadget wires that
+/// compute them and written into their public slots, so each hash runs
+/// once.
 void wire_rln_circuit(RlnCircuit& circuit, const RlnProverInput& input);
 
 /// Computes the witness for `input` by running the circuit's gadgets in

@@ -249,5 +249,28 @@ TEST(Fr, MulMatchesRepeatedAddition) {
   }
 }
 
+// The 4-limb Montgomery multiply against the binary double-and-add
+// reference in u256.hpp, on random pairs and on every pair of edge values.
+TEST(Fr, MulMatchesBinaryReference) {
+  const auto check = [](const Fr& a, const Fr& b) {
+    const Fr p = a * b;
+    EXPECT_EQ(p.to_u256(), mul_mod(a.to_u256(), b.to_u256(), Fr::kModulus))
+        << fr_to_hex(a) << " * " << fr_to_hex(b);
+    // operator== and the hash compare representations: they must be < r.
+    EXPECT_LT(p.mont_repr(), Fr::kModulus)
+        << fr_to_hex(a) << " * " << fr_to_hex(b);
+  };
+  Rng rng(59);
+  for (int i = 0; i < 10000; ++i) check(Fr::random(rng), Fr::random(rng));
+
+  const U256 two_254_minus_1{~0ULL, ~0ULL, ~0ULL, 0x3fffffffffffffffULL};
+  const Fr edges[] = {Fr::zero(), Fr::one(), Fr::zero() - Fr::one(),
+                      Fr::from_u256_reduce(detail::kFrR),
+                      Fr::from_u256_reduce(two_254_minus_1)};
+  for (const Fr& a : edges) {
+    for (const Fr& b : edges) check(a, b);
+  }
+}
+
 }  // namespace
 }  // namespace waku::ff

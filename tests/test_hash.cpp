@@ -198,6 +198,102 @@ TEST(Poseidon, OutputsAreCanonicalFieldElements) {
   }
 }
 
+// Full output states of poseidon_permute, pinned: for each width t = 2..5,
+// the images of the zero state, of (1, 2, ..., t) and of r-1 in every lane.
+// Regression vectors of this implementation (its constants are
+// project-specific), not cross-implementation vectors.
+struct PermutationVector {
+  std::size_t t;
+  int input;  // 0: zeros, 1: (1..t), 2: r-1 in every lane
+  std::array<const char*, 5> out;
+};
+
+constexpr PermutationVector kPermutationVectors[] = {
+    {2,
+     0,
+     {"2d36a9eae512b7abf6068a1b0ae82cd9443c44ce30a22b3371fef3a9884d38c8",
+      "0f1c195c9f856a40df0d519f302e87dcbfe4b4e1f4f5b89659294184d4243020"}},
+    {2,
+     1,
+     {"1f10001f403ff13b02dbb4437afc541986cf0de3ec598ddbfe360dcd41cb04da",
+      "02da7e7b6eb89b89d6bae0029de07b4fbb19588567d0ddba63bb5108c48e8308"}},
+    {2,
+     2,
+     {"0359f8e471ebcfb6aa6480c533da2ab448b99e3a77249fd27270b82b39f52760",
+      "031c17d676010daa5313211bcfb85f8534a5231601c1d7edf5246c4211920c6a"}},
+    {3,
+     0,
+     {"085af678a632c40a8c2aeab082ebcdc4fe57df959de75983cbe3c900244fb530",
+      "187a0689416c1e3e9ad1cd3aac83d69d068ce6af559220db231b38e436bb503d",
+      "25bd60e8af3482dd486fbb14518abe6be9230b47eb69e788f3848f519e95e68e"}},
+    {3,
+     1,
+     {"267afe17073cd695200083e892f9636eda4afc812db1304033feaa69ee7167cc",
+      "0cf58a8ffed008932d3a3f67d374348462d6c20c9b003c937fcee790345178f3",
+      "2ee28902e43139da081a1b8f6d652e8468a937722275eb35b9087ade408a0884"}},
+    {3,
+     2,
+     {"02390fcc5b3ef3a37029b6488354b78088cb6e2a567981cc946a418f1631a2c2",
+      "2e25945f4de0bea88f91c1edce656ebfd6500226a61db27e9e34000dc3f8af94",
+      "2ab4a87e9786eda323883774f4e981ce456cc2d7b853b7753bec34a47e30224f"}},
+    {4,
+     0,
+     {"16a7bf618535921cdd1b8506f9e7b71b20e4b956ae0ad2ae82ddb638b41ef9b3",
+      "161d2ba1023952bb75e28ef34217ad7061f9a6c280594443d57bbd62b370102a",
+      "02666342da9c6cfbdd63ef7431b3c8c15fc865a7c34be75503b71c31a9f89ee0",
+      "1088718f9fd417344cbc670ffa5bbafb3fb301e9dfc5018e53cdc8964c1dcc5a"}},
+    {4,
+     1,
+     {"229913cfe466d79f8921e468dada7c865696424276b71314bcb6f1eda26c51cd",
+      "0213ed84d8ba4995bd3fca174c01302f0c4fb8c506d2b380fe2066d11e3a9191",
+      "05cee04684e4312f40422c12315595d6db7fe834538f6af415f45172c135a563",
+      "05571b6f4afa859dd9e22bdac306792e2ade94d0017e130e95ff1c7b3c56b623"}},
+    {4,
+     2,
+     {"1f12e46e67772ac264d90fc3f1acba897207a5a83e458e14c6253834b1de5f48",
+      "233bbc04030b92328c508f88c4f047d965b1caea97a47ec719f3492f13d56f3a",
+      "0b00df07e7749391394d060f71c9b5a8128e1d4053d2851eef23f6b235ec7793",
+      "19538a7873c5693bee96415ae17e38d530a9038fad9e0054c1e9163e2bbc72ef"}},
+    {5,
+     0,
+     {"079c17e004f899b09ef5bc632858af4f117bbe6f7be72ef3f4183799e30ee609",
+      "272692944cde2d2e7a0c43a9c987db4f054790c1434282832b23098ab381f1be",
+      "2ed3f972dbfccb24ced0b3b729569e00f65ed8acf6176ae8a0437c01f4ad3cad",
+      "2e8627212ed516dd531ed1c78f42fdee5e6c64c0fc5aab9780278557041913c1",
+      "12fc8746d40b33de2ad7caaa60f20414f9440e34f90b23950c6cb4af6becfdc5"}},
+    {5,
+     1,
+     {"091b81787fe9287801e44b805166b589bc534e9f7574a95b03b18f60cb47d300",
+      "1f31000cf6c732809a180a6dcf4cdc072fe9427f672ee6b698944a8d25e10d21",
+      "23d3b8cc23130fc52a58638936d2e7a8abcf953c484ee44481e5f71ac4a4e232",
+      "120ace0e1524211b34f94b4175f2de7c6d8031d4015fc7004ba188c133082db6",
+      "0c1adc94bfae16e97f33f21d1a7594a6612343fe607157edac88892fa9431441"}},
+    {5,
+     2,
+     {"2c614b80b1d3d13793b62b5ca2187a6f89b4716eb9f46748ea5b86d46da9ea27",
+      "004725c7f60265ac03a65ab60cbcbeee42264c448c26c338b9c733c56270d0c9",
+      "0ef628ae326e2d0043c7706b61c6d7f9bccabd9b32011714777e75a1f6c7e1d2",
+      "14cb2317d584296fd893e88c9d1108d3f4b48030b134d0b1d4172686131c9da0",
+      "0d06ad681eeb4d022cc85364558f880b84db1850a487bed1e2160b687d7afbd4"}},
+};
+
+TEST(Poseidon, PermutationMatchesPinnedVectors) {
+  const Fr r_minus_1 = Fr::zero() - Fr::one();
+  for (const PermutationVector& v : kPermutationVectors) {
+    std::vector<Fr> state(v.t);
+    for (std::size_t i = 0; i < v.t; ++i) {
+      state[i] = v.input == 0   ? Fr::zero()
+                 : v.input == 1 ? Fr::from_u64(i + 1)
+                                : r_minus_1;
+    }
+    poseidon_permute(state);
+    for (std::size_t i = 0; i < v.t; ++i) {
+      EXPECT_EQ(to_hex(state[i].to_bytes_be()), v.out[i])
+          << "t=" << v.t << " input=" << v.input << " lane " << i;
+    }
+  }
+}
+
 // -- Schnorr (checkpoint attestation scheme) ---------------------------------
 
 TEST(Schnorr, SignVerifyRoundTrip) {

@@ -240,6 +240,18 @@ TEST(MerkleTree, InsertBatchMatchesLoopedInserts) {
   EXPECT_EQ(batched.serialize(), looped.serialize());
 }
 
+// The root of a depth-20 tree after 33 inserts of Poseidon(i), pinned:
+// a regression vector for the native Poseidon and the insert path.
+TEST(MerkleTree, Depth20RootIsPinned) {
+  IncrementalMerkleTree tree(20);
+  for (std::uint64_t i = 0; i < 33; ++i) {
+    tree.insert(hash::poseidon1(Fr::from_u64(i)));
+  }
+  EXPECT_EQ(ff::fr_to_hex(tree.root()),
+            "0x2bb094b944eb2c381844c444fd5846261e"
+            "3329572c6ad5a13b0a683c579dcb7f");
+}
+
 TEST(MerkleTree, InsertBatchEnforcesCapacity) {
   IncrementalMerkleTree tree(3);
   std::vector<Fr> nine(9, leaf_of(1));

@@ -149,6 +149,18 @@ TEST(CircuitBuilder, AssertBooleanRejectsNonBits) {
   EXPECT_FALSE(b.satisfied());
 }
 
+TEST(CircuitBuilder, SetPublicFillsOnlyPublicSlots) {
+  CircuitBuilder b;
+  const Wire x = b.public_input(Fr::zero());
+  const Wire w = b.witness(Fr::from_u64(5));
+  b.assert_equal(x, w);
+  EXPECT_FALSE(b.satisfied());
+  b.set_public(0, Fr::from_u64(5));
+  EXPECT_EQ(b.assignment()[1], Fr::from_u64(5));
+  EXPECT_TRUE(b.satisfied());
+  EXPECT_THROW(b.set_public(1, Fr::one()), ContractViolation);
+}
+
 TEST(CircuitBuilder, ConditionalSwap) {
   CircuitBuilder b;
   const Wire l = b.witness(Fr::from_u64(10));
@@ -162,8 +174,30 @@ TEST(CircuitBuilder, ConditionalSwap) {
   EXPECT_TRUE(b.satisfied());
 }
 
+// The gadget keeps the plain round structure; the native permutation uses
+// sparse partial rounds. Every output lane must agree, at every width, on
+// the zero state and 64 random states.
 TEST(Gadgets, PoseidonMatchesNative) {
   Rng rng(211);
+  for (std::size_t t = 2; t <= 5; ++t) {
+    CircuitBuilder b;
+    for (int trial = 0; trial <= 64; ++trial) {
+      std::vector<Fr> native(t);
+      if (trial > 0) {
+        for (Fr& v : native) v = Fr::random(rng);
+      }
+      std::vector<Wire> wires;
+      for (const Fr& v : native) wires.push_back(b.witness(v));
+      poseidon_permute_gadget(b, wires);
+      hash::poseidon_permute(native);
+      for (std::size_t i = 0; i < t; ++i) {
+        ASSERT_EQ(wires[i].value, native[i])
+            << "t=" << t << " trial " << trial << " lane " << i;
+      }
+    }
+    EXPECT_TRUE(b.satisfied()) << "t=" << t;
+  }
+  // The hash wrappers on top of the permutation, per arity.
   for (std::size_t arity = 1; arity <= 4; ++arity) {
     CircuitBuilder b;
     std::vector<Fr> values;
@@ -172,9 +206,8 @@ TEST(Gadgets, PoseidonMatchesNative) {
       values.push_back(Fr::random(rng));
       wires.push_back(b.witness(values.back()));
     }
-    const Wire out = poseidon_gadget(b, wires);
-    EXPECT_EQ(out.value, hash::poseidon_hash(values)) << "arity " << arity;
-    EXPECT_TRUE(b.satisfied()) << "arity " << arity;
+    EXPECT_EQ(poseidon_gadget(b, wires).value, hash::poseidon_hash(values))
+        << "arity " << arity;
   }
 }
 
@@ -226,14 +259,24 @@ TEST(RlnCircuit, PublicsMatchSpec) {
   const RlnFixture fx;
   const Fr x = Fr::from_u64(42);
   const Fr epoch = Fr::from_u64(54827003);
-  const RlnPublicInputs pub = rln_compute_publics(fx.prover_input(x, epoch));
-
+  const RlnProverInput input = fx.prover_input(x, epoch);
   const Fr a1 = hash::poseidon2(fx.sk, epoch);
-  EXPECT_EQ(pub.x, x);
-  EXPECT_EQ(pub.y, fx.sk + a1 * x);
-  EXPECT_EQ(pub.nullifier, hash::poseidon1(a1));
-  EXPECT_EQ(pub.epoch, epoch);
-  EXPECT_EQ(pub.root, fx.tree.root());
+  const auto check = [&](const RlnPublicInputs& pub, const char* source) {
+    EXPECT_EQ(pub.x, x) << source;
+    EXPECT_EQ(pub.y, fx.sk + a1 * x) << source;
+    EXPECT_EQ(pub.nullifier, hash::poseidon1(a1)) << source;
+    EXPECT_EQ(pub.epoch, epoch) << source;
+    EXPECT_EQ(pub.root, fx.tree.root()) << source;
+  };
+  check(rln_compute_publics(input), "native");
+
+  // A publish takes its publics from the gadget wires: the circuit's
+  // publics and assignment slots 1..5 must hold the same five values.
+  const RlnCircuit c = build_rln_circuit(input);
+  check(c.publics, "circuit.publics");
+  const std::span<const Fr> asg = c.builder.assignment();
+  check(RlnPublicInputs{asg[1], asg[2], asg[3], asg[4], asg[5]},
+        "assignment");
 }
 
 TEST(RlnCircuit, WitnessSatisfiesConstraints) {
