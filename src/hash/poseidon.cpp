@@ -116,18 +116,6 @@ struct SparseTables {
 
 using Matrix = std::vector<Fr>;  // n x n, row-major
 
-Matrix mat_mul(const Matrix& a, const Matrix& b, std::size_t n) {
-  Matrix out(n * n);
-  for (std::size_t i = 0; i < n; ++i) {
-    for (std::size_t j = 0; j < n; ++j) {
-      Fr acc = Fr::zero();
-      for (std::size_t k = 0; k < n; ++k) acc += a[i * n + k] * b[k * n + j];
-      out[i * n + j] = acc;
-    }
-  }
-  return out;
-}
-
 // Gauss-Jordan inverse over Fr. The blocks inverted here are products of
 // Cauchy submatrices, which are always invertible.
 Matrix mat_inverse(Matrix a, std::size_t n) {
@@ -202,14 +190,16 @@ SparseTables build_sparse(const PoseidonParams& p) {
       sr.row[j + 1] = acc;
       sr.col[j + 1] = a[(j + 1) * t];
     }
-    Matrix diag(t * t);
-    diag[0] = Fr::one();
-    for (std::size_t i = 0; i < n; ++i) {
-      for (std::size_t j = 0; j < n; ++j) {
-        diag[(i + 1) * t + (j + 1)] = hat[i * n + j];
+    // A <- M_d·M: row 0 is M's, rows 1.. are Â times M's rows 1...
+    Matrix prev = p.mds;
+    for (std::size_t i = 1; i < t; ++i) {
+      for (std::size_t j = 0; j < t; ++j) {
+        Fr acc = Fr::zero();
+        for (std::size_t k = 1; k < t; ++k) acc += a[i * t + k] * p.m(k, j);
+        prev[i * t + j] = acc;
       }
     }
-    a = mat_mul(diag, p.mds, t);
+    a = std::move(prev);
   }
   sp.pre_partial_mds = std::move(a);
   return sp;

@@ -208,6 +208,7 @@ TEST(Gadgets, PoseidonMatchesNative) {
     }
     EXPECT_EQ(poseidon_gadget(b, wires).value, hash::poseidon_hash(values))
         << "arity " << arity;
+    EXPECT_TRUE(b.satisfied()) << "arity " << arity;
   }
 }
 
