@@ -19,7 +19,8 @@ namespace waku::gossipsub {
 using net::NodeId;
 using net::TimeMs;
 
-/// Message identifier: hash of (topic, origin, sequence number).
+/// Message identifier: SHA-256 of (topic, origin, sequence number, data)
+/// in their wire encoding (PubSubMessage::id()).
 using MessageId = std::array<std::uint8_t, 32>;
 
 struct MessageIdHash {

@@ -8,15 +8,18 @@
 namespace waku::gossipsub {
 
 MessageId PubSubMessage::id() const {
-  ByteWriter w;
-  w.write_string(topic);
-  w.write_u32(origin);
-  w.write_u64(seqno);
-  w.write_bytes(data);
-  const hash::Sha256Digest d = hash::sha256(w.data());
-  MessageId id;
-  std::copy(d.begin(), d.end(), id.begin());
-  return id;
+  // SHA-256 of the ByteWriter encoding write_string(topic),
+  // write_u32(origin), write_u64(seqno), write_bytes(data), fed to the
+  // hasher field by field so no copy of the message is built.
+  hash::Sha256 h;
+  h.update_le(topic.size(), 4);
+  h.update(BytesView(reinterpret_cast<const std::uint8_t*>(topic.data()),
+                     topic.size()));
+  h.update_le(origin, 4);
+  h.update_le(seqno, 8);
+  h.update_le(data.size(), 4);
+  h.update(data);
+  return h.finalize();
 }
 
 Bytes encode_frame(const Frame& frame) {

@@ -39,7 +39,16 @@ std::vector<Fr> RateLimitProof::public_inputs(const Fr& msg_hash) const {
 }
 
 Fr message_hash(const WakuMessage& message) {
-  return Fr::from_bytes_reduce(hash::sha256_bytes(message.signal_bytes()));
+  // SHA-256 of signal_bytes() (u32-prefixed payload, then u32-prefixed
+  // content topic), fed to the hasher field by field so no copy is built.
+  hash::Sha256 h;
+  h.update_le(message.payload.size(), 4);
+  h.update(message.payload);
+  h.update_le(message.content_topic.size(), 4);
+  h.update(BytesView(
+      reinterpret_cast<const std::uint8_t*>(message.content_topic.data()),
+      message.content_topic.size()));
+  return Fr::from_bytes_reduce(h.finalize());
 }
 
 RateLimitProof make_rate_limit_proof(const Fr& sk, merkle::MerklePath path,

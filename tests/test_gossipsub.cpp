@@ -5,7 +5,10 @@
 
 #include <memory>
 
+#include "common/rng.hpp"
+#include "common/serde.hpp"
 #include "gossipsub/router.hpp"
+#include "hash/sha256.hpp"
 
 namespace waku::gossipsub {
 namespace {
@@ -416,6 +419,46 @@ TEST(WireFormat, MessageIdDependsOnAllFields) {
   EXPECT_NE(base.id(), diff_data.id());
   EXPECT_NE(base.id(), diff_origin.id());
   EXPECT_NE(base.id(), diff_seq.id());
+}
+
+Bytes byte_pattern(std::size_t n) {
+  Bytes b(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    b[i] = static_cast<std::uint8_t>(i * 7 + 3);
+  }
+  return b;
+}
+
+// Ids travel in IHAVE/IWANT and key every seen cache, so a different id for
+// the same message is a wire-format change.
+TEST(WireFormat, MessageIdIsPinned) {
+  const PubSubMessage empty{
+      .topic = "/waku/2/rs/0/0", .data = {}, .origin = 7, .seqno = 0};
+  const PubSubMessage full{.topic = "/waku/2/rs/0/3",
+                           .data = byte_pattern(300),
+                           .origin = 0x01020304,
+                           .seqno = 0x1122334455667788ULL};
+  EXPECT_EQ(to_hex(empty.id()),
+            "0430021be3f3ae62ce6c18ed715a142ca72e315aceb6d8d32c837695e01e068d");
+  EXPECT_EQ(to_hex(full.id()),
+            "9ea9cf400e14011fc36876a6271ac981e9a003d6bf736fc1da356f79e8e190c1");
+}
+
+TEST(WireFormat, MessageIdIsSha256OfByteWriterEncoding) {
+  Rng rng(0x1D5);
+  for (int i = 0; i < 64; ++i) {
+    PubSubMessage m;
+    m.topic = to_string(rng.next_bytes(rng.next_below(48)));
+    m.data = rng.next_bytes(rng.next_below(700));
+    m.origin = static_cast<NodeId>(rng.next_u64());
+    m.seqno = rng.next_u64();
+    ByteWriter w;
+    w.write_string(m.topic);
+    w.write_u32(m.origin);
+    w.write_u64(m.seqno);
+    w.write_bytes(m.data);
+    EXPECT_EQ(m.id(), hash::sha256(w.data())) << "message " << i;
+  }
 }
 
 }  // namespace

@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <array>
+#include <iostream>
 #include <set>
 #include <string>
 
@@ -46,6 +47,82 @@ TEST(Sha256, TwoBlockVector) {
 TEST(Sha256, FoxVector) {
   EXPECT_EQ(sha_hex("The quick brown fox jumps over the lazy dog"),
             "d7a8fbb307d7809469ca9abcb0082e4f8d5651e46d3cdb762d02d0bf37c9e592");
+}
+
+TEST(Sha256, Nist896BitVector) {
+  // 112 bytes: the padding spills into a second block.
+  EXPECT_EQ(sha_hex("abcdefghbcdefghicdefghijdefghijkefghijklfghijklmghijklmn"
+                    "hijklmnoijklmnopjklmnopqklmnopqrlmnopqrsmnopqrstnopqrstu"),
+            "cf5b16a778af8380036ce59e7b0492370b249b11e8f07a51afac45037afee9d1");
+}
+
+// Reference digest: pads the whole message up front (0x80, zeros, 64-bit
+// big-endian bit length) and runs detail's portable body over every block,
+// bypassing Sha256's buffering and finalize().
+Sha256Digest portable_sha256(BytesView data) {
+  Bytes padded(data.begin(), data.end());
+  padded.push_back(0x80);
+  while (padded.size() % 64 != 56) padded.push_back(0);
+  const std::uint64_t bits = data.size() * 8;
+  for (int i = 7; i >= 0; --i) {
+    padded.push_back(static_cast<std::uint8_t>(bits >> (8 * i)));
+  }
+  Sha256State state = {0x6a09e667, 0xbb67ae85, 0x3c6ef372, 0xa54ff53a,
+                       0x510e527f, 0x9b05688c, 0x1f83d9ab, 0x5be0cd19};
+  detail::compress_portable(state, padded.data(), padded.size() / 64);
+  Sha256Digest d{};
+  for (std::size_t i = 0; i < 32; ++i) {
+    d[i] = static_cast<std::uint8_t>(state[i / 4] >> (24 - 8 * (i % 4)));
+  }
+  return d;
+}
+
+TEST(Sha256, HardwareKernelMatchesPortable) {
+  const bool hw = detail::sha_extensions_available();
+  std::cout << "[ sha256   ] compress kernel: "
+            << (hw ? "x86 SHA extensions" : "portable") << "\n";
+  if (!hw) {
+    GTEST_SKIP() << "CPU lacks the x86 SHA extensions (or SSSE3/SSE4.1); "
+                    "compress() runs the portable body";
+  }
+  Rng rng(0x5A256);
+  for (int trial = 0; trial < 256; ++trial) {
+    Sha256State start{};
+    for (std::uint32_t& w : start) {
+      w = static_cast<std::uint32_t>(rng.next_u64());
+    }
+    const std::size_t n = 1 + rng.next_below(8);
+    const Bytes blocks = rng.next_bytes(64 * n);
+    Sha256State hw_state = start;
+    Sha256State ref = start;
+    detail::compress(hw_state, blocks.data(), n);
+    detail::compress_portable(ref, blocks.data(), n);
+    ASSERT_EQ(hw_state, ref) << "trial " << trial << ", " << n << " blocks";
+  }
+}
+
+TEST(Sha256, EveryLengthMatchesPortable) {
+  Rng rng(0x1E6);
+  const Bytes data = rng.next_bytes(300);
+  for (std::size_t len = 0; len <= data.size(); ++len) {
+    const BytesView msg(data.data(), len);
+    const Sha256Digest expected = portable_sha256(msg);
+    EXPECT_EQ(sha256(msg), expected) << "one-shot, length " << len;
+    Sha256 h;
+    for (std::size_t i = 0; i < len; ++i) h.update(msg.subspan(i, 1));
+    EXPECT_EQ(h.finalize(), expected) << "byte at a time, length " << len;
+  }
+  for (const std::size_t len : {55u, 56u, 63u, 64u, 119u, 120u}) {
+    const BytesView msg(data.data(), len);
+    const Sha256Digest expected = portable_sha256(msg);
+    for (std::size_t split = 0; split <= len; ++split) {
+      Sha256 h;
+      h.update(msg.first(split));
+      h.update(msg.subspan(split));
+      EXPECT_EQ(h.finalize(), expected)
+          << "length " << len << " split at " << split;
+    }
+  }
 }
 
 TEST(Sha256, IncrementalMatchesOneShot) {

@@ -6,6 +6,7 @@
 #include "chain/rln_contract.hpp"
 #include "common/expect.hpp"
 #include "hash/poseidon.hpp"
+#include "hash/sha256.hpp"
 #include "rln/group_manager.hpp"
 #include "rln/identity.hpp"
 #include "rln/nullifier_log.hpp"
@@ -115,6 +116,35 @@ TEST(RateLimitProofWire, MessageHashBindsContent) {
   WakuMessage b;
   b.payload = to_bytes("two");
   EXPECT_NE(message_hash(a), message_hash(b));
+}
+
+// x = H(m) is a public input of every proof and the x-coordinate of every
+// Shamir share, so a different value for the same message breaks proofs.
+TEST(RateLimitProofWire, MessageHashIsPinned) {
+  WakuMessage empty;
+  WakuMessage full;
+  full.payload.resize(300);
+  for (std::size_t i = 0; i < full.payload.size(); ++i) {
+    full.payload[i] = static_cast<std::uint8_t>(i * 7 + 3);
+  }
+  full.content_topic = "/toy/1/chat/proto";
+  EXPECT_EQ(to_hex(message_hash(empty).to_bytes_be()),
+            "0249335c42c6e34787a38b2f8936ee2901c0f7e2dfbda25aae6ee44a09f42fac");
+  EXPECT_EQ(to_hex(message_hash(full).to_bytes_be()),
+            "1499ccf7f7088455f7124b96d27ec37ba85df1ecfa11f19f93d4dc1026e4cfe4");
+}
+
+TEST(RateLimitProofWire, MessageHashIsSha256OfSignalBytes) {
+  Rng rng(0x516);
+  for (int i = 0; i < 64; ++i) {
+    WakuMessage m;
+    m.payload = rng.next_bytes(rng.next_below(700));
+    m.content_topic = to_string(rng.next_bytes(rng.next_below(48)));
+    m.timestamp_ms = rng.next_u64();
+    EXPECT_EQ(message_hash(m),
+              Fr::from_bytes_reduce(hash::sha256_bytes(m.signal_bytes())))
+        << "message " << i;
+  }
 }
 
 TEST(NullifierLogUnit, NewThenDuplicateThenConflict) {
