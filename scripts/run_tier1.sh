@@ -13,8 +13,9 @@
 # memo): data races are invisible to ASan and to an unsanitized run, and
 # TSan over the full suite is needlessly slow — the single-threaded
 # persistence suites cannot race. It then stress-runs the striped-log
-# tests in four concurrent processes (logs: striped_log_stress_*.log in
-# the build directory).
+# and root-window (GroupManagerConcurrency) tests in four concurrent
+# processes each (logs: striped_log_stress_*.log and
+# root_window_stress_*.log in the build directory).
 #
 # Usage: scripts/run_tier1.sh [sanitizer-spec]
 #   sanitizer-spec  passed to -fsanitize= (default: address,undefined);
@@ -54,25 +55,30 @@ if [ "$SAN" = "thread" ]; then
   ctest --output-on-failure -j"$(nproc)" \
     -R '^(test_parallel_validation|test_sharding|test_obs)$'
   # One unloaded run rarely hits the observe/gc interleavings of the
-  # striped nullifier log: repeat its tests in four concurrent processes
-  # so the schedulers contend, and fail if any process fails.
-  pids=()
-  for i in 1 2 3 4; do
-    ./test_parallel_validation --gtest_filter='StripedNullifierLog.*' \
-      --gtest_repeat=200 --gtest_brief=1 >"striped_log_stress_$i.log" 2>&1 &
-    pids+=("$!")
-  done
-  stress_failed=0
-  for i in 1 2 3 4; do
-    if ! wait "${pids[$((i - 1))]}"; then
-      echo "error: StripedNullifierLog stress process $i failed:" >&2
-      tail -n 50 "striped_log_stress_$i.log" >&2
-      stress_failed=1
-    fi
-  done
-  if [ "$stress_failed" -ne 0 ]; then
-    exit 1
-  fi
+  # striped nullifier log or the writer/reader interleavings of the root
+  # window (event-at-a-time and block-at-a-time writers): repeat those
+  # tests in four concurrent processes so the schedulers contend, and fail
+  # if any process fails. The root-window tests insert into a depth-16
+  # tree, about a second per pass unsanitized, so they repeat fewer times.
+  stress() {
+    local name="$1" filter="$2" repeat="$3"
+    local pids=() failed=0
+    for i in 1 2 3 4; do
+      ./test_parallel_validation --gtest_filter="$filter" \
+        --gtest_repeat="$repeat" --gtest_brief=1 >"${name}_stress_$i.log" 2>&1 &
+      pids+=("$!")
+    done
+    for i in 1 2 3 4; do
+      if ! wait "${pids[$((i - 1))]}"; then
+        echo "error: $filter stress process $i failed:" >&2
+        tail -n 50 "${name}_stress_$i.log" >&2
+        failed=1
+      fi
+    done
+    return "$failed"
+  }
+  stress striped_log 'StripedNullifierLog.*' 200
+  stress root_window 'GroupManagerConcurrency.*' 20
   echo "concurrency suites passed under -fsanitize=thread"
   exit 0
 fi

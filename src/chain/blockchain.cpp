@@ -147,12 +147,20 @@ const Block& Blockchain::mine_block(std::uint64_t timestamp_ms) {
 
   blocks_.push_back(std::move(block));
   const Block& mined = blocks_.back();
+  const std::size_t first = event_log_.size();
   for (const TxReceipt& r : mined.receipts) {
-    for (const Event& ev : r.events) {
-      event_log_.push_back(ev);
-      for (const auto& sub : subscribers_) {
-        if (sub) sub(ev);
-      }
+    event_log_.insert(event_log_.end(), r.events.begin(), r.events.end());
+  }
+  if (event_log_.size() > first) {
+    const BlockEvents events(event_log_.data() + first,
+                             event_log_.size() - first);
+    // A callback may subscribe or unsubscribe while it runs, so each one
+    // is called through a copy; a late subscriber first hears of the next
+    // block.
+    const std::size_t count = subscribers_.size();
+    for (std::size_t i = 0; i < count; ++i) {
+      const std::function<void(BlockEvents)> callback = subscribers_[i];
+      if (callback) callback(events);
     }
   }
   return mined;
@@ -208,10 +216,18 @@ const Block& Blockchain::block(std::uint64_t number) const {
   return blocks_[number - 1];
 }
 
-std::uint64_t Blockchain::subscribe_events(
-    std::function<void(const Event&)> callback) {
+std::uint64_t Blockchain::subscribe_blocks(
+    std::function<void(BlockEvents)> callback) {
   subscribers_.push_back(std::move(callback));
   return subscribers_.size() - 1;
+}
+
+std::uint64_t Blockchain::subscribe_events(
+    std::function<void(const Event&)> callback) {
+  return subscribe_blocks(
+      [callback = std::move(callback)](BlockEvents events) {
+        for (const Event& ev : events) callback(ev);
+      });
 }
 
 void Blockchain::unsubscribe_events(std::uint64_t subscription_id) {
@@ -220,12 +236,23 @@ void Blockchain::unsubscribe_events(std::uint64_t subscription_id) {
   }
 }
 
-void Blockchain::replay_events(
-    std::uint64_t from_seq,
-    const std::function<void(const Event&)>& fn) const {
-  for (std::uint64_t seq = from_seq; seq < event_log_.size(); ++seq) {
-    fn(event_log_[seq]);
+void Blockchain::replay_blocks(
+    std::uint64_t from_seq, const std::function<void(BlockEvents)>& fn) const {
+  std::size_t begin = from_seq;
+  while (begin < event_log_.size()) {
+    std::size_t end = begin + 1;
+    while (end < event_log_.size() &&
+           event_log_[end].block_number == event_log_[begin].block_number) {
+      ++end;
+    }
+    fn(BlockEvents(event_log_.data() + begin, end - begin));
+    begin = end;
   }
+}
+
+bool Blockchain::at_block_boundary(std::uint64_t seq) const {
+  if (seq == 0 || seq >= event_log_.size()) return true;
+  return event_log_[seq - 1].block_number != event_log_[seq].block_number;
 }
 
 }  // namespace waku::chain

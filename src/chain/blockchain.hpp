@@ -12,6 +12,7 @@
 #include <functional>
 #include <memory>
 #include <optional>
+#include <span>
 #include <unordered_map>
 
 #include "chain/contract.hpp"
@@ -70,11 +71,21 @@ class Blockchain {
   [[nodiscard]] std::size_t pending_count() const { return pending_.size(); }
   [[nodiscard]] const Config& config() const { return config_; }
 
-  /// Registers a callback invoked for every event of every newly mined
-  /// block (the eth_subscribe("logs") analog). Returns a subscription id
-  /// for unsubscribe_events (a restarting node must detach its old
-  /// callback before re-subscribing).
+  /// A block's events, in emission order.
+  using BlockEvents = std::span<const Event>;
+
+  /// Registers a callback invoked once per newly mined block that emitted
+  /// events, with all of that block's events at once (the
+  /// eth_subscribe("logs") analog, batched per block the way a membership
+  /// follower applies them). Subscribers are called in subscription order,
+  /// each with the whole block. Returns a subscription id for
+  /// unsubscribe_events (a restarting node must detach its old callback
+  /// before re-subscribing).
+  std::uint64_t subscribe_blocks(std::function<void(BlockEvents)> callback);
+  /// Per-event form of subscribe_blocks: the callback sees every event of
+  /// every newly mined block, one at a time.
   std::uint64_t subscribe_events(std::function<void(const Event&)> callback);
+  /// Detaches a subscription made by either subscribe_* call.
   void unsubscribe_events(std::uint64_t subscription_id);
 
   // -- Event history (the eth_getLogs analog) -------------------------------
@@ -88,9 +99,16 @@ class Blockchain {
   [[nodiscard]] std::uint64_t event_count() const {
     return event_log_.size();
   }
-  /// Replays events [from_seq, event_count()) in emission order.
-  void replay_events(std::uint64_t from_seq,
-                     const std::function<void(const Event&)>& fn) const;
+  /// Replays events [from_seq, event_count()) in emission order, grouped
+  /// by block as live subscribers receive them: one call per maximal run
+  /// of events with the same Event::block_number. A cursor inside a block
+  /// yields that block's remaining events as its first run.
+  void replay_blocks(std::uint64_t from_seq,
+                     const std::function<void(BlockEvents)>& fn) const;
+  /// True when no block straddles sequence number `seq`: the events before
+  /// it all belong to earlier blocks than the events from it on (always
+  /// true at 0 and at event_count(), since a block is mined whole).
+  [[nodiscard]] bool at_block_boundary(std::uint64_t seq) const;
 
  private:
   TxReceipt execute(const Transaction& tx, std::uint64_t block_number);
@@ -107,7 +125,7 @@ class Blockchain {
   // addresses (small integers) can never collide with them.
   std::uint64_t next_contract_id_ = 0xC0DE00000000ULL;
   // Slot index == subscription id; unsubscribed slots become null.
-  std::vector<std::function<void(const Event&)>> subscribers_;
+  std::vector<std::function<void(BlockEvents)>> subscribers_;
   std::vector<Event> event_log_;  // every mined event, emission order
 
   friend class CallContext;

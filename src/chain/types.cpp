@@ -24,9 +24,9 @@ Event deserialize_event(BytesView bytes) {
   const Bytes addr = r.read_raw(event.contract.bytes.size());
   std::copy(addr.begin(), addr.end(), event.contract.bytes.begin());
   event.name = r.read_string();
-  const std::uint32_t topic_count = r.read_u32();
+  const std::size_t topic_count = r.bounded_count(r.read_u32(), 32);
   event.topics.reserve(topic_count);
-  for (std::uint32_t i = 0; i < topic_count; ++i) {
+  for (std::size_t i = 0; i < topic_count; ++i) {
     event.topics.push_back(ff::u256_from_bytes_be(r.read_raw(32)));
   }
   event.data = r.read_bytes();

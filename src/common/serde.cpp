@@ -88,6 +88,14 @@ Bytes ByteReader::read_bytes() {
   return read_raw(n);
 }
 
+std::size_t ByteReader::bounded_count(std::uint64_t count,
+                                      std::size_t element_size) const {
+  if (element_size == 0 || count > remaining() / element_size) {
+    throw std::out_of_range("ByteReader: count exceeds remaining input");
+  }
+  return static_cast<std::size_t>(count);
+}
+
 std::string ByteReader::read_string() {
   const Bytes b = read_bytes();
   return std::string(b.begin(), b.end());

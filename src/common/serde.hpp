@@ -50,6 +50,11 @@ class ByteReader {
   Bytes read_bytes();
   /// Reads a u32 length prefix then that many bytes as a string.
   std::string read_string();
+  /// Checks an untrusted element count before anything is sized from it:
+  /// returns `count` if that many elements of at least `element_size`
+  /// bytes each fit in the remaining input, else throws std::out_of_range.
+  std::size_t bounded_count(std::uint64_t count,
+                            std::size_t element_size) const;
 
   [[nodiscard]] std::size_t remaining() const noexcept {
     return data_.size() - pos_;

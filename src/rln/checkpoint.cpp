@@ -9,6 +9,7 @@ namespace waku::rln {
 namespace {
 
 constexpr std::uint8_t kVersion = 2;  // v2: shard watermarks + Schnorr sig
+constexpr std::size_t kWatermarkBytes = 2 + 8;  // shard u16 + min_epoch u64
 
 Bytes payload_bytes(const Checkpoint& cp) {
   ByteWriter w;
@@ -45,17 +46,18 @@ Checkpoint Checkpoint::deserialize(BytesView bytes) {
   cp.event_cursor = r.read_u64();
   cp.member_count = r.read_u64();
   cp.removed_count = r.read_u64();
-  const std::uint16_t watermark_count = r.read_u16();
+  const std::size_t watermark_count =
+      r.bounded_count(r.read_u16(), kWatermarkBytes);
   cp.nullifier_watermarks.reserve(watermark_count);
-  for (std::uint16_t i = 0; i < watermark_count; ++i) {
+  for (std::size_t i = 0; i < watermark_count; ++i) {
     shard::ShardWatermark wm;
     wm.shard = r.read_u16();
     wm.min_epoch = r.read_u64();
     cp.nullifier_watermarks.push_back(wm);
   }
-  const std::uint32_t root_count = r.read_u32();
+  const std::size_t root_count = r.bounded_count(r.read_u32(), 32);
   cp.recent_roots.reserve(root_count);
-  for (std::uint32_t i = 0; i < root_count; ++i) {
+  for (std::size_t i = 0; i < root_count; ++i) {
     cp.recent_roots.push_back(Fr::from_bytes_reduce(r.read_raw(32)));
   }
   cp.view = r.read_bytes();
@@ -122,9 +124,10 @@ DeltaCheckpoint DeltaCheckpoint::deserialize(BytesView bytes) {
   d.to_cursor = r.read_u64();
   d.member_count = r.read_u64();
   d.removed_count = r.read_u64();
-  const std::uint16_t watermark_count = r.read_u16();
+  const std::size_t watermark_count =
+      r.bounded_count(r.read_u16(), kWatermarkBytes);
   d.nullifier_watermarks.reserve(watermark_count);
-  for (std::uint16_t i = 0; i < watermark_count; ++i) {
+  for (std::size_t i = 0; i < watermark_count; ++i) {
     shard::ShardWatermark wm;
     wm.shard = r.read_u16();
     wm.min_epoch = r.read_u64();

@@ -1,5 +1,6 @@
 #include "rln/group_manager.hpp"
 
+#include <algorithm>
 #include <mutex>
 
 #include "common/expect.hpp"
@@ -17,7 +18,7 @@ GroupManager::GroupManager(std::size_t depth, TreeMode mode,
   WAKU_EXPECTS(root_window >= 1);
   root_ring_.resize(root_window_);
   tree_.emplace(depth);
-  push_root();
+  commit_block();
 }
 
 GroupManager::GroupManager(GroupManager&& other) noexcept
@@ -63,7 +64,7 @@ void GroupManager::set_own_identity(const Identity& identity) {
   own_identity_ = identity;
 }
 
-void GroupManager::push_root() {
+void GroupManager::commit_block() {
   const Fr r = root();
   // Single-writer: only the event-stream owner mutates the window, so the
   // unlocked newest-slot peek cannot race another writer; the lock below
@@ -71,7 +72,7 @@ void GroupManager::push_root() {
   if (ring_size_ > 0) {
     const std::size_t newest =
         (ring_head_ + root_window_ - 1) % root_window_;
-    if (root_ring_[newest] == r) return;  // no-op event; window unchanged
+    if (root_ring_[newest] == r) return;  // root unchanged: nothing to add
   }
   ring_push(r);
 }
@@ -106,26 +107,66 @@ void GroupManager::ring_clear() {
   root_version_.fetch_add(1, std::memory_order_release);
 }
 
-void GroupManager::on_event(const chain::Event& event) {
+namespace {
+
+bool is_registration(const chain::Event& event) {
+  return event.name == "MemberRegistered" || event.name == "MembersRegistered";
+}
+
+/// Appends the pks a registration event carries to `pks`; its first leaf
+/// must land at index `next` (events arrive in emission order).
+void read_registration(const chain::Event& event, std::uint64_t next,
+                       std::vector<Fr>& pks) {
+  WAKU_EXPECTS(event.topics.size() >= 2 && event.topics[0].limb[0] == next);
   if (event.name == "MemberRegistered") {
-    WAKU_EXPECTS(event.topics.size() >= 2);
-    handle_registered(event.topics[0].limb[0],
-                      Fr::from_u256_reduce(event.topics[1]));
-  } else if (event.name == "MembersRegistered") {
-    // Batched registration: topics {base, n}, data = n packed 32-byte pks.
-    WAKU_EXPECTS(event.topics.size() >= 2);
-    const std::uint64_t base = event.topics[0].limb[0];
-    const std::uint64_t n = event.topics[1].limb[0];
-    WAKU_EXPECTS(n > 0 && event.data.size() == n * 32);
-    std::vector<Fr> pks;
-    pks.reserve(n);
-    ByteReader r(event.data);
-    for (std::uint64_t i = 0; i < n; ++i) {
-      pks.push_back(Fr::from_bytes_reduce(r.read_raw(32)));
+    pks.push_back(Fr::from_u256_reduce(event.topics[1]));
+    return;
+  }
+  // Batched registration: topics {base, n}, data = n packed 32-byte pks.
+  // n is bounded by the payload before it is multiplied or sized from.
+  const std::uint64_t n = event.topics[1].limb[0];
+  WAKU_EXPECTS(n > 0 && n <= event.data.size() / 32 &&
+               event.data.size() == n * 32);
+  for (std::uint64_t i = 0; i < n; ++i) {
+    pks.push_back(Fr::from_bytes_reduce(
+        BytesView(event.data.data() + i * 32, 32)));
+  }
+}
+
+}  // namespace
+
+void GroupManager::apply(
+    std::span<const chain::Event> events,
+    const std::function<void(const chain::Event&)>& after_each) {
+  std::vector<Fr> run;
+  std::size_t i = 0;
+  while (i < events.size()) {
+    if (!is_registration(events[i])) {
+      apply_other(events[i]);
+      if (after_each) after_each(events[i]);
+      ++i;
+      continue;
     }
-    handle_registered_batch(base, pks);
-  } else if (event.name == "MemberSlashed" ||
-             event.name == "MemberWithdrawn") {
+    // A maximal run of registrations: contiguous indices, one insert.
+    const std::size_t first = i;
+    run.clear();
+    while (i < events.size() && is_registration(events[i])) {
+      read_registration(events[i++], member_count_ + run.size(), run);
+    }
+    apply_registrations(run);
+    if (after_each) {
+      for (std::size_t k = first; k < i; ++k) after_each(events[k]);
+    }
+  }
+}
+
+void GroupManager::on_event(const chain::Event& event) {
+  apply(std::span<const chain::Event>(&event, 1));
+  commit_block();
+}
+
+void GroupManager::apply_other(const chain::Event& event) {
+  if (event.name == "MemberSlashed" || event.name == "MemberWithdrawn") {
     WAKU_EXPECTS(event.topics.size() >= 2);
     // The auth path in the event data is only needed by partial views;
     // full-tree peers recompute locally and tolerate its absence.
@@ -133,13 +174,12 @@ void GroupManager::on_event(const chain::Event& event) {
     if (view_.has_value()) {
       path = merkle::deserialize_path(event.data);
     }
-    handle_removed(event.topics[0].limb[0],
-                   Fr::from_u256_reduce(event.topics[1]), path);
+    apply_removed(event.topics[0].limb[0],
+                  Fr::from_u256_reduce(event.topics[1]), path);
   } else if (event.name == "MembersWithdrawn") {
     // Batched withdraw: topics {n, payee}, data = n records of
     // (index u64, pk 32B, u32-prefixed path). Paths are sequentially
-    // valid, so partial views apply records in order; the root window
-    // advances once for the whole batch.
+    // valid, so partial views apply records in order.
     WAKU_EXPECTS(!event.topics.empty());
     const std::uint64_t n = event.topics[0].limb[0];
     ByteReader r(event.data);
@@ -153,58 +193,44 @@ void GroupManager::on_event(const chain::Event& event) {
       }
       apply_removed(index, pk, path);
     }
-    push_root();
   }
   // Other events (SlashCommitted, ...) do not affect the tree.
 }
 
-void GroupManager::apply_registered(std::uint64_t index, const Fr& pk) {
-  WAKU_EXPECTS(index == member_count_);
-  ++member_count_;
-
-  if (view_.has_value()) {
-    view_->on_insert(pk);
-  } else {
-    tree_->insert(pk);
-  }
-  if (mode_ == TreeMode::kFullTree) {
-    pk_index_[pk.to_u256()] = index;
-  }
-
-  if (own_identity_.has_value() && !own_index_.has_value() &&
-      pk == own_identity_->pk) {
-    own_index_ = index;
-    if (mode_ == TreeMode::kPartialView) {
-      // Bootstrap complete: shrink to the O(log N) view (paper [18]).
-      view_ = PartialMerkleView::from_tree(*tree_, index);
-      tree_.reset();
+void GroupManager::apply_registrations(std::span<const Fr> pks) {
+  const std::uint64_t base = member_count_;
+  if (own_identity_.has_value() && !own_index_.has_value()) {
+    const auto own = std::find(pks.begin(), pks.end(), own_identity_->pk);
+    if (own != pks.end()) {
+      const std::size_t k = static_cast<std::size_t>(own - pks.begin());
+      own_index_ = base + k;
+      if (mode_ == TreeMode::kPartialView && !view_.has_value()) {
+        // Bootstrap complete: shrink to the O(log N) view (paper [18]);
+        // the rest of the run then goes into the view.
+        append_leaves(pks.first(k + 1));
+        view_ = PartialMerkleView::from_tree(*tree_, base + k);
+        tree_.reset();
+        pks = pks.subspan(k + 1);
+      }
     }
   }
+  append_leaves(pks);
 }
 
-void GroupManager::handle_registered(std::uint64_t index, const Fr& pk) {
-  apply_registered(index, pk);
-  push_root();
-}
-
-void GroupManager::handle_registered_batch(std::uint64_t base,
-                                           std::span<const Fr> pks) {
-  WAKU_EXPECTS(base == member_count_);
-  if (!view_.has_value() && mode_ == TreeMode::kFullTree &&
-      !own_identity_.has_value()) {
-    // Fast path: no own-identity scan or mid-batch view conversion can
-    // trigger, so the whole batch goes through the level-once rehash.
+void GroupManager::append_leaves(std::span<const Fr> pks) {
+  if (pks.empty()) return;
+  const std::uint64_t base = member_count_;
+  if (view_.has_value()) {
+    for (const Fr& pk : pks) view_->on_insert(pk);
+  } else {
     tree_->insert_batch(pks);
-    member_count_ += pks.size();
+  }
+  if (mode_ == TreeMode::kFullTree) {
     for (std::size_t i = 0; i < pks.size(); ++i) {
       pk_index_[pks[i].to_u256()] = base + i;
     }
-  } else {
-    for (std::size_t i = 0; i < pks.size(); ++i) {
-      apply_registered(base + i, pks[i]);
-    }
   }
-  push_root();
+  member_count_ += pks.size();
 }
 
 void GroupManager::apply_removed(std::uint64_t index, const Fr& pk,
@@ -223,12 +249,6 @@ void GroupManager::apply_removed(std::uint64_t index, const Fr& pk,
   if (own_index_.has_value() && *own_index_ == index) {
     own_index_.reset();  // we were slashed/withdrawn; publishing must stop
   }
-}
-
-void GroupManager::handle_removed(std::uint64_t index, const Fr& pk,
-                                  const MerklePath& path) {
-  apply_removed(index, pk, path);
-  push_root();
 }
 
 void GroupManager::advance_window(std::span<const Fr> roots,

@@ -10,9 +10,13 @@
 // Publishing peers must stay in sync with the latest root or risk exposing
 // their leaf position by proving against a stale root (§III-C); validators
 // therefore accept proofs only against a short window of recent roots.
+// The window holds one root per block: a block's events are applied
+// together and publish a single root, so W roots span the last W blocks
+// that changed the tree however many registrations each block carried.
 #pragma once
 
 #include <atomic>
+#include <functional>
 #include <optional>
 #include <shared_mutex>
 #include <span>
@@ -45,8 +49,13 @@ struct GroupCheckpoint {
 
 class GroupManager {
  public:
+  /// Default root-window size W, in blocks.
+  static constexpr std::size_t kDefaultRootWindow = 10;
+
+  /// `root_window` is W: the window keeps the roots of the last W blocks
+  /// (or on_event calls) that changed the tree.
   GroupManager(std::size_t depth, TreeMode mode,
-               std::size_t root_window = 10);
+               std::size_t root_window = kDefaultRootWindow);
 
   /// Movable for bootstrap-time hand-offs (from_checkpoint returns by
   /// value; the light client emplaces the result). Moves are NOT
@@ -60,14 +69,27 @@ class GroupManager {
   /// (in partial mode) the view switches to O(log N) tracking.
   void set_own_identity(const Identity& identity);
 
-  /// Feeds one contract event (MemberRegistered / MemberSlashed /
-  /// MemberWithdrawn); events must arrive in emission order.
+  /// Applies contract events (MemberRegistered / MembersRegistered /
+  /// MemberSlashed / MemberWithdrawn / MembersWithdrawn) to the tree and
+  /// counters without touching the root window; commit_block() publishes
+  /// the result. Events must arrive in emission order. Each maximal run of
+  /// registrations becomes one batched tree insert; every other event is
+  /// applied at its position, and `after_each` (if set) then sees it with
+  /// the tree in exactly the state that event left (for a registration:
+  /// once its whole run is in).
+  void apply(std::span<const chain::Event> events,
+             const std::function<void(const chain::Event&)>& after_each = {});
+  /// Ends a block: pushes the current root into the window (nothing when
+  /// the block left the root unchanged).
+  void commit_block();
+  /// One event as a block of its own: apply, then commit_block().
   void on_event(const chain::Event& event);
 
   [[nodiscard]] Fr root() const;
   /// True if `root` is the current root or one of the last `root_window`
-  /// roots (tolerates proof/event races). O(1): backed by the rolling root
-  /// cache, not a scan — this sits on the per-message validation hot path.
+  /// block roots (tolerates proof/event races). O(1): backed by the rolling
+  /// root cache, not a scan — this sits on the per-message validation hot
+  /// path.
   [[nodiscard]] bool is_recent_root(const Fr& root) const;
   /// Number of distinct roots currently held by the rolling cache.
   [[nodiscard]] std::size_t recent_root_count() const;
@@ -121,18 +143,10 @@ class GroupManager {
   /// Builds a relay-only (root-tracking) partial-view manager from a
   /// checkpoint; it can follow the contract event stream from the
   /// checkpoint's position onward.
-  static GroupManager from_checkpoint(const GroupCheckpoint& checkpoint,
-                                      std::size_t root_window = 10);
+  static GroupManager from_checkpoint(
+      const GroupCheckpoint& checkpoint,
+      std::size_t root_window = kDefaultRootWindow);
 
- private:
-  void handle_registered(std::uint64_t index, const Fr& pk);
-  void handle_removed(std::uint64_t index, const Fr& pk,
-                      const merkle::MerklePath& path);
-  /// Folds one batched MembersRegistered event into a single root
-  /// transition: all leaves appended (tree_->insert_batch on the full
-  /// tree), then one push_root — intermediate roots never enter the window.
-  void handle_registered_batch(std::uint64_t base, std::span<const Fr> pks);
- public:
   /// Poll-mode window advance (delta checkpoints, rln/checkpoint.hpp):
   /// unions served root transitions into the recent-root window and
   /// fast-forwards the member counters, without replaying the underlying
@@ -143,13 +157,16 @@ class GroupManager {
                       std::uint64_t removed_count);
 
  private:
-  /// apply_* are handle_* minus the push_root, so batch handlers can apply
-  /// many mutations and publish one transition.
-  void apply_registered(std::uint64_t index, const Fr& pk);
+  /// Appends a run of registrations at the next free index: finds our own
+  /// pk in the run, then one insert_batch (split at our index only when a
+  /// partial-view peer converts to its O(log N) view there).
+  void apply_registrations(std::span<const Fr> pks);
+  void append_leaves(std::span<const Fr> pks);
+  /// Applies one non-registration event (removals; others are no-ops).
+  void apply_other(const chain::Event& event);
   void apply_removed(std::uint64_t index, const Fr& pk,
                      const merkle::MerklePath& path);
-  void push_root();
-  /// Appends one root to the ring + index (push_root minus the dedup
+  /// Appends one root to the ring + index (commit_block minus the dedup
   /// check; also used when rebuilding the window on restore).
   void ring_push(const Fr& r);
   void ring_clear();

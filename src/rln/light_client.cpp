@@ -252,16 +252,18 @@ bool RlnLightClient::adopt_checkpoint(const Checkpoint& checkpoint) {
     // this is the whole point: O(log N) transferred, zero genesis replay.
     bootstrap_cursor_ = checkpoint.event_cursor;
     events_applied_ = 0;
-    const auto apply = [this](const chain::Event& ev) {
+    // One block at a time, as a full node applies it: one root per block.
+    const auto apply = [this](chain::Blockchain::BlockEvents events) {
       if (!group_.has_value()) return;
-      group_->on_event(ev);
-      ++events_applied_;
+      group_->apply(events);
+      group_->commit_block();
+      events_applied_ += events.size();
     };
-    chain_->replay_events(bootstrap_cursor_, apply);
+    chain_->replay_blocks(bootstrap_cursor_, apply);
     if (chain_subscription_.has_value()) {
       chain_->unsubscribe_events(*chain_subscription_);  // re-bootstrap
     }
-    chain_subscription_ = chain_->subscribe_events(apply);
+    chain_subscription_ = chain_->subscribe_blocks(apply);
     return true;
   } catch (const std::exception&) {
     if (installing) {

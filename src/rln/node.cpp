@@ -346,13 +346,22 @@ void WakuRlnRelayNode::start() {
   // cursor (everything older is already folded into the restored state);
   // ephemeral nodes keep the historical live-only behaviour.
   if (persistent()) {
-    chain_.replay_events(event_cursor_,
-                         [this](const chain::Event& ev) {
-                           handle_chain_event(ev);
+    // A journal write from the slashing reaction can fire a snapshot inside
+    // handle_chain_block, after a block's last event but before its
+    // commit_block; that block's root then never reached the restored
+    // window. At a block boundary commit it now (a no-op when the window is
+    // already current); a cursor inside a block is committed by the replay
+    // of the block's remainder.
+    if (chain_.at_block_boundary(event_cursor_)) group_.commit_block();
+    chain_.replay_blocks(event_cursor_,
+                         [this](chain::Blockchain::BlockEvents events) {
+                           handle_chain_block(events);
                          });
   }
-  chain_subscription_ = chain_.subscribe_events(
-      [this](const chain::Event& ev) { handle_chain_event(ev); });
+  chain_subscription_ = chain_.subscribe_blocks(
+      [this](chain::Blockchain::BlockEvents events) {
+        handle_chain_block(events);
+      });
 
   // Hop-direction hook: the router is the only layer that sees which
   // peer an outbound publish frame targets ("fwd") or which peer a
@@ -811,12 +820,22 @@ void WakuRlnRelayNode::trigger_slash(const Fr& spammer_sk) {
   }
 }
 
-void WakuRlnRelayNode::handle_chain_event(const chain::Event& event) {
-  ++event_cursor_;
-  group_.on_event(event);
+void WakuRlnRelayNode::handle_chain_block(
+    chain::Blockchain::BlockEvents events) {
+  // The cursor advances as each event lands, so a snapshot a slashing
+  // record triggers mid-block resumes from exactly the next event.
+  group_.apply(events, [this](const chain::Event& event) {
+    ++event_cursor_;
+    if (const std::optional<std::uint64_t> slashed =
+            slashing_.on_chain_event(event, group_)) {
+      record_flight(current_epoch(), "slash",
+                    "member_slashed index=" + std::to_string(*slashed));
+    }
+  });
+  group_.commit_block();
 
-  // Record the root transition (if any) for delta-checkpoint serving. A
-  // batched event folds into one transition, so one entry per event max.
+  // Record the root transition (if any) for delta-checkpoint serving: one
+  // entry per block at most.
   const Fr now_root = group_.root();
   const Fr& prev_root =
       root_history_.empty() ? root_at_floor_ : root_history_.back().root;
@@ -827,12 +846,6 @@ void WakuRlnRelayNode::handle_chain_event(const chain::Event& event) {
       root_at_floor_ = root_history_.front().root;
       root_history_.pop_front();
     }
-  }
-
-  if (const std::optional<std::uint64_t> slashed =
-          slashing_.on_chain_event(event, group_)) {
-    record_flight(current_epoch(), "slash",
-                  "member_slashed index=" + std::to_string(*slashed));
   }
 }
 

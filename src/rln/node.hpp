@@ -71,6 +71,9 @@ inline const std::string kDefaultContentTopic =
 
 struct NodeConfig {
   std::size_t tree_depth = 20;
+  /// The group follows the contract one block at a time, so its root
+  /// window (GroupManager::kDefaultRootWindow = W) spans the last W blocks
+  /// that changed the tree, not the last W events.
   TreeMode tree_mode = TreeMode::kFullTree;
   ValidatorConfig validator;
   chain::Address account;      ///< chain account paying gas/deposit
@@ -499,7 +502,10 @@ class WakuRlnRelayNode {
     return base_validator_seed_ ^
            (0xC0FFEE5ULL * (static_cast<std::uint64_t>(generation) + 1));
   }
-  void handle_chain_event(const chain::Event& event);
+  /// Applies one block of contract events (live or replayed): one group
+  /// apply + commit, slashing reacting to each event at its position, one
+  /// recorded root transition.
+  void handle_chain_block(chain::Blockchain::BlockEvents events);
   /// Kicks off commit-reveal slashing for a recovered secret key (§III-F).
   void trigger_slash(const Fr& spammer_sk);
   /// The hosted shards' nullifier watermarks, filtered to `shards` unless
@@ -599,8 +605,8 @@ class WakuRlnRelayNode {
   OperatorLoop operator_;
   std::uint64_t event_cursor_ = 0;  ///< contract events applied
 
-  /// One recorded root transition: after applying the event at `cursor`
-  /// the group root became `root`.
+  /// One recorded root transition: after applying the block that ends at
+  /// `cursor` the group root became `root`.
   struct RootTransition {
     std::uint64_t cursor = 0;
     Fr root;

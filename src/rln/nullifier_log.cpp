@@ -261,12 +261,13 @@ void NullifierLog::restore(BytesView bytes) {
   std::size_t entries = 0;
   for (std::uint64_t b = 0; b < bucket_count; ++b) {
     const std::uint64_t epoch = r.read_u64();
-    const std::uint64_t entry_count = r.read_u64();
+    // nullifier, share x and y (32 B each) + proof fingerprint u64.
+    const std::size_t entry_count = r.bounded_count(r.read_u64(), 3 * 32 + 8);
     Stripe& stripe = stripe_for(epoch);
     std::lock_guard lk(stripe.mu);
     Bucket& bucket = stripe.buckets[epoch];
     bucket.reserve(entry_count);
-    for (std::uint64_t e = 0; e < entry_count; ++e) {
+    for (std::size_t e = 0; e < entry_count; ++e) {
       const Fr nullifier = Fr::from_bytes_reduce(r.read_raw(32));
       Entry entry;
       entry.share.x = Fr::from_bytes_reduce(r.read_raw(32));

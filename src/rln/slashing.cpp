@@ -126,11 +126,12 @@ std::optional<std::uint64_t> SlashingEngine::on_chain_event(
     }
   } else if (event.name == "MemberSlashed") {
     const std::uint64_t index = event.topics[0].limb[0];
-    resolve(index);
-    // The third topic names the rewarded slasher.
+    // The third topic names the rewarded slasher. Counted before resolve():
+    // its journal write can fire a snapshot, which must hold the reward.
     if (event.topics.size() >= 3 && event.topics[2] == account_.to_u256()) {
       ++stats_.slash_rewards;
     }
+    resolve(index);
     return index;
   } else if (event.name == "MemberWithdrawn") {
     // A withdraw that races our commit-reveal would otherwise leave the

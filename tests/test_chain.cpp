@@ -199,7 +199,10 @@ TEST_F(ChainFixture, ReplayCursorCrossesBatchAtomically) {
       run(register_tx(alice, hash::poseidon1(Fr::from_u64(1)))).success);
 
   rln::GroupManager live(20, rln::TreeMode::kFullTree, 10);
-  chain.replay_events(0, [&](const Event& ev) { live.on_event(ev); });
+  chain.replay_blocks(0, [&](Blockchain::BlockEvents block) {
+    live.apply(block);
+    live.commit_block();
+  });
   const std::uint64_t cursor = chain.event_count();  // pre-batch cursor
 
   constexpr std::uint32_t kBatch = 5;
@@ -218,9 +221,15 @@ TEST_F(ChainFixture, ReplayCursorCrossesBatchAtomically) {
   ASSERT_EQ(chain.event_count(), cursor + 1);  // the batch is one record
 
   // "Crash-restart": resume a second follower from the saved cursor.
-  chain.replay_events(cursor, [&](const Event& ev) { live.on_event(ev); });
+  chain.replay_blocks(cursor, [&](Blockchain::BlockEvents block) {
+    live.apply(block);
+    live.commit_block();
+  });
   rln::GroupManager restarted(20, rln::TreeMode::kFullTree, 10);
-  chain.replay_events(0, [&](const Event& ev) { restarted.on_event(ev); });
+  chain.replay_blocks(0, [&](Blockchain::BlockEvents block) {
+    restarted.apply(block);
+    restarted.commit_block();
+  });
   EXPECT_EQ(restarted.member_count(), live.member_count());
   EXPECT_EQ(restarted.root(), live.root());
 }
@@ -252,7 +261,10 @@ TEST_F(ChainFixture, WithdrawBatchRefundsAndFoldsRemovals) {
   }
 
   rln::GroupManager full(20, rln::TreeMode::kFullTree, 10);
-  chain.replay_events(0, [&](const Event& ev) { full.on_event(ev); });
+  chain.replay_blocks(0, [&](Blockchain::BlockEvents block) {
+    full.apply(block);
+    full.commit_block();
+  });
   rln::GroupManager tracker =
       rln::GroupManager::from_checkpoint(full.export_checkpoint(), 10);
 
@@ -618,11 +630,56 @@ TEST(EventLog, ReplayFromCursorSeesExactlyTheSuffix) {
   }
   ASSERT_EQ(chain.event_count(), 3u);
   std::vector<std::uint64_t> indices;
-  chain.replay_events(1, [&](const Event& ev) {
-    EXPECT_EQ(ev.name, "MemberRegistered");
-    indices.push_back(ev.topics[0].limb[0]);
+  std::size_t blocks = 0;
+  chain.replay_blocks(1, [&](Blockchain::BlockEvents block) {
+    ++blocks;
+    for (const Event& ev : block) {
+      EXPECT_EQ(ev.name, "MemberRegistered");
+      indices.push_back(ev.topics[0].limb[0]);
+    }
   });
   EXPECT_EQ(indices, (std::vector<std::uint64_t>{1, 2}));
+  EXPECT_EQ(blocks, 2u);  // one call per mined block
+}
+
+TEST(EventLog, BlockSubscribersSeeEachBlockWhole) {
+  // Three registrations mined in one block, then one in the next: a block
+  // subscriber gets two calls (3 events, then 1), a per-event subscriber
+  // four, and a replay from a cursor inside the first block starts with
+  // that block's remaining events.
+  Blockchain chain;
+  chain.create_account(Address::from_u64(1), 10 * kGweiPerEth);
+  const Address rln =
+      chain.deploy(std::make_unique<RlnMembershipContract>(1'000'000));
+  std::vector<std::size_t> block_sizes;
+  std::size_t events_seen = 0;
+  chain.subscribe_blocks([&](Blockchain::BlockEvents block) {
+    block_sizes.push_back(block.size());
+  });
+  chain.subscribe_events([&](const Event&) { ++events_seen; });
+  auto submit_register = [&](std::uint64_t pk) {
+    Transaction tx;
+    tx.from = Address::from_u64(1);
+    tx.to = rln;
+    tx.method = "register";
+    tx.calldata = Fr::from_u64(pk).to_bytes_be();
+    tx.value = 1'000'000;
+    chain.submit(std::move(tx));
+  };
+  for (std::uint64_t pk = 1; pk <= 3; ++pk) submit_register(pk);
+  chain.mine_block(10'000);
+  chain.mine_block(20'000);  // no events: no block callback
+  submit_register(4);
+  chain.mine_block(30'000);
+  EXPECT_EQ(block_sizes, (std::vector<std::size_t>{3, 1}));
+  EXPECT_EQ(events_seen, 4u);
+
+  std::vector<std::size_t> replayed;
+  chain.replay_blocks(1, [&](Blockchain::BlockEvents block) {
+    replayed.push_back(block.size());
+    EXPECT_EQ(block.front().block_number, block.back().block_number);
+  });
+  EXPECT_EQ(replayed, (std::vector<std::size_t>{2, 1}));
 }
 
 TEST(EventLog, UnsubscribedCallbackStopsFiring) {

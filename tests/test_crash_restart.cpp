@@ -158,6 +158,40 @@ TEST(CrashRestart, ResumesEventStreamFromCursorNotGenesis) {
   EXPECT_GT(h.total_delivered(), delivered_before);
 }
 
+TEST(CrashRestart, ReplayedBurstBlockMatchesAnUncrashedTwin) {
+  // Two identical deployments. In each, node 0 snapshots, then one block
+  // carries a burst of registrations. The first deployment's node 0 is
+  // then killed and replays that block from its cursor; it must land on
+  // the uncrashed twin's state byte for byte, with one window root for
+  // the whole block.
+  constexpr std::uint64_t kBurst = 12;
+  RlnHarness crashed(persisted_config(fresh_dir("burst_crashed")));
+  RlnHarness twin(persisted_config(fresh_dir("burst_twin")));
+  std::uint64_t snapshot_cursor = 0;
+  for (RlnHarness* h : {&crashed, &twin}) {
+    h->register_all();
+    h->run_ms(3'000);
+    h->node(0).force_snapshot();
+    snapshot_cursor = h->node(0).event_cursor();
+    for (std::uint64_t tag = 1; tag <= kBurst; ++tag) {
+      register_external_member(*h, 100 + tag);
+    }
+    const std::size_t roots_before = h->node(0).group().recent_root_count();
+    h->run_ms(h->config().block_interval_ms + 500);
+    ASSERT_EQ(h->node(0).event_cursor(), snapshot_cursor + kBurst);
+    ASSERT_EQ(h->node(0).group().recent_root_count(), roots_before + 1);
+  }
+
+  crashed.kill_node(0);
+  crashed.restart_node(0);
+
+  EXPECT_EQ(crashed.node(0).event_cursor(), snapshot_cursor + kBurst);
+  EXPECT_EQ(crashed.node(0).group().root(), twin.node(0).group().root());
+  EXPECT_EQ(crashed.node(0).group().recent_roots(),
+            twin.node(0).group().recent_roots());
+  EXPECT_EQ(crashed.node(0).serialize_state(), twin.node(0).serialize_state());
+}
+
 TEST(CrashRestart, PendingSlashSurvivesCrashBetweenCommitAndReveal) {
   // Two nodes: node 0 (persisted, honest validator) and node 1 (spammer).
   // The spammer's own publishes are not self-validated, so node 0 is the
@@ -208,6 +242,57 @@ TEST(CrashRestart, PendingSlashSurvivesCrashBetweenCommitAndReveal) {
   EXPECT_FALSE(h.node(1).is_registered());
   EXPECT_GT(h.chain().balance(h.node(0).account()) + spammer_deposit / 2,
             balance_before);
+}
+
+TEST(CrashRestart, SnapshotInsideASlashBlockKeepsTheBlockRoot) {
+  // Every journal write snapshots, so the slash-resolve record node 0
+  // writes while applying MemberSlashed fires a snapshot inside the
+  // block: after the removal, before the block's root reaches the window.
+  // Killed right then, node 0 must come back with that root in its window,
+  // equal to a twin deployment whose node 0 never died.
+  const auto config = [](const std::string& name) {
+    HarnessConfig cfg;
+    cfg.num_nodes = 2;
+    cfg.degree = 1;
+    cfg.block_interval_ms = 20'000;
+    cfg.node.tree_depth = 10;
+    cfg.node.validator.epoch.epoch_length_ms = 60'000;
+    cfg.node.persist.snapshot_every_records = 1;
+    cfg.persist_dir = fresh_dir(name);
+    return cfg;
+  };
+  RlnHarness crashed(config("slash_block_crashed"));
+  RlnHarness twin(config("slash_block_twin"));
+  for (RlnHarness* h : {&crashed, &twin}) {
+    h->register_all();
+    h->run_ms(3'000);
+    h->node(1).force_publish(to_bytes("spam one"));
+    h->node(1).force_publish(to_bytes("spam two"));
+    // Commit, then reveal, each in its own block; stop as soon as the
+    // reveal's MemberSlashed has been applied.
+    for (int step = 0; step < 1'000 && h->node(0).group().removed_count() == 0;
+         ++step) {
+      h->run_ms(100);
+    }
+    ASSERT_EQ(h->node(0).group().removed_count(), 1u);
+    ASSERT_EQ(h->node(0).stats().slash_rewards, 1u);
+    ASSERT_TRUE(h->node(0).group().is_recent_root(h->node(0).group().root()));
+  }
+
+  crashed.kill_node(0);
+  // One more block lands while node 0 is down (and in the twin): the
+  // slash block's root must come back ahead of this block's.
+  for (RlnHarness* h : {&crashed, &twin}) {
+    register_external_member(*h, 7);
+    h->run_ms(h->config().block_interval_ms + 500);
+  }
+  crashed.restart_node(0);
+
+  const GroupManager& g = crashed.node(0).group();
+  EXPECT_EQ(g.root(), twin.node(0).group().root());
+  EXPECT_TRUE(g.is_recent_root(g.root()));
+  EXPECT_EQ(g.recent_roots(), twin.node(0).group().recent_roots());
+  EXPECT_EQ(crashed.node(0).serialize_state(), twin.node(0).serialize_state());
 }
 
 TEST(CrashRestart, OwnRateLimitSurvivesRestartWithoutSnapshot) {

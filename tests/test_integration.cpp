@@ -304,5 +304,45 @@ TEST(Integration, LightNodesTrackGroupViaPartialView) {
   EXPECT_EQ(h.total_delivered(), h.size());
 }
 
+TEST(Integration, HonestMessageSurvivesABurstBlockOfRegistrations) {
+  // The root window holds one root per block. A message proved against
+  // the current root must still validate after the next block carries W
+  // (a whole window's worth of) registrations: the block pushes one root,
+  // so the pre-block root stays in every validator's window.
+  RlnHarness h(small_config(6));
+  h.register_all();
+  h.run_ms(5'000);
+
+  const Fr pre_block_root = h.node(0).group().root();
+  const std::uint64_t stale_before = h.total_validation_stats().stale_root;
+  ASSERT_EQ(h.node(0).try_publish(to_bytes("proved before the burst")),
+            WakuRlnRelayNode::PublishStatus::kOk);
+
+  // Same virtual instant, before any frame lands: one block of W
+  // registrations from members with no node behind them.
+  const chain::Address whale = chain::Address::from_u64(0xB0057);
+  h.chain().create_account(whale, 100 * chain::kGweiPerEth);
+  for (std::size_t i = 0; i < GroupManager::kDefaultRootWindow; ++i) {
+    chain::Transaction tx;
+    tx.from = whale;
+    tx.to = h.contract();
+    tx.method = "register";
+    tx.calldata = Identity::from_secret(Fr::from_u64(0xB00 + i)).pk_bytes();
+    tx.value = h.config().deposit_gwei;
+    h.chain().submit(std::move(tx));
+  }
+  h.chain().mine_block(h.sim().now());
+  for (std::size_t i = 0; i < h.size(); ++i) {
+    ASSERT_EQ(h.node(i).group().member_count(),
+              h.size() + GroupManager::kDefaultRootWindow);
+    EXPECT_TRUE(h.node(i).group().is_recent_root(pre_block_root))
+        << "node " << i;
+  }
+
+  h.run_ms(10'000);
+  EXPECT_EQ(h.total_validation_stats().stale_root, stale_before);
+  EXPECT_EQ(h.total_delivered(), h.size());
+}
+
 }  // namespace
 }  // namespace waku::rln

@@ -205,19 +205,31 @@ struct DeltaFixture : LightFixture {
     h->run_ms(2 * cfg.block_interval_ms + 500);
   }
 
-  /// n separate register transactions: n events, n root transitions.
+  void submit_single() {
+    chain::Transaction tx;
+    tx.from = whale;
+    tx.to = h->contract();
+    tx.method = "register";
+    tx.calldata = hash::poseidon1(Fr::from_u64(next_pk_seed++)).to_bytes_be();
+    tx.value = deposit();
+    h->chain().submit(std::move(tx));
+  }
+
+  /// n separate register transactions mined in one block: n events, one
+  /// root transition (the window advances per block).
   void churn_singles(std::uint32_t n) {
-    for (std::uint32_t i = 0; i < n; ++i) {
-      chain::Transaction tx;
-      tx.from = whale;
-      tx.to = h->contract();
-      tx.method = "register";
-      tx.calldata =
-          hash::poseidon1(Fr::from_u64(next_pk_seed++)).to_bytes_be();
-      tx.value = deposit();
-      h->chain().submit(std::move(tx));
-    }
+    for (std::uint32_t i = 0; i < n; ++i) submit_single();
     h->run_ms(2 * cfg.block_interval_ms + 500);
+  }
+
+  /// n register transactions, each mined in a block of its own: n events,
+  /// n root transitions.
+  void churn_blocks(std::uint32_t n) {
+    for (std::uint32_t i = 0; i < n; ++i) {
+      submit_single();
+      h->run_ms(cfg.block_interval_ms);
+    }
+    h->run_ms(cfg.block_interval_ms + 500);
   }
 };
 
@@ -267,10 +279,10 @@ TEST_F(DeltaFixture, RepeatedDeltaSyncsTrackContinuousChurn) {
 
 TEST_F(DeltaFixture, DeltaGapFallsBackToFullCheckpoint) {
   client->go_offline();
-  // More root transitions than kDeltaRootTailMax: a delta would silently
-  // drop intermediate roots from the client's window, so the server must
-  // refuse it and serve a full checkpoint instead.
-  churn_singles(static_cast<std::uint32_t>(kDeltaRootTailMax) + 4);
+  // More root transitions than kDeltaRootTailMax (one per block): a delta
+  // would silently drop intermediate roots from the client's window, so
+  // the server must refuse it and serve a full checkpoint instead.
+  churn_blocks(static_cast<std::uint32_t>(kDeltaRootTailMax) + 4);
 
   bool ok = false;
   client->delta_sync(service->node_id(), [&](bool r) { ok = r; });
@@ -284,6 +296,37 @@ TEST_F(DeltaFixture, DeltaGapFallsBackToFullCheckpoint) {
   EXPECT_EQ(client->light_group().member_count(),
             h->node(0).group().member_count());
   EXPECT_TRUE(client->light_group().is_recent_root(h->node(0).group().root()));
+}
+
+TEST_F(DeltaFixture, BurstBlockIsOneRootTransition) {
+  client->go_offline();
+  const std::uint64_t offline_cursor = client->sync_cursor();
+  const Fr offline_root = client->light_group().recent_roots().back();
+  const std::size_t offline_roots = client->light_group().recent_root_count();
+
+  // More registrations than kDeltaRootTailMax, all in one block: the block
+  // is one root transition, so a lossless delta still covers it.
+  const std::uint32_t burst = static_cast<std::uint32_t>(kDeltaRootTailMax) + 4;
+  churn_singles(burst);
+  ASSERT_EQ(h->node(0).event_cursor(), offline_cursor + burst);
+
+  const auto delta =
+      h->node(0).make_delta_checkpoint(offline_cursor, offline_root);
+  ASSERT_TRUE(delta.has_value());
+  ASSERT_EQ(delta->root_tail.size(), 1u);
+  EXPECT_EQ(delta->root_tail.back(), h->node(0).group().root());
+
+  bool ok = false;
+  client->delta_sync(service->node_id(), [&](bool r) { ok = r; });
+  h->run_ms(1'000);
+  ASSERT_TRUE(ok);
+  EXPECT_EQ(service->deltas_served(), 1u);
+  EXPECT_EQ(service->delta_fallbacks_served(), 0u);
+  EXPECT_EQ(client->delta_syncs_applied(), 1u);
+  EXPECT_EQ(client->sync_cursor(), h->node(0).event_cursor());
+  EXPECT_EQ(client->light_group().recent_root_count(), offline_roots + 1);
+  EXPECT_EQ(client->light_group().recent_roots(),
+            h->node(0).group().recent_roots());
 }
 
 TEST_F(DeltaFixture, DeltaRefusedForUnknownOrForkedBase) {

@@ -231,6 +231,58 @@ TEST(GroupManagerConcurrency, ReadersRaceTheEventStreamWriter) {
   EXPECT_EQ(group.member_count(), kEvents);
 }
 
+TEST(GroupManagerConcurrency, ReadersRaceABlockWriter) {
+  // The writer applies multi-event blocks: each block's registrations go
+  // in as one batched insert and the window changes once per block, while
+  // readers probe. Readers never see the version move more than once per
+  // block or a window over W roots; the writer sees exactly one version
+  // bump per commit.
+  static constexpr std::size_t kBlocks = 60;
+  static constexpr std::size_t kPerBlock = 7;
+  static constexpr std::size_t kWindow = 10;
+  static constexpr std::size_t kReaders = 3;
+  GroupManager group(kDepth, TreeMode::kFullTree, kWindow);
+  Rng rng(0xB10C);
+  std::atomic<bool> stop{false};
+  std::vector<std::thread> readers;
+  for (std::size_t r = 0; r < kReaders; ++r) {
+    readers.emplace_back([&group, &stop] {
+      std::uint64_t last_version = 0;
+      while (!stop.load(std::memory_order_acquire)) {
+        const std::uint64_t version = group.root_version();
+        EXPECT_GE(version, last_version);
+        last_version = version;
+        const std::vector<Fr> window = group.recent_roots();
+        EXPECT_LE(window.size(), kWindow);
+        EXPECT_GE(group.recent_root_count(), window.size());
+        // One push per block: the version moves at most once per block,
+        // plus the constructor's initial root.
+        EXPECT_LE(version, kBlocks + 1);
+        if (!window.empty()) (void)group.is_recent_root(window.front());
+      }
+    });
+  }
+  std::uint64_t index = 0;
+  for (std::size_t b = 0; b < kBlocks; ++b) {
+    std::vector<chain::Event> block;
+    for (std::size_t k = 0; k < kPerBlock; ++k) {
+      chain::Event ev;
+      ev.name = "MemberRegistered";
+      ev.topics = {ff::U256{index++}, Identity::generate(rng).pk.to_u256()};
+      block.push_back(std::move(ev));
+    }
+    const std::uint64_t before = group.root_version();
+    group.apply(block);
+    group.commit_block();
+    EXPECT_EQ(group.root_version(), before + 1);
+  }
+  stop.store(true, std::memory_order_release);
+  for (auto& t : readers) t.join();
+  EXPECT_TRUE(group.is_recent_root(group.root()));
+  EXPECT_EQ(group.member_count(), kBlocks * kPerBlock);
+  EXPECT_EQ(group.recent_root_count(), kWindow);
+}
+
 // -- Executor ordering and backpressure ---------------------------------------
 
 struct ExecutorFixture : ::testing::Test {

@@ -337,6 +337,120 @@ TEST(GroupManagerUnit, PartialModeAppliesRemovalsViaEventPath) {
   EXPECT_TRUE(merkle::verify_path(light.root(), me.pk, light.own_path()));
 }
 
+// -- GroupManager: per-block apply ------------------------------------------
+
+TEST(GroupManagerBlocks, BurstBlockKeepsThePreBlockRoot) {
+  // W registrations in one block push one root into a W-root window, so
+  // the root proofs in flight were made against survives the block. Fed
+  // one event at a time (each its own block) the same events evict it.
+  constexpr std::size_t kWindow = 10;
+  Rng rng(451);
+  GroupManager block(20, TreeMode::kFullTree, kWindow);
+  GroupManager singles(20, TreeMode::kFullTree, kWindow);
+  const chain::Event first =
+      registered_event(0, hash::poseidon1(Fr::random(rng)));
+  block.on_event(first);
+  singles.on_event(first);
+  const Fr pre_block_root = block.root();
+  const std::size_t roots_before = block.recent_root_count();
+
+  std::vector<chain::Event> events;
+  for (std::uint64_t i = 1; i <= kWindow; ++i) {
+    events.push_back(registered_event(i, hash::poseidon1(Fr::random(rng))));
+  }
+  block.apply(events);
+  block.commit_block();
+  for (const chain::Event& ev : events) singles.on_event(ev);
+
+  EXPECT_EQ(block.root(), singles.root());
+  EXPECT_EQ(block.member_count(), kWindow + 1);
+  EXPECT_EQ(block.recent_root_count(), roots_before + 1);
+  EXPECT_TRUE(block.is_recent_root(pre_block_root));
+  EXPECT_FALSE(singles.is_recent_root(pre_block_root));
+}
+
+TEST(GroupManagerBlocks, MixedBlockMatchesEventByEventState) {
+  // One block: singles, a folded batch holding our own pk, a slash, more
+  // singles. Applied as a block it must reach the event-by-event state,
+  // and every non-registration event must see the tree exactly as the
+  // event-by-event follower saw it there.
+  Rng rng(453);
+  const Identity me = Identity::generate(rng);
+  std::vector<Fr> pks;
+  for (int i = 0; i < 12; ++i) pks.push_back(hash::poseidon1(Fr::random(rng)));
+  pks[6] = me.pk;
+
+  // Members 0..3 exist before the block (member 2 gets slashed in it).
+  std::vector<chain::Event> prior;
+  for (std::uint64_t i = 0; i < 4; ++i) {
+    prior.push_back(registered_event(i, pks[i]));
+  }
+
+  std::vector<chain::Event> events;
+  events.push_back(registered_event(4, pks[4]));
+  chain::Event batch;
+  batch.name = "MembersRegistered";
+  batch.topics = {U256{5}, U256{3}};
+  for (std::size_t i = 5; i < 8; ++i) {
+    const Bytes b = pks[i].to_bytes_be();
+    batch.data.insert(batch.data.end(), b.begin(), b.end());
+  }
+  events.push_back(batch);
+  events.push_back(registered_event(8, pks[8]));
+  // The slash path is the one a full node attaches at this position.
+  {
+    GroupManager at_slash(10, TreeMode::kFullTree);
+    for (const chain::Event& ev : prior) at_slash.on_event(ev);
+    for (const chain::Event& ev : events) at_slash.on_event(ev);
+    events.push_back(slashed_event(2, pks[2], at_slash.path_of(2)));
+  }
+  events.push_back(registered_event(9, pks[9]));
+  events.push_back(registered_event(10, pks[10]));
+
+  for (const TreeMode mode : {TreeMode::kFullTree, TreeMode::kPartialView}) {
+    GroupManager ref(10, mode);
+    GroupManager blk(10, mode);
+    ref.set_own_identity(me);
+    blk.set_own_identity(me);
+    for (const chain::Event& ev : prior) {
+      ref.on_event(ev);
+      blk.on_event(ev);
+    }
+    std::vector<Fr> ref_roots;
+    for (const chain::Event& ev : events) {
+      ref.on_event(ev);
+      ref_roots.push_back(ref.root());
+    }
+    std::size_t seen = 0;
+    blk.apply(events, [&](const chain::Event& ev) {
+      ASSERT_LT(seen, events.size());
+      EXPECT_EQ(&ev, &events[seen]);
+      if (ev.name == "MemberSlashed") {
+        EXPECT_EQ(blk.root(), ref_roots[seen]);
+      }
+      ++seen;
+    });
+    blk.commit_block();
+    EXPECT_EQ(seen, events.size());
+
+    EXPECT_EQ(blk.root(), ref.root());
+    EXPECT_EQ(blk.member_count(), ref.member_count());
+    EXPECT_EQ(blk.removed_count(), 1u);
+    ASSERT_EQ(blk.own_index(), std::optional<std::uint64_t>{6});
+    EXPECT_TRUE(merkle::verify_path(blk.root(), me.pk, blk.own_path()));
+    // One window entry for the whole block (the event-by-event follower
+    // pushed one per event).
+    EXPECT_EQ(blk.recent_root_count(), prior.size() + 2);
+    EXPECT_EQ(blk.recent_roots().back(), ref.root());
+    if (mode == TreeMode::kFullTree) {
+      for (std::uint64_t i = 0; i < 11; ++i) {
+        EXPECT_EQ(blk.path_of(i).siblings, ref.path_of(i).siblings) << i;
+        EXPECT_EQ(blk.index_of(pks[i]), ref.index_of(pks[i])) << i;
+      }
+    }
+  }
+}
+
 // -- Validator ----------------------------------------------------------------
 
 struct ValidatorFixture : ::testing::Test {
