@@ -4,8 +4,8 @@
 // containment ratio, time-to-slash, and honest delivery per strategy.
 //
 // Standalone binary emitting machine-readable JSON (argv[1], default
-// BENCH_adversarial.json): one report per campaign (verdict + metrics
-// registry) plus wall-clock per campaign. `--smoke` (argv[2] or
+// BENCH_adversarial.json): one report per campaign (verdict + the summed
+// node counters) plus wall-clock per campaign. `--smoke` (argv[2] or
 // WAKU_BENCH_SMOKE=1) shrinks the deployment so CI can exercise the full
 // path in seconds.
 #include <chrono>

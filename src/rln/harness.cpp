@@ -100,14 +100,6 @@ std::uint64_t RlnHarness::total_delivered() const {
   return n;
 }
 
-std::uint64_t RlnHarness::total_rejected() {
-  std::uint64_t n = 0;
-  for (const auto& node : nodes_) {
-    if (node) n += node->relay().stats().rejected;
-  }
-  return n;
-}
-
 ValidatorStats RlnHarness::total_validation_stats() const {
   ValidatorStats total;
   for (const auto& node : nodes_) {

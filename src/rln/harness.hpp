@@ -77,8 +77,6 @@ class RlnHarness {
 
   /// Sum of delivered-message counters across all nodes.
   [[nodiscard]] std::uint64_t total_delivered() const;
-  /// Sum of relay-level spam rejections across all nodes.
-  [[nodiscard]] std::uint64_t total_rejected();
   /// Field-wise sum of every node's validation-pipeline counters —
   /// the deployment-wide view of where traffic died (or didn't).
   [[nodiscard]] ValidatorStats total_validation_stats() const;

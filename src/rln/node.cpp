@@ -92,6 +92,141 @@ void write_sample(obs::PrometheusWriter& w, const char* name, bool gauge,
   }
 }
 
+/// One unlabelled node-level metric: the single list metrics_text() and
+/// telemetry_section_json() render.
+struct ScalarMetric {
+  const char* section;    ///< metrics_json() object
+  const char* json_key;   ///< nullptr: Prometheus only
+  const char* prom_name;  ///< nullptr: JSON only
+  bool gauge;             ///< Prometheus type (else counter)
+  const char* help;
+  std::uint64_t value;
+};
+
+std::vector<ScalarMetric> scalar_metrics(const NodeTelemetrySnapshot& t) {
+  // Row order is exposition order within each section.
+  return {
+      {"node", "published", "waku_node_published_total", false,
+       "Messages this node published", t.node.published},
+      {"node", "publish_rate_limited", "waku_node_publish_rate_limited_total",
+       false, "Honest publishes refused by the 1-per-epoch-per-shard quota",
+       t.node.publish_rate_limited},
+      {"node", "publish_wrong_shard", "waku_node_publish_wrong_shard_total",
+       false, "Publishes refused: topic maps to an unhosted shard",
+       t.node.publish_wrong_shard},
+      {"node", "delivered", "waku_node_delivered_total", false,
+       "Validated messages delivered locally", t.node.delivered},
+      {"node", "slash_commits", "waku_node_slash_commits_total", false,
+       "Slash commitments submitted", t.node.slash_commits},
+      {"node", "slash_reveals", "waku_node_slash_reveals_total", false,
+       "Slash reveals submitted", t.node.slash_reveals},
+      {"node", "slash_rewards", "waku_node_slash_rewards_total", false,
+       "MemberSlashed events paying us", t.node.slash_rewards},
+      {"node", "slashes_expired", "waku_node_slashes_expired_total", false,
+       "Pending slashes dropped by the expiry window", t.node.slashes_expired},
+
+      {"router", "delivered", "waku_router_delivered_total", false,
+       "Unique valid messages delivered", t.router.delivered},
+      {"router", "duplicates", "waku_router_duplicates_total", false,
+       "Already-seen publishes received", t.router.duplicates},
+      {"router", "rejected", "waku_router_rejected_total", false,
+       "Validation rejects", t.router.rejected},
+      {"router", "ignored", "waku_router_ignored_total", false,
+       "Validation ignores", t.router.ignored},
+      {"router", "forwarded", "waku_router_forwarded_total", false,
+       "Publishes relayed onward", t.router.forwarded},
+      {"router", "validation_windows_flushed",
+       "waku_router_validation_windows_flushed_total", false,
+       "Batched-validation windows handed to a validator",
+       t.router.validation_windows_flushed},
+      {"router", "pending_validation", "waku_router_pending_validation", true,
+       "Messages buffered awaiting batched validation", t.pending_validation},
+      {"router", nullptr, "waku_score_graylisted", true,
+       "Peers currently below the graylist threshold", t.graylisted},
+
+      {"executor", "submitted", "waku_executor_submitted_total", false,
+       "Windows accepted (queued or inline)", t.executor.submitted},
+      {"executor", "executed", "waku_executor_executed_total", false,
+       "Windows completed", t.executor.executed},
+      {"executor", "rejected", "waku_executor_rejected_total", false,
+       "Windows refused by backpressure", t.executor.rejected},
+      {"executor", "blocked", "waku_executor_blocked_total", false,
+       "Submits that waited on a full queue", t.executor.blocked},
+      {"executor", "workers", "waku_executor_workers", true,
+       "Worker pool size (0 = deterministic/inline)", t.executor.workers},
+
+      {"trace", "sampled", "waku_trace_sampled_total", false,
+       "Lifecycle spans opened", t.trace.sampled},
+      {"trace", "finished", "waku_trace_finished_total", false,
+       "Spans closed normally", t.trace.finished},
+      {"trace", "evicted", "waku_trace_evicted_total", false,
+       "Completed-ring evictions", t.trace.evicted},
+      {"trace", "truncated", "waku_trace_truncated_total", false,
+       "Open spans force-closed (cap hit)", t.trace.truncated},
+      {"trace", "open", "waku_trace_open", true, "Spans currently open",
+       t.trace_open},
+
+      // Operator loop / flight recorder / self-monitor anomalies.
+      {"operator", "decisions", "waku_operator_decisions_total", false,
+       "Autonomous operator begin/advance decisions",
+       t.operator_loop.decisions},
+      {"operator", "last_action_epoch", nullptr, false, nullptr,
+       t.operator_loop.last_action_epoch},
+      {"operator", "consecutive_recommend", nullptr, false, nullptr,
+       t.operator_loop.consecutive_recommend},
+      {"operator", "flight_recorded", "waku_flight_events_total", false,
+       "Lifecycle events recorded to the flight ring", t.flight_recorded},
+      {"operator", "flight_evicted", "waku_flight_evicted_total", false,
+       "Flight events dropped off the bounded ring", t.flight_evicted},
+      {"operator", "anomalies_fired", "waku_anomaly_fired_total", false,
+       "Self-monitor anomaly rule fire transitions", t.anomalies_fired},
+  };
+}
+
+/// The per-shard counter families after the pipeline ones, in exposition
+/// order: nullifier-log stripe contention (one series per stripe) and the
+/// shard-local root cache.
+struct ShardCounterFamily {
+  const char* prom_name;
+  const char* help;
+  std::uint64_t NullifierLog::StripeContention::* stripe;  ///< else...
+  std::uint64_t shard::ShardRootCache::Stats::* root_cache;  ///< ...per shard
+};
+constexpr ShardCounterFamily kShardCounterFamilies[] = {
+    {"waku_nullifier_log_stripe_acquisitions_total",
+     "Hot-path lock acquisitions per stripe",
+     &NullifierLog::StripeContention::acquisitions, nullptr},
+    {"waku_nullifier_log_stripe_contended_total",
+     "Hot-path acquisitions that found the stripe lock held",
+     &NullifierLog::StripeContention::contended, nullptr},
+    {"waku_root_cache_hits_total",
+     "Root checks answered from the shard-local window copy", nullptr,
+     &shard::ShardRootCache::Stats::hits},
+    {"waku_root_cache_misses_total",
+     "Root checks that missed the rolling window", nullptr,
+     &shard::ShardRootCache::Stats::misses},
+    {"waku_root_cache_refreshes_total",
+     "Window copies rebuilt after membership events", nullptr,
+     &shard::ShardRootCache::Stats::refreshes},
+};
+
+/// The per-lane executor families, in exposition order: two histograms
+/// and the queue-depth high watermark.
+struct LaneFamily {
+  const char* prom_name;
+  const char* help;
+  obs::HistogramSnapshot LaneObsSnapshot::* histogram;  ///< nullptr: depth
+};
+constexpr LaneFamily kLaneFamilies[] = {
+    {"waku_executor_queue_wait_seconds",
+     "Window time from enqueue to pop, per lane",
+     &LaneObsSnapshot::queue_wait},
+    {"waku_executor_service_seconds", "Window execution time, per lane",
+     &LaneObsSnapshot::service},
+    {"waku_executor_lane_depth_high_watermark",
+     "Deepest the lane's queue has ever been", nullptr},
+};
+
 /// OS entropy for the keystore seal RNG. Deliberately NOT derived from the
 /// deterministic node seed: a restarted node re-seeded deterministically
 /// would replay the exact salt/nonce stream of its previous life, and with
@@ -931,7 +1066,85 @@ NodeTelemetrySnapshot WakuRlnRelayNode::telemetry_snapshot() const {
   t.graylisted = relay_.router().scores().graylist_count();
   t.pending_validation = relay_.router().pending_validation_total();
   t.trace = tracer_.stats();
+  t.trace_open = tracer_.open_count();
+  t.operator_loop = operator_.bookkeeping();
+  t.flight_recorded = recorder_.recorded();
+  t.flight_evicted = recorder_.evicted();
+  t.anomalies_fired = anomaly_.fired_total();
   return t;
+}
+
+NodeTelemetrySnapshot& NodeTelemetrySnapshot::operator+=(
+    const NodeTelemetrySnapshot& o) {
+  router.delivered += o.router.delivered;
+  router.duplicates += o.router.duplicates;
+  router.rejected += o.router.rejected;
+  router.ignored += o.router.ignored;
+  router.forwarded += o.router.forwarded;
+  router.ihave_sent += o.router.ihave_sent;
+  router.iwant_served += o.router.iwant_served;
+  router.validation_windows_flushed += o.router.validation_windows_flushed;
+  node.published += o.node.published;
+  node.publish_rate_limited += o.node.publish_rate_limited;
+  node.publish_wrong_shard += o.node.publish_wrong_shard;
+  node.delivered += o.node.delivered;
+  node.slash_commits += o.node.slash_commits;
+  node.slash_reveals += o.node.slash_reveals;
+  node.slash_rewards += o.node.slash_rewards;
+  node.slashes_expired += o.node.slashes_expired;
+  pipeline += o.pipeline;
+  executor.submitted += o.executor.submitted;
+  executor.executed += o.executor.executed;
+  executor.rejected += o.executor.rejected;
+  executor.blocked += o.executor.blocked;
+  executor.workers += o.executor.workers;
+  for (const auto& [s, stats] : o.per_shard) {
+    auto it = std::lower_bound(
+        per_shard.begin(), per_shard.end(), s,
+        [](const auto& entry, shard::ShardId id) { return entry.first < id; });
+    if (it == per_shard.end() || it->first != s) {
+      it = per_shard.insert(it, {s, ValidatorStats{}});
+    }
+    it->second += stats;
+  }
+  graylisted += o.graylisted;
+  pending_validation += o.pending_validation;
+  trace.sampled += o.trace.sampled;
+  trace.finished += o.trace.finished;
+  trace.evicted += o.trace.evicted;
+  trace.truncated += o.trace.truncated;
+  trace_open += o.trace_open;
+  operator_loop.decisions += o.operator_loop.decisions;
+  operator_loop.consecutive_recommend += o.operator_loop.consecutive_recommend;
+  operator_loop.last_action_epoch = std::max(
+      operator_loop.last_action_epoch, o.operator_loop.last_action_epoch);
+  operator_loop.phase_entered_epoch = std::max(
+      operator_loop.phase_entered_epoch, o.operator_loop.phase_entered_epoch);
+  flight_recorded += o.flight_recorded;
+  flight_evicted += o.flight_evicted;
+  anomalies_fired += o.anomalies_fired;
+  return *this;
+}
+
+std::string telemetry_section_json(const NodeTelemetrySnapshot& t,
+                                   std::string_view section) {
+  std::string out = "{";
+  const auto field = [&out](const char* key, std::uint64_t v) {
+    if (out.size() > 1) out += ",";
+    out.append("\"").append(key).append("\":").append(std::to_string(v));
+  };
+  if (section == "pipeline") {
+    for (const PipelineField& f : kPipelineFields) {
+      if (f.json_key != nullptr) field(f.json_key, t.pipeline.*(f.field));
+    }
+  } else {
+    for (const ScalarMetric& m : scalar_metrics(t)) {
+      if (m.json_key != nullptr && section == m.section) {
+        field(m.json_key, m.value);
+      }
+    }
+  }
+  return out + "}";
 }
 
 void WakuRlnRelayNode::record_flight(std::uint64_t epoch, const char* kind,
@@ -1001,87 +1214,6 @@ void WakuRlnRelayNode::dump_postmortem(const std::string& reason) {
   std::fclose(f);
 }
 
-std::vector<WakuRlnRelayNode::ScalarMetric> WakuRlnRelayNode::scalar_metrics(
-    const NodeTelemetrySnapshot& t) const {
-  // Row order is exposition order within each section.
-  return {
-      {"node", "published", "waku_node_published_total", false,
-       "Messages this node published", t.node.published},
-      {"node", "publish_rate_limited", "waku_node_publish_rate_limited_total",
-       false, "Honest publishes refused by the 1-per-epoch-per-shard quota",
-       t.node.publish_rate_limited},
-      {"node", "publish_wrong_shard", "waku_node_publish_wrong_shard_total",
-       false, "Publishes refused: topic maps to an unhosted shard",
-       t.node.publish_wrong_shard},
-      {"node", "delivered", "waku_node_delivered_total", false,
-       "Validated messages delivered locally", t.node.delivered},
-      {"node", "slash_commits", "waku_node_slash_commits_total", false,
-       "Slash commitments submitted", t.node.slash_commits},
-      {"node", "slash_reveals", "waku_node_slash_reveals_total", false,
-       "Slash reveals submitted", t.node.slash_reveals},
-      {"node", "slash_rewards", "waku_node_slash_rewards_total", false,
-       "MemberSlashed events paying us", t.node.slash_rewards},
-      {"node", "slashes_expired", "waku_node_slashes_expired_total", false,
-       "Pending slashes dropped by the expiry window", t.node.slashes_expired},
-
-      {"router", "delivered", "waku_router_delivered_total", false,
-       "Unique valid messages delivered", t.router.delivered},
-      {"router", "duplicates", "waku_router_duplicates_total", false,
-       "Already-seen publishes received", t.router.duplicates},
-      {"router", "rejected", "waku_router_rejected_total", false,
-       "Validation rejects", t.router.rejected},
-      {"router", "ignored", "waku_router_ignored_total", false,
-       "Validation ignores", t.router.ignored},
-      {"router", "forwarded", "waku_router_forwarded_total", false,
-       "Publishes relayed onward", t.router.forwarded},
-      {"router", "validation_windows_flushed",
-       "waku_router_validation_windows_flushed_total", false,
-       "Batched-validation windows handed to a validator",
-       t.router.validation_windows_flushed},
-      {"router", "pending_validation", "waku_router_pending_validation", true,
-       "Messages buffered awaiting batched validation", t.pending_validation},
-      {"router", nullptr, "waku_score_graylisted", true,
-       "Peers currently below the graylist threshold", t.graylisted},
-
-      {"executor", "submitted", "waku_executor_submitted_total", false,
-       "Windows accepted (queued or inline)", t.executor.submitted},
-      {"executor", "executed", "waku_executor_executed_total", false,
-       "Windows completed", t.executor.executed},
-      {"executor", "rejected", "waku_executor_rejected_total", false,
-       "Windows refused by backpressure", t.executor.rejected},
-      {"executor", "blocked", "waku_executor_blocked_total", false,
-       "Submits that waited on a full queue", t.executor.blocked},
-      {"executor", "workers", "waku_executor_workers", true,
-       "Worker pool size (0 = deterministic/inline)", t.executor.workers},
-
-      {"trace", "sampled", "waku_trace_sampled_total", false,
-       "Lifecycle spans opened", t.trace.sampled},
-      {"trace", "finished", "waku_trace_finished_total", false,
-       "Spans closed normally", t.trace.finished},
-      {"trace", "evicted", "waku_trace_evicted_total", false,
-       "Completed-ring evictions", t.trace.evicted},
-      {"trace", "truncated", "waku_trace_truncated_total", false,
-       "Open spans force-closed (cap hit)", t.trace.truncated},
-      {"trace", "open", "waku_trace_open", true, "Spans currently open",
-       tracer_.open_count()},
-
-      // Operator loop / flight recorder / self-monitor anomalies.
-      {"operator", "decisions", "waku_operator_decisions_total", false,
-       "Autonomous operator begin/advance decisions",
-       operator_.bookkeeping().decisions},
-      {"operator", "last_action_epoch", nullptr, false, nullptr,
-       operator_.bookkeeping().last_action_epoch},
-      {"operator", "consecutive_recommend", nullptr, false, nullptr,
-       operator_.bookkeeping().consecutive_recommend},
-      {"operator", "flight_recorded", "waku_flight_events_total", false,
-       "Lifecycle events recorded to the flight ring", recorder_.recorded()},
-      {"operator", "flight_evicted", "waku_flight_evicted_total", false,
-       "Flight events dropped off the bounded ring", recorder_.evicted()},
-      {"operator", "anomalies_fired", "waku_anomaly_fired_total", false,
-       "Self-monitor anomaly rule fire transitions", anomaly_.fired_total()},
-  };
-}
-
 std::string WakuRlnRelayNode::metrics_text() const {
   const NodeTelemetrySnapshot t = telemetry_snapshot();
   obs::PrometheusWriter w;
@@ -1119,70 +1251,38 @@ std::string WakuRlnRelayNode::metrics_text() const {
     }
   }
 
-  // Stripe contention of the nullifier logs.
-  w.help_type("waku_nullifier_log_stripe_acquisitions_total", "counter",
-              "Hot-path lock acquisitions per stripe");
-  for (const shard::ShardId s : shards_.subscribed()) {
-    const auto stripes = shards_.log_of(s).stripe_contention();
-    for (std::size_t i = 0; i < stripes.size(); ++i) {
-      w.counter("waku_nullifier_log_stripe_acquisitions_total",
-                shard_label(s) + ",stripe=\"" + std::to_string(i) + "\"",
-                stripes[i].acquisitions);
+  for (const ShardCounterFamily& f : kShardCounterFamilies) {
+    w.help_type(f.prom_name, "counter", f.help);
+    for (const shard::ShardId s : shards_.subscribed()) {
+      if (f.root_cache != nullptr) {
+        w.counter(f.prom_name, shard_label(s),
+                  shards_.root_cache_stats(s).*(f.root_cache));
+        continue;
+      }
+      const auto stripes = shards_.log_of(s).stripe_contention();
+      for (std::size_t i = 0; i < stripes.size(); ++i) {
+        w.counter(f.prom_name,
+                  shard_label(s) + ",stripe=\"" + std::to_string(i) + "\"",
+                  stripes[i].*(f.stripe));
+      }
     }
-  }
-  w.help_type("waku_nullifier_log_stripe_contended_total", "counter",
-              "Hot-path acquisitions that found the stripe lock held");
-  for (const shard::ShardId s : shards_.subscribed()) {
-    const auto stripes = shards_.log_of(s).stripe_contention();
-    for (std::size_t i = 0; i < stripes.size(); ++i) {
-      w.counter("waku_nullifier_log_stripe_contended_total",
-                shard_label(s) + ",stripe=\"" + std::to_string(i) + "\"",
-                stripes[i].contended);
-    }
-  }
-
-  w.help_type("waku_root_cache_hits_total", "counter",
-              "Root checks answered from the shard-local window copy");
-  for (const shard::ShardId s : shards_.subscribed()) {
-    w.counter("waku_root_cache_hits_total", shard_label(s),
-              shards_.root_cache_stats(s).hits);
-  }
-  w.help_type("waku_root_cache_misses_total", "counter",
-              "Root checks that missed the rolling window");
-  for (const shard::ShardId s : shards_.subscribed()) {
-    w.counter("waku_root_cache_misses_total", shard_label(s),
-              shards_.root_cache_stats(s).misses);
-  }
-  w.help_type("waku_root_cache_refreshes_total", "counter",
-              "Window copies rebuilt after membership events");
-  for (const shard::ShardId s : shards_.subscribed()) {
-    w.counter("waku_root_cache_refreshes_total", shard_label(s),
-              shards_.root_cache_stats(s).refreshes);
   }
 
   // Executor: pool counters plus per-lane queue-wait/service histograms.
   render("executor");
   const std::vector<LaneObsSnapshot> lanes = shards_.executor_lane_stats();
-  w.help_type("waku_executor_queue_wait_seconds", "histogram",
-              "Window time from enqueue to pop, per lane");
-  for (const LaneObsSnapshot& lane : lanes) {
-    w.histogram("waku_executor_queue_wait_seconds",
-                "lane=\"" + std::to_string(lane.lane) + "\"", lane.queue_wait,
-                1e-9);
-  }
-  w.help_type("waku_executor_service_seconds", "histogram",
-              "Window execution time, per lane");
-  for (const LaneObsSnapshot& lane : lanes) {
-    w.histogram("waku_executor_service_seconds",
-                "lane=\"" + std::to_string(lane.lane) + "\"", lane.service,
-                1e-9);
-  }
-  w.help_type("waku_executor_lane_depth_high_watermark", "gauge",
-              "Deepest the lane's queue has ever been");
-  for (const LaneObsSnapshot& lane : lanes) {
-    w.gauge("waku_executor_lane_depth_high_watermark",
-            "lane=\"" + std::to_string(lane.lane) + "\"",
-            static_cast<double>(lane.depth_high_watermark));
+  for (const LaneFamily& f : kLaneFamilies) {
+    w.help_type(f.prom_name, f.histogram != nullptr ? "histogram" : "gauge",
+                f.help);
+    for (const LaneObsSnapshot& lane : lanes) {
+      const std::string label = "lane=\"" + std::to_string(lane.lane) + "\"";
+      if (f.histogram != nullptr) {
+        w.histogram(f.prom_name, label, lane.*(f.histogram), 1e-9);
+      } else {
+        w.gauge(f.prom_name, label,
+                static_cast<double>(lane.depth_high_watermark));
+      }
+    }
   }
 
   // Per-stage latency quantiles (the registry's histogram families carry
@@ -1232,22 +1332,14 @@ std::string WakuRlnRelayNode::metrics_json() const {
     out += sep + "\"" + key + "\":" + std::to_string(v);
     sep = ",";
   };
-  const std::vector<ScalarMetric> scalars = scalar_metrics(t);
-  const auto section = [&](std::string_view name) {
-    begin("\"" + std::string(name) + "\":{");
-    for (const ScalarMetric& m : scalars) {
-      if (m.json_key != nullptr && name == m.section) u64(m.json_key, m.value);
-    }
-    out += "},";
+  const auto section = [&](const char* name) {
+    out.append("\"").append(name).append("\":");
+    out += telemetry_section_json(t, name) + ",";
   };
 
   section("node");
   section("router");
-  begin("\"pipeline\":{");
-  for (const PipelineField& f : kPipelineFields) {
-    if (f.json_key != nullptr) u64(f.json_key, t.pipeline.*(f.field));
-  }
-  out += "},";
+  section("pipeline");
   out += "\"per_shard\":[";
   for (std::size_t i = 0; i < t.per_shard.size(); ++i) {
     const auto& [s, stats] = t.per_shard[i];

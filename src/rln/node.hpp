@@ -40,6 +40,7 @@
 #include <memory>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <unordered_map>
 #include <utility>
 #include <vector>
@@ -141,9 +142,9 @@ struct NodeStats {
   std::uint64_t slashes_expired = 0;  ///< pending slashes dropped by expiry
 };
 
-/// One coherent read of every counter family the node maintains — what
-/// metrics_{text,json}() render, and what sim::HarnessProbe consumes
-/// instead of re-deriving the same sums from subsystem accessors.
+/// One coherent read of every counter family the node maintains: what
+/// metrics_{text,json}() render, and what a deployment sums (operator+=)
+/// into a fleet-wide view that renders through the same tables.
 struct NodeTelemetrySnapshot {
   gossipsub::RouterStats router;
   NodeStats node;
@@ -154,7 +155,23 @@ struct NodeTelemetrySnapshot {
   std::size_t graylisted = 0;  ///< peers currently below the graylist bar
   std::size_t pending_validation = 0;  ///< messages buffered in windows
   obs::TraceCollectorStats trace;
+  std::size_t trace_open = 0;  ///< lifecycle spans currently open
+  OperatorLoop::Bookkeeping operator_loop;
+  std::uint64_t flight_recorded = 0;  ///< flight-recorder events, ever
+  std::uint64_t flight_evicted = 0;   ///< ... dropped off the ring
+  std::uint64_t anomalies_fired = 0;  ///< self-monitor fire transitions
+
+  /// Field-wise accumulation, as ValidatorStats::operator+=: counters and
+  /// gauges sum, per_shard merges by shard id, the pipeline watermark
+  /// takes the minimum and the operator's epoch anchors the maximum.
+  NodeTelemetrySnapshot& operator+=(const NodeTelemetrySnapshot& o);
 };
+
+/// One section of metrics_json() rendered from `t` alone ("node",
+/// "router", "pipeline", "executor", "trace" or "operator") as a JSON
+/// object, so a deployment-wide sum renders exactly as one node does.
+[[nodiscard]] std::string telemetry_section_json(
+    const NodeTelemetrySnapshot& t, std::string_view section);
 
 class WakuRlnRelayNode {
  public:
@@ -382,8 +399,8 @@ class WakuRlnRelayNode {
   [[nodiscard]] std::string metrics_text() const;
   /// The same data as one JSON object (histogram quantiles included).
   [[nodiscard]] std::string metrics_json() const;
-  /// Coherent counter snapshot across every subsystem (HarnessProbe's
-  /// input; also what health_sample() reads).
+  /// Coherent counter snapshot across every subsystem (also what
+  /// health_sample() reads).
   [[nodiscard]] NodeTelemetrySnapshot telemetry_snapshot() const;
 
   /// The lock-cheap metric registry (stage histograms live here).
@@ -549,19 +566,6 @@ class WakuRlnRelayNode {
   void dump_postmortem(const std::string& reason);
   /// One operator-loop step per upkeep tick (no-op unless enabled).
   void operator_tick();
-
-  /// One unlabelled node-level metric: the single list both
-  /// metrics_text() and metrics_json() render.
-  struct ScalarMetric {
-    const char* section;    ///< metrics_json() object
-    const char* json_key;   ///< nullptr: Prometheus only
-    const char* prom_name;  ///< nullptr: JSON only
-    bool gauge;             ///< Prometheus type (else counter)
-    const char* help;
-    std::uint64_t value;
-  };
-  [[nodiscard]] std::vector<ScalarMetric> scalar_metrics(
-      const NodeTelemetrySnapshot& t) const;
 
   void restore_from_store();
   void restore_snapshot(BytesView payload);

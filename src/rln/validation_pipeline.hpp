@@ -105,6 +105,7 @@ struct ValidatorStats {
                                                     : o.log_min_epoch;
     return *this;
   }
+  bool operator==(const ValidatorStats&) const = default;
 };
 
 /// Stage-latency sinks (src/obs), one histogram per pipeline stage plus

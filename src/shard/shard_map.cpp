@@ -110,7 +110,8 @@ ShardMap ShardMap::split(std::uint16_t factor) const {
   // The lineage is load-bearing (every layer adds one keccak per
   // shard_of) and serializes its depth as a u8; refuse silly chains
   // loudly instead of wrapping silently. Deployments that approach this
-  // run a flat resharded() migration to compact the lineage (ROADMAP).
+  // run a flat migration to ShardMap(n, generation + 1) to compact the
+  // lineage (ROADMAP).
   std::size_t depth = 1;
   for (const ShardMap* m = parent_.get(); m != nullptr;
        m = m->parent_.get()) {

@@ -68,8 +68,9 @@ class ShardMap {
   /// Amortized O(1): the keccak-per-lineage-layer walk runs only on a memo
   /// miss; repeated lookups of live topics hit a bounded topic->shard memo
   /// (thread-safe, shared across copies of the same map, and naturally
-  /// invalidated by resharding — split()/resharded()/deserialize build new
-  /// maps, and a new map starts with a fresh memo).
+  /// invalidated by resharding — split(), deserialize and a flat
+  /// ShardMap(n, generation + 1) are new maps, and a new map starts with a
+  /// fresh memo).
   [[nodiscard]] ShardId shard_of(std::string_view content_topic) const;
 
   /// Memo effectiveness counters (hits/misses/flushes) for benches and the
@@ -92,16 +93,6 @@ class ShardMap {
   [[nodiscard]] std::uint16_t num_shards() const { return num_shards_; }
   [[nodiscard]] std::uint32_t generation() const { return generation_; }
   [[nodiscard]] std::vector<ShardId> all_shards() const;
-
-  /// The config-driven reshard: same map with `new_num_shards` and the
-  /// next generation. Callers swap maps atomically (there is no partial
-  /// migration state — the generation salt keeps layouts disjoint). The
-  /// re-key is total: a topic's new shard is independent of its old one,
-  /// which is fine for an offline/config-push migration but NOT locally
-  /// enforceable during a live cutover — use split() for that.
-  [[nodiscard]] ShardMap resharded(std::uint16_t new_num_shards) const {
-    return ShardMap(new_num_shards, generation_ + 1);
-  }
 
   /// Hierarchical reshard: `factor`× more shards, next generation, and the
   /// refinement guarantee the LIVE reshard engine depends on:

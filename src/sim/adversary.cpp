@@ -31,7 +31,6 @@ void RateLimitFlooder::on_tick(AdversaryContext& ctx) {
   if (status == WakuRlnRelayNode::PublishStatus::kOk) {
     ++sent_this_epoch_;
     ++spam_sent_;
-    ctx.metrics.counter("spam.sent").inc();
   }
 }
 
@@ -60,7 +59,6 @@ void EpochBoundaryStraddler::on_tick(AdversaryContext& ctx) {
   if (status == WakuRlnRelayNode::PublishStatus::kOk) {
     last_published_epoch_ = epoch;
     ++spam_sent_;
-    ctx.metrics.counter("spam.sent").inc();
   }
 }
 
@@ -74,7 +72,6 @@ void InvalidProofFlooder::on_tick(AdversaryContext& ctx) {
         spam_payload("garbage " + std::to_string(spam_sent_)),
         content_topic_);
     ++spam_sent_;
-    ctx.metrics.counter("spam.sent").inc();
   }
 }
 
@@ -88,7 +85,6 @@ void StaleRootReplayer::on_tick(AdversaryContext& ctx) {
         spam_payload("stale " + std::to_string(spam_sent_)),
         content_topic_);
     ++spam_sent_;
-    ctx.metrics.counter("spam.sent").inc();
   }
 }
 
@@ -105,7 +101,6 @@ void SplitEquivocator::on_tick(AdversaryContext& ctx) {
   if (sent) {
     last_split_epoch_ = epoch;
     spam_sent_ += 2;
-    ctx.metrics.counter("spam.sent").inc(2);
   }
 }
 
@@ -132,7 +127,6 @@ void DepositChurner::on_tick(AdversaryContext& ctx) {
         "churn " + std::to_string(slot) + "/" + std::to_string(i)));
     if (status == WakuRlnRelayNode::PublishStatus::kOk) {
       ++spam_sent_;
-      ctx.metrics.counter("spam.sent").inc();
     }
   }
 
@@ -151,7 +145,6 @@ void DepositChurner::on_tick(AdversaryContext& ctx) {
   tx.gas_price = 100;
   ctx.harness.chain().submit(std::move(tx));
   ++withdraw_attempts_;
-  ctx.metrics.counter("churn.withdraw_attempts").inc();
   ++next_slot_;
 }
 
@@ -169,7 +162,6 @@ void CrossGenerationPairAttacker::on_tick(AdversaryContext& ctx) {
   if (pairs_this_epoch_ >= pairs_per_epoch_) return;
   ++pairs_this_epoch_;
   spam_sent_ += 2;
-  ctx.metrics.counter("spam.sent").inc(2);
   // "spam|p<epoch>|old|<pair #>" / "...|new|..." — observe_delivery parses
   // the epoch and the half back out.
   const auto half = [&](const char* generation) {

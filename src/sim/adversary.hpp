@@ -30,13 +30,12 @@
 #include <vector>
 
 #include "rln/light_client.hpp"
-#include "sim/metrics.hpp"
+#include "sim/probe.hpp"
 
 namespace waku::sim {
 
 struct AdversaryContext {
   rln::RlnHarness& harness;
-  MetricsRegistry& metrics;
   Rng& rng;
   net::TimeMs tick_ms;
 };

@@ -37,7 +37,7 @@ Campaign::Campaign(const rln::HarnessConfig& config, std::uint64_t rng_salt,
                    net::TimeMs tick_ms, double honest_rate_per_epoch,
                    rln::RlnHarness::NodeHook node_hook)
     : harness(config),
-      probe(harness, metrics, std::move(node_hook)),
+      probe(harness, std::move(node_hook)),
       rng(config.seed ^ rng_salt),
       tick_ms_(tick_ms),
       per_tick_p_(honest_rate_per_epoch * static_cast<double>(tick_ms) /
@@ -90,7 +90,6 @@ void Campaign::honest_tick(
         topic_of(i));
     if (status != rln::WakuRlnRelayNode::PublishStatus::kOk) continue;
     ++honest_sent;
-    metrics.counter("honest.sent").inc();
     if (on_sent) on_sent(i);
   }
 }

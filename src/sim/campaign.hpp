@@ -41,7 +41,6 @@ class Campaign {
            rln::RlnHarness::NodeHook node_hook = nullptr);
 
   rln::RlnHarness harness;
-  MetricsRegistry metrics;
   HarnessProbe probe;
   Rng rng;
   /// Excluded from honest traffic, honest hosts and delivery sums.
@@ -49,7 +48,7 @@ class Campaign {
   std::uint64_t honest_sent = 0;
 
   [[nodiscard]] AdversaryContext context() {
-    return {harness, metrics, rng, tick_ms_};
+    return {harness, rng, tick_ms_};
   }
   [[nodiscard]] bool honest(std::size_t i) const {
     return !adversary_slots.contains(i);

@@ -91,8 +91,22 @@ std::string ScenarioVerdict::to_json() const {
 }
 
 std::string Report::to_json() const {
+  JsonObject metrics;
+  for (const char* section :
+       {"node", "router", "pipeline", "executor", "trace", "operator"}) {
+    metrics.raw(section, rln::telemetry_section_json(deployment, section),
+                "{}");
+  }
+  metrics.raw("net",
+              JsonObject()
+                  .integer("messages_sent", traffic.messages_sent)
+                  .integer("messages_received", traffic.messages_received)
+                  .integer("bytes_sent", traffic.bytes_sent)
+                  .integer("bytes_received", traffic.bytes_received)
+                  .str(),
+              "{}");
   return "{\"verdict\": " + verdict.to_json() +
-         ",\n\"metrics\": " + metrics_json + "}";
+         ",\n\"metrics\": " + metrics.str() + "}";
 }
 
 bool write_report_file(const std::vector<Report>& reports,

@@ -19,6 +19,8 @@
 #include <string_view>
 #include <vector>
 
+#include "rln/node.hpp"
+
 namespace waku::sim {
 
 /// Flat JSON object writer shared by every verdict, outcome and metrics
@@ -119,9 +121,13 @@ struct ScenarioVerdict {
 
 struct Report {
   ScenarioVerdict verdict;
-  std::string metrics_json;  ///< MetricsRegistry::to_json() at scenario end
+  /// Field-wise sum of the live nodes' telemetry_snapshot()s at scenario
+  /// end: the same counters each node exports, fleet-wide.
+  rln::NodeTelemetrySnapshot deployment;
+  net::TrafficStats traffic;  ///< network().total_stats() at scenario end
 
-  /// {"verdict": {...}, "metrics": {...}}
+  /// {"verdict": {...}, "metrics": {"node", "router", "pipeline",
+  /// "executor", "trace", "operator" (each as in metrics_json()), "net"}}
   [[nodiscard]] std::string to_json() const;
 };
 

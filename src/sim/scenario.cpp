@@ -86,10 +86,7 @@ void Scenario::run_phase(const PhaseSpec& phase) {
     for (Adversary* adversary : phase.adversaries) {
       adversary->on_tick(ctx);
     }
-    if (campaign_.epoch_turned()) {
-      campaign_.probe.sample(campaign_.epoch_now());
-      scrape_fleet(campaign_.epoch_now());
-    }
+    if (campaign_.epoch_turned()) scrape_fleet(campaign_.epoch_now());
     return true;
   });
 }
@@ -137,7 +134,6 @@ Report Scenario::run() {
   // Drain: let in-flight publishes, validation windows, and slash txs
   // settle before judging delivery ratios.
   h.run_ms(config_.drain_ms);
-  campaign_.probe.sample(campaign_.epoch_now());
   if (campaign_.epoch_turned()) {
     scrape_fleet(campaign_.epoch_now());  // final row: post-drain state
   }
@@ -214,7 +210,11 @@ Report Scenario::run() {
     verdict.propagation_json = propagation_.summary_json();
   }
 
-  return Report{verdict, campaign_.metrics.to_json()};
+  Report report{std::move(verdict), {}, h.network().total_stats()};
+  for (std::size_t i = 0; i < h.size(); ++i) {
+    if (h.alive(i)) report.deployment += h.node(i).telemetry_snapshot();
+  }
+  return report;
 }
 
 // -- Eclipse campaign --------------------------------------------------------

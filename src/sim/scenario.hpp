@@ -3,7 +3,7 @@
 // runs a Poisson honest-traffic generator over the non-adversarial nodes
 // and ticks the attached Adversary strategies; a HarnessProbe classifies
 // every delivery and timestamps every slash; run() returns a Report with
-// the containment verdict and the full metrics registry.
+// the containment verdict and the deployment's summed node counters.
 //
 // Everything is deterministic from ScenarioConfig::harness.seed — the same
 // config replays the same campaign event-for-event.
@@ -51,7 +51,6 @@ class Scenario {
   Report run();
 
   [[nodiscard]] rln::RlnHarness& harness() { return campaign_.harness; }
-  [[nodiscard]] MetricsRegistry& metrics() { return campaign_.metrics; }
   [[nodiscard]] HarnessProbe& probe() { return campaign_.probe; }
   [[nodiscard]] obs::FleetAggregator& fleet() { return fleet_; }
   /// Cross-node propagation assembler, fed from every node's trace rings
@@ -67,7 +66,7 @@ class Scenario {
   void scrape_fleet(std::uint64_t epoch);
 
   ScenarioConfig config_;
-  /// Deployment, metrics, probe and the honest-traffic generator.
+  /// Deployment, probe and the honest-traffic generator.
   Campaign campaign_;
   /// Per-epoch cross-node health rows — the fleet-health timeline that
   /// rides in the verdict JSON (see ScenarioVerdict::fleet_timeline_json).

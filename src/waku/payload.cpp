@@ -25,11 +25,11 @@ Bytes seal_payload(const hash::ChaChaKey& key, BytesView plaintext, Rng& rng) {
   const Bytes random = rng.next_bytes(nonce.size());
   std::copy(random.begin(), random.end(), nonce.begin());
 
-  Bytes out;
-  out.push_back(kPayloadVersion);
-  out.insert(out.end(), nonce.begin(), nonce.end());
   const Bytes sealed = hash::aead_encrypt(key, nonce, plaintext);
-  out.insert(out.end(), sealed.begin(), sealed.end());
+  Bytes out(1 + nonce.size() + sealed.size());
+  out[0] = kPayloadVersion;
+  std::copy(nonce.begin(), nonce.end(), out.begin() + 1);
+  std::copy(sealed.begin(), sealed.end(), out.begin() + 1 + nonce.size());
   return out;
 }
 

@@ -78,39 +78,6 @@ Wire poseidon2_gadget(CircuitBuilder& b, const Wire& a, const Wire& c) {
   return poseidon_gadget(b, in);
 }
 
-std::vector<Wire> bits_gadget(CircuitBuilder& b, const Wire& value,
-                              std::size_t bits) {
-  WAKU_EXPECTS(bits >= 1 && bits <= 64);
-  // Witness values must fit: extract the low 64 bits of the canonical form.
-  const std::uint64_t v = value.value.to_u256().limb[0];
-  WAKU_EXPECTS(value.value.to_u256() == ff::U256{v});
-  WAKU_EXPECTS(bits == 64 || v < (std::uint64_t{1} << bits));
-
-  std::vector<Wire> out;
-  out.reserve(bits);
-  Wire sum = b.constant(Fr::zero());
-  Fr weight = Fr::one();
-  for (std::size_t i = 0; i < bits; ++i) {
-    const Wire bit = b.witness(((v >> i) & 1) ? Fr::one() : Fr::zero());
-    b.assert_boolean(bit, "range_bit");
-    sum = b.add(sum, b.scale(bit, weight));
-    weight += weight;
-    out.push_back(bit);
-  }
-  b.assert_equal(sum, value, "range_recompose");
-  return out;
-}
-
-void assert_less_than(CircuitBuilder& b, const Wire& a, const Wire& b_bound,
-                      std::size_t bits) {
-  WAKU_EXPECTS(bits >= 1 && bits <= 62);
-  // t = a + 2^bits - b; a < b  <=>  t < 2^bits  <=>  bit `bits` of t is 0.
-  const Wire t = b.add(b.sub(a, b_bound),
-                       b.constant(Fr::from_u64(std::uint64_t{1} << bits)));
-  const std::vector<Wire> t_bits = bits_gadget(b, t, bits + 1);
-  b.assert_equal(t_bits[bits], b.constant(Fr::zero()), "less_than_top_bit");
-}
-
 Wire merkle_root_gadget(CircuitBuilder& b, const Wire& leaf,
                         const merkle::MerklePath& path) {
   Wire cur = leaf;

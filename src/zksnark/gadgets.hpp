@@ -30,15 +30,4 @@ Wire poseidon2_gadget(CircuitBuilder& b, const Wire& a, const Wire& c);
 Wire merkle_root_gadget(CircuitBuilder& b, const Wire& leaf,
                         const merkle::MerklePath& path);
 
-/// Decomposes `value` (whose witness must fit in `bits` bits) into bit
-/// wires, least significant first, constraining booleanity and the
-/// recomposition. The canonical range check: value < 2^bits.
-std::vector<Wire> bits_gadget(CircuitBuilder& b, const Wire& value,
-                              std::size_t bits);
-
-/// Asserts a < b where both (witness values) fit in `bits` bits
-/// (the circomlib LessThan construction used by RLN-v2's rate limit).
-void assert_less_than(CircuitBuilder& b, const Wire& a, const Wire& b_bound,
-                      std::size_t bits);
-
 }  // namespace waku::zksnark

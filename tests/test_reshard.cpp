@@ -56,7 +56,7 @@ TEST(ShardMapSplit, FlatReshardDoesNotRefine) {
   // Control: the config-driven flat re-key moves topics across families
   // (fine offline, not usable for a live cutover).
   const ShardMap old_map(4, 0);
-  const ShardMap flat = old_map.resharded(8);
+  const ShardMap flat(8, old_map.generation() + 1);
   bool left_family = false;
   for (int i = 0; i < 200 && !left_family; ++i) {
     const std::string topic = "/waku/2/app-" + std::to_string(i) + "/proto";

@@ -64,8 +64,7 @@ TEST(Scenarios, FlooderSlashedAndContainedAcrossSeeds) {
     EXPECT_GE(v.honest_delivery_ratio, 0.99);
     EXPECT_EQ(v.honest_slashes, 0u);
     // The pipeline actually saw the double-signals.
-    EXPECT_GE(scenario.metrics().gauge("pipeline.spam_detected").value(),
-              1.0);
+    EXPECT_GE(report.deployment.pipeline.spam_detected, 1u);
   }
 }
 
@@ -105,7 +104,7 @@ TEST(Scenarios, CoalitionReportsPerAdversaryVerdicts) {
   EXPECT_GT(flooder_v->spam_sent, 0u);
   EXPECT_GT(replayer_v->spam_sent, 0u);
   // The replayer's traffic died in the cheap root stage network-wide.
-  EXPECT_GE(scenario.metrics().gauge("pipeline.stale_root").value(), 1.0);
+  EXPECT_GE(report.deployment.pipeline.stale_root, 1u);
   // Honest service level held against the combined attack.
   EXPECT_GE(v.honest_delivery_ratio, 0.99);
   EXPECT_EQ(v.honest_slashes, 0u);
@@ -213,14 +212,13 @@ TEST(Scenarios, InvalidProofFloodGraylistsThenRecovers) {
   // after the flood stops, decay restores the peer.
   rln::HarnessConfig cfg = small_deployment(7);
   rln::RlnHarness h(cfg);
-  MetricsRegistry metrics;
-  HarnessProbe probe(h, metrics);
+  HarnessProbe probe(h);
   h.register_all();
   h.run_ms(5'000);
 
   InvalidProofFlooder flooder(/*slot=*/0, /*per_tick=*/5);
   Rng rng(0xF100D);
-  AdversaryContext ctx{h, metrics, rng, 1'000};
+  AdversaryContext ctx{h, rng, 1'000};
   const net::NodeId attacker = h.node(0).node_id();
   std::size_t peak_graylisted_by = 0;
   for (int tick = 0; tick < 10; ++tick) {
@@ -265,9 +263,9 @@ TEST(Scenarios, InvalidProofFloodGraylistsThenRecovers) {
 }
 
 TEST(Scenarios, ProbeSurvivesNodeRestart) {
-  // The satellite fix: RlnHarness::restart_node re-runs the node hook, so
-  // a restarted node keeps feeding the metrics registry instead of
-  // delivering into a void.
+  // RlnHarness::restart_node re-runs the node hook, so a restarted node
+  // keeps feeding the probe's delivery ledger instead of delivering into a
+  // void.
   rln::HarnessConfig cfg = small_deployment(23);
   cfg.num_nodes = 6;
   // Durable nodes: an ephemeral restart would come back with an empty
@@ -275,8 +273,7 @@ TEST(Scenarios, ProbeSurvivesNodeRestart) {
   // instrumentation hook, not bootstrap.
   cfg.persist_dir = fresh_dir("probe_restart");
   rln::RlnHarness h(cfg);
-  MetricsRegistry metrics;
-  HarnessProbe probe(h, metrics);
+  HarnessProbe probe(h);
   h.register_all();
   h.run_ms(5'000);
 
@@ -298,33 +295,34 @@ TEST(Scenarios, ProbeSurvivesNodeRestart) {
       << "restarted node's deliveries no longer reach the probe";
 }
 
-TEST(Scenarios, MetricsRegistryJsonAndSeries) {
-  MetricsRegistry reg;
-  reg.counter("a.count").inc(3);
-  reg.gauge("b.level").set(1.5);
-  reg.histogram("c.hist", {10, 100}).observe(5);
-  reg.histogram("c.hist").observe(50);
-  reg.histogram("c.hist").observe(500);
-  reg.sample_epoch(1);
-  reg.counter("a.count").inc();
-  reg.sample_epoch(2);
-  reg.sample_epoch(2);  // same-epoch resample overwrites, no duplicate
+TEST(Scenarios, ReportSumsTheNodesOwnCounters) {
+  // The report's deployment view is the field-wise sum of the nodes'
+  // exported counters, so it agrees with the harness's own totals, and
+  // its JSON carries the node's metrics_json() sections.
+  ScenarioConfig cfg;
+  cfg.name = "report-sum";
+  cfg.harness = small_deployment(5);
+  RateLimitFlooder flooder(/*slot=*/0, /*burst_per_epoch=*/3);
+  Scenario scenario(cfg);
+  scenario.add_phase({"warmup", 5'000, true, {}})
+      .add_phase({"attack", 12'000, true, {&flooder}});
+  const Report report = scenario.run();
+  rln::RlnHarness& h = scenario.harness();
 
-  EXPECT_EQ(reg.counter_value("a.count"), 4u);
-  ASSERT_EQ(reg.series("a.count").size(), 2u);
-  EXPECT_EQ(reg.series("a.count")[0].value, 3.0);
-  EXPECT_EQ(reg.series("a.count")[1].value, 4.0);
-  const auto& hist = reg.histogram("c.hist");
-  EXPECT_EQ(hist.total(), 3u);
-  ASSERT_EQ(hist.counts().size(), 3u);
-  EXPECT_EQ(hist.counts()[0], 1u);
-  EXPECT_EQ(hist.counts()[1], 1u);
-  EXPECT_EQ(hist.counts()[2], 1u);
+  EXPECT_EQ(report.deployment.pipeline, h.total_validation_stats());
+  EXPECT_EQ(report.deployment.node.delivered, h.total_delivered());
+  // One shard: the merged per-shard view is the whole pipeline.
+  ASSERT_EQ(report.deployment.per_shard.size(), 1u);
+  EXPECT_EQ(report.deployment.per_shard[0].second, report.deployment.pipeline);
+  EXPECT_GT(report.deployment.node.delivered, 0u);
+  EXPECT_GE(report.deployment.pipeline.spam_detected, 1u);
 
-  const std::string json = reg.to_json();
-  EXPECT_NE(json.find("\"a.count\": 4"), std::string::npos);
-  EXPECT_NE(json.find("\"b.level\": 1.5"), std::string::npos);
-  EXPECT_NE(json.find("\"series\""), std::string::npos);
+  const std::string json = report.to_json();
+  EXPECT_NE(json.find("\"pipeline\": " +
+                      rln::telemetry_section_json(report.deployment,
+                                                  "pipeline")),
+            std::string::npos);
+  EXPECT_NE(json.find("\"net\": {\"messages_sent\": "), std::string::npos);
 }
 
 // Every campaign replays event-for-event from its harness seed, so two

@@ -66,7 +66,7 @@ TEST(ShardMap, DeterministicBalancedAssignment) {
 
 TEST(ShardMap, ConfigDrivenResharding) {
   const shard::ShardMap before(2);
-  const shard::ShardMap after = before.resharded(8);
+  const shard::ShardMap after(8, before.generation() + 1);
   EXPECT_EQ(after.num_shards(), 8u);
   EXPECT_EQ(after.generation(), 1u);
 

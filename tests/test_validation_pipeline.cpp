@@ -80,13 +80,6 @@ struct PipelineFixture : ::testing::Test {
   }
 };
 
-std::vector<Verdict> verdicts_of(const std::vector<ValidationOutcome>& out) {
-  std::vector<Verdict> v;
-  v.reserve(out.size());
-  for (const auto& o : out) v.push_back(o.verdict);
-  return v;
-}
-
 TEST_F(PipelineFixture, BatchMatchesSequentialOnMixedTraffic) {
   const std::vector<WakuMessage> msgs = mixed_traffic();
   const std::uint64_t now = 10'500;
