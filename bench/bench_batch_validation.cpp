@@ -78,13 +78,14 @@ Record run_batch_size(const Workload& wl, std::size_t batch_size) {
     // message takes the full accept path (prove once, validate per rep).
     ValidationPipeline pipeline(zksnark::rln_keypair(kDepth).vk, wl.group,
                                 wl.vcfg, 0x5EED + rep);
+    const std::vector<std::uint64_t> arrivals(wl.messages.size(), wl.now_ms);
     const auto start = Clock::now();
     for (std::size_t i = 0; i < wl.messages.size(); i += batch_size) {
       const std::size_t len =
           std::min(batch_size, wl.messages.size() - i);
       const auto outcomes = pipeline.validate_batch(
           std::span<const WakuMessage>(wl.messages.data() + i, len),
-          wl.now_ms);
+          std::span<const std::uint64_t>(arrivals.data() + i, len));
       for (const auto& o : outcomes) {
         accepted += o.verdict == Verdict::kAccept ? 1 : 0;
       }

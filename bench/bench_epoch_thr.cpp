@@ -99,8 +99,10 @@ void thr_series() {
     // Every node publishes once per epoch for 6 epochs.
     for (int round = 0; round < 6; ++round) {
       for (std::size_t i = 0; i < h.size(); ++i) {
-        (void)h.node(i).try_publish(
-            to_bytes("r" + std::to_string(round) + "n" + std::to_string(i)));
+        (void)h.node(i).try_publish(to_bytes(std::string("r")
+                                                 .append(std::to_string(round))
+                                                 .append("n")
+                                                 .append(std::to_string(i))));
       }
       h.run_ms(kEpochMs);
     }

@@ -60,7 +60,7 @@ void BM_ValidateAccept(benchmark::State& state) {
   std::vector<WakuMessage> messages;
   for (int i = 0; i < 64; ++i) {
     messages.push_back(
-        fx.make_message("m" + std::to_string(i),
+        fx.make_message(std::string("m").append(std::to_string(i)),
                         100 + static_cast<std::uint64_t>(i), rng));
   }
   std::size_t i = 0;

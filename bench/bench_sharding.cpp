@@ -106,6 +106,7 @@ Record run_shard_count(const Workload& wl, std::uint16_t num_shards) {
           0x5EED0 + 131 * rep + n));
     }
 
+    const std::vector<std::uint64_t> arrivals(kWindow, wl.now_ms);
     const auto start = Clock::now();
     for (std::size_t n = 0; n < kNodes; ++n) {
       const auto home = static_cast<shard::ShardId>(n % num_shards);
@@ -117,7 +118,8 @@ Record run_shard_count(const Workload& wl, std::uint16_t num_shards) {
         const std::size_t len = std::min(kWindow, inbox.size() - i);
         window.clear();
         for (std::size_t k = 0; k < len; ++k) window.push_back(*inbox[i + k]);
-        const auto outcomes = pipeline.validate_batch(window, wl.now_ms);
+        const auto outcomes = pipeline.validate_batch(
+            window, std::span<const std::uint64_t>(arrivals.data(), len));
         for (const auto& o : outcomes) {
           accepted += o.verdict == Verdict::kAccept ? 1 : 0;
         }

@@ -171,9 +171,13 @@ void race() {
     }
 
     const auto delta = [](Gwei before, Gwei after) {
-      return after >= before
-                 ? "+" + std::to_string((after - before) / 1000) + "k gwei"
-                 : "-" + std::to_string((before - after) / 1000) + "k gwei";
+      // Appends only: GCC 12 flags `"+" + std::string&&` with a false
+      // -Wrestrict in Release builds.
+      const bool gain = after >= before;
+      std::string out(gain ? "+" : "-");
+      out += std::to_string((gain ? after - before : before - after) / 1000);
+      out += "k gwei";
+      return out;
     };
     std::printf("    %-24s %16s %16s\n",
                 use_commit_reveal ? "commit-reveal" : "slash_direct",

@@ -34,9 +34,6 @@ class Storage {
   /// Unmetered peek (for tests/benches/off-chain indexers).
   [[nodiscard]] ff::U256 peek(const ff::U256& key) const;
 
-  /// Number of non-zero slots (for storage-cost accounting).
-  [[nodiscard]] std::size_t slot_count() const { return slots_.size(); }
-
   // Transaction journal (driven by the Blockchain).
   void begin_journal();
   void commit_journal();

@@ -66,8 +66,6 @@ class PeerScore {
   /// Peers currently below the graylist threshold — the router-level
   /// containment signal the adversarial scenario metrics sample per epoch.
   [[nodiscard]] std::size_t graylist_count() const;
-  /// Peers with any score state at all (denominator for graylist ratios).
-  [[nodiscard]] std::size_t scored_peer_count() const { return peers_.size(); }
 
   [[nodiscard]] const PeerScoreConfig& config() const { return config_; }
 

@@ -131,22 +131,10 @@ MessageId GossipSubRouter::publish(const std::string& topic, Bytes data) {
   frame.topic = topic;
   frame.message = msg;
 
-  if (config_.flood_publish) {
-    for (const NodeId peer : topic_peers(topic)) {
-      if (scores_.below_publish(peer)) continue;
-      send_publish_frame(peer, frame);
-    }
-  } else {
-    const auto it = mesh_.find(topic);
-    if (it != mesh_.end()) {
-      for (const NodeId peer : it->second) send_publish_frame(peer, frame);
-    } else {
-      // Fanout: not in the mesh for this topic (e.g. publish-only peer).
-      auto peers = topic_peers(topic);
-      std::shuffle(peers.begin(), peers.end(), rng_);
-      if (peers.size() > config_.mesh_n) peers.resize(config_.mesh_n);
-      for (const NodeId peer : peers) send_publish_frame(peer, frame);
-    }
+  // Flood publish: every subscribed neighbor above the publish threshold.
+  for (const NodeId peer : topic_peers(topic)) {
+    if (scores_.below_publish(peer)) continue;
+    send_publish_frame(peer, frame);
   }
   return id;
 }

@@ -113,9 +113,6 @@ class GossipSubRouter : public net::NetNode {
   }
   [[nodiscard]] PeerScore& scores() { return scores_; }
   [[nodiscard]] const PeerScore& scores() const { return scores_; }
-  [[nodiscard]] bool has_seen(const MessageId& id) const {
-    return seen_.contains(id);
-  }
 
  private:
   void heartbeat();

@@ -86,8 +86,6 @@ struct GossipSubConfig {
   std::size_t history_gossip = 3;  ///< windows advertised in IHAVE
   TimeMs seen_ttl_ms = 120'000;    ///< dedup cache retention
 
-  bool flood_publish = true;  ///< publish to all subscribed neighbors
-
   /// Validation batching: buffer up to this many received publishes per
   /// topic and validate them in one BatchValidator call. Buffers flush
   /// when full and on every heartbeat (bounded added latency). 1 =

@@ -91,11 +91,6 @@ class IncrementalMerkleTree {
   /// (bounded by ~one page per level) but not lazily-zero regions.
   [[nodiscard]] std::size_t storage_bytes() const;
 
-  /// Materialized arena pages (diagnostic; see PagedNodeArena).
-  [[nodiscard]] std::size_t arena_pages() const {
-    return arena_.materialized_pages();
-  }
-
   /// Full-state serialization (every stored node), so a restart restores
   /// the tree by memcpy-speed deserialization instead of re-hashing the
   /// whole insert history. serialize(deserialize(b)) == b.

@@ -39,14 +39,6 @@ void PagedNodeArena::set(std::size_t level, std::uint64_t idx,
   lvl.pages[page][idx % per_page] = value;
 }
 
-std::size_t PagedNodeArena::materialized_pages() const {
-  std::size_t n = 0;
-  for (const Level& lvl : levels_) {
-    for (const auto& p : lvl.pages) n += p ? 1 : 0;
-  }
-  return n;
-}
-
 std::size_t PagedNodeArena::storage_bytes() const {
   std::size_t bytes = 0;
   for (std::size_t l = 0; l < levels_.size(); ++l) {

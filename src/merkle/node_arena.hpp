@@ -61,7 +61,6 @@ class PagedNodeArena {
   }
 
   [[nodiscard]] std::size_t depth() const { return depth_; }
-  [[nodiscard]] std::size_t materialized_pages() const;
 
   /// Bytes of node storage actually allocated (materialized pages only).
   [[nodiscard]] std::size_t storage_bytes() const;

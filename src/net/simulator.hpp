@@ -48,7 +48,6 @@ class Simulator {
   /// run_until for simulations with heartbeats).
   void run_all();
 
-  [[nodiscard]] std::size_t pending_events() const { return queue_.size(); }
   [[nodiscard]] std::uint64_t executed_events() const { return executed_; }
 
  private:

@@ -64,10 +64,7 @@ void append_u64(std::string& out, const char* name, std::uint64_t v,
 
 void PropagationAssembler::ingest(std::uint64_t node_id,
                                   const std::vector<Trace>& traces) {
-  if (!known_nodes_.contains(node_id)) {
-    known_nodes_[node_id] = true;
-    ++nodes_seen_;
-  }
+  known_nodes_.insert(node_id);
   for (const Trace& t : traces) {
     Trace& slot = by_key_[t.key][node_id];
     // Re-ingestion keeps the richest version: per-epoch re-collection
@@ -389,8 +386,7 @@ std::string PropagationAssembler::chrome_trace_json() const {
     first = false;
     out += ev;
   };
-  for (const auto& [node_id, seen] : known_nodes_) {
-    (void)seen;
+  for (const std::uint64_t node_id : known_nodes_) {
     emit("{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":" +
          std::to_string(node_id) + ",\"tid\":0,\"args\":{\"name\":\"node " +
          std::to_string(node_id) + "\"}}");

@@ -156,7 +156,6 @@ class PropagationAssembler {
   [[nodiscard]] std::string forensics_json() const;
 
   [[nodiscard]] std::size_t ingested_traces() const;
-  [[nodiscard]] std::size_t ingested_nodes() const { return nodes_seen_; }
 
  private:
   [[nodiscard]] PropagationTree build_tree(
@@ -173,8 +172,7 @@ class PropagationAssembler {
   std::set<std::uint64_t> adversaries_;
   std::map<std::uint16_t, std::size_t> subscribers_;
   std::size_t default_subscribers_ = 0;
-  std::size_t nodes_seen_ = 0;
-  std::map<std::uint64_t, bool> known_nodes_;
+  std::set<std::uint64_t> known_nodes_;
 };
 
 }  // namespace waku::obs

@@ -88,15 +88,15 @@ class GroupManager {
   [[nodiscard]] Fr root() const;
   /// True if `root` is the current root or one of the last `root_window`
   /// block roots (tolerates proof/event races). O(1): backed by the rolling
-  /// root cache, not a scan — this sits on the per-message validation hot
-  /// path.
+  /// root cache, not a scan. Validation pipelines read their own mirror of
+  /// the window instead (see root_version()).
   [[nodiscard]] bool is_recent_root(const Fr& root) const;
   /// Number of distinct roots currently held by the rolling cache.
   [[nodiscard]] std::size_t recent_root_count() const;
-  /// Monotone counter bumped whenever the root window changes. Shard-local
-  /// root caches (shard/sharded_validator.hpp) compare it to decide when
-  /// their window copy is stale — a version match makes their hot-path
-  /// root check O(1) with zero shared-state reads beyond this counter.
+  /// Monotone counter bumped whenever the root window changes. Each
+  /// ValidationPipeline's root-window mirror compares it to decide when
+  /// its window copy is stale — a version match makes the hot-path root
+  /// check O(1) with zero shared-state reads beyond this counter.
   /// Seqlock-style read path: the counter is atomic, so concurrent
   /// validation workers poll it lock-free and take the shared root_mu_
   /// only on the (rare) version mismatch that forces a window re-read.

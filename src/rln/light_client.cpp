@@ -45,7 +45,6 @@ void RlnFullServiceNode::on_message(net::NodeId from, BytesView payload) {
       break;
     }
     case LightFrame::kCheckpointReq: {
-      ++checkpoint_requests_;
       // Shard-scoped request: the client names its subscribed shards so
       // the served checkpoint carries only those shards' watermarks. A
       // malformed/absent list degrades to "all hosted shards".
@@ -76,7 +75,6 @@ void RlnFullServiceNode::on_message(net::NodeId from, BytesView payload) {
       break;
     }
     case LightFrame::kDeltaReq: {
-      ++delta_requests_;
       std::uint64_t from_cursor = 0;
       Fr from_root;
       std::vector<shard::ShardId> requested;

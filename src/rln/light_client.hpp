@@ -65,16 +65,9 @@ class RlnFullServiceNode : public net::NetNode {
   void set_checkpoint_signer(hash::schnorr::KeyPair key) {
     checkpoint_key_ = std::move(key);
   }
-  [[nodiscard]] const Fr& checkpoint_pk() const { return checkpoint_key_.pk; }
 
   [[nodiscard]] net::NodeId node_id() const { return id_; }
   [[nodiscard]] std::uint64_t tree_requests() const { return tree_requests_; }
-  [[nodiscard]] std::uint64_t checkpoint_requests() const {
-    return checkpoint_requests_;
-  }
-  [[nodiscard]] std::uint64_t delta_requests() const {
-    return delta_requests_;
-  }
   [[nodiscard]] std::uint64_t deltas_served() const { return deltas_served_; }
   /// Delta requests answered with a full checkpoint because the node's
   /// root-transition history could not prove the delta lossless.
@@ -98,8 +91,6 @@ class RlnFullServiceNode : public net::NetNode {
   net::NodeId id_;
   hash::schnorr::KeyPair checkpoint_key_;
   std::uint64_t tree_requests_ = 0;
-  std::uint64_t checkpoint_requests_ = 0;
-  std::uint64_t delta_requests_ = 0;
   std::uint64_t deltas_served_ = 0;
   std::uint64_t delta_fallbacks_served_ = 0;
   std::uint64_t pushes_accepted_ = 0;

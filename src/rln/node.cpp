@@ -185,12 +185,12 @@ std::vector<ScalarMetric> scalar_metrics(const NodeTelemetrySnapshot& t) {
 
 /// The per-shard counter families after the pipeline ones, in exposition
 /// order: nullifier-log stripe contention (one series per stripe) and the
-/// shard-local root cache.
+/// pipeline's root-window mirror.
 struct ShardCounterFamily {
   const char* prom_name;
   const char* help;
   std::uint64_t NullifierLog::StripeContention::* stripe;  ///< else...
-  std::uint64_t shard::ShardRootCache::Stats::* root_cache;  ///< ...per shard
+  std::uint64_t RootCacheStats::* root_cache;  ///< ...per shard
 };
 constexpr ShardCounterFamily kShardCounterFamilies[] = {
     {"waku_nullifier_log_stripe_acquisitions_total",
@@ -201,13 +201,13 @@ constexpr ShardCounterFamily kShardCounterFamilies[] = {
      &NullifierLog::StripeContention::contended, nullptr},
     {"waku_root_cache_hits_total",
      "Root checks answered from the shard-local window copy", nullptr,
-     &shard::ShardRootCache::Stats::hits},
+     &RootCacheStats::hits},
     {"waku_root_cache_misses_total",
      "Root checks that missed the rolling window", nullptr,
-     &shard::ShardRootCache::Stats::misses},
+     &RootCacheStats::misses},
     {"waku_root_cache_refreshes_total",
      "Window copies rebuilt after membership events", nullptr,
-     &shard::ShardRootCache::Stats::refreshes},
+     &RootCacheStats::refreshes},
 };
 
 /// The per-lane executor families, in exposition order: two histograms
@@ -302,15 +302,14 @@ void WakuRlnRelayNode::install_validator_hooks(
   validator.set_executor_clock(obs_clock_);
   const WalTag tag =
       next_generation ? WalTag::kNullifierNext : WalTag::kNullifier;
-  validator.set_observe_hook([this, tag](shard::ShardId shard,
-                                         std::uint64_t epoch,
-                                         const Fr& nullifier,
-                                         const sss::Share& share,
-                                         std::uint64_t proof_fp) {
-    journal_.append_observation(tag, shard, epoch, nullifier, share, proof_fp);
-  });
   for (const shard::ShardId s : validator.subscribed()) {
     ValidationPipeline& pipeline = validator.pipeline(s);
+    pipeline.set_observe_hook([this, tag, s](std::uint64_t epoch,
+                                             const Fr& nullifier,
+                                             const sss::Share& share,
+                                             std::uint64_t proof_fp) {
+      journal_.append_observation(tag, s, epoch, nullifier, share, proof_fp);
+    });
     // Stage-latency sinks, shared across generations of the same shard
     // id (the histogram bundle is address-stable), so a cutover extends
     // a shard's series instead of forking it.
@@ -1256,10 +1255,10 @@ std::string WakuRlnRelayNode::metrics_text() const {
     for (const shard::ShardId s : shards_.subscribed()) {
       if (f.root_cache != nullptr) {
         w.counter(f.prom_name, shard_label(s),
-                  shards_.root_cache_stats(s).*(f.root_cache));
+                  shards_.pipeline(s).root_cache_stats().*(f.root_cache));
         continue;
       }
-      const auto stripes = shards_.log_of(s).stripe_contention();
+      const auto stripes = shards_.pipeline(s).log().stripe_contention();
       for (std::size_t i = 0; i < stripes.size(); ++i) {
         w.counter(f.prom_name,
                   shard_label(s) + ",stripe=\"" + std::to_string(i) + "\"",

@@ -371,18 +371,11 @@ class WakuRlnRelayNode {
 
   [[nodiscard]] WakuRelay& relay() { return relay_; }
   [[nodiscard]] GroupManager& group() { return group_; }
-  /// The per-shard validation container: aggregate stats(), the default
-  /// shard's log() (single-shard deployments see exactly the historical
-  /// behaviour), and per-shard pipeline access.
+  /// The per-shard validation container: aggregate stats() and per-shard
+  /// pipeline access.
   [[nodiscard]] shard::ShardedValidator& validator() { return shards_; }
   [[nodiscard]] const shard::ShardedValidator& validator() const {
     return shards_;
-  }
-  /// The default shard's staged validation pipeline — the single-shard
-  /// compatibility surface; shard-aware callers use
-  /// validator().pipeline(shard).
-  [[nodiscard]] ValidationPipeline& pipeline() {
-    return shards_.default_pipeline();
   }
   [[nodiscard]] WakuStore& store() { return store_; }
   [[nodiscard]] const NodeStats& stats() const { return stats_; }
@@ -422,10 +415,6 @@ class WakuRlnRelayNode {
   /// `<persist_dir>/postmortem.json`.
   [[nodiscard]] const std::string& last_postmortem() const {
     return last_postmortem_;
-  }
-  /// Self-monitor SLO rules over this node's own per-epoch health rows.
-  [[nodiscard]] const obs::AnomalyEngine& anomaly_engine() const {
-    return anomaly_;
   }
   /// Every retained sampled trace (completed ring then slow ring) — the
   /// per-node dump a cross-node obs::PropagationAssembler ingests tagged

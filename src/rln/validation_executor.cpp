@@ -44,40 +44,21 @@ ValidationExecutor::~ValidationExecutor() {
 bool ValidationExecutor::submit(std::uint16_t shard,
                                 ValidationPipeline& pipeline,
                                 std::span<const WakuMessage> messages,
-                                std::uint64_t local_now_ms, Completion done) {
-  Job job;
-  job.shard = shard;
-  job.pipeline = &pipeline;
-  job.messages = messages;
-  job.local_now_ms = local_now_ms;
-  job.done = std::move(done);
-  return enqueue(std::move(job), /*force_block=*/false);
-}
-
-bool ValidationExecutor::submit(std::uint16_t shard,
-                                ValidationPipeline& pipeline,
-                                std::span<const WakuMessage> messages,
-                                std::span<const std::uint64_t> received_at_ms,
+                                std::vector<std::uint64_t> received_at_ms,
                                 Completion done) {
   WAKU_EXPECTS(received_at_ms.size() == messages.size());
-  Job job;
-  job.shard = shard;
-  job.pipeline = &pipeline;
-  job.messages = messages;
-  job.use_received_at = true;
-  job.received_at_ms.assign(received_at_ms.begin(), received_at_ms.end());
-  job.done = std::move(done);
-  return enqueue(std::move(job), /*force_block=*/false);
+  return enqueue(Job{.shard = shard,
+                     .pipeline = &pipeline,
+                     .messages = messages,
+                     .received_at_ms = std::move(received_at_ms),
+                     .enqueued_ns = 0,
+                     .done = std::move(done)},
+                 /*force_block=*/false);
 }
 
 void ValidationExecutor::run_job(Job& job) {
   std::vector<ValidationOutcome> outcomes =
-      job.use_received_at
-          ? job.pipeline->validate_batch(
-                job.messages,
-                std::span<const std::uint64_t>(job.received_at_ms.data(),
-                                               job.received_at_ms.size()))
-          : job.pipeline->validate_batch(job.messages, job.local_now_ms);
+      job.pipeline->validate_batch(job.messages, job.received_at_ms);
   if (job.done) job.done(std::move(outcomes));
 }
 
@@ -171,15 +152,13 @@ void ValidationExecutor::worker_loop(std::size_t lane_index) {
   }
 }
 
-std::vector<ValidationOutcome> ValidationExecutor::validate_blocking(Job job) {
-  if (threads_.empty()) {
-    std::vector<ValidationOutcome> result;
-    job.done = [&result](std::vector<ValidationOutcome> outcomes) {
-      result = std::move(outcomes);
-    };
-    enqueue(std::move(job), /*force_block=*/true);
-    return result;
-  }
+std::vector<ValidationOutcome> ValidationExecutor::validate(
+    std::uint16_t shard, ValidationPipeline& pipeline,
+    std::span<const WakuMessage> messages,
+    std::span<const std::uint64_t> received_at_ms) {
+  WAKU_EXPECTS(received_at_ms.size() == messages.size());
+  // Deterministic mode completes inside enqueue, so the wait below
+  // returns at once; parallel mode waits for the shard's lane.
   struct Sync {
     std::mutex mu;
     std::condition_variable cv;
@@ -187,41 +166,22 @@ std::vector<ValidationOutcome> ValidationExecutor::validate_blocking(Job job) {
     std::vector<ValidationOutcome> result;
   };
   Sync sync;
-  job.done = [&sync](std::vector<ValidationOutcome> outcomes) {
-    std::lock_guard lk(sync.mu);
-    sync.result = std::move(outcomes);
-    sync.ready = true;
-    sync.cv.notify_one();
-  };
-  enqueue(std::move(job), /*force_block=*/true);
+  enqueue(Job{.shard = shard,
+              .pipeline = &pipeline,
+              .messages = messages,
+              .received_at_ms = {received_at_ms.begin(), received_at_ms.end()},
+              .enqueued_ns = 0,
+              .done =
+                  [&sync](std::vector<ValidationOutcome> outcomes) {
+                    std::lock_guard lk(sync.mu);
+                    sync.result = std::move(outcomes);
+                    sync.ready = true;
+                    sync.cv.notify_one();
+                  }},
+          /*force_block=*/true);
   std::unique_lock lk(sync.mu);
   sync.cv.wait(lk, [&] { return sync.ready; });
   return std::move(sync.result);
-}
-
-std::vector<ValidationOutcome> ValidationExecutor::validate(
-    std::uint16_t shard, ValidationPipeline& pipeline,
-    std::span<const WakuMessage> messages, std::uint64_t local_now_ms) {
-  Job job;
-  job.shard = shard;
-  job.pipeline = &pipeline;
-  job.messages = messages;
-  job.local_now_ms = local_now_ms;
-  return validate_blocking(std::move(job));
-}
-
-std::vector<ValidationOutcome> ValidationExecutor::validate(
-    std::uint16_t shard, ValidationPipeline& pipeline,
-    std::span<const WakuMessage> messages,
-    std::span<const std::uint64_t> received_at_ms) {
-  WAKU_EXPECTS(received_at_ms.size() == messages.size());
-  Job job;
-  job.shard = shard;
-  job.pipeline = &pipeline;
-  job.messages = messages;
-  job.use_received_at = true;
-  job.received_at_ms.assign(received_at_ms.begin(), received_at_ms.end());
-  return validate_blocking(std::move(job));
 }
 
 void ValidationExecutor::drain() {

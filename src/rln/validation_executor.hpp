@@ -16,8 +16,9 @@
 // state itself is synchronized: NullifierLog is striped per epoch bucket
 // (observe/peek/gc from different shards interleave without serializing on
 // one lock), and the GroupManager root window is published behind an
-// atomic version counter with a versioned shard-local mirror
-// (ShardRootCache) on the hot path.
+// atomic version counter that each pipeline polls before reading its own
+// mirror of the window — a mirror read and refreshed only on the lane
+// that runs the pipeline's windows.
 //
 // The default ParallelismConfig is deterministic: no threads are started
 // and submit() runs the window inline on the caller — bit-for-bit the
@@ -92,29 +93,21 @@ class ValidationExecutor {
   ValidationExecutor(const ValidationExecutor&) = delete;
   ValidationExecutor& operator=(const ValidationExecutor&) = delete;
 
-  /// Enqueues one window of `shard` against `pipeline`. `messages` (and
-  /// `received_at_ms`, when used) must stay alive until `done` fires — the
-  /// executor does not copy message payloads. Returns false only when
-  /// kReject backpressure refused the window (the completion never fires).
-  /// Callers must not submit one shard's windows from multiple threads at
-  /// once if they rely on per-shard submission order being meaningful.
+  /// Enqueues one window of `shard` against `pipeline`, with one arrival
+  /// time per message (moved into the job). `messages` must stay alive
+  /// until `done` fires — the executor does not copy message payloads.
+  /// Returns false only when kReject backpressure refused the window (the
+  /// completion never fires). Callers must not submit one shard's windows
+  /// from multiple threads at once if they rely on per-shard submission
+  /// order being meaningful.
   bool submit(std::uint16_t shard, ValidationPipeline& pipeline,
               std::span<const WakuMessage> messages,
-              std::uint64_t local_now_ms, Completion done);
-  /// Same, with per-message arrival times (copied; the span may die after
-  /// submit returns).
-  bool submit(std::uint16_t shard, ValidationPipeline& pipeline,
-              std::span<const WakuMessage> messages,
-              std::span<const std::uint64_t> received_at_ms, Completion done);
+              std::vector<std::uint64_t> received_at_ms, Completion done);
 
-  /// Blocking conveniences: submit + wait for that window's verdicts.
+  /// Blocking convenience: submit + wait for that window's verdicts.
   /// Deterministic mode runs inline; parallel mode still serializes after
   /// every window already queued for the shard, so interleaving blocking
   /// and async submits keeps the per-shard order.
-  std::vector<ValidationOutcome> validate(std::uint16_t shard,
-                                          ValidationPipeline& pipeline,
-                                          std::span<const WakuMessage> messages,
-                                          std::uint64_t local_now_ms);
   std::vector<ValidationOutcome> validate(
       std::uint16_t shard, ValidationPipeline& pipeline,
       std::span<const WakuMessage> messages,
@@ -144,9 +137,7 @@ class ValidationExecutor {
     std::uint16_t shard = 0;
     ValidationPipeline* pipeline = nullptr;
     std::span<const WakuMessage> messages;
-    bool use_received_at = false;
     std::vector<std::uint64_t> received_at_ms;
-    std::uint64_t local_now_ms = 0;
     std::uint64_t enqueued_ns = 0;  ///< clock read at enqueue (0 = no clock)
     Completion done;
   };
@@ -186,7 +177,6 @@ class ValidationExecutor {
   bool enqueue(Job job, bool force_block);
   void run_job(Job& job);
   void worker_loop(std::size_t lane_index);
-  std::vector<ValidationOutcome> validate_blocking(Job job);
 
   ParallelismConfig config_;
   std::vector<std::unique_ptr<Lane>> lanes_;

@@ -97,22 +97,29 @@ ValidationPipeline::ValidationPipeline(const zksnark::VerifyingKey& vk,
                                        std::uint64_t seed)
     : vk_(vk), group_(group), config_(config), rng_(seed) {}
 
-std::vector<ValidationOutcome> ValidationPipeline::validate_batch(
-    std::span<const WakuMessage> messages, std::uint64_t local_now_ms) {
-  return validate_impl(messages, {}, local_now_ms);
+bool ValidationPipeline::root_is_recent(const Fr& root) {
+  // Seqlock read shape: sample the version BEFORE copying the window and
+  // record the sample, not a re-read. If a membership event lands mid-copy
+  // the sample is already stale, so the next check refreshes again —
+  // recording a post-copy version instead could pin a torn copy as
+  // current. (A pipeline's windows run serially on one executor lane, so
+  // this is never reentered.)
+  const std::uint64_t version = group_.root_version();
+  if (root_version_ != version) {
+    roots_.clear();
+    for (const Fr& r : group_.recent_roots()) roots_.insert(r);
+    root_version_ = version;
+    ++root_stats_.refreshes;
+  }
+  const bool ok = roots_.contains(root);
+  ++(ok ? root_stats_.hits : root_stats_.misses);
+  return ok;
 }
 
 std::vector<ValidationOutcome> ValidationPipeline::validate_batch(
     std::span<const WakuMessage> messages,
     std::span<const std::uint64_t> received_at_ms) {
   WAKU_EXPECTS(received_at_ms.size() == messages.size());
-  return validate_impl(messages, received_at_ms, 0);
-}
-
-std::vector<ValidationOutcome> ValidationPipeline::validate_impl(
-    std::span<const WakuMessage> messages,
-    std::span<const std::uint64_t> received_at_ms,
-    std::uint64_t uniform_now_ms) {
   ++stats_.batches;
   const std::size_t n = messages.size();
   std::vector<ValidationOutcome> out(n);
@@ -148,8 +155,8 @@ std::vector<ValidationOutcome> ValidationPipeline::validate_impl(
         slot.settled = true;
         continue;
       }
-      const std::uint64_t local_epoch = config_.epoch.epoch_at(
-          received_at_ms.empty() ? uniform_now_ms : received_at_ms[i]);
+      const std::uint64_t local_epoch =
+          config_.epoch.epoch_at(received_at_ms[i]);
       if (epoch_distance(local_epoch, slot.bundle->epoch) >
           config_.max_epoch_gap) {
         ++stats_.epoch_gap;
@@ -159,16 +166,14 @@ std::vector<ValidationOutcome> ValidationPipeline::validate_impl(
     }
   }
 
-  // Stage 2: root freshness against the rolling root cache — removed
+  // Stage 2: root freshness against the root-window mirror — removed
   // members must not keep proving against trees that still contain them.
-  // A shard-local cache override (set_root_check) takes precedence.
   {
     StageTimer t(obs_clock_, m ? m->root_check : nullptr);
     for (std::size_t i = 0; i < n; ++i) {
       Slot& slot = slots[i];
       if (slot.settled) continue;
-      if (root_check_ ? !root_check_(slot.bundle->root)
-                      : !group_.is_recent_root(slot.bundle->root)) {
+      if (!root_is_recent(slot.bundle->root)) {
         ++stats_.stale_root;
         out[i] = {Verdict::kRejectStaleRoot, std::nullopt};
         slot.settled = true;
@@ -313,7 +318,7 @@ std::vector<ValidationOutcome> ValidationPipeline::validate_impl(
 ValidationOutcome ValidationPipeline::validate_one(
     const WakuMessage& message, std::uint64_t local_now_ms) {
   return validate_batch(std::span<const WakuMessage>(&message, 1),
-                        local_now_ms)[0];
+                        std::span<const std::uint64_t>(&local_now_ms, 1))[0];
 }
 
 void ValidationPipeline::gc(std::uint64_t local_now_ms) {

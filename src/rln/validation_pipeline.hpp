@@ -4,7 +4,7 @@
 // cheapest first, so attack traffic dies before it can buy CPU:
 //
 //   1. epoch-gap gate      |msg.epoch - local epoch| <= Thr        O(1)
-//   2. root check          tau against the rolling root cache      O(1)
+//   2. root check          tau against the root-window mirror      O(1)
 //   3. nullifier precheck  gossip echoes drop before the verifier  O(1)
 //   4. batched Groth16     one RLC-aggregated pairing check for
 //                          the survivors, per-proof fallback       amortized
@@ -18,6 +18,7 @@
 #include <functional>
 #include <optional>
 #include <span>
+#include <unordered_set>
 #include <vector>
 
 #include "obs/clock.hpp"
@@ -108,6 +109,13 @@ struct ValidatorStats {
   bool operator==(const ValidatorStats&) const = default;
 };
 
+/// Stage-2 counters of a pipeline's root-window mirror.
+struct RootCacheStats {
+  std::uint64_t hits = 0;
+  std::uint64_t misses = 0;
+  std::uint64_t refreshes = 0;  ///< window copies rebuilt
+};
+
 /// Stage-latency sinks (src/obs), one histogram per pipeline stage plus
 /// the whole-window latency. All pointers optional — a null histogram
 /// drops that stage's sample. The owner (the node) keeps the struct
@@ -134,17 +142,12 @@ class ValidationPipeline {
                      const GroupManager& group, ValidatorConfig config,
                      std::uint64_t seed = 0x9D1);
 
-  /// Validates a window of messages as seen at local wall-clock
-  /// `local_now_ms`. Returns one outcome per message, same order.
-  /// Verdicts are independent of the batch partition: any split of the
-  /// same (message, timestamp) sequence yields the same per-message
-  /// verdicts.
-  std::vector<ValidationOutcome> validate_batch(
-      std::span<const WakuMessage> messages, std::uint64_t local_now_ms);
-
-  /// Same, with per-message arrival times (one per message): a window
-  /// buffered upstream must be epoch-checked against when each message
-  /// arrived, not when the window flushed.
+  /// Validates a window of messages, each epoch-checked against its own
+  /// arrival time (`received_at_ms`, one per message): a window buffered
+  /// upstream is judged by when each message arrived, not when it
+  /// flushed. Returns one outcome per message, same order. Verdicts are
+  /// independent of the batch partition: any split of the same (message,
+  /// timestamp) sequence yields the same per-message verdicts.
   std::vector<ValidationOutcome> validate_batch(
       std::span<const WakuMessage> messages,
       std::span<const std::uint64_t> received_at_ms);
@@ -169,6 +172,9 @@ class ValidationPipeline {
   /// Counters plus a point-in-time mirror of the nullifier-log stats.
   [[nodiscard]] ValidatorStats stats() const;
   [[nodiscard]] const NullifierLog& log() const { return log_; }
+  [[nodiscard]] const RootCacheStats& root_cache_stats() const {
+    return root_stats_;
+  }
   [[nodiscard]] const ValidatorConfig& config() const { return config_; }
 
   // -- Durable-state hooks (src/persist) -------------------------------------
@@ -196,13 +202,6 @@ class ValidationPipeline {
   void seed_nullifier_watermark(std::uint64_t min_epoch) {
     log_.seed_watermark(min_epoch);
   }
-
-  /// Replaces the stage-2 root-freshness test. Default (unset) consults
-  /// the shared GroupManager's rolling root cache directly; the sharding
-  /// layer installs a shard-local cache here so one shard's validation
-  /// never reads another's root-window state.
-  using RootCheck = std::function<bool(const Fr& root)>;
-  void set_root_check(RootCheck check) { root_check_ = std::move(check); }
 
   // -- Live-reshard hooks (shard/reshard.hpp) --------------------------------
 
@@ -234,10 +233,10 @@ class ValidationPipeline {
   }
 
  private:
-  std::vector<ValidationOutcome> validate_impl(
-      std::span<const WakuMessage> messages,
-      std::span<const std::uint64_t> received_at_ms,
-      std::uint64_t uniform_now_ms);
+  /// Stage 2 against the pipeline's own mirror of the group's root
+  /// window: a version comparison plus one hash lookup; the copy is
+  /// rebuilt only when the shared window moved (membership events).
+  [[nodiscard]] bool root_is_recent(const Fr& root);
 
   const zksnark::VerifyingKey& vk_;
   const GroupManager& group_;
@@ -246,7 +245,9 @@ class ValidationPipeline {
   ValidatorStats stats_;
   Rng rng_;
   ObserveHook observe_hook_;
-  RootCheck root_check_;
+  std::uint64_t root_version_ = ~std::uint64_t{0};
+  std::unordered_set<Fr, ff::FrHash> roots_;
+  RootCacheStats root_stats_;
   LogSelector log_selector_;
   CutoverObserveHook cutover_observe_hook_;
   const obs::Clock* obs_clock_ = nullptr;

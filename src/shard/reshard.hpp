@@ -172,10 +172,6 @@ class ReshardCoordinator {
   void restore(BytesView bytes);
 
  private:
-  static ShardMap map_for(const ShardConfig& config) {
-    return ShardMap(config.num_shards, config.generation);
-  }
-
   ReshardPhase phase_ = ReshardPhase::kStable;
   ShardConfig current_;
   ShardMap current_map_;

@@ -7,27 +7,6 @@
 
 namespace waku::shard {
 
-bool ShardRootCache::check(const Fr& root) {
-  // Seqlock read shape: sample the version BEFORE copying the window and
-  // record the sample, not a re-read. If a membership event lands mid-copy
-  // the sample is already stale, so the next check refreshes again —
-  // recording a post-copy version instead could pin a torn copy as
-  // current. (Each cache is owned by one shard, and a shard's windows run
-  // serially on one executor lane, so check() itself is never reentered.)
-  const std::uint64_t version = group_.root_version();
-  if (version_ != version) {
-    // The shared window moved (membership event): rebuild the shard-local
-    // copy. O(root_window), amortized over every message between events.
-    roots_.clear();
-    for (const Fr& r : group_.recent_roots()) roots_.insert(r);
-    version_ = version;
-    ++stats_.refreshes;
-  }
-  const bool ok = roots_.contains(root);
-  ++(ok ? stats_.hits : stats_.misses);
-  return ok;
-}
-
 ShardedValidator::ShardedValidator(const zksnark::VerifyingKey& vk,
                                    const rln::GroupManager& group,
                                    rln::ValidatorConfig config,
@@ -52,14 +31,10 @@ ShardedValidator::ShardedValidator(const zksnark::VerifyingKey& vk,
     WAKU_EXPECTS(shard < map_.num_shards());
     // Distinct per-shard RLC seed: a sender who learns one shard's weight
     // stream must gain nothing on any other shard.
-    auto state = std::make_unique<ShardState>(
-        vk, group, config,
+    pipelines_.try_emplace(
+        shard, vk, group, config,
         seed ^ (0x9e3779b97f4a7c15ULL * (static_cast<std::uint64_t>(shard) +
                                          1)));
-    ShardRootCache* cache = &state->root_cache;
-    state->pipeline.set_root_check(
-        [cache](const Fr& root) { return cache->check(root); });
-    shards_.emplace(shard, std::move(state));
   }
   executor_ =
       std::make_unique<rln::ValidationExecutor>(rln::ParallelismConfig{});
@@ -75,12 +50,6 @@ void ShardedValidator::set_parallelism(rln::ParallelismConfig parallel) {
 
 std::vector<rln::ValidationOutcome> ShardedValidator::validate_batch(
     ShardId shard, std::span<const WakuMessage> messages,
-    std::uint64_t local_now_ms) {
-  return executor_->validate(shard, pipeline(shard), messages, local_now_ms);
-}
-
-std::vector<rln::ValidationOutcome> ShardedValidator::validate_batch(
-    ShardId shard, std::span<const WakuMessage> messages,
     std::span<const std::uint64_t> received_at_ms) {
   return executor_->validate(shard, pipeline(shard), messages,
                              received_at_ms);
@@ -88,58 +57,52 @@ std::vector<rln::ValidationOutcome> ShardedValidator::validate_batch(
 
 bool ShardedValidator::submit(ShardId shard,
                               std::span<const WakuMessage> messages,
-                              std::uint64_t local_now_ms,
+                              std::span<const std::uint64_t> received_at_ms,
                               rln::ValidationExecutor::Completion done) {
-  return executor_->submit(shard, pipeline(shard), messages, local_now_ms,
+  return executor_->submit(shard, pipeline(shard), messages,
+                           {received_at_ms.begin(), received_at_ms.end()},
                            std::move(done));
 }
 
 bool ShardedValidator::submit(ShardId shard,
                               std::span<const WakuMessage> messages,
-                              std::span<const std::uint64_t> received_at_ms,
+                              std::uint64_t now_ms,
                               rln::ValidationExecutor::Completion done) {
-  return executor_->submit(shard, pipeline(shard), messages, received_at_ms,
+  return executor_->submit(shard, pipeline(shard), messages,
+                           std::vector<std::uint64_t>(messages.size(), now_ms),
                            std::move(done));
 }
 
 rln::ValidationPipeline& ShardedValidator::pipeline(ShardId shard) {
-  const auto it = shards_.find(shard);
-  WAKU_EXPECTS(it != shards_.end());
-  return it->second->pipeline;
+  const auto it = pipelines_.find(shard);
+  WAKU_EXPECTS(it != pipelines_.end());
+  return it->second;
 }
 
 const rln::ValidationPipeline& ShardedValidator::pipeline(
     ShardId shard) const {
-  const auto it = shards_.find(shard);
-  WAKU_EXPECTS(it != shards_.end());
-  return it->second->pipeline;
-}
-
-const ShardRootCache::Stats& ShardedValidator::root_cache_stats(
-    ShardId shard) const {
-  const auto it = shards_.find(shard);
-  WAKU_EXPECTS(it != shards_.end());
-  return it->second->root_cache.stats();
+  const auto it = pipelines_.find(shard);
+  WAKU_EXPECTS(it != pipelines_.end());
+  return it->second;
 }
 
 rln::ValidatorStats ShardedValidator::stats() const {
   rln::ValidatorStats total;
-  for (const auto& [shard, state] : shards_) {
-    total += state->pipeline.stats();
+  for (const auto& [shard, pipeline] : pipelines_) {
+    total += pipeline.stats();
   }
   return total;
 }
 
 void ShardedValidator::gc(std::uint64_t local_now_ms) {
-  for (auto& [shard, state] : shards_) state->pipeline.gc(local_now_ms);
+  for (auto& [shard, pipeline] : pipelines_) pipeline.gc(local_now_ms);
 }
 
 std::vector<ShardWatermark> ShardedValidator::nullifier_watermarks() const {
   std::vector<ShardWatermark> out;
-  out.reserve(shards_.size());
-  for (const auto& [shard, state] : shards_) {
-    out.push_back(
-        ShardWatermark{shard, state->pipeline.log().stats().min_epoch});
+  out.reserve(pipelines_.size());
+  for (const auto& [shard, pipeline] : pipelines_) {
+    out.push_back(ShardWatermark{shard, pipeline.log().stats().min_epoch});
   }
   return out;
 }
@@ -147,26 +110,9 @@ std::vector<ShardWatermark> ShardedValidator::nullifier_watermarks() const {
 void ShardedValidator::seed_nullifier_watermarks(
     std::span<const ShardWatermark> watermarks) {
   for (const ShardWatermark& wm : watermarks) {
-    const auto it = shards_.find(wm.shard);
-    if (it == shards_.end()) continue;  // not subscribed here
-    it->second->pipeline.seed_nullifier_watermark(wm.min_epoch);
-  }
-}
-
-void ShardedValidator::set_observe_hook(ObserveHook hook) {
-  observe_hook_ = std::move(hook);
-  for (auto& [shard, state] : shards_) {
-    if (!observe_hook_) {
-      state->pipeline.set_observe_hook(nullptr);
-      continue;
-    }
-    const ShardId owning_shard = shard;
-    state->pipeline.set_observe_hook(
-        [this, owning_shard](std::uint64_t epoch, const Fr& nullifier,
-                             const sss::Share& share,
-                             std::uint64_t proof_fp) {
-          observe_hook_(owning_shard, epoch, nullifier, share, proof_fp);
-        });
+    const auto it = pipelines_.find(wm.shard);
+    if (it == pipelines_.end()) continue;  // not subscribed here
+    it->second.seed_nullifier_watermark(wm.min_epoch);
   }
 }
 
@@ -174,18 +120,18 @@ void ShardedValidator::inject_observation(ShardId shard, std::uint64_t epoch,
                                           const Fr& nullifier,
                                           const sss::Share& share,
                                           std::uint64_t proof_fp) {
-  const auto it = shards_.find(shard);
-  if (it == shards_.end()) return;  // resharded away between runs
-  it->second->pipeline.inject_observation(epoch, nullifier, share, proof_fp);
+  const auto it = pipelines_.find(shard);
+  if (it == pipelines_.end()) return;  // resharded away between runs
+  it->second.inject_observation(epoch, nullifier, share, proof_fp);
 }
 
 Bytes ShardedValidator::serialize_state() const {
   ByteWriter w;
   w.write_u8(1);  // version
-  w.write_u16(static_cast<std::uint16_t>(shards_.size()));
-  for (const auto& [shard, state] : shards_) {
+  w.write_u16(static_cast<std::uint16_t>(pipelines_.size()));
+  for (const auto& [shard, pipeline] : pipelines_) {
     w.write_u16(shard);
-    w.write_bytes(state->pipeline.serialize_state());
+    w.write_bytes(pipeline.serialize_state());
   }
   return std::move(w).take();
 }
@@ -197,11 +143,11 @@ void ShardedValidator::restore_state(BytesView bytes) {
   for (std::uint16_t i = 0; i < count; ++i) {
     const ShardId shard = r.read_u16();
     const Bytes state = r.read_bytes();
-    const auto it = shards_.find(shard);
+    const auto it = pipelines_.find(shard);
     // A shard persisted by a previous configuration but no longer
     // subscribed is dropped — its log belongs to a mesh we are not in.
-    if (it == shards_.end()) continue;
-    it->second->pipeline.restore_state(state);
+    if (it == pipelines_.end()) continue;
+    it->second.restore_state(state);
   }
 }
 

@@ -9,9 +9,9 @@
 //     so the same nullifier observed on two different shards is two
 //     independent first signals, never a cross-shard double-signal (the
 //     quota is one message per member per epoch PER SHARD);
-//   * rolling root cache — a ShardRootCache mirrors the shared group's
-//     root window behind a version check, so the hot-path root test reads
-//     no cross-shard state;
+//   * root-window mirror — each pipeline mirrors the shared group's root
+//     window behind a version check, so the hot-path root test reads no
+//     cross-shard state;
 //   * batch state and verdict counters — a flood saturating one shard's
 //     validation windows cannot delay or skew another shard's batches.
 //
@@ -22,7 +22,6 @@
 
 #include <map>
 #include <memory>
-#include <unordered_set>
 
 #include "rln/validation_executor.hpp"
 #include "rln/validation_pipeline.hpp"
@@ -31,30 +30,6 @@
 namespace waku::shard {
 
 using ff::Fr;
-
-/// Shard-local mirror of the shared GroupManager's rolling root window.
-/// check() is O(1): a version counter comparison plus one hash lookup;
-/// the window copy refreshes only when the shared window actually changed
-/// (membership events), never per message.
-class ShardRootCache {
- public:
-  explicit ShardRootCache(const rln::GroupManager& group) : group_(group) {}
-
-  [[nodiscard]] bool check(const Fr& root);
-
-  struct Stats {
-    std::uint64_t hits = 0;
-    std::uint64_t misses = 0;
-    std::uint64_t refreshes = 0;  ///< window copies rebuilt
-  };
-  [[nodiscard]] const Stats& stats() const { return stats_; }
-
- private:
-  const rln::GroupManager& group_;
-  std::uint64_t version_ = ~std::uint64_t{0};
-  std::unordered_set<Fr, ff::FrHash> roots_;
-  Stats stats_;
-};
 
 class ShardedValidator {
  public:
@@ -80,11 +55,8 @@ class ShardedValidator {
     return subscribed_;
   }
   [[nodiscard]] bool subscribes(ShardId shard) const {
-    return shards_.contains(shard);
+    return pipelines_.contains(shard);
   }
-  /// The first subscribed shard — what single-pipeline-era call sites get
-  /// from the shardless accessors below.
-  [[nodiscard]] ShardId default_shard() const { return subscribed_.front(); }
   [[nodiscard]] ShardId shard_of(std::string_view content_topic) const {
     return map_.shard_of(content_topic);
   }
@@ -92,10 +64,6 @@ class ShardedValidator {
   /// Per-shard pipeline access; the shard must be subscribed.
   [[nodiscard]] rln::ValidationPipeline& pipeline(ShardId shard);
   [[nodiscard]] const rln::ValidationPipeline& pipeline(ShardId shard) const;
-  [[nodiscard]] rln::ValidationPipeline& pipeline_for_topic(
-      std::string_view content_topic) {
-    return pipeline(map_.shard_of(content_topic));
-  }
 
   // -- Executor-backed validation ---------------------------------------------
 
@@ -123,45 +91,30 @@ class ShardedValidator {
     executor_->set_clock(clock);
   }
 
-  /// Blocking batch validation of one shard's window through the executor:
-  /// deterministic mode runs inline (the pre-executor code path verbatim);
-  /// parallel mode queues onto the shard's lane and waits, keeping
-  /// per-shard submission order against async submits.
-  std::vector<rln::ValidationOutcome> validate_batch(
-      ShardId shard, std::span<const WakuMessage> messages,
-      std::uint64_t local_now_ms);
+  /// Blocking batch validation of one shard's window through the executor,
+  /// one arrival time per message: deterministic mode runs inline (the
+  /// pre-executor code path verbatim); parallel mode queues onto the
+  /// shard's lane and waits, keeping per-shard submission order against
+  /// async submits.
   std::vector<rln::ValidationOutcome> validate_batch(
       ShardId shard, std::span<const WakuMessage> messages,
       std::span<const std::uint64_t> received_at_ms);
 
   /// Async window submission (parallel-mode fan-out; see
   /// rln::ValidationExecutor::submit for the lifetime contract on
-  /// `messages`). Returns false iff kReject backpressure refused it.
-  bool submit(ShardId shard, std::span<const WakuMessage> messages,
-              std::uint64_t local_now_ms,
-              rln::ValidationExecutor::Completion done);
+  /// `messages`). Returns false iff kReject backpressure refused it. The
+  /// second form stamps every message with one arrival time.
   bool submit(ShardId shard, std::span<const WakuMessage> messages,
               std::span<const std::uint64_t> received_at_ms,
               rln::ValidationExecutor::Completion done);
+  bool submit(ShardId shard, std::span<const WakuMessage> messages,
+              std::uint64_t now_ms, rln::ValidationExecutor::Completion done);
   /// Waits until every submitted window has completed.
   void drain() { executor_->drain(); }
 
-  /// Compatibility surface for pre-sharding call sites (stats readers,
-  /// crash-restart equality assertions): the default shard's pipeline/log
-  /// and the field-wise aggregate across all shards.
-  [[nodiscard]] rln::ValidationPipeline& default_pipeline() {
-    return pipeline(default_shard());
-  }
-  [[nodiscard]] const rln::NullifierLog& log() const {
-    return pipeline(default_shard()).log();
-  }
-  [[nodiscard]] const rln::NullifierLog& log_of(ShardId shard) const {
-    return pipeline(shard).log();
-  }
+  /// Field-wise aggregate of every shard's verdict counters.
   [[nodiscard]] rln::ValidatorStats stats() const;
   [[nodiscard]] const rln::ValidatorConfig& config() const { return config_; }
-  [[nodiscard]] const ShardRootCache::Stats& root_cache_stats(
-      ShardId shard) const;
 
   /// Nullifier-log GC across every subscribed shard.
   void gc(std::uint64_t local_now_ms);
@@ -175,14 +128,6 @@ class ShardedValidator {
 
   // -- Durable-state hooks ----------------------------------------------------
 
-  /// Shard-tagged observation hook: fires (with the owning shard) whenever
-  /// any shard's log records a new entry. The node journals these under
-  /// the record's shard tag so a restart rebuilds each log independently.
-  using ObserveHook = std::function<void(
-      ShardId shard, std::uint64_t epoch, const Fr& nullifier,
-      const sss::Share& share, std::uint64_t proof_fp)>;
-  void set_observe_hook(ObserveHook hook);
-
   /// WAL replay of a shard-tagged observation. Records for shards this
   /// configuration no longer subscribes to are dropped (a reshard between
   /// runs must not resurrect foreign-log state).
@@ -195,20 +140,10 @@ class ShardedValidator {
   void restore_state(BytesView bytes);
 
  private:
-  struct ShardState {
-    explicit ShardState(const zksnark::VerifyingKey& vk,
-                        const rln::GroupManager& group,
-                        rln::ValidatorConfig config, std::uint64_t seed)
-        : root_cache(group), pipeline(vk, group, config, seed) {}
-    ShardRootCache root_cache;
-    rln::ValidationPipeline pipeline;
-  };
-
   ShardMap map_;
   rln::ValidatorConfig config_;
   std::vector<ShardId> subscribed_;
-  std::map<ShardId, std::unique_ptr<ShardState>> shards_;
-  ObserveHook observe_hook_;
+  std::map<ShardId, rln::ValidationPipeline> pipelines_;
   /// Never null; defaults to the deterministic inline executor.
   std::unique_ptr<rln::ValidationExecutor> executor_;
   /// Re-applied to every executor set_parallelism builds.

@@ -26,7 +26,6 @@ HarnessProbe::HarnessProbe(rln::RlnHarness& harness,
       if (payload.starts_with(kSpamTag)) {
         ++per_node_spam_[i];
         ++per_node_shard_spam_[i * num_shards_ + shard];
-        ++spam_delivered_;
       } else if (payload.starts_with(kHonestTag)) {
         ++per_node_honest_[i];
         ++per_node_shard_honest_[i * num_shards_ + shard];

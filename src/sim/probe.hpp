@@ -61,9 +61,6 @@ class HarnessProbe {
     net::TimeMs at_ms;
   };
 
-  [[nodiscard]] std::uint64_t spam_delivered() const {
-    return spam_delivered_;
-  }
   [[nodiscard]] std::uint64_t honest_delivered() const {
     return honest_delivered_;
   }
@@ -84,7 +81,6 @@ class HarnessProbe {
       std::size_t i, shard::ShardId shard) const {
     return per_node_shard_honest_[i * num_shards_ + shard];
   }
-  [[nodiscard]] std::uint16_t num_shards() const { return num_shards_; }
   [[nodiscard]] const std::vector<SlashEvent>& slashes() const {
     return slashes_;
   }
@@ -103,7 +99,6 @@ class HarnessProbe {
   std::vector<std::uint64_t> per_node_honest_;
   std::vector<std::uint64_t> per_node_shard_spam_;    ///< [node * S + shard]
   std::vector<std::uint64_t> per_node_shard_honest_;  ///< [node * S + shard]
-  std::uint64_t spam_delivered_ = 0;
   std::uint64_t honest_delivered_ = 0;
   std::vector<SlashEvent> slashes_;
   std::vector<SlashEvent> withdrawals_;

@@ -109,18 +109,4 @@ std::string Report::to_json() const {
          ",\n\"metrics\": " + metrics.str() + "}";
 }
 
-bool write_report_file(const std::vector<Report>& reports,
-                       const std::string& path) {
-  FILE* f = std::fopen(path.c_str(), "w");
-  if (f == nullptr) return false;
-  std::fputs("{\n\"reports\": [\n", f);
-  for (std::size_t i = 0; i < reports.size(); ++i) {
-    const std::string json = reports[i].to_json();
-    std::fwrite(json.data(), 1, json.size(), f);
-    std::fputs(i + 1 < reports.size() ? ",\n" : "\n", f);
-  }
-  std::fputs("]\n}\n", f);
-  return std::fclose(f) == 0;
-}
-
 }  // namespace waku::sim

@@ -131,8 +131,4 @@ struct Report {
   [[nodiscard]] std::string to_json() const;
 };
 
-/// Writes a campaign file: {"reports": [...]}; returns false on IO error.
-bool write_report_file(const std::vector<Report>& reports,
-                       const std::string& path);
-
 }  // namespace waku::sim

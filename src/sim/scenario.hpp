@@ -51,15 +51,6 @@ class Scenario {
   Report run();
 
   [[nodiscard]] rln::RlnHarness& harness() { return campaign_.harness; }
-  [[nodiscard]] HarnessProbe& probe() { return campaign_.probe; }
-  [[nodiscard]] obs::FleetAggregator& fleet() { return fleet_; }
-  /// Cross-node propagation assembler, fed from every node's trace rings
-  /// each epoch while tracing is enabled (harness.node.obs.trace
-  /// .sample_every != 0); empty otherwise.
-  [[nodiscard]] obs::PropagationAssembler& propagation() {
-    return propagation_;
-  }
-  [[nodiscard]] const ScenarioConfig& config() const { return config_; }
 
  private:
   void run_phase(const PhaseSpec& phase);
@@ -71,8 +62,10 @@ class Scenario {
   /// Per-epoch cross-node health rows — the fleet-health timeline that
   /// rides in the verdict JSON (see ScenarioVerdict::fleet_timeline_json).
   obs::FleetAggregator fleet_;
-  /// Per-epoch trace-ring harvest (ingestion is idempotent, so rings
-  /// collected every epoch survive later kills/restarts of their node).
+  /// Cross-node propagation assembler: per-epoch trace-ring harvest while
+  /// tracing is enabled (harness.node.obs.trace.sample_every != 0).
+  /// Ingestion is idempotent, so rings collected every epoch survive
+  /// later kills/restarts of their node.
   obs::PropagationAssembler propagation_;
   std::vector<PhaseSpec> phases_;
   std::vector<Adversary*> all_adversaries_;

@@ -64,15 +64,16 @@ TEST(CrashRestart, SnapshotRestoreIsByteIdentical) {
     h.node(i).try_publish(to_bytes("hello from " + std::to_string(i)));
   }
   h.run_ms(5'000);  // mid-epoch (epoch is 30 s)
-  ASSERT_GT(h.node(0).validator().log().entry_count(), 0u);
+  ASSERT_GT(h.node(0).validator().pipeline(0).log().entry_count(), 0u);
 
   h.node(0).force_snapshot();
   const Bytes pre_state = h.node(0).serialize_state();
   const Fr pre_root = h.node(0).group().root();
   const std::vector<Fr> pre_window = h.node(0).group().recent_roots();
-  const Bytes pre_log = h.node(0).validator().log().serialize();
-  const auto pre_log_stats = h.node(0).validator().log().stats();
-  const auto pre_buckets = h.node(0).validator().log().bucket_sizes();
+  const Bytes pre_log = h.node(0).validator().pipeline(0).log().serialize();
+  const auto pre_log_stats = h.node(0).validator().pipeline(0).log().stats();
+  const auto pre_buckets =
+      h.node(0).validator().pipeline(0).log().bucket_sizes();
   const std::uint64_t pre_cursor = h.node(0).event_cursor();
 
   h.kill_node(0);
@@ -83,16 +84,17 @@ TEST(CrashRestart, SnapshotRestoreIsByteIdentical) {
   EXPECT_EQ(h.node(0).serialize_state(), pre_state);
   EXPECT_EQ(h.node(0).group().root(), pre_root);
   EXPECT_EQ(h.node(0).group().recent_roots(), pre_window);
-  EXPECT_EQ(h.node(0).validator().log().serialize(), pre_log);
+  EXPECT_EQ(h.node(0).validator().pipeline(0).log().serialize(), pre_log);
   EXPECT_EQ(h.node(0).event_cursor(), pre_cursor);
   EXPECT_TRUE(h.node(0).is_registered());
 
   // The watermark/bucket introspection the restart suite relies on.
-  const auto post_log_stats = h.node(0).validator().log().stats();
+  const auto post_log_stats = h.node(0).validator().pipeline(0).log().stats();
   EXPECT_EQ(post_log_stats.min_epoch, pre_log_stats.min_epoch);
   EXPECT_EQ(post_log_stats.entries, pre_log_stats.entries);
   EXPECT_EQ(post_log_stats.buckets, pre_log_stats.buckets);
-  EXPECT_EQ(h.node(0).validator().log().bucket_sizes(), pre_buckets);
+  EXPECT_EQ(h.node(0).validator().pipeline(0).log().bucket_sizes(),
+            pre_buckets);
   // And the ValidatorStats mirror carries the watermark.
   EXPECT_EQ(h.node(0).validator().stats().log_min_epoch,
             post_log_stats.min_epoch);
@@ -111,15 +113,17 @@ TEST(CrashRestart, WalTailRestoresNullifierLogAfterSnapshot) {
   h.node(3).try_publish(to_bytes("after snapshot 2"));
   h.run_ms(4'000);
 
-  const Bytes pre_log = h.node(0).validator().log().serialize();
-  const std::size_t pre_entries = h.node(0).validator().log().entry_count();
+  const Bytes pre_log = h.node(0).validator().pipeline(0).log().serialize();
+  const std::size_t pre_entries =
+      h.node(0).validator().pipeline(0).log().entry_count();
   ASSERT_GE(pre_entries, 3u);
 
   h.kill_node(0);
   h.restart_node(0);
 
-  EXPECT_EQ(h.node(0).validator().log().entry_count(), pre_entries);
-  EXPECT_EQ(h.node(0).validator().log().serialize(), pre_log);
+  EXPECT_EQ(h.node(0).validator().pipeline(0).log().entry_count(),
+            pre_entries);
+  EXPECT_EQ(h.node(0).validator().pipeline(0).log().serialize(), pre_log);
 }
 
 TEST(CrashRestart, ResumesEventStreamFromCursorNotGenesis) {

@@ -5,7 +5,8 @@
 //     (one kNew winner, no lost double-signal, no spurious conflict), and
 //     structural invariants under an observe/gc race;
 //   * GroupManager root window — lock-free version polling plus locked
-//     window reads racing the event-stream writer;
+//     window reads racing the event-stream writer, and the pipelines'
+//     lane-side root-window mirrors racing a block writer;
 //   * ValidationExecutor — per-shard completion ordering, kReject
 //     backpressure accounting, drain();
 //   * partition invariance — deterministic mode and parallel mode produce
@@ -283,6 +284,98 @@ TEST(GroupManagerConcurrency, ReadersRaceABlockWriter) {
   EXPECT_EQ(group.recent_root_count(), kWindow);
 }
 
+TEST(GroupManagerConcurrency, PipelineMirrorsRaceABlockWriter) {
+  // Parallel-mode validator lanes check honest proofs made against root R0
+  // while the test thread commits registration blocks. Each pipeline's
+  // root-window mirror is read and refreshed on its own lane only, racing
+  // the writer's window pushes; fewer than W blocks land, so R0 stays in
+  // the window and every proof must still be accepted.
+  static constexpr std::size_t kWindow = 10;
+  static constexpr std::size_t kMembers = 3;
+  static constexpr std::size_t kEpochs = 4;
+  static constexpr std::size_t kBlocks = kWindow - 4;  // < W: R0 survives
+  static constexpr std::size_t kPerBlock = 5;
+  static constexpr std::uint16_t kShards = 3;
+  constexpr std::uint64_t kEpochMs = 10'000;
+  GroupManager group(kDepth, TreeMode::kFullTree, kWindow);
+  Rng rng(0x5EE0);
+  std::vector<Identity> members;
+  std::vector<chain::Event> genesis;
+  for (std::size_t i = 0; i < kMembers; ++i) {
+    members.push_back(Identity::generate(rng));
+    chain::Event ev;
+    ev.name = "MemberRegistered";
+    ev.topics = {ff::U256{i}, members.back().pk.to_u256()};
+    genesis.push_back(std::move(ev));
+  }
+  group.apply(genesis);
+  group.commit_block();  // R0
+
+  // One window per epoch, one signal per member: every message is a
+  // first signal on each shard's own log, stamped with its epoch's time.
+  std::vector<std::vector<WakuMessage>> windows(kEpochs);
+  std::vector<std::vector<std::uint64_t>> arrivals(kEpochs);
+  for (std::size_t e = 0; e < kEpochs; ++e) {
+    const std::uint64_t epoch = 100 + e;
+    for (std::size_t m = 0; m < kMembers; ++m) {
+      WakuMessage msg;
+      msg.payload = to_bytes("honest " + std::to_string(e) + "/" +
+                             std::to_string(m));
+      attach_proof(msg, make_rate_limit_proof(members[m].sk,
+                                              group.path_of(m), msg, epoch,
+                                              rng));
+      windows[e].push_back(std::move(msg));
+      arrivals[e].push_back(epoch * kEpochMs + 500);
+    }
+  }
+
+  shard::ShardConfig scfg;
+  scfg.num_shards = kShards;
+  shard::ShardedValidator validator(
+      zksnark::rln_keypair(kDepth).vk, group,
+      ValidatorConfig{.epoch = EpochConfig{.epoch_length_ms = kEpochMs},
+                      .max_epoch_gap = 2},
+      scfg, 0x3A7E);
+  ParallelismConfig pcfg;
+  pcfg.deterministic = false;
+  pcfg.workers = kShards;
+  validator.set_parallelism(pcfg);
+
+  // Windows go out between block commits, so the lanes verify while the
+  // window moves under them.
+  std::mutex mu;
+  std::vector<Verdict> verdicts;
+  std::uint64_t index = kMembers;
+  for (std::size_t b = 0; b < kBlocks; ++b) {
+    for (shard::ShardId s = 0; b < kEpochs && s < kShards; ++s) {
+      ASSERT_TRUE(validator.submit(
+          s, windows[b], arrivals[b],
+          [&mu, &verdicts](std::vector<ValidationOutcome> outcomes) {
+            std::lock_guard lk(mu);
+            for (const auto& o : outcomes) verdicts.push_back(o.verdict);
+          }));
+    }
+    std::vector<chain::Event> block;
+    for (std::size_t k = 0; k < kPerBlock; ++k) {
+      chain::Event ev;
+      ev.name = "MemberRegistered";
+      ev.topics = {ff::U256{index++}, Identity::generate(rng).pk.to_u256()};
+      block.push_back(std::move(ev));
+    }
+    group.apply(block);
+    group.commit_block();
+  }
+  validator.drain();
+
+  ASSERT_EQ(verdicts.size(), kEpochs * kShards * kMembers);
+  for (const Verdict v : verdicts) EXPECT_EQ(v, Verdict::kAccept);
+  for (shard::ShardId s = 0; s < kShards; ++s) {
+    const RootCacheStats& stats = validator.pipeline(s).root_cache_stats();
+    EXPECT_GE(stats.refreshes, 1u) << "shard " << s;
+    EXPECT_EQ(stats.misses, 0u) << "shard " << s;
+  }
+}
+
 // -- Executor ordering and backpressure ---------------------------------------
 
 struct ExecutorFixture : ::testing::Test {
@@ -299,6 +392,11 @@ struct ExecutorFixture : ::testing::Test {
     return msgs;
   }();
   std::uint64_t now_ms = 100 * 10'000 + 500;
+
+  /// One arrival time per message, all `now_ms`.
+  std::vector<std::uint64_t> arrivals() const {
+    return std::vector<std::uint64_t>(messages.size(), now_ms);
+  }
 };
 
 TEST_F(ExecutorFixture, CompletionsFireInSubmissionOrderPerShard) {
@@ -311,7 +409,7 @@ TEST_F(ExecutorFixture, CompletionsFireInSubmissionOrderPerShard) {
   std::vector<std::size_t> completed;  // indices in completion order
   for (std::size_t i = 0; i < kWindows; ++i) {
     const bool ok = executor.submit(
-        /*shard=*/0, pipeline, messages, now_ms,
+        /*shard=*/0, pipeline, messages, arrivals(),
         [&mu, &completed, i](std::vector<ValidationOutcome> outcomes) {
           ASSERT_EQ(outcomes.size(), 1u);
           EXPECT_EQ(outcomes[0].verdict, Verdict::kRejectNoProof);
@@ -346,7 +444,7 @@ TEST_F(ExecutorFixture, RejectBackpressureRefusesOverflowDeterministically) {
   bool a_started = false;
   bool release_a = false;
   ASSERT_TRUE(executor.submit(
-      0, pipeline, messages, now_ms,
+      0, pipeline, messages, arrivals(),
       [&](std::vector<ValidationOutcome>) {
         std::unique_lock lk(mu);
         a_started = true;
@@ -357,9 +455,9 @@ TEST_F(ExecutorFixture, RejectBackpressureRefusesOverflowDeterministically) {
     std::unique_lock lk(mu);
     cv.wait(lk, [&] { return a_started; });
   }
-  ASSERT_TRUE(executor.submit(0, pipeline, messages, now_ms,
+  ASSERT_TRUE(executor.submit(0, pipeline, messages, arrivals(),
                               [](std::vector<ValidationOutcome>) {}));
-  EXPECT_FALSE(executor.submit(0, pipeline, messages, now_ms,
+  EXPECT_FALSE(executor.submit(0, pipeline, messages, arrivals(),
                                [](std::vector<ValidationOutcome>) {
                                  FAIL() << "rejected window must not run";
                                }));
@@ -380,12 +478,12 @@ TEST_F(ExecutorFixture, DeterministicModeRunsInlineWithoutThreads) {
   EXPECT_EQ(executor.worker_count(), 0u);
   std::thread::id completion_thread;
   ASSERT_TRUE(executor.submit(
-      0, pipeline, messages, now_ms,
+      0, pipeline, messages, arrivals(),
       [&completion_thread](std::vector<ValidationOutcome>) {
         completion_thread = std::this_thread::get_id();
       }));
   EXPECT_EQ(completion_thread, std::this_thread::get_id());
-  const auto outcomes = executor.validate(0, pipeline, messages, now_ms);
+  const auto outcomes = executor.validate(0, pipeline, messages, arrivals());
   ASSERT_EQ(outcomes.size(), 1u);
   EXPECT_EQ(outcomes[0].verdict, Verdict::kRejectNoProof);
 }
@@ -445,10 +543,11 @@ std::vector<Verdict> run_validator(const ProvenWorkload& wl,
   for (std::uint16_t shard = 0; shard < 4; ++shard) {
     for (std::size_t i = 0; i < wl.messages.size(); i += window) {
       const std::size_t len = std::min(window, wl.messages.size() - i);
+      const std::vector<std::uint64_t> arrivals(len, wl.now_ms);
       const auto outcomes = validator.validate_batch(
           shard,
           std::span<const WakuMessage>(wl.messages.data() + i, len),
-          wl.now_ms);
+          arrivals);
       for (const auto& o : outcomes) verdicts.push_back(o.verdict);
     }
   }

@@ -188,8 +188,8 @@ TEST(ShardedValidator, CrossShardNullifierIsolation) {
   EXPECT_EQ(cross.verdict, Verdict::kAccept);
   EXPECT_FALSE(cross.recovered_sk.has_value());
   EXPECT_EQ(validator.stats().spam_detected, 0u);
-  EXPECT_EQ(validator.log_of(0).entry_count(), 1u);
-  EXPECT_EQ(validator.log_of(1).entry_count(), 1u);
+  EXPECT_EQ(validator.pipeline(0).log().entry_count(), 1u);
+  EXPECT_EQ(validator.pipeline(1).log().entry_count(), 1u);
 
   // Same shard, same member, same epoch, different payload: the classic
   // double-signal — detected, with the sk recovered.
@@ -225,13 +225,12 @@ TEST(ShardedValidator, PerShardRootCachesTrackTheSharedWindow) {
   EXPECT_EQ(
       validator.pipeline(0).validate_one(old_root_msg, fx.now_ms).verdict,
       Verdict::kAccept);
-  const shard::ShardRootCache::Stats& cache0 =
-      validator.root_cache_stats(0);
+  const RootCacheStats& cache0 = validator.pipeline(0).root_cache_stats();
   EXPECT_GE(cache0.refreshes, 1u);
   EXPECT_GE(cache0.hits, 1u);
   // Shard 1 saw no traffic: its cache never refreshed — per-shard caches
   // really are independent.
-  EXPECT_EQ(validator.root_cache_stats(1).refreshes, 0u);
+  EXPECT_EQ(validator.pipeline(1).root_cache_stats().refreshes, 0u);
 
   // A root outside every window dies in the shard-local O(1) stage.
   WakuMessage stale = fx.proven_message(2, "stale", topic0);
@@ -431,11 +430,12 @@ TEST(ShardedCrashRestart, PerShardLogsRecoverIndependently) {
   // time so the restored state must match byte for byte.
   h.node(0).force_snapshot();
   const auto& pre = h.node(0).validator();
-  ASSERT_GT(pre.log_of(0).entry_count(), 0u);
-  ASSERT_GT(pre.log_of(1).entry_count(), 0u);
-  ASSERT_NE(pre.log_of(0).entry_count(), pre.log_of(1).entry_count());
-  const Bytes pre_log0 = pre.log_of(0).serialize();
-  const Bytes pre_log1 = pre.log_of(1).serialize();
+  ASSERT_GT(pre.pipeline(0).log().entry_count(), 0u);
+  ASSERT_GT(pre.pipeline(1).log().entry_count(), 0u);
+  ASSERT_NE(pre.pipeline(0).log().entry_count(),
+            pre.pipeline(1).log().entry_count());
+  const Bytes pre_log0 = pre.pipeline(0).log().serialize();
+  const Bytes pre_log1 = pre.pipeline(1).log().serialize();
   const Bytes pre_state = h.node(0).serialize_state();
 
   h.kill_node(0);
@@ -444,8 +444,8 @@ TEST(ShardedCrashRestart, PerShardLogsRecoverIndependently) {
   // Every shard's log came back byte-identical and the full durable state
   // round-tripped.
   const auto& post = h.node(0).validator();
-  EXPECT_EQ(post.log_of(0).serialize(), pre_log0);
-  EXPECT_EQ(post.log_of(1).serialize(), pre_log1);
+  EXPECT_EQ(post.pipeline(0).log().serialize(), pre_log0);
+  EXPECT_EQ(post.pipeline(1).log().serialize(), pre_log1);
   EXPECT_EQ(h.node(0).serialize_state(), pre_state);
 
   // Let the restarted node re-mesh before new traffic (messages that
@@ -456,21 +456,24 @@ TEST(ShardedCrashRestart, PerShardLogsRecoverIndependently) {
   // Post-snapshot traffic lives only in the shard-tagged WAL tail: two
   // more shard-1 signals, then crash again — the tail must rebuild each
   // shard's log independently (shard 0 untouched, shard 1 grown by two).
-  const std::size_t pre_entries0 = post.log_of(0).entry_count();
-  const std::size_t pre_entries1 = post.log_of(1).entry_count();
+  const std::size_t pre_entries0 = post.pipeline(0).log().entry_count();
+  const std::size_t pre_entries1 = post.pipeline(1).log().entry_count();
   ASSERT_EQ(h.node(3).try_publish(to_bytes("s1#3"), topic1),
             WakuRlnRelayNode::PublishStatus::kOk);
   ASSERT_EQ(h.node(4).try_publish(to_bytes("s1#4"), topic1),
             WakuRlnRelayNode::PublishStatus::kOk);
   h.run_ms(5'000);
-  ASSERT_EQ(h.node(0).validator().log_of(1).entry_count(), pre_entries1 + 2);
-  const Bytes tail_log1 = h.node(0).validator().log_of(1).serialize();
+  ASSERT_EQ(h.node(0).validator().pipeline(1).log().entry_count(),
+            pre_entries1 + 2);
+  const Bytes tail_log1 = h.node(0).validator().pipeline(1).log().serialize();
 
   h.kill_node(0);
   h.restart_node(0);
-  EXPECT_EQ(h.node(0).validator().log_of(0).entry_count(), pre_entries0);
-  EXPECT_EQ(h.node(0).validator().log_of(1).entry_count(), pre_entries1 + 2);
-  EXPECT_EQ(h.node(0).validator().log_of(1).serialize(), tail_log1);
+  EXPECT_EQ(h.node(0).validator().pipeline(0).log().entry_count(),
+            pre_entries0);
+  EXPECT_EQ(h.node(0).validator().pipeline(1).log().entry_count(),
+            pre_entries1 + 2);
+  EXPECT_EQ(h.node(0).validator().pipeline(1).log().serialize(), tail_log1);
 
   // Restored quota state: the restarted publisher still refuses a second
   // same-epoch publish per shard, but keeps independent budgets.

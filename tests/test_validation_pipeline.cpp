@@ -19,6 +19,11 @@ using ff::U256;
 
 constexpr std::size_t kDepth = 8;
 
+/// One arrival time for each of `n` messages.
+std::vector<std::uint64_t> arrivals(std::size_t n, std::uint64_t now_ms) {
+  return std::vector<std::uint64_t>(n, now_ms);
+}
+
 chain::Event registered_event(std::uint64_t index, const Fr& pk) {
   chain::Event ev;
   ev.name = "MemberRegistered";
@@ -99,7 +104,8 @@ TEST_F(PipelineFixture, BatchMatchesSequentialOnMixedTraffic) {
     for (std::size_t i = 0; i < msgs.size(); i += chunk) {
       const std::size_t len = std::min(chunk, msgs.size() - i);
       const auto out = batched.validate_batch(
-          std::span<const WakuMessage>(msgs.data() + i, len), now);
+          std::span<const WakuMessage>(msgs.data() + i, len),
+          arrivals(len, now));
       for (const auto& o : out) got.push_back(o.verdict);
     }
     EXPECT_EQ(got, expected) << "partition with chunk size " << chunk;
@@ -125,7 +131,8 @@ TEST_F(PipelineFixture, CleanBatchSettlesWithOneAggregatedCheck) {
                                 static_cast<std::uint64_t>(e)));
   }
   ValidationPipeline pipeline = make_pipeline();
-  const auto out = pipeline.validate_batch(msgs, 12'000);
+  const auto out =
+      pipeline.validate_batch(msgs, arrivals(msgs.size(), 12'000));
   for (const auto& o : out) EXPECT_EQ(o.verdict, Verdict::kAccept);
   const ValidatorStats s = pipeline.stats();
   EXPECT_EQ(s.accepted, msgs.size());
@@ -140,7 +147,8 @@ TEST_F(PipelineFixture, CorruptedProofTriggersFallbackAndIsIsolated) {
   msgs.push_back(make_message(bob, 1, "good bob", 11));
 
   ValidationPipeline pipeline = make_pipeline();
-  const auto out = pipeline.validate_batch(msgs, 10'500);
+  const auto out =
+      pipeline.validate_batch(msgs, arrivals(msgs.size(), 10'500));
   EXPECT_EQ(out[0].verdict, Verdict::kAccept);
   EXPECT_EQ(out[1].verdict, Verdict::kRejectBadProof);
   EXPECT_EQ(out[2].verdict, Verdict::kAccept);
@@ -159,7 +167,8 @@ TEST_F(PipelineFixture, DoubleSignalRecoversSecretInBatch) {
   msgs.push_back(make_message(alice, 0, "first", 10));
   msgs.push_back(make_message(alice, 0, "second", 10));
   ValidationPipeline pipeline = make_pipeline();
-  const auto out = pipeline.validate_batch(msgs, 10'500);
+  const auto out =
+      pipeline.validate_batch(msgs, arrivals(msgs.size(), 10'500));
   EXPECT_EQ(out[0].verdict, Verdict::kAccept);
   EXPECT_EQ(out[1].verdict, Verdict::kRejectSpam);
   ASSERT_TRUE(out[1].recovered_sk.has_value());
