@@ -2,7 +2,10 @@
 # Tier-1 test suite under sanitizers.
 #
 # Default flavor builds into build-asan/ with
-# -DWAKU_SANITIZE=address,undefined and runs the full ctest suite. Memory
+# -DWAKU_SANITIZE=address,undefined, runs the full ctest suite, then builds
+# the examples and runs every example_* binary (multi-node end-to-end
+# runs: gossip fan-out over shared frame buffers, slashing, light
+# clients; logs in example_logs/ in the build directory). Memory
 # errors in the persistence layer (file IO, torn-tail truncation, byte
 # juggling) are exactly the class of bug a sanitizer catches and a green
 # test run hides.
@@ -103,4 +106,27 @@ for suite in test_scenarios test_sharding test_reshard; do
   fi
 done
 ctest --output-on-failure -j"$(nproc)"
-echo "tier-1 suite (incl. adversarial scenarios + sharding + live reshard) passed under -fsanitize=$SAN"
+
+# Every example under the same sanitizers. A finding fails the run by its
+# exit status (halt_on_error) and, should a report not end the process,
+# by its text in the log.
+cmake --build "$BUILD" --target examples -j"$(nproc)"
+mkdir -p example_logs
+ran=0
+for example in ./example_*; do
+  [ -f "$example" ] && [ -x "$example" ] || continue
+  name="$(basename "$example")"
+  log="example_logs/$name.log"
+  if ! "$example" >"$log" 2>&1 ||
+     grep -qE 'runtime error:|(Address|Leak|UndefinedBehavior)Sanitizer' "$log"; then
+    echo "error: $name failed under -fsanitize=$SAN:" >&2
+    tail -n 50 "$log" >&2
+    exit 1
+  fi
+  ran=$((ran + 1))
+done
+if [ "$ran" -eq 0 ]; then
+  echo "error: no example_* binary was built" >&2
+  exit 1
+fi
+echo "tier-1 suite (incl. adversarial scenarios + sharding + live reshard) and $ran examples passed under -fsanitize=$SAN"

@@ -75,12 +75,16 @@ std::uint64_t ByteReader::read_u64() {
   return v;
 }
 
-Bytes ByteReader::read_raw(std::size_t n) {
+BytesView ByteReader::read_view(std::size_t n) {
   require(n);
-  Bytes out(data_.begin() + static_cast<std::ptrdiff_t>(pos_),
-            data_.begin() + static_cast<std::ptrdiff_t>(pos_ + n));
+  const BytesView out = data_.subspan(pos_, n);
   pos_ += n;
   return out;
+}
+
+Bytes ByteReader::read_raw(std::size_t n) {
+  const BytesView v = read_view(n);
+  return Bytes(v.begin(), v.end());
 }
 
 Bytes ByteReader::read_bytes() {

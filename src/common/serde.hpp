@@ -46,6 +46,8 @@ class ByteReader {
   std::uint64_t read_u64();
   /// Reads exactly `n` raw bytes.
   Bytes read_raw(std::size_t n);
+  /// Reads exactly `n` bytes as a view into the input (no copy).
+  BytesView read_view(std::size_t n);
   /// Reads a u32 length prefix then that many bytes.
   Bytes read_bytes();
   /// Reads a u32 length prefix then that many bytes as a string.

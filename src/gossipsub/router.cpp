@@ -108,17 +108,25 @@ std::vector<NodeId> GossipSubRouter::topic_peers(
   return out;
 }
 
-MessageId GossipSubRouter::publish(const std::string& topic, Bytes data) {
-  PubSubMessage msg;
-  msg.topic = topic;
-  msg.data = std::move(data);
-  msg.origin = id_;
-  msg.seqno = seqno_++;
-  const MessageId id = msg.id();
+bool GossipSubRouter::mark_seen(const MessageId& id) {
+  const auto [it, fresh] = seen_.try_emplace(id, network_.sim().now());
+  if (fresh) seen_order_.push_back(&*it);
+  return fresh;
+}
 
-  seen_.emplace(id, network_.sim().now());
-  mcache_.emplace(id, msg);
-  mcache_windows_.front().emplace_back(topic, id);
+std::pair<MessageId, net::SharedBytes> GossipSubRouter::originate(
+    const PubSubMessage& msg) {
+  const MessageId id = msg.id();
+  auto frame = std::make_shared<const Bytes>(encode_publish(msg));
+  mark_seen(id);
+  mcache_.emplace(id, frame);
+  mcache_windows_.front().emplace_back(msg.topic, id);
+  return {id, std::move(frame)};
+}
+
+MessageId GossipSubRouter::publish(const std::string& topic, Bytes data) {
+  const PubSubMessage msg{topic, std::move(data), id_, seqno_++};
+  const auto [id, frame] = originate(msg);
 
   // Deliver locally.
   if (const auto it = handlers_.find(topic); it != handlers_.end()) {
@@ -126,40 +134,22 @@ MessageId GossipSubRouter::publish(const std::string& topic, Bytes data) {
     it->second(msg);
   }
 
-  Frame frame;
-  frame.type = FrameType::kPublish;
-  frame.topic = topic;
-  frame.message = msg;
-
   // Flood publish: every subscribed neighbor above the publish threshold.
   for (const NodeId peer : topic_peers(topic)) {
     if (scores_.below_publish(peer)) continue;
-    send_publish_frame(peer, frame);
+    send_publish(peer, frame, msg);
   }
   return id;
 }
 
 MessageId GossipSubRouter::publish_to(const std::string& topic, Bytes data,
                                       std::span<const NodeId> peers) {
-  PubSubMessage msg;
-  msg.topic = topic;
-  msg.data = std::move(data);
-  msg.origin = id_;
-  msg.seqno = seqno_++;
-  const MessageId id = msg.id();
-
   // Marked seen/cached like any own publish so echoes deduplicate, but
   // deliberately NOT delivered locally and NOT flooded: the caller chose
   // exactly who sees it.
-  seen_.emplace(id, network_.sim().now());
-  mcache_.emplace(id, msg);
-  mcache_windows_.front().emplace_back(topic, id);
-
-  Frame frame;
-  frame.type = FrameType::kPublish;
-  frame.topic = topic;
-  frame.message = msg;
-  for (const NodeId peer : peers) send_publish_frame(peer, frame);
+  const PubSubMessage msg{topic, std::move(data), id_, seqno_++};
+  const auto [id, frame] = originate(msg);
+  for (const NodeId peer : peers) send_publish(peer, frame, msg);
   return id;
 }
 
@@ -167,15 +157,28 @@ void GossipSubRouter::send_frame(NodeId to, const Frame& frame) {
   network_.send(id_, to, encode_frame(frame));
 }
 
-void GossipSubRouter::send_publish_frame(NodeId to, const Frame& frame) {
-  send_frame(to, frame);
-  if (trace_hook_) trace_hook_("fwd", to, *frame.message);
+void GossipSubRouter::send_publish(NodeId to, const net::SharedBytes& frame,
+                                   const PubSubMessage& msg) {
+  network_.send(id_, to, frame);
+  if (trace_hook_) trace_hook_("fwd", to, msg);
 }
 
 void GossipSubRouter::on_message(NodeId from, BytesView payload) {
+  on_frame(from,
+           std::make_shared<const Bytes>(payload.begin(), payload.end()));
+}
+
+void GossipSubRouter::on_frame(NodeId from, const net::SharedBytes& bytes) {
+  // A publish is parsed in place (`frame` keeps its default kPublish
+  // type), so graylisted senders and duplicates cost no copy.
+  std::optional<PublishView> publish;
   Frame frame;
   try {
-    frame = decode_frame(payload);
+    if (is_publish(*bytes)) {
+      publish = parse_publish(*bytes);
+    } else {
+      frame = decode_frame(*bytes);
+    }
   } catch (const std::exception&) {
     scores_.record_behaviour_penalty(from);
     return;
@@ -191,7 +194,7 @@ void GossipSubRouter::on_message(NodeId from, BytesView payload) {
 
   switch (frame.type) {
     case FrameType::kPublish:
-      handle_publish(from, *frame.message);
+      handle_publish(from, *publish, bytes);
       break;
     case FrameType::kIHave:
       handle_ihave(from, frame.topic, frame.ids);
@@ -217,14 +220,16 @@ void GossipSubRouter::on_message(NodeId from, BytesView payload) {
   }
 }
 
-void GossipSubRouter::handle_publish(NodeId from, const PubSubMessage& msg) {
-  const MessageId id = msg.id();
-  if (seen_.contains(id)) {
+void GossipSubRouter::handle_publish(NodeId from, const PublishView& view,
+                                     const net::SharedBytes& frame) {
+  const MessageId id = view.id();
+  if (!mark_seen(id)) {
     ++stats_.duplicates;
-    if (trace_hook_) trace_hook_("dup", from, msg);
+    if (trace_hook_) trace_hook_("dup", from, view.message());
     return;
   }
-  seen_.emplace(id, network_.sim().now());
+  // The first receipt is the only one copied out of the frame.
+  PubSubMessage msg = view.message();
 
   if (!handlers_.contains(msg.topic)) {
     // The sender believes we subscribe (mesh relay or fanout target),
@@ -243,33 +248,34 @@ void GossipSubRouter::handle_publish(NodeId from, const PubSubMessage& msg) {
   // messages already count as seen, so echoes keep deduplicating.
   const auto vit = validators_.find(msg.topic);
   if (vit == validators_.end()) {
-    dispatch_validated(from, msg, id, ValidationResult::kAccept);
+    dispatch_validated(from, msg, id, frame, ValidationResult::kAccept);
     return;
   }
   const TimeMs now = network_.local_time(id_);
   if (config_.validation_batch_max <= 1) {
     if (vit->second.single != nullptr) {
       // Direct call — no result vector on the unbatched hot path.
-      dispatch_validated(from, msg, id, vit->second.single(from, msg));
+      dispatch_validated(from, msg, id, frame, vit->second.single(from, msg));
       return;
     }
     const IncomingMessage one{from, now, msg};
     const std::vector<ValidationResult> results =
         vit->second.batch(std::span<const IncomingMessage>(&one, 1));
     dispatch_validated(
-        from, msg, id,
+        from, msg, id, frame,
         results.empty() ? ValidationResult::kIgnore : results.front());
     return;
   }
   auto& pending = pending_validation_[msg.topic];
-  pending.push_back(BufferedPublish{from, now, id, msg});
+  pending.push_back(BufferedPublish{from, now, id, std::move(msg), frame});
   if (pending.size() >= config_.validation_batch_max) {
-    flush_topic_validation(msg.topic);
+    flush_topic_validation(std::string(view.topic));
   }
 }
 
 void GossipSubRouter::dispatch_validated(NodeId from, const PubSubMessage& msg,
                                          const MessageId& id,
+                                         const net::SharedBytes& frame,
                                          ValidationResult result) {
   if (result == ValidationResult::kReject) {
     ++stats_.rejected;
@@ -282,14 +288,14 @@ void GossipSubRouter::dispatch_validated(NodeId from, const PubSubMessage& msg,
   }
 
   scores_.record_first_delivery(from);
-  mcache_.emplace(id, msg);
+  mcache_.emplace(id, frame);
   mcache_windows_.front().emplace_back(msg.topic, id);
 
   if (const auto hit = handlers_.find(msg.topic); hit != handlers_.end()) {
     ++stats_.delivered;
     hit->second(msg);
   }
-  relay(msg, id, from);
+  relay(msg, frame, from);
 }
 
 void GossipSubRouter::flush_topic_validation(const std::string& topic) {
@@ -304,7 +310,7 @@ void GossipSubRouter::flush_topic_validation(const std::string& topic) {
     // Validator removed while messages were buffered: treat as unvalidated.
     for (const BufferedPublish& buffered : batch) {
       dispatch_validated(buffered.from, buffered.msg, buffered.id,
-                         ValidationResult::kAccept);
+                         buffered.frame, ValidationResult::kAccept);
     }
     return;
   }
@@ -317,6 +323,7 @@ void GossipSubRouter::flush_topic_validation(const std::string& topic) {
   const std::vector<ValidationResult> results = vit->second.batch(views);
   for (std::size_t i = 0; i < batch.size(); ++i) {
     dispatch_validated(batch[i].from, batch[i].msg, batch[i].id,
+                       batch[i].frame,
                        i < results.size() ? results[i]
                                           : ValidationResult::kIgnore);
   }
@@ -333,17 +340,13 @@ void GossipSubRouter::flush_pending_validation() {
   for (const std::string& topic : topics) flush_topic_validation(topic);
 }
 
-void GossipSubRouter::relay(const PubSubMessage& msg, const MessageId&,
-                            NodeId except) {
+void GossipSubRouter::relay(const PubSubMessage& msg,
+                            const net::SharedBytes& frame, NodeId except) {
   const auto it = mesh_.find(msg.topic);
   if (it == mesh_.end()) return;
-  Frame frame;
-  frame.type = FrameType::kPublish;
-  frame.topic = msg.topic;
-  frame.message = msg;
   for (const NodeId peer : it->second) {
     if (peer == except || peer == msg.origin) continue;
-    send_publish_frame(peer, frame);
+    send_publish(peer, frame, msg);
     ++stats_.forwarded;
   }
 }
@@ -370,11 +373,10 @@ void GossipSubRouter::handle_iwant(NodeId from,
   for (const MessageId& id : ids) {
     const auto it = mcache_.find(id);
     if (it == mcache_.end()) continue;
-    Frame frame;
-    frame.type = FrameType::kPublish;
-    frame.topic = it->second.topic;
-    frame.message = it->second;
-    send_publish_frame(from, frame);
+    network_.send(id_, from, it->second);
+    if (trace_hook_) {
+      trace_hook_("fwd", from, parse_publish(*it->second).message());
+    }
     ++stats_.iwant_served;
   }
 }
@@ -537,14 +539,13 @@ void GossipSubRouter::heartbeat() {
     mcache_windows_.pop_back();
   }
 
-  // TTL-prune the dedup cache.
+  // TTL-prune the dedup cache, oldest first.
   const TimeMs now = network_.sim().now();
-  for (auto it = seen_.begin(); it != seen_.end();) {
-    if (now - it->second > config_.seen_ttl_ms) {
-      it = seen_.erase(it);
-    } else {
-      ++it;
-    }
+  while (!seen_order_.empty() &&
+         now - seen_order_.front()->second > config_.seen_ttl_ms) {
+    const MessageId id = seen_order_.front()->first;
+    seen_order_.pop_front();
+    seen_.erase(id);
   }
 
   // Drop announcement bookkeeping for peers that left the network for

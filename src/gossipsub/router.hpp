@@ -84,8 +84,10 @@ class GossipSubRouter : public net::NetNode {
   MessageId publish_to(const std::string& topic, Bytes data,
                        std::span<const NodeId> peers);
 
-  // net::NetNode
+  // net::NetNode. on_frame is the receive path; on_message copies the
+  // bytes into a buffer of their own and takes it.
   void on_message(NodeId from, BytesView payload) override;
+  void on_frame(NodeId from, const net::SharedBytes& frame) override;
 
   // Introspection for tests and benches.
   [[nodiscard]] NodeId node_id() const { return id_; }
@@ -116,20 +118,31 @@ class GossipSubRouter : public net::NetNode {
 
  private:
   void heartbeat();
-  void handle_publish(NodeId from, const PubSubMessage& msg);
+  /// Inserts `id` into the seen cache; false if it was already there.
+  bool mark_seen(const MessageId& id);
+  /// Marks an own message seen and cached; returns its id and its frame,
+  /// encoded once for every peer it goes to.
+  std::pair<MessageId, net::SharedBytes> originate(const PubSubMessage& msg);
+  void handle_publish(NodeId from, const PublishView& view,
+                      const net::SharedBytes& frame);
   void flush_topic_validation(const std::string& topic);
   /// Applies one validation result: deliver + relay, or penalize/drop.
   void dispatch_validated(NodeId from, const PubSubMessage& msg,
-                          const MessageId& id, ValidationResult result);
+                          const MessageId& id, const net::SharedBytes& frame,
+                          ValidationResult result);
   void handle_ihave(NodeId from, const std::string& topic,
                     const std::vector<MessageId>& ids);
   void handle_iwant(NodeId from, const std::vector<MessageId>& ids);
   void handle_graft(NodeId from, const std::string& topic);
   void handle_prune(NodeId from, const std::string& topic);
   void send_frame(NodeId to, const Frame& frame);
-  /// send_frame for publish frames: also fires the trace hook ("fwd").
-  void send_publish_frame(NodeId to, const Frame& frame);
-  void relay(const PubSubMessage& msg, const MessageId& id, NodeId except);
+  /// Sends the encoded publish `frame` of `msg`; fires the trace hook
+  /// ("fwd").
+  void send_publish(NodeId to, const net::SharedBytes& frame,
+                    const PubSubMessage& msg);
+  /// Forwards the received `frame` unchanged to the topic mesh.
+  void relay(const PubSubMessage& msg, const net::SharedBytes& frame,
+             NodeId except);
   std::vector<NodeId> topic_peers(const std::string& topic) const;
 
   net::Network& network_;
@@ -148,14 +161,15 @@ class GossipSubRouter : public net::NetNode {
     BatchValidator batch;
   };
   std::unordered_map<std::string, TopicValidator> validators_;
-  // A publish buffered for batched validation. Owns its message copy (the
-  // wire frame is gone by flush time); the id is kept so it is hashed
-  // once per message, at arrival.
+  // A publish buffered for batched validation: the message copied out of
+  // its first receipt, the id hashed at arrival, and the received frame,
+  // which relay forwards unchanged.
   struct BufferedPublish {
     NodeId from;
     TimeMs received_at;
     MessageId id;
     PubSubMessage msg;
+    net::SharedBytes frame;
   };
   // Publishes awaiting batched validation, per topic (see
   // GossipSubConfig::validation_batch_max).
@@ -168,12 +182,17 @@ class GossipSubRouter : public net::NetNode {
   std::unordered_map<NodeId, std::set<std::string>> announced_;
   std::unordered_map<std::string, std::set<NodeId>> mesh_;
 
-  // Dedup cache with insertion timestamps (TTL-pruned on heartbeat).
-  std::unordered_map<MessageId, TimeMs, MessageIdHash> seen_;
+  // Dedup cache with insertion timestamps, and its entries in insertion
+  // order. The clock never runs backwards, so that is time order and the
+  // heartbeat expires the cache from the front, touching only what it
+  // erases. (Map nodes never move, so 8-byte pointers name the entries.)
+  using SeenCache = std::unordered_map<MessageId, TimeMs, MessageIdHash>;
+  SeenCache seen_;
+  std::deque<const SeenCache::value_type*> seen_order_;
 
-  // Message cache: windowed ids for gossip + payload store for IWANT.
+  // Message cache: windowed ids for gossip + encoded frames for IWANT.
   std::deque<std::vector<std::pair<std::string, MessageId>>> mcache_windows_;
-  std::unordered_map<MessageId, PubSubMessage, MessageIdHash> mcache_;
+  std::unordered_map<MessageId, net::SharedBytes, MessageIdHash> mcache_;
 
   PeerScore scores_;
   RouterStats stats_;

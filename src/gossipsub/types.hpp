@@ -19,8 +19,11 @@ namespace waku::gossipsub {
 using net::NodeId;
 using net::TimeMs;
 
-/// Message identifier: SHA-256 of (topic, origin, sequence number, data)
-/// in their wire encoding (PubSubMessage::id()).
+/// Message identifier: SHA-256 of a publish frame's body, the frame bytes
+/// after its type byte — (topic, origin, seqno, data) in their wire
+/// encoding. PubSubMessage::id() streams the same preimage field by field;
+/// a received frame is hashed in place (PublishView::id()). The decoder
+/// rejects trailing bytes, so every accepted frame has exactly one id.
 using MessageId = std::array<std::uint8_t, 32>;
 
 struct MessageIdHash {

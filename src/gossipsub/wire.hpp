@@ -5,6 +5,7 @@
 
 #include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "gossipsub/types.hpp"
@@ -23,16 +24,44 @@ enum class FrameType : std::uint8_t {
 
 struct Frame {
   FrameType type = FrameType::kPublish;
-  std::string topic;                 // publish/ihave/graft/prune/sub/unsub
+  std::string topic;  // all types; a publish encodes message->topic
   std::optional<PubSubMessage> message;  // publish
-  std::vector<MessageId> ids;        // ihave/iwant
+  std::vector<MessageId> ids;            // ihave/iwant
 };
 
-/// Serializes a frame for Network::send.
-Bytes encode_frame(const Frame& frame);
+/// A publish frame parsed in place: every field views the frame's bytes,
+/// which must outlive it.
+struct PublishView {
+  std::string_view topic;
+  NodeId origin = 0;
+  std::uint64_t seqno = 0;
+  BytesView data;
+  BytesView body;  ///< the frame after its type byte: the id preimage
 
-/// Parses a frame; throws std::out_of_range / std::invalid_argument on
-/// malformed input (callers treat that as a misbehaving peer).
+  /// SHA-256 of `body`, equal to message().id().
+  [[nodiscard]] MessageId id() const;
+  /// An owned copy of the message.
+  [[nodiscard]] PubSubMessage message() const;
+};
+
+/// Serializes a frame for Network::send. A publish frame is
+/// encode_publish(*frame.message).
+Bytes encode_frame(const Frame& frame);
+Bytes encode_publish(const PubSubMessage& msg);
+
+/// True when `bytes` claims to be a publish frame (its type byte).
+[[nodiscard]] inline bool is_publish(BytesView bytes) {
+  return !bytes.empty() &&
+         bytes[0] == static_cast<std::uint8_t>(FrameType::kPublish);
+}
+
+/// The one publish decoder. Throws std::out_of_range on truncated input
+/// and std::invalid_argument on anything else malformed, trailing bytes
+/// included (callers treat either as a misbehaving peer).
+PublishView parse_publish(BytesView bytes);
+
+/// Parses any frame (a publish through parse_publish), with the same
+/// errors as parse_publish.
 Frame decode_frame(BytesView bytes);
 
 }  // namespace waku::gossipsub

@@ -81,12 +81,13 @@ const LinkConfig& Network::link_config(NodeId a, NodeId b) const {
   return it != link_overrides_.end() ? it->second : link_;
 }
 
-void Network::send(NodeId from, NodeId to, Bytes payload) {
-  WAKU_EXPECTS(from < nodes_.size() && to < nodes_.size());
+void Network::send(NodeId from, NodeId to, SharedBytes payload) {
+  WAKU_EXPECTS(from < nodes_.size() && to < nodes_.size() &&
+               payload != nullptr);
   if (!connected(from, to)) return;  // stale mesh entry; drop silently
 
   stats_[from].messages_sent += 1;
-  stats_[from].bytes_sent += payload.size();
+  stats_[from].bytes_sent += payload->size();
 
   const LinkConfig& link = link_config(from, to);
   if (link.loss_rate > 0 && rng_.chance(link.loss_rate)) return;
@@ -98,8 +99,8 @@ void Network::send(NodeId from, NodeId to, Bytes payload) {
                               payload = std::move(payload)]() {
     if (nodes_[to] == nullptr) return;  // receiver died while in flight
     stats_[to].messages_received += 1;
-    stats_[to].bytes_received += payload.size();
-    nodes_[to]->on_message(from, payload);
+    stats_[to].bytes_received += payload->size();
+    nodes_[to]->on_frame(from, payload);
   });
 }
 

@@ -5,6 +5,7 @@
 #pragma once
 
 #include <cstdint>
+#include <memory>
 #include <unordered_map>
 #include <vector>
 
@@ -16,11 +17,21 @@ namespace waku::net {
 
 using NodeId = std::uint32_t;
 
+/// An immutable frame buffer, shared by every send of one frame and by
+/// each of its in-flight deliveries (a fan-out is encoded once).
+using SharedBytes = std::shared_ptr<const Bytes>;
+
 /// Interface implemented by protocol endpoints (gossipsub routers, etc).
 class NetNode {
  public:
   virtual ~NetNode() = default;
   virtual void on_message(NodeId from, BytesView payload) = 0;
+  /// Network's delivery entry point. A node that forwards frames unchanged
+  /// (the gossipsub relay) overrides it to keep the buffer; the rest read
+  /// the bytes through on_message.
+  virtual void on_frame(NodeId from, const SharedBytes& frame) {
+    on_message(from, *frame);
+  }
 };
 
 struct LinkConfig {
@@ -65,7 +76,10 @@ class Network {
 
   /// Sends `payload` from `from` to its neighbor `to`; delivery is
   /// scheduled after link latency (or dropped per loss_rate).
-  void send(NodeId from, NodeId to, Bytes payload);
+  void send(NodeId from, NodeId to, SharedBytes payload);
+  void send(NodeId from, NodeId to, Bytes payload) {
+    send(from, to, std::make_shared<const Bytes>(std::move(payload)));
+  }
 
   // -- Per-link overrides (adversarial topology shaping) -------------------
 

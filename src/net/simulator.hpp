@@ -7,7 +7,6 @@
 
 #include <cstdint>
 #include <functional>
-#include <queue>
 #include <unordered_set>
 #include <vector>
 
@@ -41,7 +40,8 @@ class Simulator {
   /// Executes the next event. Returns false if the queue is empty.
   bool step();
 
-  /// Runs events until simulated time would exceed `t`; clock ends at `t`.
+  /// Runs events until simulated time would exceed `t`; the clock ends at
+  /// `t`, or stays where it is when `t` is already past (it never rewinds).
   void run_until(TimeMs t);
 
   /// Runs until no events remain (repeating tasks run forever — prefer
@@ -53,6 +53,7 @@ class Simulator {
  private:
   /// Queues the next repetition of a schedule_every task.
   void push_repeating(TaskId id, TimeMs interval, Callback fn);
+  void push(TimeMs t, TaskId id, Callback fn);
 
   struct Scheduled {
     TimeMs time;
@@ -70,7 +71,9 @@ class Simulator {
   std::uint64_t seq_ = 0;
   TaskId next_id_ = 1;
   std::uint64_t executed_ = 0;
-  std::priority_queue<Scheduled, std::vector<Scheduled>, Later> queue_;
+  /// Binary heap under Later (std::push_heap / std::pop_heap), so step()
+  /// can move the earliest event out instead of copying its callback.
+  std::vector<Scheduled> queue_;
   std::unordered_set<TaskId> cancelled_;
 };
 

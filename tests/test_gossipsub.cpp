@@ -3,6 +3,7 @@
 // Sybil-vulnerability of score-based defences the paper critiques.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
 
 #include "common/rng.hpp"
@@ -329,6 +330,136 @@ TEST(GossipSub, MalformedFramePenalized) {
   EXPECT_LT(swarm.routers[0]->scores().score(1), 0.0);
 }
 
+Frame control_frame(FrameType type, std::string topic) {
+  Frame frame;
+  frame.type = type;
+  frame.topic = std::move(topic);
+  return frame;
+}
+
+Bytes padded_publish() {
+  Bytes frame = encode_publish(PubSubMessage{
+      .topic = kTopic, .data = to_bytes("padded"), .origin = 1, .seqno = 0});
+  frame.push_back(0);
+  return frame;
+}
+
+TEST(GossipSub, PaddedPublishPenalizedAndNeverDelivered) {
+  Swarm swarm(2);
+  swarm.net.connect(0, 1);
+  for (std::size_t i = 0; i < 2; ++i) {
+    swarm.routers[i]->subscribe(kTopic, [&swarm, i](const PubSubMessage&) {
+      ++swarm.delivered[i];
+    });
+  }
+  swarm.net.send(1, 0, padded_publish());
+  swarm.sim.run_all();
+  EXPECT_LT(swarm.routers[0]->scores().score(1), 0.0);
+  EXPECT_EQ(swarm.delivered[0], 0u);
+  EXPECT_EQ(swarm.routers[0]->stats().duplicates, 0u);
+}
+
+/// A bare endpoint: injects frames and keeps every frame buffer it gets.
+class Sniffer : public net::NetNode {
+ public:
+  explicit Sniffer(net::Network& net) : net_(net), id(net.add_node(this)) {}
+  void on_message(NodeId, BytesView) override { ADD_FAILURE(); }
+  void on_frame(NodeId, const net::SharedBytes& frame) override {
+    received.push_back(frame);
+  }
+  void send(NodeId to, const Frame& frame) {
+    net_.send(id, to, encode_frame(frame));
+  }
+  [[nodiscard]] std::size_t publishes() const {
+    return static_cast<std::size_t>(std::count_if(
+        received.begin(), received.end(),
+        [](const net::SharedBytes& f) { return is_publish(*f); }));
+  }
+
+  net::Network& net_;
+  NodeId id;
+  std::vector<net::SharedBytes> received;
+};
+
+TEST(GossipSub, RelayForwardsReceivedBytes) {
+  net::Simulator sim;
+  net::Network net(sim, {.base_latency_ms = 10, .jitter_ms = 0}, 5);
+  GossipSubRouter relay(net);
+  Sniffer injector(net);
+  Sniffer sniffer(net);
+  net.connect(relay.node_id(), injector.id);
+  net.connect(relay.node_id(), sniffer.id);
+  std::uint64_t delivered = 0;
+  relay.subscribe(kTopic, [&](const PubSubMessage&) { ++delivered; });
+  // The sniffer joins the relay's mesh for the topic.
+  sniffer.send(relay.node_id(), control_frame(FrameType::kSubscribe, kTopic));
+  sniffer.send(relay.node_id(), control_frame(FrameType::kGraft, kTopic));
+  sim.run_all();
+  ASSERT_EQ(relay.mesh_peers(kTopic), std::vector<NodeId>{sniffer.id});
+
+  const auto injected = std::make_shared<const Bytes>(
+      encode_publish(PubSubMessage{.topic = kTopic,
+                                   .data = to_bytes("forward me as is"),
+                                   .origin = injector.id,
+                                   .seqno = 3}));
+  net.send(injector.id, relay.node_id(), injected);
+  sim.run_all();
+  EXPECT_EQ(delivered, 1u);
+  ASSERT_EQ(sniffer.publishes(), 1u);
+  const net::SharedBytes& forwarded = sniffer.received.back();
+  EXPECT_EQ(*forwarded, *injected);
+  EXPECT_EQ(forwarded.get(), injected.get()) << "relay copied the frame";
+}
+
+TEST(GossipSub, SeenCacheExpiresOldestFirst) {
+  net::Simulator sim;
+  net::Network net(sim, {.base_latency_ms = 10, .jitter_ms = 0}, 5);
+  GossipSubConfig config;
+  config.seen_ttl_ms = 3'000;
+  GossipSubRouter router(net, config);
+  Sniffer injector(net);
+  net.connect(router.node_id(), injector.id);
+  std::vector<std::string> delivered;
+  router.subscribe(kTopic, [&](const PubSubMessage& m) {
+    delivered.push_back(to_string(m.data));
+  });
+  router.start();  // heartbeats at 1000, 2000, ...
+  const auto inject = [&](const char* data) {
+    net.send(injector.id, router.node_id(),
+             encode_publish(PubSubMessage{.topic = kTopic,
+                                          .data = to_bytes(data),
+                                          .origin = injector.id,
+                                          .seqno = 0}));
+  };
+
+  inject("old");  // seen at 10
+  sim.run_until(1'500);
+  inject("new");  // seen at 1510
+  inject("old");  // within the TTL: a duplicate
+  sim.run_until(2'000);
+  EXPECT_EQ(delivered, (std::vector<std::string>{"old", "new"}));
+  EXPECT_EQ(router.stats().duplicates, 1u);
+
+  // The heartbeat at 4000 expires "old" (age 3990) but not "new" (2490).
+  sim.run_until(4'100);
+  inject("old");
+  inject("new");
+  sim.run_until(4'500);
+  EXPECT_EQ(delivered, (std::vector<std::string>{"old", "new", "old"}));
+  EXPECT_EQ(router.stats().duplicates, 2u);
+
+  // The heartbeat at 5000 expires "new" (age 3490), not "old" (reseen
+  // at 4110).
+  sim.run_until(5'100);
+  inject("old");
+  inject("new");
+  sim.run_until(5'500);
+  EXPECT_EQ(delivered,
+            (std::vector<std::string>{"old", "new", "old", "new"}));
+  EXPECT_EQ(router.stats().duplicates, 3u);
+  router.stop();
+}
+
 TEST(PeerScoreUnit, FreshPeerIsNeutral) {
   PeerScore score;
   EXPECT_EQ(score.score(5), 0.0);
@@ -402,6 +533,39 @@ TEST(WireFormat, IHaveRoundTrips) {
 TEST(WireFormat, RejectsGarbage) {
   EXPECT_THROW(decode_frame(to_bytes("\x63nonsense")), std::invalid_argument);
   EXPECT_THROW(decode_frame(Bytes{}), std::out_of_range);
+}
+
+TEST(WireFormat, RejectsTrailingBytes) {
+  EXPECT_THROW(parse_publish(padded_publish()), std::invalid_argument);
+  EXPECT_THROW(decode_frame(padded_publish()), std::invalid_argument);
+  Frame ihave = control_frame(FrameType::kIHave, "t");
+  ihave.ids = {MessageId{}};
+  Bytes padded = encode_frame(ihave);
+  padded.push_back(0);
+  EXPECT_THROW(decode_frame(padded), std::invalid_argument);
+  Bytes graft = encode_frame(control_frame(FrameType::kGraft, "t"));
+  graft.push_back(0);
+  EXPECT_THROW(decode_frame(graft), std::invalid_argument);
+}
+
+TEST(WireFormat, PublishIdIsSha256OfFrameBody) {
+  Rng rng(0xB0D7);
+  for (int i = 0; i < 32; ++i) {
+    PubSubMessage m;
+    m.topic = to_string(rng.next_bytes(rng.next_below(40)));
+    m.data = rng.next_bytes(rng.next_below(600));
+    m.origin = static_cast<NodeId>(rng.next_u64());
+    m.seqno = rng.next_u64();
+    const Bytes frame = encode_publish(m);
+    const PublishView view = parse_publish(frame);
+    EXPECT_EQ(view.id(), m.id()) << "message " << i;
+    EXPECT_EQ(view.id(), hash::sha256(BytesView(frame).subspan(1)));
+    const PubSubMessage back = view.message();
+    EXPECT_EQ(back.topic, m.topic);
+    EXPECT_EQ(back.data, m.data);
+    EXPECT_EQ(back.origin, m.origin);
+    EXPECT_EQ(back.seqno, m.seqno);
+  }
 }
 
 TEST(WireFormat, MessageIdDependsOnAllFields) {

@@ -100,6 +100,46 @@ TEST(Simulator, NestedSchedulingDuringStep) {
   EXPECT_EQ(sim.now(), 4u);
 }
 
+// Counts its copies; moves are free. An event's callback must reach its
+// execution by moves alone (a copy duplicates the whole capture, a frame
+// buffer for a network delivery).
+struct CopyCounter {
+  explicit CopyCounter(int* copies) : copies(copies) {}
+  CopyCounter(const CopyCounter& other) : copies(other.copies) { ++*copies; }
+  CopyCounter(CopyCounter&&) noexcept = default;
+  CopyCounter& operator=(const CopyCounter&) = delete;
+  CopyCounter& operator=(CopyCounter&&) = delete;
+  int* copies;
+};
+
+TEST(Simulator, StepMovesCallbacks) {
+  Simulator sim;
+  int copies = 0;
+  int ran = 0;
+  // Enough events that the heap reorders them on push and on pop.
+  for (TimeMs t : {50u, 10u, 40u, 20u, 30u, 10u, 60u}) {
+    sim.schedule_at(t, [counter = CopyCounter(&copies), &ran] { ++ran; });
+  }
+  sim.schedule_every(25, [counter = CopyCounter(&copies), &ran] { ++ran; });
+  while (sim.now() < 60 && sim.step()) {
+  }
+  EXPECT_EQ(ran, 7 + 2);
+  EXPECT_EQ(copies, 0);
+}
+
+TEST(Simulator, RunUntilNeverRewindsClock) {
+  Simulator sim;
+  int fired = 0;
+  sim.schedule_at(100, [&] { ++fired; });
+  sim.run_until(100);
+  sim.run_until(40);  // already past: a no-op, not a rewind
+  EXPECT_EQ(sim.now(), 100u);
+  EXPECT_THROW(sim.schedule_at(60, [] {}), ContractViolation);
+  sim.schedule_after(0, [&] { ++fired; });
+  sim.run_until(100);
+  EXPECT_EQ(fired, 2);
+}
+
 // -- Network ---------------------------------------------------------------
 
 class Recorder : public NetNode {
