@@ -9,8 +9,9 @@
 // configuration whose cost §IV quotes as 67 MB at depth 20. Nodes live in a
 // PagedNodeArena (node_arena.hpp): level-major fixed-size pages of
 // contiguous Fr, materialized lazily against the empty-subtree ladder, so a
-// 2^20-leaf tree is ~2k dense pages and appends never pay vector
-// reallocation copies. The O(log N) alternative lives in partial_view.hpp.
+// 2^20-leaf tree is ~33k dense 2 KB pages, a 32-leaf one ~32 KB, and
+// appends never pay vector reallocation copies. The O(log N) alternative
+// lives in partial_view.hpp.
 #pragma once
 
 #include <cstdint>

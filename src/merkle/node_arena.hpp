@@ -7,12 +7,15 @@
 // contiguous Fr slabs, level-major, allocated only when a node inside them
 // is first written. Unmaterialized pages read back as the precomputed
 // empty-subtree ladder (zero_at), so empty regions cost nothing: a full
-// 2^20-leaf tree is ~2k dense 32 KB pages (~67 MB, the figure §IV quotes),
-// while a 1k-leaf tree in the same depth-20 geometry stays under a MB.
+// 2^20-leaf tree is ~33k dense 2 KB pages (~67 MB, the figure §IV quotes),
+// a 1k-leaf tree in the same depth-20 geometry stores ~84 KB, and a
+// 32-member group ~32 KB (one page per level).
 //
 // Pages near the root are clamped to the level's capacity (level d-1 has
-// two nodes; a 32 KB page there would be pure waste), so per-tree overhead
-// from page rounding is bounded by ~one page per level.
+// two nodes; a 2 KB page there would be waste), so per-tree overhead from
+// page rounding is bounded by one page per level. Pages are small because
+// most trees are small: a 32-member group touches one page on each of the
+// 21 levels, so the page size, not the membership, sets its footprint.
 #pragma once
 
 #include <cstdint>
@@ -32,8 +35,8 @@ const Fr& zero_at(std::size_t level);
 
 class PagedNodeArena {
  public:
-  /// Nodes per page at full-width levels (32 KB of Fr per page).
-  static constexpr std::size_t kPageNodes = 1024;
+  /// Nodes per page at full-width levels (2 KB of Fr per page).
+  static constexpr std::size_t kPageNodes = 64;
 
   /// `depth` in [1, 40]; the arena stores levels 0..depth inclusive.
   explicit PagedNodeArena(std::size_t depth);

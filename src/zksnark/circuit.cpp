@@ -20,11 +20,16 @@ Wire CircuitBuilder::allocate(const Fr& value, bool is_public) {
   return Wire{LinearCombination::variable(v), value};
 }
 
-void CircuitBuilder::enforce(LinearCombination a, LinearCombination b,
-                             LinearCombination c, std::string_view note,
+void CircuitBuilder::enforce(const LinearCombination& a,
+                             const LinearCombination& b,
+                             const LinearCombination& c, std::string_view note,
                              std::string_view fallback) {
-  cs_.enforce(std::move(a), std::move(b), std::move(c),
-              std::string(note.empty() ? fallback : note));
+  cs_.enforce(a, b, c, note.empty() ? fallback : note);
+}
+
+ConstraintSystem CircuitBuilder::take_cs() && {
+  WAKU_EXPECTS(!witness_only());
+  return std::move(cs_);
 }
 
 Wire CircuitBuilder::public_input(const Fr& value) {

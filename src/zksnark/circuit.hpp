@@ -80,6 +80,9 @@ class CircuitBuilder {
   }
   [[nodiscard]] std::span<const Fr> assignment() const { return assignment_; }
 
+  /// Moves the built system out (build mode only); the builder is spent.
+  [[nodiscard]] ConstraintSystem take_cs() &&;
+
   /// Sanity: the built witness satisfies cs().
   [[nodiscard]] bool satisfied(std::string* first_violation = nullptr) const {
     return cs().is_satisfied(assignment_, first_violation);
@@ -87,8 +90,9 @@ class CircuitBuilder {
 
  private:
   Wire allocate(const Fr& value, bool is_public);
-  void enforce(LinearCombination a, LinearCombination b, LinearCombination c,
-               std::string_view note, std::string_view fallback);
+  void enforce(const LinearCombination& a, const LinearCombination& b,
+               const LinearCombination& c, std::string_view note,
+               std::string_view fallback);
 
   const ConstraintSystem* shared_ = nullptr;  // set in witness-only mode
   ConstraintSystem cs_;

@@ -17,15 +17,11 @@ std::array<std::uint8_t, 32> digest32(BytesView data) {
 
 // Computes sum_i query[i] * <LC_i, s> over all constraints — the cost-shape
 // stand-in for one multi-scalar multiplication pass.
-Fr rlc_pass(const std::vector<Constraint>& constraints,
-            const std::vector<Fr>& query, std::span<const Fr> assignment,
-            int which) {
+Fr rlc_pass(const ConstraintSystem& cs, const std::vector<Fr>& query,
+            std::span<const Fr> assignment, Side which) {
   Fr acc = Fr::zero();
-  for (std::size_t i = 0; i < constraints.size(); ++i) {
-    const LinearCombination& lc = which == 0   ? constraints[i].a
-                                  : which == 1 ? constraints[i].b
-                                               : constraints[i].c;
-    acc += query[i] * lc.evaluate(assignment);
+  for (std::size_t i = 0; i < cs.num_constraints(); ++i) {
+    acc += query[i] * cs.evaluate(i, which, assignment);
   }
   return acc;
 }
@@ -174,9 +170,9 @@ Proof prove(const ProvingKey& pk, const ConstraintSystem& cs,
   }
 
   // MSM-shaped work: three passes over every constraint term.
-  const Fr ra = rlc_pass(cs.constraints(), pk.a_query, assignment, 0);
-  const Fr rb = rlc_pass(cs.constraints(), pk.b_query, assignment, 1);
-  const Fr rc = rlc_pass(cs.constraints(), pk.c_query, assignment, 2);
+  const Fr ra = rlc_pass(cs, pk.a_query, assignment, Side::kA);
+  const Fr rb = rlc_pass(cs, pk.b_query, assignment, Side::kB);
+  const Fr rc = rlc_pass(cs, pk.c_query, assignment, Side::kC);
 
   const Fr rho = Fr::random(rng);  // proof randomization (zero-knowledge)
 

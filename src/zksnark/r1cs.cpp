@@ -74,11 +74,24 @@ VarIndex ConstraintSystem::allocate_private() {
   return static_cast<VarIndex>(num_vars_++);
 }
 
-void ConstraintSystem::enforce(LinearCombination a, LinearCombination b,
-                               LinearCombination c, std::string annotation) {
+void ConstraintSystem::enforce(const LinearCombination& a,
+                               const LinearCombination& b,
+                               const LinearCombination& c,
+                               std::string_view annotation) {
   WAKU_EXPECTS(!sealed_);
-  constraints_.push_back(Constraint{std::move(a), std::move(b), std::move(c),
-                                    std::move(annotation)});
+  for (const LinearCombination* lc : {&a, &b, &c}) {
+    for (const auto& [v, coeff] : lc->terms()) {
+      const auto id = coeff_ids_.try_emplace(
+          coeff, static_cast<std::uint32_t>(coeffs_.size()));
+      if (id.second) coeffs_.push_back(coeff);
+      terms_.push_back(Term{v, id.first->second});
+    }
+    lc_end_.push_back(static_cast<std::uint32_t>(terms_.size()));
+  }
+  const auto note = note_ids_.try_emplace(
+      std::string(annotation), static_cast<std::uint32_t>(notes_.size()));
+  if (note.second) notes_.emplace_back(annotation);
+  note_of_.push_back(note.first->second);
 }
 
 bool ConstraintSystem::is_satisfied(std::span<const Fr> assignment,
@@ -88,14 +101,14 @@ bool ConstraintSystem::is_satisfied(std::span<const Fr> assignment,
     if (first_violation) *first_violation = "malformed assignment";
     return false;
   }
-  for (const Constraint& cst : constraints_) {
-    const Fr a = cst.a.evaluate(assignment);
-    const Fr b = cst.b.evaluate(assignment);
-    const Fr c = cst.c.evaluate(assignment);
+  for (std::size_t i = 0; i < num_constraints(); ++i) {
+    const Fr a = evaluate(i, Side::kA, assignment);
+    const Fr b = evaluate(i, Side::kB, assignment);
+    const Fr c = evaluate(i, Side::kC, assignment);
     if (a * b != c) {
       if (first_violation) {
-        *first_violation =
-            cst.annotation.empty() ? "<unannotated>" : cst.annotation;
+        const std::string& note = notes_[note_of_[i]];
+        *first_violation = note.empty() ? "<unannotated>" : note;
       }
       return false;
     }
@@ -110,24 +123,25 @@ Fr ConstraintSystem::digest() const {
 void ConstraintSystem::seal() {
   digest_ = compute_digest();
   sealed_ = true;
+  coeff_ids_ = {};
+  note_ids_ = {};
+  lc_end_.shrink_to_fit();
+  terms_.shrink_to_fit();
+  note_of_.shrink_to_fit();
 }
 
 Fr ConstraintSystem::compute_digest() const {
   ByteWriter w;
   w.write_u64(num_vars_);
   w.write_u64(num_public_);
-  w.write_u64(constraints_.size());
-  auto write_lc = [&w](const LinearCombination& lc) {
-    w.write_u32(static_cast<std::uint32_t>(lc.terms().size()));
-    for (const auto& [v, c] : lc.terms()) {
-      w.write_u32(v);
-      w.write_raw(c.to_bytes_be());
+  w.write_u64(num_constraints());
+  for (std::size_t lc = 0; lc < lc_end_.size(); ++lc) {
+    const std::span<const Term> terms = lc_terms(lc);
+    w.write_u32(static_cast<std::uint32_t>(terms.size()));
+    for (const Term& t : terms) {
+      w.write_u32(t.var);
+      w.write_raw(coeffs_[t.coeff].to_bytes_be());
     }
-  };
-  for (const Constraint& cst : constraints_) {
-    write_lc(cst.a);
-    write_lc(cst.b);
-    write_lc(cst.c);
   }
   return Fr::from_bytes_reduce(hash::sha256_bytes(w.data()));
 }

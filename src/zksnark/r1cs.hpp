@@ -7,9 +7,13 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <string>
+#include <string_view>
+#include <unordered_map>
 #include <vector>
 
+#include "common/expect.hpp"
 #include "ff/fr.hpp"
 
 namespace waku::zksnark {
@@ -48,17 +52,16 @@ class LinearCombination {
   std::vector<std::pair<VarIndex, Fr>> terms_;
 };
 
-/// One R1CS constraint with an annotation for debuggability.
-struct Constraint {
-  LinearCombination a;
-  LinearCombination b;
-  LinearCombination c;
-  std::string annotation;
-};
+/// The three sides of a constraint a * b = c.
+enum class Side : std::uint8_t { kA = 0, kB = 1, kC = 2 };
 
-/// The constraint system plus variable bookkeeping. A finished system can
-/// be sealed: its digest is computed once and it accepts no more variables
-/// or constraints, so it can be shared read-only across threads.
+/// The constraint system plus variable bookkeeping. Constraints live in one
+/// flat store: an end offset per linear combination (three per constraint,
+/// a then b then c), 8-byte terms that index an interned coefficient table,
+/// and an interned annotation per constraint. A finished system can be
+/// sealed: its digest is computed once, the interning indexes are dropped,
+/// and it accepts no more variables or constraints, so it can be shared
+/// read-only across threads.
 class ConstraintSystem {
  public:
   /// Allocates a public-input variable. All public inputs must be
@@ -68,18 +71,26 @@ class ConstraintSystem {
   /// Allocates a private witness variable.
   VarIndex allocate_private();
 
-  /// Adds constraint a * b = c.
-  void enforce(LinearCombination a, LinearCombination b, LinearCombination c,
-               std::string annotation = {});
+  /// Adds constraint a * b = c, copying the terms into the flat store.
+  void enforce(const LinearCombination& a, const LinearCombination& b,
+               const LinearCombination& c, std::string_view annotation = {});
 
   [[nodiscard]] std::size_t num_constraints() const {
-    return constraints_.size();
+    return note_of_.size();
   }
   /// Total variables including the constant-one wire.
   [[nodiscard]] std::size_t num_variables() const { return num_vars_; }
   [[nodiscard]] std::size_t num_public() const { return num_public_; }
-  [[nodiscard]] const std::vector<Constraint>& constraints() const {
-    return constraints_;
+
+  /// <side, s> of constraint i: one multiply per term.
+  [[nodiscard]] Fr evaluate(std::size_t i, Side which,
+                            std::span<const Fr> assignment) const {
+    Fr acc = Fr::zero();
+    for (const Term& t : lc_terms(3 * i + static_cast<std::size_t>(which))) {
+      WAKU_ASSERT(t.var < assignment.size());
+      acc += coeffs_[t.coeff] * assignment[t.var];
+    }
+    return acc;
   }
 
   /// Checks every constraint against a full assignment (s[0] must be 1).
@@ -97,6 +108,15 @@ class ConstraintSystem {
   [[nodiscard]] bool sealed() const { return sealed_; }
 
  private:
+  struct Term {
+    VarIndex var;
+    std::uint32_t coeff;  // index into coeffs_
+  };
+
+  [[nodiscard]] std::span<const Term> lc_terms(std::size_t lc) const {
+    const std::uint32_t begin = lc == 0 ? 0 : lc_end_[lc - 1];
+    return std::span<const Term>(terms_).subspan(begin, lc_end_[lc] - begin);
+  }
   [[nodiscard]] Fr compute_digest() const;
 
   std::size_t num_vars_ = 1;  // the constant-one wire
@@ -104,7 +124,14 @@ class ConstraintSystem {
   bool private_allocated_ = false;
   bool sealed_ = false;
   Fr digest_;  // valid once sealed_
-  std::vector<Constraint> constraints_;
+  std::vector<std::uint32_t> lc_end_;  // 3 per constraint, into terms_
+  std::vector<Term> terms_;
+  std::vector<Fr> coeffs_;             // distinct coefficients
+  std::vector<std::uint32_t> note_of_;  // per constraint, into notes_
+  std::vector<std::string> notes_;      // distinct annotations
+  // Interning indexes; needed only while enforce() can still be called.
+  std::unordered_map<Fr, std::uint32_t, ff::FrHash> coeff_ids_;
+  std::unordered_map<std::string, std::uint32_t> note_ids_;
 };
 
 }  // namespace waku::zksnark

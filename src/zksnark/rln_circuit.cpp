@@ -85,7 +85,7 @@ const DepthArtifacts& depth_artifacts(std::size_t depth) {
     RlnCircuit circuit;
     wire_rln_circuit(circuit, dummy);
     WAKU_ENSURES(circuit.builder.satisfied());
-    DepthArtifacts built{circuit.builder.cs(), {}};
+    DepthArtifacts built{std::move(circuit.builder).take_cs(), {}};
     // Sealed here, under the lock, so concurrent provers only read it.
     built.cs.seal();
     // Deterministic ceremony randomness per depth: reproducible benches,

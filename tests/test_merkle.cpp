@@ -148,6 +148,15 @@ TEST(MerkleTree, StorageGrowsLinearly) {
   EXPECT_LT(s1000, 1000u * 2 * 32 + page_slack);
 }
 
+TEST(MerkleTree, SmallGroupTreeStaysSmall) {
+  // A relay in a 32-member group holds the paper's depth-20 tree, which
+  // touches one page per level: pages must be small for the tree to be.
+  IncrementalMerkleTree tree(20);
+  for (std::uint64_t i = 0; i < 32; ++i) tree.insert(leaf_of(i));
+  EXPECT_LT(tree.storage_bytes(), 64u * 1024);
+  EXPECT_GE(tree.storage_bytes(), 32u * 2 * 32);
+}
+
 // --- Paged arena backend ---
 
 // Reference implementation: the pre-arena dense-vector tree, kept here so
@@ -204,13 +213,14 @@ TEST(MerkleTree, PagedArenaMatchesDenseReferenceAtDepth20) {
 }
 
 TEST(MerkleTree, PageBoundaryInsertionsKeepPathsValid) {
-  // Straddle the first page seam at every level-0-relevant offset: the
-  // nodes just before, at, and after index kPageNodes live in different
-  // slabs and their parents straddle the level-1 seam much later.
+  // Straddle the first page seam at level 0 (leaves kPageNodes - 1 and
+  // kPageNodes live in different slabs) and at level 1 (their parents
+  // cross it at leaf 2 * kPageNodes).
   constexpr std::uint64_t kSeam = PagedNodeArena::kPageNodes;
-  IncrementalMerkleTree tree(12);  // capacity 4096 > 2 pages of leaves
-  for (std::uint64_t i = 0; i < kSeam + 5; ++i) tree.insert(leaf_of(i));
-  for (std::uint64_t i : {kSeam - 2, kSeam - 1, kSeam, kSeam + 1}) {
+  IncrementalMerkleTree tree(12);  // capacity 4096 > 2 pages of parents
+  for (std::uint64_t i = 0; i < 2 * kSeam + 5; ++i) tree.insert(leaf_of(i));
+  for (std::uint64_t i : {kSeam - 2, kSeam - 1, kSeam, kSeam + 1,
+                          2 * kSeam - 1, 2 * kSeam, 2 * kSeam + 1}) {
     EXPECT_TRUE(verify_path(tree.root(), leaf_of(i), tree.auth_path(i)))
         << "leaf " << i;
   }

@@ -4,6 +4,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
+#include <latch>
+#include <thread>
 
 #include "common/expect.hpp"
 #include "common/rng.hpp"
@@ -111,6 +114,64 @@ TEST(ConstraintSystem, SealingFreezesStructureAndKeepsDigest) {
   EXPECT_THROW(cs.allocate_private(), ContractViolation);
   EXPECT_THROW(cs.enforce({}, {}, {}), ContractViolation);
   EXPECT_TRUE(rln_constraint_system(4).sealed());
+}
+
+// x * y = p ("prod"), p * p = q ("square"), q * 1 = r (no note) and
+// x * x = sq ("prod" again), honestly assigned x=2, y=3: the flat store
+// interns the repeated note and must still map each constraint to its own.
+struct NotedSystem {
+  ConstraintSystem cs;
+  std::vector<Fr> honest;
+
+  NotedSystem() {
+    const VarIndex x = cs.allocate_public();
+    const VarIndex y = cs.allocate_private();
+    const VarIndex p = cs.allocate_private();
+    const VarIndex q = cs.allocate_private();
+    const VarIndex r = cs.allocate_private();
+    const VarIndex sq = cs.allocate_private();
+    const auto var = [](VarIndex v) { return LinearCombination::variable(v); };
+    const auto one = LinearCombination::constant(Fr::one());
+    cs.enforce(var(x), var(y), var(p), "prod");
+    cs.enforce(var(p), var(p), var(q), "square");
+    cs.enforce(var(q), one, var(r));
+    cs.enforce(var(x), var(x), var(sq), "prod");
+    for (std::uint64_t v : {1, 2, 3, 6, 36, 36, 4}) {
+      honest.push_back(Fr::from_u64(v));
+    }
+  }
+
+  // The first violation reported when variable `v` is bumped by one.
+  [[nodiscard]] std::string violation_after_bumping(VarIndex v) const {
+    std::vector<Fr> bad = honest;
+    bad[v] += Fr::one();
+    std::string where;
+    EXPECT_FALSE(cs.is_satisfied(bad, &where));
+    return where;
+  }
+};
+
+TEST(ConstraintSystem, ViolationReportsItsOwnAnnotation) {
+  const NotedSystem n;
+  EXPECT_EQ(n.cs.num_constraints(), 4u);
+  EXPECT_TRUE(n.cs.is_satisfied(n.honest));
+  EXPECT_EQ(n.violation_after_bumping(3), "prod");    // p breaks constraint 0
+  EXPECT_EQ(n.violation_after_bumping(4), "square");  // q: constraint 1 first
+  EXPECT_EQ(n.violation_after_bumping(6), "prod");    // sq: constraint 3 only
+}
+
+TEST(ConstraintSystem, UnannotatedViolationSaysSo) {
+  const NotedSystem n;
+  EXPECT_EQ(n.violation_after_bumping(5), "<unannotated>");  // r: constraint 2
+}
+
+TEST(ConstraintSystem, DigestOfNotedSystemSurvivesSealing) {
+  NotedSystem n;
+  const Fr before = n.cs.digest();
+  n.cs.seal();
+  EXPECT_EQ(n.cs.digest(), before);
+  EXPECT_EQ(n.violation_after_bumping(4), "square");
+  EXPECT_EQ(n.violation_after_bumping(5), "<unannotated>");
 }
 
 TEST(CircuitBuilder, MulAddsOneConstraint) {
@@ -366,6 +427,46 @@ TEST(RlnCircuit, ProverBytesArePinned) {
             "4adda5115a786176c9ba551025339b2819a617d56e8767f84dde5419b987f2da");
   EXPECT_EQ(prover_bytes_sha256(20),
             "d5ce8f1a2fe1cc44c6cc5a01a0ffa4a99bc77244763e28cebbd23fac87b1e24f");
+}
+
+TEST(RlnCircuit, ConcurrentProversShareTheSealedSystem) {
+  // No other test touches depth 7, so the four threads race to build and
+  // seal its system, then prove and satisfy-check against the one store.
+  constexpr std::size_t kDepth = 7;
+  constexpr int kThreads = 4;
+  IncrementalMerkleTree tree(kDepth);
+  const Fr sk = Fr::from_u64(0xc0ffee);
+  tree.insert(Fr::from_u64(1));
+  const MerklePath path = tree.auth_path(tree.insert(hash::poseidon1(sk)));
+  std::latch start(kThreads);
+  std::array<const ConstraintSystem*, kThreads> system{};
+  std::array<bool, kThreads> ok{};
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      start.arrive_and_wait();
+      try {
+        const Keypair& kp = rln_keypair(kDepth);
+        system[t] = &rln_constraint_system(kDepth);
+        const RlnCircuit c = build_rln_circuit(
+            RlnProverInput{sk, path, Fr::from_u64(10 + t), Fr::from_u64(77)});
+        Rng rng(100 + t);
+        const Proof proof =
+            prove(kp.pk, c.builder.cs(), c.builder.assignment(), rng);
+        ok[t] = &c.builder.cs() == system[t] && c.builder.satisfied() &&
+                verify(kp.vk, c.publics.to_vector(), proof);
+      } catch (const std::exception&) {
+        ok[t] = false;
+      }
+    });
+  }
+  for (std::thread& th : threads) th.join();
+  for (int t = 0; t < kThreads; ++t) {
+    EXPECT_EQ(system[t], system[0]) << "thread " << t;
+    EXPECT_TRUE(ok[t]) << "thread " << t;
+  }
+  ASSERT_NE(system[0], nullptr);
+  EXPECT_TRUE(system[0]->sealed());
 }
 
 TEST(RlnCircuit, TwoSharesFromCircuitRecoverSk) {
