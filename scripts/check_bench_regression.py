@@ -32,6 +32,14 @@ hard-capped at 3% (HARD_CAPS below). Raw msgs/sec are compared when
 WAKU_BENCH_STRICT_ABSOLUTE=1 (same-machine perf tracking; meaningless
 across machine classes, so off in CI).
 
+The honest-member gate
+----------------------
+Every campaign in the fresh BENCH_adversarial.json must keep the paper's
+promise to honest members, whatever the baseline says: zero
+honest_slashes and an honest_delivery_ratio of at least 0.99
+(HONEST_DELIVERY_FLOOR). Those verdicts are deterministic, so the gate
+holds on any machine.
+
 Override knobs
 --------------
   WAKU_BENCH_GUARD=off        skip the guard entirely (exit 0) — for
@@ -238,6 +246,51 @@ def parallel_validation_metrics(doc):
     return metrics
 
 
+# The honest-member gate on adversarial campaign verdicts (fresh run
+# only): who gets penalized must never include an honest member.
+HONEST_DELIVERY_FLOOR = 0.99
+
+
+def adversarial_verdict_failures(doc):
+    """BENCH_adversarial.json: {campaigns: [{report: {verdict: {scenario,
+    honest_slashes, honest_delivery_ratio, ...}}}]}. Returns the number of
+    verdicts checked and the failures."""
+    campaigns = doc.get("campaigns") if isinstance(doc, dict) else None
+    if not campaigns:
+        return 0, ["BENCH_adversarial.json: no campaigns in the fresh run"]
+    checked = 0
+    failures = []
+    for campaign in campaigns:
+        verdict = campaign.get("report", {}).get("verdict", {})
+        name = verdict.get("scenario", "?")
+        slashes = verdict.get("honest_slashes")
+        delivery = verdict.get("honest_delivery_ratio")
+        checked += 2
+        ok = slashes == 0 and (
+            delivery is not None and delivery >= HONEST_DELIVERY_FLOOR
+        )
+        print(
+            "  %-44s honest_slashes %s  honest_delivery %s (%s)"
+            % ("adversarial." + name, slashes, delivery,
+               "ok" if ok else "BROKEN")
+        )
+        if slashes != 0:
+            failures.append(
+                "adversarial.%s: honest_slashes %s, must be 0" % (name, slashes)
+            )
+        if delivery is None or delivery < HONEST_DELIVERY_FLOOR:
+            failures.append(
+                "adversarial.%s: honest_delivery_ratio %s below %.2f"
+                % (name, delivery, HONEST_DELIVERY_FLOOR)
+            )
+    return checked, failures
+
+
+# Gates over a fresh document alone (no baseline comparison).
+FRESH_GATES = {
+    "BENCH_adversarial.json": adversarial_verdict_failures,
+}
+
 # metric-name prefix -> direction; "down" means a larger value is a
 # regression (dips), everything else regresses when it drops.
 LOWER_IS_BETTER = ("reshard.throughput_dip",)
@@ -362,6 +415,17 @@ def main():
                     "%s: %.3f -> %.3f (allowed %.0f%%)"
                     % (metric, base_value, fresh_value, 100 * args.tolerance)
                 )
+
+    for name, gate in sorted(FRESH_GATES.items()):
+        if args.only and name not in args.only:
+            continue
+        fresh_doc = load(os.path.join(args.fresh_dir, name))
+        if fresh_doc is None:
+            failures.append("%s: fresh run produced no JSON" % name)
+            continue
+        checked, gate_failures = gate(fresh_doc)
+        compared += checked
+        failures.extend(gate_failures)
 
     if compared == 0:
         failures.append("no metrics compared — wrong directories?")

@@ -47,6 +47,11 @@ std::size_t PeerScore::graylist_count() const {
   return n;
 }
 
+double PeerScore::invalid_messages(NodeId peer) const {
+  const auto it = peers_.find(peer);
+  return it == peers_.end() ? 0.0 : it->second.invalid_messages;
+}
+
 double PeerScore::score(NodeId peer) const {
   const auto it = peers_.find(peer);
   if (it == peers_.end()) return 0.0;

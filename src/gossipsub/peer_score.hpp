@@ -53,6 +53,11 @@ class PeerScore {
 
   [[nodiscard]] double score(NodeId peer) const;
 
+  /// The P4 counter: invalid messages from `peer`, decayed each
+  /// heartbeat and snapped to 0 below the noise floor. Non-zero means
+  /// the router quarantines the peer's publishes out of batch windows.
+  [[nodiscard]] double invalid_messages(NodeId peer) const;
+
   [[nodiscard]] bool below_gossip(NodeId peer) const {
     return score(peer) < config_.gossip_threshold;
   }

@@ -252,7 +252,12 @@ void GossipSubRouter::handle_publish(NodeId from, const PublishView& view,
     return;
   }
   const TimeMs now = network_.local_time(id_);
-  if (config_.validation_batch_max <= 1) {
+  // Quarantine: a sender with a live P4 (invalid-message) count is
+  // validated at once, as a window of one, so its next bad proof cannot
+  // send an honest window to per-proof verification. The count decays on
+  // the heartbeat, so the quarantine ends by itself.
+  if (config_.validation_batch_max <= 1 ||
+      scores_.invalid_messages(from) > 0) {
     if (vit->second.single != nullptr) {
       // Direct call — no result vector on the unbatched hot path.
       dispatch_validated(from, msg, id, frame, vit->second.single(from, msg));

@@ -57,7 +57,12 @@ class GossipSubRouter : public net::NetNode {
   /// validation entry point. With validation_batch_max > 1, received
   /// publishes are buffered and validated in windows (flushed when the
   /// window fills and on every heartbeat); otherwise each message is
-  /// validated inline as a window of one.
+  /// validated inline as a window of one. A publish from a quarantined
+  /// peer (non-zero P4 invalid-message counter, see PeerScore) is always
+  /// validated inline, so its bad proofs never share a window with honest
+  /// ones; the counter decays on the heartbeat and the peer's publishes
+  /// then join windows again. A kReject verdict scores the sender (P4),
+  /// kIgnore drops the message without a penalty.
   void set_batch_validator(const std::string& topic, BatchValidator validator);
 
   /// Validates and dispatches any buffered publishes for all topics now.

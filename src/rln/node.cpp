@@ -55,6 +55,12 @@ constexpr PipelineField kPipelineFields[] = {
     {&ValidatorStats::batch_fallbacks, "batch_fallbacks", nullptr,
      "waku_pipeline_batch_fallbacks_total", false,
      "Windows that isolated per proof"},
+    {&ValidatorStats::miller_loops, "miller_loops", nullptr,
+     "waku_pipeline_miller_loops_total", false,
+     "Miller loops the Groth16 stage priced"},
+    {&ValidatorStats::final_exps, "final_exps", nullptr,
+     "waku_pipeline_final_exps_total", false,
+     "Final exponentiations the Groth16 stage priced"},
     {&ValidatorStats::precheck_duplicates, "precheck_duplicates", nullptr,
      "waku_pipeline_precheck_duplicates_total", false,
      "Gossip echoes dropped before the verifier"},
@@ -406,7 +412,8 @@ void WakuRlnRelayNode::wire_shard(shard::ShardedValidator& validator,
         }
         std::vector<ValidationResult> results;
         results.reserve(outcomes.size());
-        for (const ValidationOutcome& outcome : outcomes) {
+        for (std::size_t i = 0; i < outcomes.size(); ++i) {
+          const ValidationOutcome& outcome = outcomes[i];
           switch (outcome.verdict) {
             case Verdict::kAccept:
               results.push_back(ValidationResult::kAccept);
@@ -424,12 +431,16 @@ void WakuRlnRelayNode::wire_shard(shard::ShardedValidator& validator,
               results.push_back(ValidationResult::kReject);
               continue;
             case Verdict::kRejectStaleRoot:
-              // With windowed validation a proof can go stale while it
-              // sits buffered (membership churn between arrival and
-              // flush) — not the sender's fault, so drop it without a
-              // score penalty. Unbatched validation keeps the strict
-              // reject: there the root was stale on arrival.
-              results.push_back(config_.gossip.validation_batch_max > 1
+              // A root already stale on arrival is the sender's fault:
+              // reject, which scores it (P4) like any invalid proof. If
+              // the root window moved after the message arrived (a
+              // root-changing block landed while it sat in its batch
+              // window), the proof may have gone stale while buffered,
+              // so it is dropped without a penalty. Unbatched validation
+              // runs at arrival, so there it is always the reject; a
+              // block in the same millisecond as the arrival counts as
+              // before it.
+              results.push_back(root_moved_at_ > received_at[i]
                                     ? ValidationResult::kIgnore
                                     : ValidationResult::kReject);
               continue;
@@ -958,6 +969,7 @@ void WakuRlnRelayNode::handle_chain_block(
     chain::Blockchain::BlockEvents events) {
   // The cursor advances as each event lands, so a snapshot a slashing
   // record triggers mid-block resumes from exactly the next event.
+  const std::uint64_t root_version = group_.root_version();
   group_.apply(events, [this](const chain::Event& event) {
     ++event_cursor_;
     if (const std::optional<std::uint64_t> slashed =
@@ -967,6 +979,9 @@ void WakuRlnRelayNode::handle_chain_block(
     }
   });
   group_.commit_block();
+  if (group_.root_version() != root_version) {
+    root_moved_at_ = network_.local_time(node_id());
+  }
 
   // Record the root transition (if any) for delta-checkpoint serving: one
   // entry per block at most.

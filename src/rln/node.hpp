@@ -613,6 +613,10 @@ class WakuRlnRelayNode {
   std::uint64_t root_history_floor_ = 0;
   Fr root_at_floor_;
   std::deque<RootTransition> root_history_;
+  /// Local time at which a block last moved the root window. A
+  /// stale-root verdict on a message that arrived before it is ignored,
+  /// not rejected: the root may have been current on arrival.
+  net::TimeMs root_moved_at_ = 0;
   std::uint64_t chain_subscription_ = 0;
   net::Simulator::TaskId upkeep_task_ = 0;
   bool started_ = false;

@@ -232,6 +232,8 @@ std::vector<ValidationOutcome> ValidationPipeline::validate_batch(
     StageTimer t(obs_clock_, m ? m->groth16_batch : nullptr);
     const zksnark::BatchVerifyOutcome batch =
         zksnark::verify_batch(vk_, entries, rng_);
+    stats_.miller_loops += batch.miller_loops;
+    stats_.final_exps += batch.final_exps;
     if (batch.aggregated) {
       ++stats_.batch_aggregated;
     } else {

@@ -73,6 +73,11 @@ struct ValidatorStats {
   std::uint64_t batch_aggregated = 0;    ///< windows settled by one RLC check
   std::uint64_t batch_fallbacks = 0;     ///< windows that isolated per proof
   std::uint64_t precheck_duplicates = 0; ///< echoes dropped before the SNARK
+  // Pairing work the Groth16 stage priced (zksnark::BatchVerifyOutcome):
+  // deterministic cost units, unlike the stage's wall time. Not part of
+  // serialize_state(), so they count from the last start or restore.
+  std::uint64_t miller_loops = 0;
+  std::uint64_t final_exps = 0;
   // Mirror of NullifierLog::stats() at the time stats() was called.
   std::uint64_t log_entries = 0;
   std::uint64_t log_buckets = 0;
@@ -99,6 +104,8 @@ struct ValidatorStats {
     batch_aggregated += o.batch_aggregated;
     batch_fallbacks += o.batch_fallbacks;
     precheck_duplicates += o.precheck_duplicates;
+    miller_loops += o.miller_loops;
+    final_exps += o.final_exps;
     log_entries += o.log_entries;
     log_buckets += o.log_buckets;
     log_conflicts += o.log_conflicts;

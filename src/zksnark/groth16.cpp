@@ -220,6 +220,20 @@ bool verify(const VerifyingKey& vk, std::span<const Fr> public_inputs,
                   BytesView(proof.binding.data(), proof.binding.size()));
 }
 
+namespace {
+
+/// verify(), adding the pairing work it prices to `out`.
+bool verify_counted(const VerifyingKey& vk, const BatchEntry& entry,
+                    BatchVerifyOutcome& out) {
+  if (entry.public_inputs.size() == vk.num_public) {
+    out.miller_loops += 3;
+    out.final_exps += 1;
+  }
+  return verify(vk, entry.public_inputs, entry.proof);
+}
+
+}  // namespace
+
 BatchVerifyOutcome verify_batch(const VerifyingKey& vk,
                                 std::span<const BatchEntry> entries, Rng& rng) {
   BatchVerifyOutcome out;
@@ -229,7 +243,7 @@ BatchVerifyOutcome verify_batch(const VerifyingKey& vk,
     return out;
   }
   if (entries.size() == 1) {
-    out.ok[0] = verify(vk, entries[0].public_inputs, entries[0].proof);
+    out.ok[0] = verify_counted(vk, entries[0], out);
     // A batch of one is its own aggregate: success settles in one check,
     // failure is (trivially) isolated — keeps the caller's invariant that
     // every verified window counts as exactly one of aggregated/fallback.
@@ -265,6 +279,7 @@ BatchVerifyOutcome verify_batch(const VerifyingKey& vk,
     fold(agg_expected, expected, w_lo, w_hi);
     fold(agg_actual, entry.proof.binding, w_lo, w_hi);
     pairing_work(acc, kMillerLoopIters);
+    ++out.miller_loops;
   }
 
   // Shared legs: the RLC collapses every C·delta and IC·gamma pairing into
@@ -272,6 +287,8 @@ BatchVerifyOutcome verify_batch(const VerifyingKey& vk,
   // exponentiation.
   pairing_work(agg_expected + agg_actual,
                2 * kMillerLoopIters + kFinalExpIters);
+  out.miller_loops += 2;
+  out.final_exps += 1;
 
   if (!any_shape_error && agg_expected == agg_actual) {
     out.ok.assign(entries.size(), true);
@@ -282,7 +299,7 @@ BatchVerifyOutcome verify_batch(const VerifyingKey& vk,
   // Aggregate mismatch: some proof is bad. Fall back to per-proof
   // verification to isolate it — correctness over throughput here.
   for (std::size_t i = 0; i < entries.size(); ++i) {
-    out.ok[i] = verify(vk, entries[i].public_inputs, entries[i].proof);
+    out.ok[i] = verify_counted(vk, entries[i], out);
   }
   return out;
 }

@@ -113,6 +113,12 @@ struct BatchVerifyOutcome {
   /// True when the whole batch was settled by the single aggregated check;
   /// false when a mismatch forced the per-proof fallback pass.
   bool aggregated = false;
+  /// Pairing work the call priced: k + 2 Miller loops and one final
+  /// exponentiation for the aggregate of k entries, plus 3 and 1 for each
+  /// entry the fallback re-verifies; 3 and 1 for a batch of one. An entry
+  /// with the wrong number of public inputs prices nothing.
+  std::uint64_t miller_loops = 0;
+  std::uint64_t final_exps = 0;
 };
 
 /// Batched verification via random-linear-combination aggregation: each

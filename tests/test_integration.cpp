@@ -6,6 +6,7 @@
 
 #include "common/serde.hpp"
 #include "rln/harness.hpp"
+#include "rln/rate_limit_proof.hpp"
 
 namespace waku::rln {
 namespace {
@@ -342,6 +343,164 @@ TEST(Integration, HonestMessageSurvivesABurstBlockOfRegistrations) {
   h.run_ms(10'000);
   EXPECT_EQ(h.total_validation_stats().stale_root, stale_before);
   EXPECT_EQ(h.total_delivered(), h.size());
+}
+
+// -- stale-root verdicts under windowed validation ----------------------------
+
+/// Windowed validation on fixed-latency links: every router starts at time
+/// 0, so window flushes (heartbeats) land on whole seconds.
+HarnessConfig windowed_config(std::size_t nodes) {
+  HarnessConfig cfg = small_config(nodes);
+  cfg.node.gossip.validation_batch_max = 4;
+  cfg.link = {.base_latency_ms = 40, .jitter_ms = 0};
+  return cfg;
+}
+
+struct RouterTotals {
+  std::uint64_t rejected = 0;
+  std::uint64_t ignored = 0;
+};
+
+RouterTotals router_totals(RlnHarness& h) {
+  RouterTotals t;
+  for (std::size_t i = 0; i < h.size(); ++i) {
+    t.rejected += h.node(i).relay().stats().rejected;
+    t.ignored += h.node(i).relay().stats().ignored;
+  }
+  return t;
+}
+
+/// Mines one block holding a registration of a member with no node
+/// behind it: one root-window move on every node.
+void mine_registration_block(RlnHarness& h, std::uint64_t salt) {
+  const chain::Address whale = chain::Address::from_u64(0xB0057 + salt);
+  h.chain().create_account(whale, 100 * chain::kGweiPerEth);
+  chain::Transaction tx;
+  tx.from = whale;
+  tx.to = h.contract();
+  tx.method = "register";
+  tx.calldata = Identity::from_secret(Fr::from_u64(0xD00 + salt)).pk_bytes();
+  tx.value = h.config().deposit_gwei;
+  h.chain().submit(std::move(tx));
+  h.chain().mine_block(h.sim().now());
+}
+
+TEST(Integration, RootStaleOnArrivalIsRejectedUnderWindowedValidation) {
+  RlnHarness h(windowed_config(6));
+  h.register_all();
+  h.run_ms(5'000);
+
+  const net::NodeId sender = h.node(0).node_id();
+  const std::size_t neighbors = h.network().neighbors(sender).size();
+  const RouterTotals before = router_totals(h);
+  h.node(0).publish_with_stale_root(to_bytes("stale on arrival"));
+  h.run_ms(1'500);  // arrival, then the next heartbeat flushes the window
+
+  const RouterTotals after = router_totals(h);
+  EXPECT_EQ(after.rejected - before.rejected, neighbors);
+  EXPECT_EQ(after.ignored, before.ignored);
+  for (std::size_t i = 1; i < h.size(); ++i) {
+    if (!h.network().connected(h.node(i).node_id(), sender)) continue;
+    EXPECT_GT(h.node(i).relay().router().scores().invalid_messages(sender),
+              0.0)
+        << "node " << i;
+  }
+}
+
+TEST(Integration, StaleRootFlooderIsGraylistedUnderWindowedValidation) {
+  RlnHarness h(windowed_config(6));
+  h.register_all();
+  h.run_ms(5'000);
+
+  const net::NodeId sender = h.node(0).node_id();
+  std::vector<bool> graylisted(h.size(), false);
+  for (int k = 0; k < 30; ++k) {
+    h.node(0).publish_with_stale_root(to_bytes("flood " + std::to_string(k)));
+    h.run_ms(100);
+    for (std::size_t i = 1; i < h.size(); ++i) {
+      if (h.node(i).relay().router().scores().graylisted(sender)) {
+        graylisted[i] = true;
+      }
+    }
+  }
+  for (std::size_t i = 1; i < h.size(); ++i) {
+    if (!h.network().connected(h.node(i).node_id(), sender)) continue;
+    EXPECT_TRUE(graylisted[i]) << "node " << i;
+  }
+  // Once graylisted, the flooder's frames are dropped before validation.
+  EXPECT_LT(h.total_validation_stats().stale_root,
+            30 * h.network().neighbors(sender).size());
+}
+
+TEST(Integration, RootThatLeavesTheWindowWhileBufferedIsIgnored) {
+  RlnHarness h(windowed_config(6));
+  h.register_all();
+  h.run_ms(5'000);
+
+  // Node 0 proves two messages against the current root R0.
+  WakuRlnRelayNode& a = h.node(0);
+  const Fr r0 = a.group().root();
+  Rng rng(77);
+  const auto proved = [&](const std::string& body) {
+    WakuMessage msg;
+    msg.payload = to_bytes(body);
+    msg.content_topic = kDefaultContentTopic;
+    attach_proof(msg, make_rate_limit_proof(a.identity().sk,
+                                            a.group().own_path(), msg,
+                                            a.current_epoch(), rng));
+    return msg;
+  };
+  const WakuMessage buffered = proved("buffered while the window moves");
+  const WakuMessage late = proved("sent after the window moved");
+  // W-1 root-changing blocks leave R0 the oldest root in every window.
+  for (std::size_t b = 0; b + 1 < GroupManager::kDefaultRootWindow; ++b) {
+    mine_registration_block(h, b);
+  }
+  for (std::size_t i = 0; i < h.size(); ++i) {
+    ASSERT_TRUE(h.node(i).group().is_recent_root(r0)) << "node " << i;
+  }
+
+  // Publish 100 ms into a heartbeat interval: the message arrives and sits
+  // in its window, then the W-th block evicts R0 before the flush.
+  h.run_ms(1'100 - h.sim().now() % 1'000);
+  const std::string topic = a.shard_topic_for(kDefaultContentTopic);
+  const net::NodeId sender = a.node_id();
+  const std::size_t neighbors = h.network().neighbors(sender).size();
+  const RouterTotals before = router_totals(h);
+  const std::uint64_t stale_before = h.total_validation_stats().stale_root;
+  a.relay().publish_on(topic, buffered);
+  h.run_ms(100);
+  for (std::size_t i = 1; i < h.size(); ++i) {
+    if (!h.network().connected(h.node(i).node_id(), sender)) continue;
+    ASSERT_EQ(h.node(i).relay().router().pending_validation_total(), 1u)
+        << "node " << i;
+  }
+  mine_registration_block(h, GroupManager::kDefaultRootWindow);
+  ASSERT_FALSE(h.node(1).group().is_recent_root(r0));
+  h.run_ms(2'000);
+
+  RouterTotals after = router_totals(h);
+  EXPECT_EQ(h.total_validation_stats().stale_root - stale_before, neighbors);
+  EXPECT_EQ(after.ignored - before.ignored, neighbors);
+  EXPECT_EQ(after.rejected, before.rejected);
+  for (std::size_t i = 1; i < h.size(); ++i) {
+    EXPECT_EQ(h.node(i).relay().router().scores().invalid_messages(sender),
+              0.0)
+        << "node " << i;
+  }
+
+  // The same root, now stale before the message arrives: rejected, and
+  // the sender is scored.
+  a.relay().publish_on(topic, late);
+  h.run_ms(1'500);
+  after = router_totals(h);
+  EXPECT_EQ(after.rejected - before.rejected, neighbors);
+  for (std::size_t i = 1; i < h.size(); ++i) {
+    if (!h.network().connected(h.node(i).node_id(), sender)) continue;
+    EXPECT_GT(h.node(i).relay().router().scores().invalid_messages(sender),
+              0.0)
+        << "node " << i;
+  }
 }
 
 }  // namespace

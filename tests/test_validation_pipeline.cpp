@@ -3,6 +3,7 @@
 // root cache, and epoch-bucket pruning of the sharded nullifier log.
 #include <gtest/gtest.h>
 
+#include "gossipsub/router.hpp"
 #include "hash/poseidon.hpp"
 #include "rln/group_manager.hpp"
 #include "rln/harness.hpp"
@@ -329,6 +330,52 @@ TEST_F(PipelineFixture, VerifyBatchIsolatesExactlyTheBadProofs) {
   EXPECT_EQ(dirty.ok, expected);
 }
 
+TEST_F(PipelineFixture, VerifyBatchCountsThePairingWorkItPrices) {
+  const zksnark::VerifyingKey& vk = zksnark::rln_keypair(kDepth).vk;
+  std::vector<zksnark::BatchEntry> entries;
+  for (int i = 0; i < 5; ++i) {
+    WakuMessage msg = make_message(alice, 0, "m" + std::to_string(i),
+                                   10 + static_cast<std::uint64_t>(i));
+    const auto bundle = *extract_proof(msg);
+    entries.push_back(zksnark::BatchEntry{
+        bundle.public_inputs(message_hash(msg)), bundle.proof});
+  }
+  Rng batch_rng(7);
+  // A clean window of k: k per-entry loops, the two shared ones, and one
+  // final exponentiation.
+  const auto clean = zksnark::verify_batch(vk, entries, batch_rng);
+  ASSERT_TRUE(clean.aggregated);
+  EXPECT_EQ(clean.miller_loops, 5u + 2u);
+  EXPECT_EQ(clean.final_exps, 1u);
+
+  // A dirty window pays the failed aggregate, then 3 and 1 per entry.
+  entries[3].proof.binding[0] ^= 1;
+  const auto dirty = zksnark::verify_batch(vk, entries, batch_rng);
+  ASSERT_FALSE(dirty.aggregated);
+  EXPECT_EQ(dirty.miller_loops, 5u + 2u + 3u * 5u);
+  EXPECT_EQ(dirty.final_exps, 1u + 5u);
+
+  // A batch of one is a single verify.
+  const auto single = zksnark::verify_batch(
+      vk, std::span<const zksnark::BatchEntry>(entries.data(), 1), batch_rng);
+  EXPECT_EQ(single.miller_loops, 3u);
+  EXPECT_EQ(single.final_exps, 1u);
+
+  // The pipeline sums what each window's verifier priced.
+  std::vector<WakuMessage> msgs;
+  msgs.push_back(make_message(alice, 0, "clean a", 10));
+  msgs.push_back(make_message(bob, 1, "clean b", 10));
+  ValidationPipeline pipeline = make_pipeline();
+  (void)pipeline.validate_batch(msgs, arrivals(msgs.size(), 10'500));
+  EXPECT_EQ(pipeline.stats().miller_loops, 2u + 2u);
+  EXPECT_EQ(pipeline.stats().final_exps, 1u);
+  msgs = {make_message(alice, 0, "dirty a", 11),
+          corrupt_proof(make_message(bob, 1, "dirty b", 11))};
+  (void)pipeline.validate_batch(msgs, arrivals(msgs.size(), 10'500));
+  EXPECT_EQ(pipeline.stats().miller_loops, 4u + (2u + 2u + 3u * 2u));
+  EXPECT_EQ(pipeline.stats().final_exps, 1u + (1u + 2u));
+}
+
 TEST_F(PipelineFixture, BatchRejectsFieldReductionMalleableBinding) {
   // binding' = binding + r (as a 256-bit integer) has the same residue
   // mod r, so an aggregate over field-reduced whole tags would accept it
@@ -356,6 +403,109 @@ TEST_F(PipelineFixture, BatchRejectsFieldReductionMalleableBinding) {
   EXPECT_FALSE(out.aggregated);
   const std::vector<bool> expected{true, false, true};
   EXPECT_EQ(out.ok, expected);
+}
+
+// -- per-peer quarantine through the router -----------------------------------
+
+TEST_F(PipelineFixture, QuarantinedSenderIsValidatedApartFromHonestWindows) {
+  // Receiver R batches windows of up to 4 through a real pipeline; P (bob)
+  // and H (alice) publish to it directly. Every router starts at time 0,
+  // so heartbeats (and window flushes) land on whole seconds.
+  constexpr const char* kTopic = "quarantine";
+  net::Simulator sim;
+  net::Network network(sim, {.base_latency_ms = 20, .jitter_ms = 0}, 5);
+  gossipsub::GossipSubConfig windowed;
+  windowed.validation_batch_max = 4;
+  gossipsub::GossipSubRouter r(network, windowed);
+  gossipsub::GossipSubRouter p(network);
+  gossipsub::GossipSubRouter h(network);
+  network.connect(r.node_id(), p.node_id());
+  network.connect(r.node_id(), h.node_id());
+
+  ValidationPipeline pipeline = make_pipeline();
+  struct Window {
+    std::vector<net::NodeId> from;
+    std::uint64_t aggregated = 0;
+    std::uint64_t fallbacks = 0;
+  };
+  std::vector<Window> windows;
+  r.set_batch_validator(
+      kTopic, [&](std::span<const gossipsub::IncomingMessage> batch) {
+        std::vector<WakuMessage> msgs;
+        std::vector<std::uint64_t> at;
+        Window w;
+        for (const gossipsub::IncomingMessage& in : batch) {
+          msgs.push_back(WakuMessage::deserialize(in.msg.data));
+          at.push_back(in.received_at);
+          w.from.push_back(in.from);
+        }
+        const ValidatorStats before = pipeline.stats();
+        std::vector<gossipsub::ValidationResult> results;
+        for (const ValidationOutcome& o : pipeline.validate_batch(msgs, at)) {
+          using gossipsub::ValidationResult;
+          const bool ignore = o.verdict == Verdict::kIgnoreDuplicate ||
+                              o.verdict == Verdict::kIgnoreEpochGap;
+          results.push_back(o.verdict == Verdict::kAccept
+                                ? ValidationResult::kAccept
+                            : ignore ? ValidationResult::kIgnore
+                                     : ValidationResult::kReject);
+        }
+        const ValidatorStats after = pipeline.stats();
+        w.aggregated = after.batch_aggregated - before.batch_aggregated;
+        w.fallbacks = after.batch_fallbacks - before.batch_fallbacks;
+        windows.push_back(std::move(w));
+        return results;
+      });
+  for (gossipsub::GossipSubRouter* router : {&r, &p, &h}) {
+    router->subscribe(kTopic, [](const gossipsub::PubSubMessage&) {});
+    router->start();
+  }
+  const auto publish = [&](gossipsub::GossipSubRouter& from,
+                           const WakuMessage& msg) {
+    from.publish(kTopic, msg.serialize());
+  };
+  const auto epoch_now = [&] { return sim.now() / 1000; };
+  sim.run_until(5'100);
+
+  // One invalid publish from P: it arrives with a clean record, joins a
+  // window, and the reject scores P.
+  publish(p, corrupt_proof(make_message(bob, 1, "first bad", epoch_now())));
+  sim.run_until(6'100);
+  ASSERT_EQ(windows.size(), 1u);
+  EXPECT_GT(r.scores().invalid_messages(p.node_id()), 0.0);
+
+  // P's next publishes are windows of one; H's concurrent publishes share
+  // one window, which settles by one aggregate.
+  windows.clear();
+  const std::uint64_t e = epoch_now();
+  publish(p, corrupt_proof(make_message(bob, 1, "second bad", e)));
+  for (const std::uint64_t epoch : {e - 1, e, e + 1}) {
+    publish(h, make_message(alice, 0, "honest " + std::to_string(epoch),
+                            epoch));
+  }
+  publish(p, make_message(bob, 1, "quarantined but valid", e + 1));
+  sim.run_until(7'100);
+  ASSERT_EQ(windows.size(), 3u);
+  EXPECT_EQ(windows[0].from, std::vector<net::NodeId>{p.node_id()});
+  EXPECT_EQ(windows[1].from, std::vector<net::NodeId>{p.node_id()});
+  EXPECT_EQ(windows[2].from, std::vector<net::NodeId>(3, h.node_id()));
+  EXPECT_EQ(windows[1].aggregated, 1u);  // a valid window of one
+  EXPECT_EQ(windows[2].aggregated, 1u);
+  EXPECT_EQ(windows[2].fallbacks, 0u);
+  EXPECT_FALSE(r.scores().graylisted(p.node_id()));
+
+  // The P4 counter decays on the heartbeat; at zero, P's publishes join
+  // windows again.
+  sim.run_until(80'100);
+  ASSERT_EQ(r.scores().invalid_messages(p.node_id()), 0.0);
+  windows.clear();
+  publish(p, make_message(bob, 1, "back in the window", epoch_now()));
+  publish(h, make_message(alice, 0, "alongside", epoch_now()));
+  sim.run_until(81'100);
+  ASSERT_EQ(windows.size(), 1u);
+  EXPECT_EQ(windows[0].from,
+            (std::vector<net::NodeId>{p.node_id(), h.node_id()}));
+  EXPECT_EQ(windows[0].aggregated, 1u);
 }
 
 // -- end to end through the gossip mesh ---------------------------------------
