@@ -13,8 +13,8 @@
 //   ./build/example_metrics_dump --fleet       # cross-node fleet timeline
 //   ./build/example_metrics_dump --postmortem  # flight-recorder black box
 //
-// The JSON shapes (--json / --fleet / --postmortem) are linted with
-// scripts/check_metrics_format.py --json.
+// The JSON shapes (--json / --traces / --fleet / --postmortem) are linted
+// with scripts/check_metrics_format.py --json.
 #include <cstdio>
 #include <cstring>
 #include <string>
@@ -59,9 +59,9 @@ int main(int argc, char** argv) {
   net.run_ms(10'000);
 
   if (want_json) {
-    std::printf("%s\n", net.node(0).metrics_json().c_str());
+    std::printf("%s\n", net.node(0).telemetry().metrics_json().c_str());
   } else if (want_traces) {
-    std::printf("%s\n", net.node(0).tracer().to_json().c_str());
+    std::printf("%s\n", net.node(0).telemetry().tracer().to_json().c_str());
   } else if (want_fleet) {
     // The cross-node aggregation path a deployment's scrape loop runs:
     // one health sample per node per epoch, folded into fleet rows.
@@ -74,9 +74,13 @@ int main(int argc, char** argv) {
   } else if (want_postmortem) {
     std::printf(
         "%s\n",
-        net.node(0).flight_recorder().postmortem_json("metrics-dump").c_str());
+        net.node(0)
+            .telemetry()
+            .flight_recorder()
+            .postmortem_json("metrics-dump")
+            .c_str());
   } else {
-    std::fputs(net.node(0).metrics_text().c_str(), stdout);
+    std::fputs(net.node(0).telemetry().metrics_text().c_str(), stdout);
   }
   return 0;
 }

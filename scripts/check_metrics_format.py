@@ -8,6 +8,7 @@ Usage:
     ./build/example_metrics_dump --fleet | scripts/check_metrics_format.py --json
     ./build/example_metrics_dump --postmortem | \\
         scripts/check_metrics_format.py --json
+    ./build/example_metrics_dump --traces | scripts/check_metrics_format.py --json
 
 Validates the text format WakuRlnRelayNode::metrics_text() emits
 (src/obs/telemetry.cpp PrometheusWriter + registry exposition):
@@ -30,7 +31,7 @@ Validates the text format WakuRlnRelayNode::metrics_text() emits
 With --json the input is instead one of the structured dumps — a
 metrics_json() object, a fleet timeline array (FleetAggregator
 timeline_json / the verdict's fleet_timeline), a flight-recorder
-postmortem, a propagation summary (the verdict/campaign "propagation"
+postmortem, a trace dump (TraceCollector::to_json), a propagation summary (the verdict/campaign "propagation"
 embed), or a Chrome trace-event export — recognized by shape and
 checked structurally (required keys, ratio ranges, ring/tree
 accounting).
@@ -114,6 +115,64 @@ def check_postmortem(doc, errors):
         for key in ("at_ns", "epoch", "kind", "detail"):
             if not isinstance(ev, dict) or key not in ev:
                 errors.append("postmortem event %d: missing %s" % (i, key))
+
+
+def check_trace_dump(doc, errors):
+    """TraceCollector::to_json: keyed spans whose event times never go
+    backwards, and ring accounting that balances against the stats."""
+    stats = doc.get("stats")
+    if not isinstance(stats, dict):
+        errors.append("trace dump: stats is not an object")
+        stats = {}
+    for key in ("sampled", "finished", "evicted", "truncated", "open"):
+        if not isinstance(stats.get(key), int) or stats[key] < 0:
+            errors.append("trace dump: stats.%s missing or negative" % key)
+    for ring in ("completed", "slowest"):
+        spans = doc.get(ring)
+        if not isinstance(spans, list):
+            errors.append("trace dump: %s is not an array" % ring)
+            continue
+        for i, span in enumerate(spans):
+            where = "trace dump %s[%d]" % (ring, i)
+            if not isinstance(span, dict):
+                errors.append("%s: not an object" % where)
+                continue
+            for key in ("key", "start_ns", "end_ns", "duration_ns",
+                        "outcome", "events"):
+                if key not in span:
+                    errors.append("%s: missing %s" % (where, key))
+            if not re.match(r"^[0-9a-f]{16}$", str(span.get("key", ""))):
+                errors.append("%s: key %r is not 16 hex digits"
+                              % (where, span.get("key")))
+            start, end = span.get("start_ns", 0), span.get("end_ns", 0)
+            if end < start or span.get("duration_ns") != end - start:
+                errors.append("%s: start/end/duration inconsistent" % where)
+            prev = start
+            for j, ev in enumerate(span.get("events") or []):
+                if not isinstance(ev, dict) or not all(
+                        k in ev for k in ("at_ns", "stage", "detail")):
+                    errors.append("%s event %d: missing at_ns/stage/detail"
+                                  % (where, j))
+                    continue
+                if ev["at_ns"] < prev:
+                    errors.append("%s event %d: at_ns goes backwards"
+                                  % (where, j))
+                prev = ev["at_ns"]
+    completed = doc.get("completed")
+    if isinstance(completed, list) and all(
+            isinstance(stats.get(k), int)
+            for k in ("finished", "truncated", "evicted")):
+        closed = stats["finished"] + stats["truncated"]
+        if len(completed) != closed - stats["evicted"]:
+            errors.append(
+                "trace dump: %d completed spans != finished + truncated - "
+                "evicted (%d)" % (len(completed), closed - stats["evicted"]))
+    slowest = doc.get("slowest")
+    if isinstance(slowest, list):
+        durations = [s.get("duration_ns", 0) for s in slowest
+                     if isinstance(s, dict)]
+        if durations != sorted(durations, reverse=True):
+            errors.append("trace dump: slowest ring is not worst-first")
 
 
 def check_propagation_summary(doc, errors):
@@ -270,6 +329,11 @@ def json_main(argv):
     elif isinstance(doc, dict) and "events" in doc:
         shape = "postmortem (%d events)" % len(doc.get("events") or [])
         check_postmortem(doc, errors)
+    elif isinstance(doc, dict) and "completed" in doc and "slowest" in doc:
+        shape = "trace dump (%d completed spans)" % len(
+            doc.get("completed") or []
+        )
+        check_trace_dump(doc, errors)
     elif isinstance(doc, dict) and "registry" in doc:
         shape = "metrics_json (%d sections)" % len(doc)
         check_metrics_json(doc, errors)
@@ -286,7 +350,7 @@ def json_main(argv):
         check_membership_scale(doc, errors)
     else:
         errors.append("unrecognized JSON shape (not a timeline, "
-                      "postmortem, metrics_json, chrome trace, "
+                      "postmortem, trace dump, metrics_json, chrome trace, "
                       "propagation summary, or membership scale dump)")
         shape = "?"
 

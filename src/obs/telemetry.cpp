@@ -9,8 +9,7 @@ namespace waku::obs {
 namespace {
 
 constexpr int kKindCounter = 0;
-constexpr int kKindGauge = 1;
-constexpr int kKindHistogram = 2;
+constexpr int kKindHistogram = 1;
 
 }  // namespace
 
@@ -28,7 +27,6 @@ std::string format_double(double v) {
 struct Telemetry::Series {
   std::string labels;
   std::unique_ptr<Counter> counter;
-  std::unique_ptr<Gauge> gauge;
   std::unique_ptr<Histogram> histogram;
 };
 
@@ -64,10 +62,10 @@ Telemetry::Series& Telemetry::series(const std::string& family,
   if (!s) {
     s = std::make_unique<Series>();
     s->labels = labels;
-    switch (kind) {
-      case kKindCounter: s->counter = std::make_unique<Counter>(); break;
-      case kKindGauge: s->gauge = std::make_unique<Gauge>(); break;
-      default: s->histogram = std::make_unique<Histogram>(); break;
+    if (kind == kKindCounter) {
+      s->counter = std::make_unique<Counter>();
+    } else {
+      s->histogram = std::make_unique<Histogram>();
     }
   }
   return *s;
@@ -77,11 +75,6 @@ Counter& Telemetry::counter(const std::string& family,
                             const std::string& labels,
                             const std::string& help) {
   return *series(family, labels, help, kKindCounter).counter;
-}
-
-Gauge& Telemetry::gauge(const std::string& family, const std::string& labels,
-                        const std::string& help) {
-  return *series(family, labels, help, kKindGauge).gauge;
 }
 
 Histogram& Telemetry::histogram(const std::string& family,
@@ -94,26 +87,18 @@ std::string Telemetry::to_prometheus() const {
   PrometheusWriter w;
   std::lock_guard<std::mutex> lock(mu_);
   for (const auto& [name, fam] : families_) {
-    const char* type = fam->kind == kKindCounter   ? "counter"
-                       : fam->kind == kKindGauge   ? "gauge"
-                                                   : "histogram";
-    w.help_type(name, type, fam->help);
+    const bool counter = fam->kind == kKindCounter;
+    w.help_type(name, counter ? "counter" : "histogram", fam->help);
     // Latency histograms are recorded in ns and exposed in seconds;
     // the convention is encoded in the family suffix.
     const bool seconds = name.size() >= 8 &&
                          name.compare(name.size() - 8, 8, "_seconds") == 0;
     for (const auto& [labels, s] : fam->series) {
-      switch (fam->kind) {
-        case kKindCounter:
-          w.counter(name, labels, s->counter->value());
-          break;
-        case kKindGauge:
-          w.gauge(name, labels, s->gauge->value());
-          break;
-        default:
-          w.histogram(name, labels, s->histogram->snapshot(),
-                      seconds ? 1e-9 : 1.0);
-          break;
+      if (counter) {
+        w.counter(name, labels, s->counter->value());
+      } else {
+        w.histogram(name, labels, s->histogram->snapshot(),
+                    seconds ? 1e-9 : 1.0);
       }
     }
   }
@@ -139,26 +124,18 @@ std::string Telemetry::to_json() const {
       }
       out += "\",";
       char buf[160];
-      switch (fam->kind) {
-        case kKindCounter:
-          std::snprintf(buf, sizeof(buf), "\"value\":%" PRIu64,
-                        s->counter->value());
-          out += buf;
-          break;
-        case kKindGauge:
-          out += "\"value\":" + format_double(s->gauge->value());
-          break;
-        default: {
-          const auto snap = s->histogram->snapshot();
-          std::snprintf(buf, sizeof(buf),
-                        "\"count\":%" PRIu64 ",\"sum\":%" PRIu64
-                        ",\"p50\":%" PRIu64 ",\"p95\":%" PRIu64
-                        ",\"p99\":%" PRIu64,
-                        snap.count, snap.sum, snap.p50, snap.p95, snap.p99);
-          out += buf;
-          break;
-        }
+      if (fam->kind == kKindCounter) {
+        std::snprintf(buf, sizeof(buf), "\"value\":%" PRIu64,
+                      s->counter->value());
+      } else {
+        const auto snap = s->histogram->snapshot();
+        std::snprintf(buf, sizeof(buf),
+                      "\"count\":%" PRIu64 ",\"sum\":%" PRIu64
+                      ",\"p50\":%" PRIu64 ",\"p95\":%" PRIu64
+                      ",\"p99\":%" PRIu64,
+                      snap.count, snap.sum, snap.p50, snap.p95, snap.p99);
       }
+      out += buf;
       out += "}";
     }
     out += "]";

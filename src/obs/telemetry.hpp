@@ -1,6 +1,7 @@
-// Lock-cheap in-node telemetry: counters, gauges, log2 latency
-// histograms, and a named registry with Prometheus-text / JSON
-// exposition.
+// Lock-cheap in-node telemetry: counters, log2 latency histograms, and a
+// named registry with Prometheus-text / JSON exposition. Gauges are not
+// registry series: they are read from snapshots at exposition time and
+// rendered through PrometheusWriter.
 //
 // Design constraints (ISSUE 7):
 //   * the record path takes NO locks — counters are per-lane sharded
@@ -71,27 +72,6 @@ class Counter {
   }
 
   std::array<Lane, kLanes> lanes_{};
-};
-
-// ---------------------------------------------------------------------------
-// Gauge: last-write-wins double. Single atomic — gauges are written from
-// one place (upkeep tick / snapshot) and read rarely.
-
-class Gauge {
- public:
-  void set(double v) noexcept { bits_.store(pack(v), std::memory_order_relaxed); }
-  [[nodiscard]] double value() const noexcept {
-    return unpack(bits_.load(std::memory_order_relaxed));
-  }
-
- private:
-  static std::uint64_t pack(double v) noexcept {
-    return std::bit_cast<std::uint64_t>(v);
-  }
-  static double unpack(std::uint64_t b) noexcept {
-    return std::bit_cast<double>(b);
-  }
-  std::atomic<std::uint64_t> bits_{pack(0.0)};
 };
 
 // ---------------------------------------------------------------------------
@@ -197,8 +177,6 @@ class Telemetry {
 
   Counter& counter(const std::string& family, const std::string& labels = "",
                    const std::string& help = "");
-  Gauge& gauge(const std::string& family, const std::string& labels = "",
-               const std::string& help = "");
   Histogram& histogram(const std::string& family,
                        const std::string& labels = "",
                        const std::string& help = "");

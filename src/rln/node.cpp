@@ -1,7 +1,6 @@
 #include "rln/node.hpp"
 
 #include <algorithm>
-#include <cstdio>
 #include <random>
 #include <stdexcept>
 
@@ -21,217 +20,6 @@ namespace {
 /// Node snapshot payload version (docs/FORMATS.md); v5 added the
 /// operator-loop bookkeeping.
 constexpr std::uint8_t kStateVersion = 5;
-
-/// The exported ValidatorStats fields, in exposition order: the
-/// waku_pipeline_verdicts_total reason series, the per-shard families, and
-/// the keys of metrics_json()'s deployment-wide "pipeline" section.
-struct PipelineField {
-  std::uint64_t ValidatorStats::* field;
-  const char* json_key;   ///< nullptr: Prometheus only
-  const char* reason;     ///< verdict reason label, else...
-  const char* prom_name;  ///< ...a per-shard family of its own
-  bool gauge;
-  const char* help;
-};
-constexpr PipelineField kPipelineFields[] = {
-    {&ValidatorStats::accepted, "accepted", "accept", nullptr, false, nullptr},
-    {&ValidatorStats::epoch_gap, "epoch_gap", "epoch_gap", nullptr, false,
-     nullptr},
-    {&ValidatorStats::duplicates, "duplicates", "duplicate", nullptr, false,
-     nullptr},
-    {&ValidatorStats::no_proof, "no_proof", "no_proof", nullptr, false,
-     nullptr},
-    {&ValidatorStats::bad_proof, "bad_proof", "bad_proof", nullptr, false,
-     nullptr},
-    {&ValidatorStats::stale_root, "stale_root", "stale_root", nullptr, false,
-     nullptr},
-    {&ValidatorStats::spam_detected, "spam_detected", "spam", nullptr, false,
-     nullptr},
-    {&ValidatorStats::batches, "batches", nullptr,
-     "waku_pipeline_batches_total", false, "validate_batch windows run"},
-    {&ValidatorStats::batch_aggregated, "batch_aggregated", nullptr,
-     "waku_pipeline_batch_aggregated_total", false,
-     "Windows settled by one RLC-aggregated Groth16 check"},
-    {&ValidatorStats::batch_fallbacks, "batch_fallbacks", nullptr,
-     "waku_pipeline_batch_fallbacks_total", false,
-     "Windows that isolated per proof"},
-    {&ValidatorStats::miller_loops, "miller_loops", nullptr,
-     "waku_pipeline_miller_loops_total", false,
-     "Miller loops the Groth16 stage priced"},
-    {&ValidatorStats::final_exps, "final_exps", nullptr,
-     "waku_pipeline_final_exps_total", false,
-     "Final exponentiations the Groth16 stage priced"},
-    {&ValidatorStats::precheck_duplicates, "precheck_duplicates", nullptr,
-     "waku_pipeline_precheck_duplicates_total", false,
-     "Gossip echoes dropped before the verifier"},
-    {&ValidatorStats::log_entries, "log_entries", nullptr,
-     "waku_nullifier_log_entries", true, "Live (epoch, nullifier) records"},
-    {&ValidatorStats::log_buckets, nullptr, nullptr,
-     "waku_nullifier_log_buckets", true, "Live epoch buckets"},
-    {&ValidatorStats::log_conflicts, "log_conflicts", nullptr,
-     "waku_nullifier_log_conflicts_total", false, "Double-signals observed"},
-    {&ValidatorStats::log_min_epoch, nullptr, nullptr,
-     "waku_nullifier_log_min_epoch", true, "GC watermark"},
-};
-
-/// The pipeline stages with a latency histogram, in registration and
-/// exposition order.
-struct StageRef {
-  const char* name;
-  obs::Histogram* PipelineMetrics::* member;
-};
-constexpr StageRef kStages[] = {
-    {"epoch_gate", &PipelineMetrics::epoch_gate},
-    {"root_check", &PipelineMetrics::root_check},
-    {"nullifier_precheck", &PipelineMetrics::nullifier_precheck},
-    {"groth16_batch", &PipelineMetrics::groth16_batch},
-    {"groth16_fallback", &PipelineMetrics::groth16_fallback},
-    {"double_signal", &PipelineMetrics::double_signal},
-};
-
-void write_sample(obs::PrometheusWriter& w, const char* name, bool gauge,
-                  const std::string& labels, std::uint64_t value) {
-  if (gauge) {
-    w.gauge(name, labels, static_cast<double>(value));
-  } else {
-    w.counter(name, labels, value);
-  }
-}
-
-/// One unlabelled node-level metric: the single list metrics_text() and
-/// telemetry_section_json() render.
-struct ScalarMetric {
-  const char* section;    ///< metrics_json() object
-  const char* json_key;   ///< nullptr: Prometheus only
-  const char* prom_name;  ///< nullptr: JSON only
-  bool gauge;             ///< Prometheus type (else counter)
-  const char* help;
-  std::uint64_t value;
-};
-
-std::vector<ScalarMetric> scalar_metrics(const NodeTelemetrySnapshot& t) {
-  // Row order is exposition order within each section.
-  return {
-      {"node", "published", "waku_node_published_total", false,
-       "Messages this node published", t.node.published},
-      {"node", "publish_rate_limited", "waku_node_publish_rate_limited_total",
-       false, "Honest publishes refused by the 1-per-epoch-per-shard quota",
-       t.node.publish_rate_limited},
-      {"node", "publish_wrong_shard", "waku_node_publish_wrong_shard_total",
-       false, "Publishes refused: topic maps to an unhosted shard",
-       t.node.publish_wrong_shard},
-      {"node", "delivered", "waku_node_delivered_total", false,
-       "Validated messages delivered locally", t.node.delivered},
-      {"node", "slash_commits", "waku_node_slash_commits_total", false,
-       "Slash commitments submitted", t.node.slash_commits},
-      {"node", "slash_reveals", "waku_node_slash_reveals_total", false,
-       "Slash reveals submitted", t.node.slash_reveals},
-      {"node", "slash_rewards", "waku_node_slash_rewards_total", false,
-       "MemberSlashed events paying us", t.node.slash_rewards},
-      {"node", "slashes_expired", "waku_node_slashes_expired_total", false,
-       "Pending slashes dropped by the expiry window", t.node.slashes_expired},
-
-      {"router", "delivered", "waku_router_delivered_total", false,
-       "Unique valid messages delivered", t.router.delivered},
-      {"router", "duplicates", "waku_router_duplicates_total", false,
-       "Already-seen publishes received", t.router.duplicates},
-      {"router", "rejected", "waku_router_rejected_total", false,
-       "Validation rejects", t.router.rejected},
-      {"router", "ignored", "waku_router_ignored_total", false,
-       "Validation ignores", t.router.ignored},
-      {"router", "forwarded", "waku_router_forwarded_total", false,
-       "Publishes relayed onward", t.router.forwarded},
-      {"router", "validation_windows_flushed",
-       "waku_router_validation_windows_flushed_total", false,
-       "Batched-validation windows handed to a validator",
-       t.router.validation_windows_flushed},
-      {"router", "pending_validation", "waku_router_pending_validation", true,
-       "Messages buffered awaiting batched validation", t.pending_validation},
-      {"router", nullptr, "waku_score_graylisted", true,
-       "Peers currently below the graylist threshold", t.graylisted},
-
-      {"executor", "submitted", "waku_executor_submitted_total", false,
-       "Windows accepted (queued or inline)", t.executor.submitted},
-      {"executor", "executed", "waku_executor_executed_total", false,
-       "Windows completed", t.executor.executed},
-      {"executor", "rejected", "waku_executor_rejected_total", false,
-       "Windows refused by backpressure", t.executor.rejected},
-      {"executor", "blocked", "waku_executor_blocked_total", false,
-       "Submits that waited on a full queue", t.executor.blocked},
-      {"executor", "workers", "waku_executor_workers", true,
-       "Worker pool size (0 = deterministic/inline)", t.executor.workers},
-
-      {"trace", "sampled", "waku_trace_sampled_total", false,
-       "Lifecycle spans opened", t.trace.sampled},
-      {"trace", "finished", "waku_trace_finished_total", false,
-       "Spans closed normally", t.trace.finished},
-      {"trace", "evicted", "waku_trace_evicted_total", false,
-       "Completed-ring evictions", t.trace.evicted},
-      {"trace", "truncated", "waku_trace_truncated_total", false,
-       "Open spans force-closed (cap hit)", t.trace.truncated},
-      {"trace", "open", "waku_trace_open", true, "Spans currently open",
-       t.trace_open},
-
-      // Operator loop / flight recorder / self-monitor anomalies.
-      {"operator", "decisions", "waku_operator_decisions_total", false,
-       "Autonomous operator begin/advance decisions",
-       t.operator_loop.decisions},
-      {"operator", "last_action_epoch", nullptr, false, nullptr,
-       t.operator_loop.last_action_epoch},
-      {"operator", "consecutive_recommend", nullptr, false, nullptr,
-       t.operator_loop.consecutive_recommend},
-      {"operator", "flight_recorded", "waku_flight_events_total", false,
-       "Lifecycle events recorded to the flight ring", t.flight_recorded},
-      {"operator", "flight_evicted", "waku_flight_evicted_total", false,
-       "Flight events dropped off the bounded ring", t.flight_evicted},
-      {"operator", "anomalies_fired", "waku_anomaly_fired_total", false,
-       "Self-monitor anomaly rule fire transitions", t.anomalies_fired},
-  };
-}
-
-/// The per-shard counter families after the pipeline ones, in exposition
-/// order: nullifier-log stripe contention (one series per stripe) and the
-/// pipeline's root-window mirror.
-struct ShardCounterFamily {
-  const char* prom_name;
-  const char* help;
-  std::uint64_t NullifierLog::StripeContention::* stripe;  ///< else...
-  std::uint64_t RootCacheStats::* root_cache;  ///< ...per shard
-};
-constexpr ShardCounterFamily kShardCounterFamilies[] = {
-    {"waku_nullifier_log_stripe_acquisitions_total",
-     "Hot-path lock acquisitions per stripe",
-     &NullifierLog::StripeContention::acquisitions, nullptr},
-    {"waku_nullifier_log_stripe_contended_total",
-     "Hot-path acquisitions that found the stripe lock held",
-     &NullifierLog::StripeContention::contended, nullptr},
-    {"waku_root_cache_hits_total",
-     "Root checks answered from the shard-local window copy", nullptr,
-     &RootCacheStats::hits},
-    {"waku_root_cache_misses_total",
-     "Root checks that missed the rolling window", nullptr,
-     &RootCacheStats::misses},
-    {"waku_root_cache_refreshes_total",
-     "Window copies rebuilt after membership events", nullptr,
-     &RootCacheStats::refreshes},
-};
-
-/// The per-lane executor families, in exposition order: two histograms
-/// and the queue-depth high watermark.
-struct LaneFamily {
-  const char* prom_name;
-  const char* help;
-  obs::HistogramSnapshot LaneObsSnapshot::* histogram;  ///< nullptr: depth
-};
-constexpr LaneFamily kLaneFamilies[] = {
-    {"waku_executor_queue_wait_seconds",
-     "Window time from enqueue to pop, per lane",
-     &LaneObsSnapshot::queue_wait},
-    {"waku_executor_service_seconds", "Window execution time, per lane",
-     &LaneObsSnapshot::service},
-    {"waku_executor_lane_depth_high_watermark",
-     "Deepest the lane's queue has ever been", nullptr},
-};
 
 /// OS entropy for the keystore seal RNG. Deliberately NOT derived from the
 /// deterministic node seed: a restarted node re-seeded deterministically
@@ -269,13 +57,13 @@ WakuRlnRelayNode::WakuRlnRelayNode(net::Network& network,
       load_tracker_(config.load_tracker),
       slashing_(rng_, journal_, stats_, chain, contract, config.account,
                 config.slash_expiry_epochs),
-      tracer_(config.obs.trace),
-      recorder_(config.obs.recorder) {
+      // The default telemetry clock: the node's virtual time, ms as ns.
+      telemetry_(config.obs, config.persist_dir,
+                 [this] {
+                   return network_.local_time(node_id()) * 1'000'000ULL;
+                 },
+                 {relay_, shards_, stats_, operator_}) {
   group_.set_own_identity(identity_);
-  // Before the first hook install: every validator container (this one
-  // and every reshard/restore rebuild) is wired through
-  // install_validator_hooks, which needs the clock resolved.
-  setup_observability();
   install_validator_hooks(shards_, /*next_generation=*/false);
 
   if (!config_.persist_dir.empty()) {
@@ -305,7 +93,7 @@ void WakuRlnRelayNode::install_validator_hooks(
   // rebuild) funnels through here, so the configured worker-pool shape
   // follows the validator across generations.
   validator.set_parallelism(config_.parallel);
-  validator.set_executor_clock(obs_clock_);
+  telemetry_.attach(validator);
   const WalTag tag =
       next_generation ? WalTag::kNullifierNext : WalTag::kNullifier;
   for (const shard::ShardId s : validator.subscribed()) {
@@ -316,11 +104,6 @@ void WakuRlnRelayNode::install_validator_hooks(
                                              std::uint64_t proof_fp) {
       journal_.append_observation(tag, s, epoch, nullifier, share, proof_fp);
     });
-    // Stage-latency sinks, shared across generations of the same shard
-    // id (the histogram bundle is address-stable), so a cutover extends
-    // a shard's series instead of forking it.
-    pipeline.set_telemetry(
-        obs_clock_, obs_clock_ != nullptr ? &metrics_for_shard(s) : nullptr);
     // Dual-generation enforcement: while a cutover (or its linger
     // window) is active, every message's rate-limit domain is its
     // OLD-generation shard and both generations' meshes observe into
@@ -378,21 +161,19 @@ void WakuRlnRelayNode::wire_shard(shard::ShardedValidator& validator,
         // Sampled lifecycle spans: the 1-in-N selected messages get an
         // "rx" event as their window enters this shard's pipeline and a
         // "verdict" event (closing the span on any non-accept) after.
-        const bool tracing =
-            obs_clock_ != nullptr && tracer_.config().sample_every != 0;
-        if (tracing) {
-          for (std::size_t i = 0; i < messages.size(); ++i) {
-            // traced() first: unsampled messages pay only the key hash,
-            // never the detail-string build or the clock read.
-            if (!traced(messages[i])) continue;
-            // The hop-provenance edge (`from=`) is what lets the
-            // cross-node PropagationAssembler rebuild the hop graph.
-            trace_event(messages[i], "rx",
-                        "node=" + std::to_string(node_id()) +
-                            ",shard=" + std::to_string(shard) +
-                            ",gen=" + std::to_string(generation) +
-                            ",from=" + std::to_string(froms[i]));
-          }
+        std::vector<std::pair<std::size_t, obs::TraceKey>> sampled;
+        for (std::size_t i = 0; i < messages.size(); ++i) {
+          const std::optional<obs::TraceKey> key =
+              telemetry_.sampled_key(messages[i]);
+          if (!key.has_value()) continue;
+          sampled.emplace_back(i, *key);
+          // The hop-provenance edge (`from=`) is what lets the cross-node
+          // PropagationAssembler rebuild the hop graph.
+          telemetry_.trace(*key, "rx",
+                           "node=" + std::to_string(node_id()) +
+                               ",shard=" + std::to_string(shard) +
+                               ",gen=" + std::to_string(generation) +
+                               ",from=" + std::to_string(froms[i]));
         }
         // Route through the container's executor: deterministic mode is
         // the old inline call verbatim; parallel mode runs the window on
@@ -400,14 +181,11 @@ void WakuRlnRelayNode::wire_shard(shard::ShardedValidator& validator,
         // so the node's WAL/slash hooks never race the relay).
         const std::vector<ValidationOutcome> outcomes =
             validator->validate_batch(shard, messages, received_at);
-        if (tracing) {
-          for (std::size_t i = 0; i < outcomes.size(); ++i) {
-            if (!traced(messages[i])) continue;
-            const char* reason = verdict_name(outcomes[i].verdict);
-            trace_event(messages[i], "verdict", reason);
-            if (outcomes[i].verdict != Verdict::kAccept) {
-              trace_finish(messages[i], reason);
-            }
+        for (const auto& [i, key] : sampled) {
+          const char* reason = verdict_name(outcomes[i].verdict);
+          telemetry_.trace(key, "verdict", reason);
+          if (outcomes[i].verdict != Verdict::kAccept) {
+            telemetry_.finish(key, reason);
           }
         }
         std::vector<ValidationResult> results;
@@ -456,9 +234,9 @@ void WakuRlnRelayNode::wire_shard(shard::ShardedValidator& validator,
 
   relay_.subscribe_topic(topic, [this](const WakuMessage& msg) {
     ++stats_.delivered;
-    if (traced(msg)) {
-      trace_event(msg, "deliver", "node=" + std::to_string(node_id()));
-      trace_finish(msg, "deliver");
+    if (const std::optional<obs::TraceKey> key = telemetry_.sampled_key(msg)) {
+      telemetry_.trace(*key, "deliver", "node=" + std::to_string(node_id()));
+      telemetry_.finish(*key, "deliver");
     }
     if (config_.enable_store) {
       store_.archive(msg, network_.sim().now());
@@ -508,31 +286,7 @@ void WakuRlnRelayNode::start() {
         handle_chain_block(events);
       });
 
-  // Hop-direction hook: the router is the only layer that sees which
-  // peer an outbound publish frame targets ("fwd") or which peer a
-  // duplicate receipt came from ("dup"). Both fire after the local span
-  // closed (gossipsub delivers locally before relaying; a duplicate by
-  // definition follows the first rx), so they annotate the
-  // open-or-completed trace rather than opening a junk second span.
-  if (obs_clock_ != nullptr && tracer_.config().sample_every != 0) {
-    relay_.router().set_trace_hook(
-        [this](const char* kind, net::NodeId peer,
-               const gossipsub::PubSubMessage& m) {
-          WakuMessage msg;
-          try {
-            msg = WakuMessage::deserialize(m.data);
-          } catch (...) {
-            return;  // non-Waku frame: never traced
-          }
-          const obs::TraceKey key = waku::trace_key(msg);
-          if (!tracer_.sampled(key)) return;
-          const bool fwd = kind[0] == 'f';
-          tracer_.annotate(key, obs_clock_->now_ns(), kind,
-                           "node=" + std::to_string(node_id()) +
-                               (fwd ? ",to=" : ",from=") +
-                               std::to_string(peer));
-        });
-  }
+  telemetry_.trace_hops(relay_.router());
 
   // Periodic upkeep: per-shard nullifier-log GC (both generations and the
   // cutover domain logs), load-tracker sampling, and pending-slash
@@ -548,7 +302,7 @@ void WakuRlnRelayNode::start() {
           // phase transitions): a later cutover's WAL records must
           // replay onto a coordinator that already ended this linger.
           journal_.append(WalTag::kReshardLingerEnd, {});
-          record_flight(current_epoch(), "reshard", "linger_end");
+          telemetry_.record_flight(current_epoch(), "reshard", "linger_end");
           end_reshard_linger();
         }
         for (const shard::ShardId s : shards_.subscribed()) {
@@ -557,24 +311,11 @@ void WakuRlnRelayNode::start() {
           // storms) long before its message rate looks alarming.
           load_tracker_.record(s, shards_.pipeline(s).stats().accepted,
                                shards_.pipeline(s).log().entry_count(), now,
-                               shard_p95_validate_ms(s));
+                               telemetry_.shard_p95_validate_ms(s));
         }
         slashing_.expire(current_epoch());
-        if (obs_clock_ != nullptr) {
-          const std::uint64_t epoch = current_epoch();
-          // Backpressure rejects are a lifecycle event, not just a
-          // counter: the per-epoch delta joins the flight ring so a
-          // postmortem shows WHEN the executor started shedding.
-          const std::uint64_t rejected = shards_.executor_stats().rejected;
-          if (rejected > executor_rejected_seen_) {
-            record_flight(epoch, "backpressure",
-                          "rejected_delta=" +
-                              std::to_string(rejected -
-                                             executor_rejected_seen_));
-          }
-          executor_rejected_seen_ = rejected;
-          evaluate_self_anomalies(epoch);
-        }
+        telemetry_.end_epoch(current_epoch(),
+                             [this] { return health_sample(); });
         operator_tick();
       });
 
@@ -686,12 +427,12 @@ WakuRlnRelayNode::PublishStatus WakuRlnRelayNode::try_publish(
   journal_.append(WalTag::kOwnPublish, w.data(), route->quota_shard);
   const WakuMessage msg =
       build_message(std::move(payload), content_topic, epoch);
-  if (traced(msg)) {
+  if (const std::optional<obs::TraceKey> key = telemetry_.sampled_key(msg)) {
     // Span origin: every other node opens the same trace key at "rx".
-    trace_event(msg, "publish",
-                "node=" + std::to_string(node_id()) +
-                    ",topic=" + route->pubsub_topic +
-                    ",shard=" + std::to_string(route->quota_shard));
+    telemetry_.trace(*key, "publish",
+                     "node=" + std::to_string(node_id()) +
+                         ",topic=" + route->pubsub_topic +
+                         ",shard=" + std::to_string(route->quota_shard));
   }
   relay_.publish_on(route->pubsub_topic, msg);
   ++stats_.published;
@@ -890,8 +631,9 @@ bool WakuRlnRelayNode::begin_reshard(
     return false;
   }
   journal_reshard_phase(shard::ReshardPhase::kAnnounce, 0);
-  record_flight(current_epoch(), "reshard",
-                "phase=announce target=" + std::to_string(target_num_shards));
+  telemetry_.record_flight(
+      current_epoch(), "reshard",
+      "phase=announce target=" + std::to_string(target_num_shards));
   return true;
 }
 
@@ -919,8 +661,9 @@ bool WakuRlnRelayNode::advance_reshard() {
   // direction (a node that already acted in a phase must never wake up
   // believing it hadn't; the reverse merely repeats an idempotent setup).
   journal_reshard_phase(to, linger_until_epoch);
-  record_flight(current_epoch(), "reshard",
-                std::string("phase=") + shard::reshard_phase_name(to));
+  telemetry_.record_flight(
+      current_epoch(), "reshard",
+      std::string("phase=") + shard::reshard_phase_name(to));
   apply_reshard_transition(to, linger_until_epoch, /*live=*/true);
   return true;
 }
@@ -934,9 +677,10 @@ void WakuRlnRelayNode::operator_tick() {
   in.in_cutover = reshard_.in_cutover();
   in.lingering = reshard_.lingering();
   in.recommendation = load_tracker_.recommend(shards_.map());
-  in.p95_budget_breach = anomaly_.firing(obs::AnomalyRule::kP95BudgetBreach);
+  const obs::AnomalyEngine& anomalies = telemetry_.anomalies();
+  in.p95_budget_breach = anomalies.firing(obs::AnomalyRule::kP95BudgetBreach);
   in.propagation_latency_breach =
-      anomaly_.firing(obs::AnomalyRule::kPropagationLatency);
+      anomalies.firing(obs::AnomalyRule::kPropagationLatency);
   in.current = reshard_.current_config();
   std::optional<OperatorDecision> decision =
       operator_.decide(config_.operator_loop, in);
@@ -945,15 +689,15 @@ void WakuRlnRelayNode::operator_tick() {
   // the fail-closed order the replay relies on.
   operator_.commit(*decision, journal_);
   if (decision->action == OperatorDecision::Action::kAdvance) {
-    record_flight(in.epoch, "operator",
-                  std::string("advance from=") +
-                      shard::reshard_phase_name(reshard_.phase()));
+    telemetry_.record_flight(in.epoch, "operator",
+                             std::string("advance from=") +
+                                 shard::reshard_phase_name(reshard_.phase()));
     advance_reshard();
     return;
   }
-  record_flight(in.epoch, "operator",
-                "begin target=" + std::to_string(decision->target) +
-                    " reason=" + in.recommendation.reason);
+  telemetry_.record_flight(in.epoch, "operator",
+                           "begin target=" + std::to_string(decision->target) +
+                               " reason=" + in.recommendation.reason);
   begin_reshard(decision->target, std::move(decision->subscribe));
 }
 
@@ -961,7 +705,8 @@ void WakuRlnRelayNode::trigger_slash(const Fr& spammer_sk) {
   const std::uint64_t epoch = current_epoch();
   if (const std::optional<std::uint64_t> index =
           slashing_.commit(spammer_sk, group_, epoch)) {
-    record_flight(epoch, "slash", "commit index=" + std::to_string(*index));
+    telemetry_.record_flight(epoch, "slash",
+                             "commit index=" + std::to_string(*index));
   }
 }
 
@@ -974,8 +719,9 @@ void WakuRlnRelayNode::handle_chain_block(
     ++event_cursor_;
     if (const std::optional<std::uint64_t> slashed =
             slashing_.on_chain_event(event, group_)) {
-      record_flight(current_epoch(), "slash",
-                    "member_slashed index=" + std::to_string(*slashed));
+      telemetry_.record_flight(
+          current_epoch(), "slash",
+          "member_slashed index=" + std::to_string(*slashed));
     }
   });
   group_.commit_block();
@@ -1000,178 +746,8 @@ void WakuRlnRelayNode::handle_chain_block(
 
 // -- Observability -----------------------------------------------------------
 
-void WakuRlnRelayNode::setup_observability() {
-  if (!config_.obs.enabled) return;
-  if (config_.obs.clock != nullptr) {
-    obs_clock_ = config_.obs.clock;
-    return;
-  }
-  // Default: the node's own virtual time (ms scaled to ns). Under the
-  // deterministic simulator every execution makes identical clock
-  // observations, so telemetry-on runs stay bit-for-bit reproducible;
-  // benches/deployments inject obs::steady_clock() for wall time.
-  sim_clock_ = std::make_unique<obs::FnClock>(
-      [this] { return network_.local_time(node_id()) * 1'000'000ULL; });
-  obs_clock_ = sim_clock_.get();
-}
-
-PipelineMetrics& WakuRlnRelayNode::metrics_for_shard(shard::ShardId shard) {
-  const auto it = pipeline_metrics_.find(shard);
-  if (it != pipeline_metrics_.end()) return it->second;
-  const std::string shard_label = "shard=\"" + std::to_string(shard) + "\"";
-  PipelineMetrics& m = pipeline_metrics_[shard];
-  for (const StageRef& stage : kStages) {
-    m.*(stage.member) = &telemetry_.histogram(
-        "waku_pipeline_stage_seconds",
-        std::string("stage=\"") + stage.name + "\"," + shard_label,
-        "Per-stage validation latency");
-  }
-  m.window = &telemetry_.histogram("waku_pipeline_validate_seconds",
-                                   shard_label,
-                                   "Whole validate_batch window latency");
-  return m;
-}
-
-bool WakuRlnRelayNode::traced(const WakuMessage& msg) const {
-  return obs_clock_ != nullptr && tracer_.config().sample_every != 0 &&
-         tracer_.sampled(waku::trace_key(msg));
-}
-
-void WakuRlnRelayNode::trace_event(const WakuMessage& msg, const char* stage,
-                                   std::string detail) {
-  if (obs_clock_ == nullptr || tracer_.config().sample_every == 0) return;
-  const obs::TraceKey key = waku::trace_key(msg);
-  if (!tracer_.sampled(key)) return;  // no clock read for the N-1 in N
-  tracer_.record(key, obs_clock_->now_ns(), stage, std::move(detail));
-}
-
-void WakuRlnRelayNode::trace_finish(const WakuMessage& msg,
-                                    std::string outcome) {
-  if (obs_clock_ == nullptr || tracer_.config().sample_every == 0) return;
-  const obs::TraceKey key = waku::trace_key(msg);
-  if (!tracer_.sampled(key)) return;
-  tracer_.finish(key, obs_clock_->now_ns(), std::move(outcome));
-}
-
-std::vector<obs::Trace> WakuRlnRelayNode::trace_dump() const {
-  std::vector<obs::Trace> out = tracer_.completed();
-  const std::vector<obs::Trace> slow = tracer_.slowest();
-  out.insert(out.end(), slow.begin(), slow.end());
-  return out;
-}
-
-double WakuRlnRelayNode::shard_p95_validate_ms(shard::ShardId shard) const {
-  const auto it = pipeline_metrics_.find(shard);
-  if (it == pipeline_metrics_.end() || it->second.window == nullptr) {
-    return 0.0;
-  }
-  return static_cast<double>(it->second.window->snapshot().p95) / 1e6;
-}
-
-NodeTelemetrySnapshot WakuRlnRelayNode::telemetry_snapshot() const {
-  NodeTelemetrySnapshot t;
-  t.router = relay_.stats();
-  t.node = stats_;
-  t.pipeline = shards_.stats();
-  t.executor = shards_.executor_stats();
-  for (const shard::ShardId s : shards_.subscribed()) {
-    t.per_shard.emplace_back(s, shards_.pipeline(s).stats());
-  }
-  t.graylisted = relay_.router().scores().graylist_count();
-  t.pending_validation = relay_.router().pending_validation_total();
-  t.trace = tracer_.stats();
-  t.trace_open = tracer_.open_count();
-  t.operator_loop = operator_.bookkeeping();
-  t.flight_recorded = recorder_.recorded();
-  t.flight_evicted = recorder_.evicted();
-  t.anomalies_fired = anomaly_.fired_total();
-  return t;
-}
-
-NodeTelemetrySnapshot& NodeTelemetrySnapshot::operator+=(
-    const NodeTelemetrySnapshot& o) {
-  router.delivered += o.router.delivered;
-  router.duplicates += o.router.duplicates;
-  router.rejected += o.router.rejected;
-  router.ignored += o.router.ignored;
-  router.forwarded += o.router.forwarded;
-  router.ihave_sent += o.router.ihave_sent;
-  router.iwant_served += o.router.iwant_served;
-  router.validation_windows_flushed += o.router.validation_windows_flushed;
-  node.published += o.node.published;
-  node.publish_rate_limited += o.node.publish_rate_limited;
-  node.publish_wrong_shard += o.node.publish_wrong_shard;
-  node.delivered += o.node.delivered;
-  node.slash_commits += o.node.slash_commits;
-  node.slash_reveals += o.node.slash_reveals;
-  node.slash_rewards += o.node.slash_rewards;
-  node.slashes_expired += o.node.slashes_expired;
-  pipeline += o.pipeline;
-  executor.submitted += o.executor.submitted;
-  executor.executed += o.executor.executed;
-  executor.rejected += o.executor.rejected;
-  executor.blocked += o.executor.blocked;
-  executor.workers += o.executor.workers;
-  for (const auto& [s, stats] : o.per_shard) {
-    auto it = std::lower_bound(
-        per_shard.begin(), per_shard.end(), s,
-        [](const auto& entry, shard::ShardId id) { return entry.first < id; });
-    if (it == per_shard.end() || it->first != s) {
-      it = per_shard.insert(it, {s, ValidatorStats{}});
-    }
-    it->second += stats;
-  }
-  graylisted += o.graylisted;
-  pending_validation += o.pending_validation;
-  trace.sampled += o.trace.sampled;
-  trace.finished += o.trace.finished;
-  trace.evicted += o.trace.evicted;
-  trace.truncated += o.trace.truncated;
-  trace_open += o.trace_open;
-  operator_loop.decisions += o.operator_loop.decisions;
-  operator_loop.consecutive_recommend += o.operator_loop.consecutive_recommend;
-  operator_loop.last_action_epoch = std::max(
-      operator_loop.last_action_epoch, o.operator_loop.last_action_epoch);
-  operator_loop.phase_entered_epoch = std::max(
-      operator_loop.phase_entered_epoch, o.operator_loop.phase_entered_epoch);
-  flight_recorded += o.flight_recorded;
-  flight_evicted += o.flight_evicted;
-  anomalies_fired += o.anomalies_fired;
-  return *this;
-}
-
-std::string telemetry_section_json(const NodeTelemetrySnapshot& t,
-                                   std::string_view section) {
-  std::string out = "{";
-  const auto field = [&out](const char* key, std::uint64_t v) {
-    if (out.size() > 1) out += ",";
-    out.append("\"").append(key).append("\":").append(std::to_string(v));
-  };
-  if (section == "pipeline") {
-    for (const PipelineField& f : kPipelineFields) {
-      if (f.json_key != nullptr) field(f.json_key, t.pipeline.*(f.field));
-    }
-  } else {
-    for (const ScalarMetric& m : scalar_metrics(t)) {
-      if (m.json_key != nullptr && section == m.section) {
-        field(m.json_key, m.value);
-      }
-    }
-  }
-  return out + "}";
-}
-
-void WakuRlnRelayNode::record_flight(std::uint64_t epoch, const char* kind,
-                                     std::string detail) {
-  // The recorder follows the obs master switch: disabled telemetry means
-  // no clock, and a timestamp-less black box would break the
-  // deterministic byte-identity the recorder promises.
-  if (obs_clock_ == nullptr) return;
-  recorder_.record(obs_clock_->now_ns(), epoch, kind, std::move(detail));
-}
-
 obs::NodeHealthSample WakuRlnRelayNode::health_sample() const {
-  const NodeTelemetrySnapshot t = telemetry_snapshot();
+  const NodeTelemetrySnapshot t = telemetry_.snapshot();
   obs::NodeHealthSample s;
   s.node_id = node_id();
   s.epoch = current_epoch();
@@ -1189,207 +765,14 @@ obs::NodeHealthSample WakuRlnRelayNode::health_sample() const {
     if (it != last_published_epoch_.end() && it->second == s.epoch) {
       ++saturated;
     }
+    s.shards.push_back(
+        obs::ShardHealth{sh, telemetry_.shard_p95_validate_ms(sh)});
   }
-  if (!shards_.subscribed().empty()) {
+  if (!s.shards.empty()) {
     s.quota_saturation = static_cast<double>(saturated) /
-                         static_cast<double>(shards_.subscribed().size());
-  }
-  for (const shard::ShardId sh : shards_.subscribed()) {
-    s.shards.push_back(obs::ShardHealth{sh, shard_p95_validate_ms(sh)});
+                         static_cast<double>(s.shards.size());
   }
   return s;
-}
-
-void WakuRlnRelayNode::evaluate_self_anomalies(std::uint64_t epoch) {
-  self_fleet_.ingest(health_sample());
-  const obs::FleetEpochSeries* row = self_fleet_.close_epoch(epoch);
-  if (row == nullptr) return;
-  for (const obs::AnomalyVerdict& v : anomaly_.evaluate(*row)) {
-    if (!v.changed) continue;
-    record_flight(epoch, "anomaly",
-                  std::string(obs::anomaly_rule_name(v.rule)) +
-                      (v.firing ? " firing" : " cleared") +
-                      " observed=" + obs::format_double(v.observed));
-    if (v.firing) {
-      dump_postmortem(std::string("anomaly:") +
-                      obs::anomaly_rule_name(v.rule));
-    }
-  }
-}
-
-void WakuRlnRelayNode::dump_postmortem(const std::string& reason) {
-  last_postmortem_ = recorder_.postmortem_json(reason);
-  if (config_.persist_dir.empty()) return;
-  const std::string path = config_.persist_dir + "/postmortem.json";
-  FILE* f = std::fopen(path.c_str(), "w");
-  if (f == nullptr) return;  // best-effort: the in-memory copy survives
-  std::fwrite(last_postmortem_.data(), 1, last_postmortem_.size(), f);
-  std::fputc('\n', f);
-  std::fclose(f);
-}
-
-std::string WakuRlnRelayNode::metrics_text() const {
-  const NodeTelemetrySnapshot t = telemetry_snapshot();
-  obs::PrometheusWriter w;
-  const auto shard_label = [](shard::ShardId s) {
-    return "shard=\"" + std::to_string(s) + "\"";
-  };
-  const std::vector<ScalarMetric> scalars = scalar_metrics(t);
-  const auto render = [&](std::string_view section) {
-    for (const ScalarMetric& m : scalars) {
-      if (m.prom_name == nullptr || section != m.section) continue;
-      w.help_type(m.prom_name, m.gauge ? "gauge" : "counter", m.help);
-      write_sample(w, m.prom_name, m.gauge, "", m.value);
-    }
-  };
-  render("node");
-  render("router");
-
-  // Per-shard verdict-reason counters (one family, labelled series), then
-  // one family per remaining pipeline field.
-  w.help_type("waku_pipeline_verdicts_total", "counter",
-              "Validation verdicts by reason, per rate-limit domain");
-  for (const auto& [s, stats] : t.per_shard) {
-    for (const PipelineField& f : kPipelineFields) {
-      if (f.reason == nullptr) continue;
-      w.counter("waku_pipeline_verdicts_total",
-                shard_label(s) + ",reason=\"" + f.reason + "\"",
-                stats.*(f.field));
-    }
-  }
-  for (const PipelineField& f : kPipelineFields) {
-    if (f.prom_name == nullptr) continue;
-    w.help_type(f.prom_name, f.gauge ? "gauge" : "counter", f.help);
-    for (const auto& [s, stats] : t.per_shard) {
-      write_sample(w, f.prom_name, f.gauge, shard_label(s), stats.*(f.field));
-    }
-  }
-
-  for (const ShardCounterFamily& f : kShardCounterFamilies) {
-    w.help_type(f.prom_name, "counter", f.help);
-    for (const shard::ShardId s : shards_.subscribed()) {
-      if (f.root_cache != nullptr) {
-        w.counter(f.prom_name, shard_label(s),
-                  shards_.pipeline(s).root_cache_stats().*(f.root_cache));
-        continue;
-      }
-      const auto stripes = shards_.pipeline(s).log().stripe_contention();
-      for (std::size_t i = 0; i < stripes.size(); ++i) {
-        w.counter(f.prom_name,
-                  shard_label(s) + ",stripe=\"" + std::to_string(i) + "\"",
-                  stripes[i].*(f.stripe));
-      }
-    }
-  }
-
-  // Executor: pool counters plus per-lane queue-wait/service histograms.
-  render("executor");
-  const std::vector<LaneObsSnapshot> lanes = shards_.executor_lane_stats();
-  for (const LaneFamily& f : kLaneFamilies) {
-    w.help_type(f.prom_name, f.histogram != nullptr ? "histogram" : "gauge",
-                f.help);
-    for (const LaneObsSnapshot& lane : lanes) {
-      const std::string label = "lane=\"" + std::to_string(lane.lane) + "\"";
-      if (f.histogram != nullptr) {
-        w.histogram(f.prom_name, label, lane.*(f.histogram), 1e-9);
-      } else {
-        w.gauge(f.prom_name, label,
-                static_cast<double>(lane.depth_high_watermark));
-      }
-    }
-  }
-
-  // Per-stage latency quantiles (the registry's histogram families carry
-  // the full buckets; these gauges answer p50/p95/p99 directly).
-  w.help_type("waku_pipeline_stage_quantile_seconds", "gauge",
-              "Per-stage latency quantiles (<=2x log2-bucket overestimate)");
-  for (const auto& [s, m] : pipeline_metrics_) {
-    for (const StageRef& stage : kStages) {
-      const obs::Histogram* h = m.*(stage.member);
-      if (h == nullptr) continue;
-      const obs::HistogramSnapshot snap = h->snapshot();
-      const std::string base = std::string("stage=\"") + stage.name + "\"," +
-                               shard_label(s) + ",quantile=\"";
-      w.gauge("waku_pipeline_stage_quantile_seconds", base + "0.5\"",
-              static_cast<double>(snap.p50) * 1e-9);
-      w.gauge("waku_pipeline_stage_quantile_seconds", base + "0.95\"",
-              static_cast<double>(snap.p95) * 1e-9);
-      w.gauge("waku_pipeline_stage_quantile_seconds", base + "0.99\"",
-              static_cast<double>(snap.p99) * 1e-9);
-    }
-  }
-  w.help_type("waku_shard_p95_validate_seconds", "gauge",
-              "p95 whole-window validation latency per shard");
-  for (const auto& [s, m] : pipeline_metrics_) {
-    w.gauge("waku_shard_p95_validate_seconds", shard_label(s),
-            shard_p95_validate_ms(s) * 1e-3);
-  }
-
-  render("trace");
-  render("operator");
-
-  // The registry renders itself (stage/window latency histograms); the
-  // single-node fleet view appends its waku_fleet_* families once the
-  // first epoch closed.
-  return w.text() + self_fleet_.to_prometheus() + telemetry_.to_prometheus();
-}
-
-std::string WakuRlnRelayNode::metrics_json() const {
-  const NodeTelemetrySnapshot t = telemetry_snapshot();
-  std::string out = "{";
-  std::string sep;  // between the fields of the object being written
-  const auto begin = [&](const std::string& opener) {
-    out += opener;
-    sep = "";
-  };
-  const auto u64 = [&](const char* key, std::uint64_t v) {
-    out += sep + "\"" + key + "\":" + std::to_string(v);
-    sep = ",";
-  };
-  const auto section = [&](const char* name) {
-    out.append("\"").append(name).append("\":");
-    out += telemetry_section_json(t, name) + ",";
-  };
-
-  section("node");
-  section("router");
-  section("pipeline");
-  out += "\"per_shard\":[";
-  for (std::size_t i = 0; i < t.per_shard.size(); ++i) {
-    const auto& [s, stats] = t.per_shard[i];
-    begin(i > 0 ? ",{" : "{");
-    u64("shard", s);
-    u64("accepted", stats.accepted);
-    u64("spam_detected", stats.spam_detected);
-    u64("stale_root", stats.stale_root);
-    u64("log_entries", stats.log_entries);
-    char p95[64];
-    std::snprintf(p95, sizeof p95, ",\"p95_validate_ms\":%.3f}",
-                  shard_p95_validate_ms(s));
-    out += p95;
-  }
-  out += "],";
-
-  section("executor");
-  out += "\"executor_lanes\":[";
-  const std::vector<LaneObsSnapshot> lanes = shards_.executor_lane_stats();
-  for (std::size_t i = 0; i < lanes.size(); ++i) {
-    begin(i > 0 ? ",{" : "{");
-    u64("lane", lanes[i].lane);
-    u64("queue_wait_count", lanes[i].queue_wait.count);
-    u64("queue_wait_p95_ns", lanes[i].queue_wait.p95);
-    u64("service_count", lanes[i].service.count);
-    u64("service_p95_ns", lanes[i].service.p95);
-    u64("depth_high_watermark", lanes[i].depth_high_watermark);
-    out += "}";
-  }
-  out += "],";
-
-  section("trace");
-  section("operator");
-  out += "\"fleet\":" + self_fleet_.timeline_json() + ",";
-  out += "\"registry\":" + telemetry_.to_json() + "}";
-  return out;
 }
 
 // -- Durable state -----------------------------------------------------------
@@ -1593,12 +976,12 @@ void WakuRlnRelayNode::apply_wal_record(WalTag tag, std::uint16_t shard,
       const OperatorDecision d = operator_.replay(payload);
       // Re-seed the (fresh, in-memory) flight ring so a postmortem after
       // a crash still shows the operator's pre-crash decisions.
-      record_flight(d.epoch, "operator",
-                    std::string(d.action == OperatorDecision::Action::kBegin
-                                    ? "begin"
-                                    : "advance") +
-                        " target=" + std::to_string(d.target) +
-                        " (wal replay)");
+      telemetry_.record_flight(
+          d.epoch, "operator",
+          std::string(d.action == OperatorDecision::Action::kBegin
+                          ? "begin"
+                          : "advance") +
+              " target=" + std::to_string(d.target) + " (wal replay)");
       break;
     }
   }
@@ -1624,10 +1007,10 @@ void WakuRlnRelayNode::restore_from_store() {
   if (restored || wal_records > 0) {
     // A prior life existed: this boot is a crash-restart. Record it and
     // dump the black box (what the replay re-seeded) for the operator.
-    record_flight(current_epoch(), "restart",
-                  "wal_records=" + std::to_string(wal_records) +
-                      " cursor=" + std::to_string(event_cursor_));
-    dump_postmortem("crash-restart");
+    telemetry_.record_flight(current_epoch(), "restart",
+                             "wal_records=" + std::to_string(wal_records) +
+                                 " cursor=" + std::to_string(event_cursor_));
+    telemetry_.dump_postmortem("crash-restart");
   }
 }
 

@@ -22,12 +22,14 @@
 //     commit-reveal slashes, then resumes the contract event stream from a
 //     replay cursor instead of genesis.
 //
-// The node is a composition of owned parts, each holding its state, its
-// WAL records and its snapshot section: NodeJournal (node_journal.hpp: the
-// WalTag schema, the StateStore, the observation-record codec),
-// SlashingEngine (slashing.hpp: commit–reveal) and OperatorLoop
-// (operator_loop.hpp: the autonomous reshard operator's decide step). The
-// node wires them together and applies their decisions.
+// The node is a composition of owned parts: NodeJournal (node_journal.hpp:
+// the WalTag schema, the StateStore, the observation-record codec),
+// SlashingEngine (slashing.hpp: commit–reveal), OperatorLoop
+// (operator_loop.hpp: the autonomous reshard operator's decide step) and
+// NodeTelemetry (node_telemetry.hpp: metric registry, traces, flight
+// recorder, self-monitor and exposition, reached through telemetry()).
+// The first three hold durable state, WAL records and a snapshot section;
+// the node wires the parts together and applies their decisions.
 //
 // Attacker hooks (force_publish / publish_with_invalid_proof) exist so the
 // spam experiments can drive misbehaving-but-registered peers through the
@@ -36,11 +38,9 @@
 
 #include <deque>
 #include <functional>
-#include <map>
 #include <memory>
 #include <optional>
 #include <string>
-#include <string_view>
 #include <unordered_map>
 #include <utility>
 #include <vector>
@@ -48,14 +48,12 @@
 #include "chain/blockchain.hpp"
 #include "chain/rln_contract.hpp"
 #include "obs/config.hpp"
-#include "obs/fleet.hpp"
-#include "obs/recorder.hpp"
-#include "obs/telemetry.hpp"
 #include "persist/state_store.hpp"
 #include "rln/checkpoint.hpp"
 #include "rln/group_manager.hpp"
 #include "rln/identity.hpp"
 #include "rln/node_journal.hpp"
+#include "rln/node_telemetry.hpp"
 #include "rln/operator_loop.hpp"
 #include "rln/slashing.hpp"
 #include "rln/validation_pipeline.hpp"
@@ -130,48 +128,6 @@ struct NodeConfig {
   /// deployments keep driving begin/advance_reshard themselves).
   OperatorConfig operator_loop;
 };
-
-struct NodeStats {
-  std::uint64_t published = 0;
-  std::uint64_t publish_rate_limited = 0;  ///< honest self-throttle hits
-  std::uint64_t publish_wrong_shard = 0;   ///< publishes on unhosted shards
-  std::uint64_t delivered = 0;
-  std::uint64_t slash_commits = 0;
-  std::uint64_t slash_reveals = 0;
-  std::uint64_t slash_rewards = 0;  ///< MemberSlashed where we were payee
-  std::uint64_t slashes_expired = 0;  ///< pending slashes dropped by expiry
-};
-
-/// One coherent read of every counter family the node maintains: what
-/// metrics_{text,json}() render, and what a deployment sums (operator+=)
-/// into a fleet-wide view that renders through the same tables.
-struct NodeTelemetrySnapshot {
-  gossipsub::RouterStats router;
-  NodeStats node;
-  ValidatorStats pipeline;  ///< aggregate across subscribed shards
-  ExecutorStats executor;
-  /// Per-shard pipeline stats, ordered by shard id.
-  std::vector<std::pair<shard::ShardId, ValidatorStats>> per_shard;
-  std::size_t graylisted = 0;  ///< peers currently below the graylist bar
-  std::size_t pending_validation = 0;  ///< messages buffered in windows
-  obs::TraceCollectorStats trace;
-  std::size_t trace_open = 0;  ///< lifecycle spans currently open
-  OperatorLoop::Bookkeeping operator_loop;
-  std::uint64_t flight_recorded = 0;  ///< flight-recorder events, ever
-  std::uint64_t flight_evicted = 0;   ///< ... dropped off the ring
-  std::uint64_t anomalies_fired = 0;  ///< self-monitor fire transitions
-
-  /// Field-wise accumulation, as ValidatorStats::operator+=: counters and
-  /// gauges sum, per_shard merges by shard id, the pipeline watermark
-  /// takes the minimum and the operator's epoch anchors the maximum.
-  NodeTelemetrySnapshot& operator+=(const NodeTelemetrySnapshot& o);
-};
-
-/// One section of metrics_json() rendered from `t` alone ("node",
-/// "router", "pipeline", "executor", "trace" or "operator") as a JSON
-/// object, so a deployment-wide sum renders exactly as one node does.
-[[nodiscard]] std::string telemetry_section_json(
-    const NodeTelemetrySnapshot& t, std::string_view section);
 
 class WakuRlnRelayNode {
  public:
@@ -307,14 +263,10 @@ class WakuRlnRelayNode {
       std::function<std::vector<shard::ShardId>(std::uint16_t)> chooser) {
     config_.operator_loop.subscribe_chooser = std::move(chooser);
   }
-  /// Operator decisions taken (begin + advance), including WAL-replayed
-  /// ones — a restarted node resumes the count, not restarts it.
-  [[nodiscard]] std::uint64_t operator_decisions() const {
-    return operator_.bookkeeping().decisions;
-  }
-  [[nodiscard]] std::uint64_t operator_last_action_epoch() const {
-    return operator_.bookkeeping().last_action_epoch;
-  }
+  /// The operator loop's bookkeeping: decisions taken (begin + advance,
+  /// WAL-replayed ones included, so a restarted node resumes the count)
+  /// and the cooldown / dwell anchors.
+  [[nodiscard]] const OperatorLoop& operator_loop() const { return operator_; }
 
   /// Overlap-window attacker hook: a valid-proof publish forced onto a
   /// specific generation's mesh (next when `use_next_generation` and a
@@ -383,54 +335,10 @@ class WakuRlnRelayNode {
 
   // -- Observability (src/obs) -----------------------------------------------
 
-  /// Prometheus text exposition: stage/window latency histograms (from
-  /// the lock-cheap registry), per-stage p50/p95/p99 quantile gauges,
-  /// verdict-reason counters per shard, executor lane queue-wait /
-  /// service-time histograms and depth high-watermarks, nullifier-log
-  /// gauges (including per-stripe contention), router/node counters, and
-  /// trace-collector counters. Lintable by scripts/check_metrics_format.py.
-  [[nodiscard]] std::string metrics_text() const;
-  /// The same data as one JSON object (histogram quantiles included).
-  [[nodiscard]] std::string metrics_json() const;
-  /// Coherent counter snapshot across every subsystem (also what
-  /// health_sample() reads).
-  [[nodiscard]] NodeTelemetrySnapshot telemetry_snapshot() const;
-
-  /// The lock-cheap metric registry (stage histograms live here).
-  [[nodiscard]] obs::Telemetry& telemetry() { return telemetry_; }
-  /// Sampled message-lifecycle spans (1-in-N; see ObsConfig::trace).
-  [[nodiscard]] obs::TraceCollector& tracer() { return tracer_; }
-  [[nodiscard]] const obs::TraceCollector& tracer() const { return tracer_; }
-  /// The clock telemetry reads (virtual time under the simulator);
-  /// nullptr when telemetry is disabled.
-  [[nodiscard]] const obs::Clock* obs_clock() const { return obs_clock_; }
-
-  /// Bounded ring of structured lifecycle events (reshard transitions,
-  /// slashes, backpressure, anomaly firings, operator decisions).
-  [[nodiscard]] const obs::FlightRecorder& flight_recorder() const {
-    return recorder_;
-  }
-  /// The most recent postmortem dump ("" until an anomaly fires or a
-  /// crash-restart is detected). Persistent nodes also write it to
-  /// `<persist_dir>/postmortem.json`.
-  [[nodiscard]] const std::string& last_postmortem() const {
-    return last_postmortem_;
-  }
-  /// Every retained sampled trace (completed ring then slow ring) — the
-  /// per-node dump a cross-node obs::PropagationAssembler ingests tagged
-  /// with node_id(). Ring overlap is fine: assembler ingestion is
-  /// idempotent per (node, key) and keeps the richest version.
-  [[nodiscard]] std::vector<obs::Trace> trace_dump() const;
-  /// Feeds the latest mesh-level propagation rollup (from an assembler
-  /// summary) into the self-monitor fleet aggregator, arming the
-  /// propagation-latency SLO rule for the operator loop. Harness-fed; a
-  /// standalone node leaves it unset and the rule stays healthy.
-  void set_propagation_health(double p95_ms, double redundancy,
-                              double reachability,
-                              std::uint64_t incomplete_trees) {
-    self_fleet_.set_propagation(p95_ms, redundancy, reachability,
-                                incomplete_trees);
-  }
+  /// Metrics, sampled traces, the flight recorder and the exposition
+  /// (node_telemetry.hpp).
+  [[nodiscard]] NodeTelemetry& telemetry() { return telemetry_; }
+  [[nodiscard]] const NodeTelemetry& telemetry() const { return telemetry_; }
   /// This node's health scrape for the current epoch — the generic
   /// NodeHealthSample a FleetAggregator ingests. The harness-only ground
   /// truth (honest/spam deliveries) is left 0 for the caller to fill.
@@ -519,40 +427,6 @@ class WakuRlnRelayNode {
   [[nodiscard]] std::vector<shard::ShardWatermark> hosted_watermarks(
       std::span<const shard::ShardId> shards) const;
 
-  // -- Observability helpers --------------------------------------------------
-
-  /// Resolves the telemetry clock (ObsConfig override, else a FnClock
-  /// over the node's virtual time). Runs before the first
-  /// install_validator_hooks so every pipeline generation gets wired.
-  void setup_observability();
-  /// The shard's stage-histogram bundle, registering the series on first
-  /// use. Address-stable (node-based map) and shared across pipeline
-  /// generations of the same shard id, so a live reshard never splits a
-  /// shard's latency series.
-  [[nodiscard]] PipelineMetrics& metrics_for_shard(shard::ShardId shard);
-  /// True when tracing is on AND `msg`'s content key samples into the
-  /// 1-in-N — call-site guard so unsampled messages never pay the
-  /// detail-string build or the clock read, only the key hash.
-  [[nodiscard]] bool traced(const WakuMessage& msg) const;
-  /// Appends a span event / closes the span for `msg` (no-op unless
-  /// tracing is on and the message's key samples in).
-  void trace_event(const WakuMessage& msg, const char* stage,
-                   std::string detail);
-  void trace_finish(const WakuMessage& msg, std::string outcome);
-  /// The shard's p95 whole-window validation latency in ms (0 until the
-  /// shard validated anything, or with telemetry off).
-  [[nodiscard]] double shard_p95_validate_ms(shard::ShardId shard) const;
-  /// Appends one lifecycle event to the flight recorder (no-op with
-  /// telemetry disabled — the recorder follows the obs master switch).
-  void record_flight(std::uint64_t epoch, const char* kind,
-                     std::string detail);
-  /// Self-monitor step: folds this epoch's health_sample() through the
-  /// single-node FleetAggregator + AnomalyEngine; fire transitions land
-  /// in the flight recorder and trigger a postmortem dump.
-  void evaluate_self_anomalies(std::uint64_t epoch);
-  /// Renders recorder_.postmortem_json(reason) into last_postmortem_ and,
-  /// for persistent nodes, `<persist_dir>/postmortem.json`.
-  void dump_postmortem(const std::string& reason);
   /// One operator-loop step per upkeep tick (no-op unless enabled).
   void operator_tick();
 
@@ -621,28 +495,8 @@ class WakuRlnRelayNode {
   net::Simulator::TaskId upkeep_task_ = 0;
   bool started_ = false;
 
-  // -- Observability state (src/obs) -----------------------------------------
-  obs::Telemetry telemetry_;
-  obs::TraceCollector tracer_;
-  /// Owns the default virtual-time clock when ObsConfig::clock is null.
-  std::unique_ptr<obs::FnClock> sim_clock_;
-  /// What the pipelines/executor read; nullptr = telemetry disabled (the
-  /// hot paths then skip every clock read).
-  const obs::Clock* obs_clock_ = nullptr;
-  /// Stage-histogram bundles per shard id; node-based map keeps the
-  /// addresses the pipelines hold stable.
-  std::map<shard::ShardId, PipelineMetrics> pipeline_metrics_;
-
-  // -- Fleet plane / operator loop (src/obs fleet + recorder) ----------------
-  obs::FlightRecorder recorder_;
-  /// Single-node aggregator + SLO rules over this node's own epoch rows
-  /// (the fleet-wide instance lives in the sim/deployment layer).
-  obs::FleetAggregator self_fleet_;
-  obs::AnomalyEngine anomaly_;
-  std::string last_postmortem_;
-  /// Last executor rejected-counter value seen by upkeep; the delta per
-  /// epoch becomes a backpressure flight event.
-  std::uint64_t executor_rejected_seen_ = 0;
+  /// Declared after every part its snapshot reads.
+  NodeTelemetry telemetry_;
 };
 
 }  // namespace waku::rln

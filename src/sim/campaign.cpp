@@ -125,8 +125,10 @@ void Campaign::harvest_traces(obs::PropagationAssembler& assembler) {
     if (!harness.alive(i)) continue;
     rln::WakuRlnRelayNode& node = harness.node(i);
     if (!honest(i)) assembler.mark_adversary(node.node_id());
-    assembler.ingest(node.node_id(), node.trace_dump());
-    assembler.ingest_flight(node.node_id(), node.flight_recorder().events());
+    const rln::NodeTelemetry& telemetry = node.telemetry();
+    assembler.ingest(node.node_id(), telemetry.trace_dump());
+    assembler.ingest_flight(node.node_id(),
+                            telemetry.flight_recorder().events());
     for (const shard::ShardId s : node.validator().subscribed()) {
       ++subscribers[s];
     }

@@ -2,8 +2,8 @@
 // beyond the nodes' own counters. It classifies every delivery by payload
 // tag (per node and per relay shard) and timestamps every MemberSlashed /
 // MemberWithdrawn contract event. Node counters are not copied here: a
-// scenario's Report sums the live nodes' telemetry_snapshot()s once, at
-// scenario end.
+// scenario's Report sums the live nodes' telemetry().snapshot()s once,
+// at scenario end.
 #pragma once
 
 #include <cstdint>

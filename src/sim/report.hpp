@@ -121,8 +121,8 @@ struct ScenarioVerdict {
 
 struct Report {
   ScenarioVerdict verdict;
-  /// Field-wise sum of the live nodes' telemetry_snapshot()s at scenario
-  /// end: the same counters each node exports, fleet-wide.
+  /// Field-wise sum of the live nodes' telemetry().snapshot()s at
+  /// scenario end: the same counters each node exports, fleet-wide.
   rln::NodeTelemetrySnapshot deployment;
   net::TrafficStats traffic;  ///< network().total_stats() at scenario end
 

@@ -61,8 +61,8 @@ void Scenario::scrape_fleet(std::uint64_t epoch) {
                            ps.incomplete_trees);
     for (std::size_t i = 0; i < h.size(); ++i) {
       if (!campaign_.honest(i) || !h.alive(i)) continue;
-      h.node(i).set_propagation_health(p95_ms, ps.redundancy_ratio,
-                                       ps.reachability, ps.incomplete_trees);
+      h.node(i).telemetry().set_propagation_health(
+          p95_ms, ps.redundancy_ratio, ps.reachability, ps.incomplete_trees);
     }
   }
   fleet_.close_epoch(epoch);
@@ -212,7 +212,7 @@ Report Scenario::run() {
 
   Report report{std::move(verdict), {}, h.network().total_stats()};
   for (std::size_t i = 0; i < h.size(); ++i) {
-    if (h.alive(i)) report.deployment += h.node(i).telemetry_snapshot();
+    if (h.alive(i)) report.deployment += h.node(i).telemetry().snapshot();
   }
   return report;
 }
@@ -788,8 +788,10 @@ OperatorHotspotOutcome run_operator_hotspot_campaign(
     if (!out.operator_triggered) {
       std::uint64_t earliest = ~std::uint64_t{0};
       for (std::size_t i = 0; i < n; ++i) {
-        if (!h.alive(i) || h.node(i).operator_decisions() == 0) continue;
-        earliest = std::min(earliest, h.node(i).operator_last_action_epoch());
+        if (!h.alive(i)) continue;
+        const auto& loop = h.node(i).operator_loop().bookkeeping();
+        if (loop.decisions == 0) continue;
+        earliest = std::min(earliest, loop.last_action_epoch);
       }
       if (earliest != ~std::uint64_t{0}) {
         out.operator_triggered = true;
@@ -815,7 +817,8 @@ OperatorHotspotOutcome run_operator_hotspot_campaign(
   out.epochs_to_converge =
       out.converged ? out.converged_epoch - out.trigger_epoch : 0;
   for (std::size_t i = 0; i < n; ++i) {
-    if (h.alive(i)) out.operator_decisions += h.node(i).operator_decisions();
+    if (!h.alive(i)) continue;
+    out.operator_decisions += h.node(i).operator_loop().bookkeeping().decisions;
   }
   out.honest_sent = c.honest_sent;
   out.honest_delivered = c.honest_delivered();
@@ -827,7 +830,8 @@ OperatorHotspotOutcome run_operator_hotspot_campaign(
   out.anomalies_fired = fleet_anomaly.fired_total();
   out.fleet_timeline_json = fleet.timeline_json();
   out.postmortem_json =
-      h.node(0).flight_recorder().postmortem_json("operator-hotspot-campaign");
+      h.node(0).telemetry().flight_recorder().postmortem_json(
+          "operator-hotspot-campaign");
   return out;
 }
 

@@ -417,11 +417,11 @@ TEST(Schnorr, NoncesDifferAcrossMessagesUnderOneKey) {
   // messages must yield distinct commitments.
   Rng rng(0x5C42);
   const schnorr::KeyPair key = schnorr::keygen(rng);
-  std::set<Bytes> commitments;
+  std::set<std::string> commitments;
   for (int i = 0; i < 20; ++i) {
-    const schnorr::Signature sig =
-        schnorr::sign(key, to_bytes("m" + std::to_string(i)));
-    commitments.insert(sig.r.to_bytes_be());
+    const schnorr::Signature sig = schnorr::sign(
+        key, to_bytes(std::string("m").append(std::to_string(i))));
+    commitments.insert(to_hex(sig.r.to_bytes_be()));
   }
   EXPECT_EQ(commitments.size(), 20u);
 }

@@ -4,8 +4,10 @@
 // 1-in-N trace sampling, bounded trace rings, the striped nullifier
 // log's aggregated bucket_sizes/contention counters, and the node-level
 // exposition — a sampled span covering publish -> rx -> verdict ->
-// deliver, Prometheus families in metrics_text(), and the guarantee
-// that telemetry-on runs stay deterministic under the simulator.
+// deliver, Prometheus families in metrics_text(), the guarantee that
+// telemetry-on runs stay deterministic under the simulator, the pinned
+// bytes of every examples/metrics_dump.cpp output, and the deployment
+// sum of node snapshots.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -14,6 +16,7 @@
 #include <thread>
 #include <vector>
 
+#include "hash/sha256.hpp"
 #include "obs/clock.hpp"
 #include "obs/fleet.hpp"
 #include "obs/propagation.hpp"
@@ -127,7 +130,7 @@ TEST(Telemetry, RegistrationIsIdempotentAndKindChecked) {
   EXPECT_EQ(&a, &b);  // same series, stable address
   a.add(3);
   EXPECT_EQ(b.value(), 3u);
-  EXPECT_THROW(reg.gauge("waku_test_total"), std::logic_error);
+  EXPECT_THROW(reg.histogram("waku_test_total"), std::logic_error);
 }
 
 TEST(Telemetry, PrometheusExpositionScalesSecondsFamilies) {
@@ -827,7 +830,7 @@ TEST(NodeObservability, SampledTraceCoversPublishToDeliver) {
   std::set<std::string> stages;
   std::size_t finished_nodes = 0;
   for (std::size_t i = 0; i < h.size(); ++i) {
-    for (const obs::Trace& t : h.node(i).tracer().completed()) {
+    for (const obs::Trace& t : h.node(i).telemetry().tracer().completed()) {
       for (const obs::TraceEvent& ev : t.events) stages.insert(ev.stage);
       if (t.outcome == "deliver") ++finished_nodes;
     }
@@ -838,7 +841,8 @@ TEST(NodeObservability, SampledTraceCoversPublishToDeliver) {
   EXPECT_TRUE(stages.contains("deliver"));
   EXPECT_EQ(finished_nodes, h.size());  // every node closed its span
 
-  const obs::TraceCollectorStats stats = h.node(1).tracer().stats();
+  const obs::TraceCollectorStats stats =
+      h.node(1).telemetry().tracer().stats();
   EXPECT_GE(stats.sampled, 1u);
   EXPECT_GE(stats.finished, 1u);
 }
@@ -851,7 +855,7 @@ TEST(NodeObservability, MetricsTextExposesPipelineAndExecutorFamilies) {
             WakuRlnRelayNode::PublishStatus::kOk);
   h.run_ms(10'000);
 
-  const std::string text = h.node(1).metrics_text();
+  const std::string text = h.node(1).telemetry().metrics_text();
   // Stage latency histograms with per-shard labels (registry-rendered).
   EXPECT_NE(text.find("# TYPE waku_pipeline_stage_seconds histogram"),
             std::string::npos);
@@ -875,13 +879,13 @@ TEST(NodeObservability, MetricsTextExposesPipelineAndExecutorFamilies) {
             std::string::npos);
   EXPECT_NE(text.find("waku_trace_sampled_total"), std::string::npos);
 
-  const std::string json = h.node(1).metrics_json();
+  const std::string json = h.node(1).telemetry().metrics_json();
   EXPECT_NE(json.find("\"pipeline\""), std::string::npos);
   EXPECT_NE(json.find("\"executor_lanes\""), std::string::npos);
   EXPECT_NE(json.find("\"registry\""), std::string::npos);
 
   // The coherent snapshot matches what exposition rendered from.
-  const NodeTelemetrySnapshot snap = h.node(1).telemetry_snapshot();
+  const NodeTelemetrySnapshot snap = h.node(1).telemetry().snapshot();
   EXPECT_GE(snap.pipeline.accepted, 1u);
   EXPECT_GE(snap.node.delivered, 1u);
   EXPECT_EQ(snap.per_shard.size(), 1u);
@@ -901,7 +905,8 @@ TEST(NodeObservability, TelemetryOnRunsStayDeterministic) {
     EXPECT_EQ(h.node(0).try_publish(to_bytes("deterministic")),
               WakuRlnRelayNode::PublishStatus::kOk);
     h.run_ms(10'000);
-    return h.node(2).metrics_text() + h.node(2).metrics_json();
+    const NodeTelemetry& telemetry = h.node(2).telemetry();
+    return telemetry.metrics_text() + telemetry.metrics_json();
   };
   EXPECT_EQ(run(), run());
 }
@@ -917,17 +922,17 @@ TEST(NodeObservability, DisabledTelemetryKeepsCountersButNoStageSeries) {
   h.run_ms(10'000);
   EXPECT_EQ(h.total_delivered(), h.size());
 
-  EXPECT_EQ(h.node(1).obs_clock(), nullptr);
-  EXPECT_NE(h.node(1).metrics_json().find("\"fleet\":[]"),
+  EXPECT_EQ(h.node(1).telemetry().clock(), nullptr);
+  EXPECT_NE(h.node(1).telemetry().metrics_json().find("\"fleet\":[]"),
             std::string::npos);
-  const std::string text = h.node(1).metrics_text();
+  const std::string text = h.node(1).telemetry().metrics_text();
   // The always-cheap counters still render...
   EXPECT_NE(text.find("waku_node_delivered_total"), std::string::npos);
   EXPECT_NE(text.find("waku_pipeline_verdicts_total"), std::string::npos);
   // ...but no stage histograms were ever registered or recorded.
   EXPECT_EQ(text.find("waku_pipeline_stage_seconds_bucket"),
             std::string::npos);
-  EXPECT_EQ(h.node(1).tracer().stats().sampled, 0u);
+  EXPECT_EQ(h.node(1).telemetry().tracer().stats().sampled, 0u);
 }
 
 // -- Cross-node propagation: assembly from real harness rings ----------------
@@ -943,7 +948,7 @@ TEST(NodeObservability, PropagationTreeAssemblesFromNodeRings) {
 
   obs::PropagationAssembler a;
   for (std::size_t i = 0; i < h.size(); ++i) {
-    a.ingest(h.node(i).node_id(), h.node(i).trace_dump());
+    a.ingest(h.node(i).node_id(), h.node(i).telemetry().trace_dump());
   }
   a.set_default_subscribers(h.size());
 
@@ -982,7 +987,7 @@ TEST(NodeObservability, PropagationAssemblySurvivesNodeKill) {
   // alive, exactly like the per-epoch collection a campaign runs.
   obs::PropagationAssembler a;
   for (std::size_t i = 0; i < h.size(); ++i) {
-    a.ingest(h.node(i).node_id(), h.node(i).trace_dump());
+    a.ingest(h.node(i).node_id(), h.node(i).telemetry().trace_dump());
   }
   h.kill_node(2);
   h.run_ms(5'000);
@@ -990,7 +995,7 @@ TEST(NodeObservability, PropagationAssemblySurvivesNodeKill) {
   // assembled from earlier harvests must not regress.
   for (std::size_t i = 0; i < h.size(); ++i) {
     if (!h.alive(i)) continue;
-    a.ingest(h.node(i).node_id(), h.node(i).trace_dump());
+    a.ingest(h.node(i).node_id(), h.node(i).telemetry().trace_dump());
   }
   const std::vector<obs::PropagationTree> trees = a.assemble();
   ASSERT_EQ(trees.size(), 1u);
@@ -1010,9 +1015,9 @@ TEST(NodeObservability, PropagationOutputsAreByteIdentical) {
     h.run_ms(10'000);
     obs::PropagationAssembler a;
     for (std::size_t i = 0; i < h.size(); ++i) {
-      a.ingest(h.node(i).node_id(), h.node(i).trace_dump());
+      a.ingest(h.node(i).node_id(), h.node(i).telemetry().trace_dump());
       a.ingest_flight(h.node(i).node_id(),
-                      h.node(i).flight_recorder().events());
+                      h.node(i).telemetry().flight_recorder().events());
     }
     a.set_default_subscribers(h.size());
     return a.summary_json() + a.chrome_trace_json() + a.forensics_json();
@@ -1064,7 +1069,8 @@ TEST(NodeFlightRecorder, CutoverLeavesContinuousEventTrail) {
 
   // Every phase of the lifecycle shows up in the ring, in order.
   std::vector<std::string> reshard_details;
-  for (const obs::FlightEvent& ev : h.node(2).flight_recorder().events()) {
+  for (const obs::FlightEvent& ev :
+       h.node(2).telemetry().flight_recorder().events()) {
     if (ev.kind == "reshard") reshard_details.push_back(ev.detail);
   }
   ASSERT_EQ(reshard_details.size(), 5u);
@@ -1075,13 +1081,13 @@ TEST(NodeFlightRecorder, CutoverLeavesContinuousEventTrail) {
   EXPECT_EQ(reshard_details[4], "linger_end");
 
   // Ring accounting stays coherent and the families render.
-  const obs::FlightRecorder& rec = h.node(2).flight_recorder();
+  const obs::FlightRecorder& rec = h.node(2).telemetry().flight_recorder();
   EXPECT_EQ(rec.recorded(), rec.events().size() + rec.evicted());
-  const std::string text = h.node(2).metrics_text();
+  const std::string text = h.node(2).telemetry().metrics_text();
   EXPECT_NE(text.find("waku_flight_events_total"), std::string::npos);
   EXPECT_NE(text.find("waku_operator_decisions_total 0"), std::string::npos);
   EXPECT_NE(text.find("waku_anomaly_fired_total"), std::string::npos);
-  const std::string json = h.node(2).metrics_json();
+  const std::string json = h.node(2).telemetry().metrics_json();
   EXPECT_NE(json.find("\"operator\""), std::string::npos);
   EXPECT_NE(json.find("\"fleet\""), std::string::npos);
 }
@@ -1105,7 +1111,8 @@ TEST(NodeFlightRecorder, OperatorDecisionsSurviveKillRestart) {
         .try_publish(to_bytes("load " + std::to_string(e)));
     h.run_ms(5'000);
   }
-  const std::uint64_t decisions = h.node(1).operator_decisions();
+  const std::uint64_t decisions =
+      h.node(1).operator_loop().bookkeeping().decisions;
   ASSERT_GE(decisions, 4u);  // begin + 3 advances, at least
   ASSERT_EQ(h.node(1).reshard_phase(), shard::ReshardPhase::kStable);
   const std::uint16_t shards_after = h.node(1).shard_map().num_shards();
@@ -1115,14 +1122,15 @@ TEST(NodeFlightRecorder, OperatorDecisionsSurviveKillRestart) {
   h.restart_node(1);
 
   // Bookkeeping replayed exactly: same decision count, same layout.
-  EXPECT_EQ(h.node(1).operator_decisions(), decisions);
+  EXPECT_EQ(h.node(1).operator_loop().bookkeeping().decisions, decisions);
   EXPECT_EQ(h.node(1).shard_map().num_shards(), shards_after);
   EXPECT_EQ(h.node(1).reshard_phase(), shard::ReshardPhase::kStable);
 
   // The fresh ring was re-seeded from the WAL and stamped with the boot.
   bool saw_restart = false;
   bool saw_replayed_decision = false;
-  for (const obs::FlightEvent& ev : h.node(1).flight_recorder().events()) {
+  for (const obs::FlightEvent& ev :
+       h.node(1).telemetry().flight_recorder().events()) {
     if (ev.kind == "restart") saw_restart = true;
     if (ev.kind == "operator" &&
         ev.detail.find("(wal replay)") != std::string::npos) {
@@ -1133,16 +1141,16 @@ TEST(NodeFlightRecorder, OperatorDecisionsSurviveKillRestart) {
   EXPECT_TRUE(saw_replayed_decision);
 
   // The crash-restart postmortem was rendered and persisted.
-  EXPECT_NE(h.node(1).last_postmortem().find("\"reason\":\"crash-restart\""),
+  const std::string& postmortem = h.node(1).telemetry().last_postmortem();
+  EXPECT_NE(postmortem.find("\"reason\":\"crash-restart\""),
             std::string::npos);
-  EXPECT_NE(h.node(1).last_postmortem().find("\"kind\":\"operator\""),
-            std::string::npos);
+  EXPECT_NE(postmortem.find("\"kind\":\"operator\""), std::string::npos);
   EXPECT_TRUE(fs::exists(fs::path(dir) / "node1" / "postmortem.json"));
 
   // Cooldown came back with the snapshot-free replay: more quiet epochs
   // must not re-trigger a begin.
   h.run_ms(20'000);
-  EXPECT_EQ(h.node(1).operator_decisions(), decisions);
+  EXPECT_EQ(h.node(1).operator_loop().bookkeeping().decisions, decisions);
 }
 
 TEST(NodeFlightRecorder, OperatorAndRecorderRunsStayDeterministic) {
@@ -1158,12 +1166,127 @@ TEST(NodeFlightRecorder, OperatorAndRecorderRunsStayDeterministic) {
           .try_publish(to_bytes("det " + std::to_string(e)));
       h.run_ms(5'000);
     }
-    EXPECT_GE(h.node(2).operator_decisions(), 4u);
-    std::string out = h.node(2).metrics_text() + h.node(2).metrics_json();
-    out += h.node(2).flight_recorder().postmortem_json("determinism-check");
+    EXPECT_GE(h.node(2).operator_loop().bookkeeping().decisions, 4u);
+    const NodeTelemetry& telemetry = h.node(2).telemetry();
+    std::string out = telemetry.metrics_text() + telemetry.metrics_json();
+    out += telemetry.flight_recorder().postmortem_json("determinism-check");
     return out;
   };
   EXPECT_EQ(run(), run());
+}
+
+// -- Exposition pins and the deployment sum -----------------------------------
+
+std::string sha256_hex(const std::string& s) {
+  return to_hex(hash::sha256(to_bytes(s)));
+}
+
+/// The deployment examples/metrics_dump.cpp runs: three nodes, two epochs
+/// of honest traffic, then one double-signal.
+void run_metrics_dump_deployment(RlnHarness& net) {
+  net.register_all();
+  net.run_ms(5'000);
+  for (int round = 0; round < 2; ++round) {
+    for (std::size_t i = 0; i < net.size(); ++i) {
+      (void)net.node(i).try_publish(
+          to_bytes("metrics round " + std::to_string(round) + " from " +
+                   std::to_string(i)));
+    }
+    net.run_ms(5'000);
+  }
+  (void)net.node(2).force_publish(to_bytes("spam a"));
+  (void)net.node(2).force_publish(to_bytes("spam b"));
+  net.run_ms(10'000);
+}
+
+TEST(NodeObservability, MetricsDumpOutputsArePinned) {
+  // Every exposition byte of node 0, hashed exactly as the example prints
+  // it (text as-is, the JSON dumps with a trailing newline). A refactor
+  // of the telemetry plumbing must leave all five untouched.
+  HarnessConfig cfg = obs_config(/*sample_every=*/1);
+  cfg.seed = 0xD0;
+  RlnHarness net(cfg);
+  run_metrics_dump_deployment(net);
+  const NodeTelemetry& telemetry = net.node(0).telemetry();
+
+  obs::FleetAggregator fleet;
+  for (std::size_t i = 0; i < net.size(); ++i) {
+    fleet.ingest(net.node(i).health_sample());
+  }
+  fleet.close_epoch(net.node(0).current_epoch());
+
+  EXPECT_EQ(sha256_hex(telemetry.metrics_text()),
+            "2f632f2ae826be75dd918936e5ca6b7d1efdcb545328875fe04d793460a79cca");
+  EXPECT_EQ(sha256_hex(telemetry.metrics_json() + "\n"),
+            "223943a479b7b7735f7004d576b14142a6213d6c3f57cfe034e2a7500b1d3fc4");
+  EXPECT_EQ(sha256_hex(telemetry.tracer().to_json() + "\n"),
+            "e1bc6c182458d9213147547fcd535d0f9eb55eda7fc7374c82e2f23e464775f0");
+  EXPECT_EQ(sha256_hex(fleet.timeline_json() + "\n"),
+            "86a4a3731973c73b888f17c7dbf7f2b21aa951672e7650b64f3dde773ea40444");
+  EXPECT_EQ(
+      sha256_hex(telemetry.flight_recorder().postmortem_json("metrics-dump") +
+                 "\n"),
+      "8c233010ed969e2408be658c7a57f3ae07def22ce4e7a6897b672a9fc1254d1d");
+}
+
+constexpr const char* kSnapshotSections[] = {"node",     "router", "pipeline",
+                                             "executor", "trace",  "operator"};
+
+TEST(NodeTelemetrySum, SumIntoEmptyRendersLikeTheSnapshot) {
+  HarnessConfig cfg = obs_config(/*sample_every=*/1);
+  cfg.seed = 0xD0;
+  RlnHarness net(cfg);
+  run_metrics_dump_deployment(net);
+  const NodeTelemetrySnapshot snap = net.node(0).telemetry().snapshot();
+  ASSERT_GE(snap.pipeline.spam_detected + snap.node.slash_commits, 1u);
+
+  NodeTelemetrySnapshot sum;
+  sum += snap;
+  for (const char* section : kSnapshotSections) {
+    EXPECT_EQ(telemetry_section_json(sum, section),
+              telemetry_section_json(snap, section))
+        << section;
+  }
+  EXPECT_EQ(sum.per_shard.size(), snap.per_shard.size());
+}
+
+TEST(NodeTelemetrySum, TwoNodeSumAddsCountersAndTakesTheLatestAction) {
+  // An operator-run cutover gives every node a non-zero last_action_epoch,
+  // so a sum that added it would read twice the epoch.
+  RlnHarness h(operator_config());
+  h.register_all();
+  h.run_ms(5'000);
+  for (int e = 0; e < 12; ++e) {
+    (void)h.node(static_cast<std::size_t>(e) % h.size())
+        .try_publish(to_bytes("sum " + std::to_string(e)));
+    h.run_ms(5'000);
+  }
+  const NodeTelemetrySnapshot a = h.node(0).telemetry().snapshot();
+  const NodeTelemetrySnapshot b = h.node(1).telemetry().snapshot();
+  ASSERT_GT(a.operator_loop.last_action_epoch, 0u);
+  ASSERT_GT(b.operator_loop.last_action_epoch, 0u);
+
+  NodeTelemetrySnapshot sum;
+  sum += a;
+  sum += b;
+  EXPECT_EQ(sum.node.published, a.node.published + b.node.published);
+  EXPECT_EQ(sum.node.delivered, a.node.delivered + b.node.delivered);
+  EXPECT_EQ(sum.router.forwarded, a.router.forwarded + b.router.forwarded);
+  EXPECT_EQ(sum.pipeline.accepted, a.pipeline.accepted + b.pipeline.accepted);
+  EXPECT_EQ(sum.executor.submitted,
+            a.executor.submitted + b.executor.submitted);
+  EXPECT_EQ(sum.operator_loop.decisions,
+            a.operator_loop.decisions + b.operator_loop.decisions);
+  EXPECT_EQ(sum.flight_recorded, a.flight_recorded + b.flight_recorded);
+  EXPECT_EQ(sum.operator_loop.last_action_epoch,
+            std::max(a.operator_loop.last_action_epoch,
+                     b.operator_loop.last_action_epoch));
+  // Per-shard stats merge by shard id.
+  std::uint64_t per_shard_accepted = 0;
+  for (const auto& [s, stats] : sum.per_shard) {
+    per_shard_accepted += stats.accepted;
+  }
+  EXPECT_EQ(per_shard_accepted, sum.pipeline.accepted);
 }
 
 }  // namespace

@@ -119,7 +119,7 @@ TEST_P(EpochLengthSweep, OneMessagePerEpochWhateverT) {
   std::size_t limited = 0;
   for (int attempt = 0; attempt < 8; ++attempt) {
     const auto status = h.node(0).try_publish(
-        to_bytes("a" + std::to_string(attempt)));
+        to_bytes(std::string("a").append(std::to_string(attempt))));
     if (status == rln::WakuRlnRelayNode::PublishStatus::kOk) ++ok;
     if (status == rln::WakuRlnRelayNode::PublishStatus::kRateLimited) {
       ++limited;

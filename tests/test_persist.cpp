@@ -354,7 +354,7 @@ TEST(StateStore, PolicySnapshotsAndWalCompaction) {
     return bytes_of("state@" + std::to_string(snapshots_taken));
   });
   for (int i = 0; i < 10; ++i) {
-    store.append(1, bytes_of("r" + std::to_string(i)));
+    store.append(1, bytes_of(std::string("r").append(std::to_string(i))));
   }
   // 10 appends at snapshot_every=4 -> snapshots after #4 and #8.
   EXPECT_EQ(snapshots_taken, 2);

@@ -313,7 +313,7 @@ TEST(Scenarios, ReportSumsTheNodesOwnCounters) {
   EXPECT_EQ(report.deployment.node.delivered, h.total_delivered());
   // One shard: the merged per-shard view is the whole pipeline.
   ASSERT_EQ(report.deployment.per_shard.size(), 1u);
-  EXPECT_EQ(report.deployment.per_shard[0].second, report.deployment.pipeline);
+  EXPECT_EQ(report.deployment.per_shard.begin()->second, report.deployment.pipeline);
   EXPECT_GT(report.deployment.node.delivered, 0u);
   EXPECT_GE(report.deployment.pipeline.spam_detected, 1u);
 

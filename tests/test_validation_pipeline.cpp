@@ -311,7 +311,8 @@ TEST_F(PipelineFixture, VerifyBatchIsolatesExactlyTheBadProofs) {
   for (int i = 0; i < 6; ++i) {
     WakuMessage msg =
         make_message(i % 2 == 0 ? alice : bob, i % 2 == 0 ? 0u : 1u,
-                     "m" + std::to_string(i), 10 + static_cast<std::uint64_t>(i));
+                     std::string("m").append(std::to_string(i)),
+                     10 + static_cast<std::uint64_t>(i));
     const auto bundle = *extract_proof(msg);
     entries.push_back(
         zksnark::BatchEntry{bundle.public_inputs(message_hash(msg)),

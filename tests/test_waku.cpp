@@ -123,7 +123,8 @@ WakuMessage mk_msg(const std::string& body, const std::string& topic) {
 TEST(WakuStore, ArchivesAndQueriesByTime) {
   WakuStore store;
   for (std::uint64_t t = 0; t < 10; ++t) {
-    store.archive(mk_msg("m" + std::to_string(t), "/t"), t * 100);
+    store.archive(mk_msg(std::string("m").append(std::to_string(t)), "/t"),
+                  t * 100);
   }
   HistoryQuery q;
   q.start_time_ms = 250;
@@ -149,7 +150,7 @@ TEST(WakuStore, FiltersByContentTopic) {
 TEST(WakuStore, PaginationWithCursor) {
   WakuStore store;
   for (int i = 0; i < 25; ++i) {
-    store.archive(mk_msg("m" + std::to_string(i), "/t"),
+    store.archive(mk_msg(std::string("m").append(std::to_string(i)), "/t"),
                   static_cast<std::uint64_t>(i));
   }
   HistoryQuery q;
@@ -172,7 +173,7 @@ TEST(WakuStore, PaginationWithCursor) {
 TEST(WakuStore, EvictsOldestWhenFull) {
   WakuStore store(5);
   for (int i = 0; i < 8; ++i) {
-    store.archive(mk_msg("m" + std::to_string(i), "/t"),
+    store.archive(mk_msg(std::string("m").append(std::to_string(i)), "/t"),
                   static_cast<std::uint64_t>(i));
   }
   EXPECT_EQ(store.size(), 5u);
