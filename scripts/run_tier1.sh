@@ -12,14 +12,14 @@
 #
 # The "thread" flavor builds into build-tsan/ with -DWAKU_SANITIZE=thread
 # and runs the concurrency-touching suites (the multithreaded validation
-# executor, striped nullifier log, seqlock'd root window, shard-map memo,
+# executor, concurrent nullifier log, seqlock'd root window, shard-map memo,
 # and the per-depth constraint system and keypair that concurrent provers
 # build on first touch and then share, in test_zksnark): data races are
 # invisible to ASan and to an unsanitized run, and TSan over the full
 # suite is needlessly slow — the single-threaded persistence suites
-# cannot race. It then stress-runs the striped-log and root-window
-# (GroupManagerConcurrency) tests in four concurrent
-# processes each (logs: striped_log_stress_*.log and
+# cannot race. It then stress-runs the nullifier-log
+# (ConcurrentNullifierLog) and root-window (GroupManagerConcurrency) tests
+# in four concurrent processes each (logs: nullifier_log_stress_*.log and
 # root_window_stress_*.log in the build directory).
 #
 # Usage: scripts/run_tier1.sh [sanitizer-spec]
@@ -46,10 +46,10 @@ cd "$BUILD"
 if [ "$SAN" = "thread" ]; then
   export TSAN_OPTIONS="${TSAN_OPTIONS:-halt_on_error=1:second_deadlock_stack=1}"
   # The suites that actually spin up threads or exercise the shared
-  # validation state: the executor/striped-log/partition-invariance
+  # validation state: the executor/nullifier-log/partition-invariance
   # suite, the sharding suite (shard-map memo, per-shard pipelines),
-  # the observability suite (sharded counters / lock-free histograms /
-  # trace collector recorded from concurrent workers), and the zksnark
+  # the observability suite (lock-free histograms / trace collector
+  # recorded from concurrent workers), and the zksnark
   # suite (provers racing to build and then read one sealed system).
   registered="$(ctest -N)"
   for suite in test_parallel_validation test_sharding test_obs test_zksnark; do
@@ -61,7 +61,7 @@ if [ "$SAN" = "thread" ]; then
   ctest --output-on-failure -j"$(nproc)" \
     -R '^(test_parallel_validation|test_sharding|test_obs|test_zksnark)$'
   # One unloaded run rarely hits the observe/gc interleavings of the
-  # striped nullifier log or the writer/reader interleavings of the root
+  # nullifier log or the writer/reader interleavings of the root
   # window (event-at-a-time and block-at-a-time writers): repeat those
   # tests in four concurrent processes so the schedulers contend, and fail
   # if any process fails. The root-window tests insert into a depth-16
@@ -83,7 +83,7 @@ if [ "$SAN" = "thread" ]; then
     done
     return "$failed"
   }
-  stress striped_log 'StripedNullifierLog.*' 200
+  stress nullifier_log 'ConcurrentNullifierLog.*' 200
   stress root_window 'GroupManagerConcurrency.*' 20
   echo "concurrency suites passed under -fsanitize=thread"
   exit 0

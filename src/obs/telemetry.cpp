@@ -2,16 +2,8 @@
 
 #include <cinttypes>
 #include <cstdio>
-#include <stdexcept>
 
 namespace waku::obs {
-
-namespace {
-
-constexpr int kKindCounter = 0;
-constexpr int kKindHistogram = 1;
-
-}  // namespace
 
 std::string format_double(double v) {
   char buf[64];
@@ -24,82 +16,39 @@ std::string format_double(double v) {
 // ---------------------------------------------------------------------------
 // Registry internals
 
-struct Telemetry::Series {
-  std::string labels;
-  std::unique_ptr<Counter> counter;
-  std::unique_ptr<Histogram> histogram;
-};
-
 struct Telemetry::Family {
-  int kind = kKindCounter;
   std::string help;
-  // map for deterministic series order within the family.
-  std::map<std::string, std::unique_ptr<Series>> series;
+  // map (keyed by label string) for deterministic series order.
+  std::map<std::string, std::unique_ptr<Histogram>> series;
 };
 
 Telemetry::Telemetry() = default;
 Telemetry::~Telemetry() = default;
 
-Telemetry::Series& Telemetry::series(const std::string& family,
-                                     const std::string& labels,
-                                     const std::string& help, int kind) {
-  std::lock_guard<std::mutex> lock(mu_);
-  auto& fam = families_[family];
-  if (!fam) {
-    fam = std::make_unique<Family>();
-    fam->kind = kind;
-    fam->help = help;
-  } else if (fam->kind != kind) {
-    throw std::logic_error("telemetry family '" + family +
-                           "' registered with two different kinds");
-  }
-  if (!fam->help.empty() && !help.empty() && fam->help != help) {
-    // keep the first help string; mismatches are harmless.
-  } else if (fam->help.empty()) {
-    fam->help = help;
-  }
-  auto& s = fam->series[labels];
-  if (!s) {
-    s = std::make_unique<Series>();
-    s->labels = labels;
-    if (kind == kKindCounter) {
-      s->counter = std::make_unique<Counter>();
-    } else {
-      s->histogram = std::make_unique<Histogram>();
-    }
-  }
-  return *s;
-}
-
-Counter& Telemetry::counter(const std::string& family,
-                            const std::string& labels,
-                            const std::string& help) {
-  return *series(family, labels, help, kKindCounter).counter;
-}
-
 Histogram& Telemetry::histogram(const std::string& family,
                                 const std::string& labels,
                                 const std::string& help) {
-  return *series(family, labels, help, kKindHistogram).histogram;
+  std::lock_guard<std::mutex> lock(mu_);
+  auto& fam = families_[family];
+  if (!fam) fam = std::make_unique<Family>();
+  // The first non-empty help string wins.
+  if (fam->help.empty()) fam->help = help;
+  auto& h = fam->series[labels];
+  if (!h) h = std::make_unique<Histogram>();
+  return *h;
 }
 
 std::string Telemetry::to_prometheus() const {
   PrometheusWriter w;
   std::lock_guard<std::mutex> lock(mu_);
   for (const auto& [name, fam] : families_) {
-    const bool counter = fam->kind == kKindCounter;
-    w.help_type(name, counter ? "counter" : "histogram", fam->help);
+    w.help_type(name, "histogram", fam->help);
     // Latency histograms are recorded in ns and exposed in seconds;
     // the convention is encoded in the family suffix.
     const bool seconds = name.size() >= 8 &&
                          name.compare(name.size() - 8, 8, "_seconds") == 0;
-    for (const auto& [labels, s] : fam->series) {
-      if (counter) {
-        w.counter(name, labels, s->counter->value());
-      } else {
-        w.histogram(name, labels, s->histogram->snapshot(),
-                    seconds ? 1e-9 : 1.0);
-      }
+    for (const auto& [labels, h] : fam->series) {
+      w.histogram(name, labels, h->snapshot(), seconds ? 1e-9 : 1.0);
     }
   }
   return w.text();
@@ -114,7 +63,7 @@ std::string Telemetry::to_json() const {
     first_fam = false;
     out += "\"" + name + "\":[";
     bool first = true;
-    for (const auto& [labels, s] : fam->series) {
+    for (const auto& [labels, h] : fam->series) {
       if (!first) out += ",";
       first = false;
       out += "{\"labels\":\"";
@@ -124,17 +73,12 @@ std::string Telemetry::to_json() const {
       }
       out += "\",";
       char buf[160];
-      if (fam->kind == kKindCounter) {
-        std::snprintf(buf, sizeof(buf), "\"value\":%" PRIu64,
-                      s->counter->value());
-      } else {
-        const auto snap = s->histogram->snapshot();
-        std::snprintf(buf, sizeof(buf),
-                      "\"count\":%" PRIu64 ",\"sum\":%" PRIu64
-                      ",\"p50\":%" PRIu64 ",\"p95\":%" PRIu64
-                      ",\"p99\":%" PRIu64,
-                      snap.count, snap.sum, snap.p50, snap.p95, snap.p99);
-      }
+      const auto snap = h->snapshot();
+      std::snprintf(buf, sizeof(buf),
+                    "\"count\":%" PRIu64 ",\"sum\":%" PRIu64
+                    ",\"p50\":%" PRIu64 ",\"p95\":%" PRIu64
+                    ",\"p99\":%" PRIu64,
+                    snap.count, snap.sum, snap.p50, snap.p95, snap.p99);
       out += buf;
       out += "}";
     }

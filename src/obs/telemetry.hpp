@@ -1,12 +1,11 @@
-// Lock-cheap in-node telemetry: counters, log2 latency histograms, and a
-// named registry with Prometheus-text / JSON exposition. Gauges are not
-// registry series: they are read from snapshots at exposition time and
-// rendered through PrometheusWriter.
+// Lock-cheap in-node telemetry: log2 latency histograms and a named
+// registry with Prometheus-text / JSON exposition. Counters and gauges are
+// not registry series: they are read from snapshots at exposition time
+// and rendered through PrometheusWriter.
 //
-// Design constraints (ISSUE 7):
-//   * the record path takes NO locks — counters are per-lane sharded
-//     atomics (one cache line per lane so the executor's workers never
-//     bounce a line), histograms are arrays of relaxed atomics;
+// Design constraints:
+//   * the record path takes NO locks — histograms are arrays of relaxed
+//     atomics;
 //   * registration is rare and mutex-protected; returned references are
 //     stable for the registry's lifetime (unique_ptr storage);
 //   * histograms bucket by log2 of the recorded value (nanoseconds on
@@ -32,47 +31,6 @@
 #include <vector>
 
 namespace waku::obs {
-
-// ---------------------------------------------------------------------------
-// Counter: monotonically increasing, sharded across cache-line-padded
-// lanes so concurrent writers (executor workers) do not contend on one
-// atomic. Reads sum the lanes; monotone per-lane, so value() never goes
-// backwards even against concurrent increments.
-
-class Counter {
- public:
-  static constexpr std::size_t kLanes = 8;
-
-  void add(std::uint64_t delta) noexcept {
-    lanes_[lane_index()].v.fetch_add(delta, std::memory_order_relaxed);
-  }
-  void inc() noexcept { add(1); }
-
-  [[nodiscard]] std::uint64_t value() const noexcept {
-    std::uint64_t total = 0;
-    for (const auto& lane : lanes_) {
-      total += lane.v.load(std::memory_order_relaxed);
-    }
-    return total;
-  }
-
- private:
-  struct alignas(64) Lane {
-    std::atomic<std::uint64_t> v{0};
-  };
-
-  // Threads are spread round-robin over the lanes; the assignment is
-  // made once per thread (thread_local) so the hot path is an indexed
-  // relaxed fetch_add.
-  static std::size_t lane_index() noexcept {
-    static std::atomic<std::size_t> next{0};
-    thread_local const std::size_t mine =
-        next.fetch_add(1, std::memory_order_relaxed) % kLanes;
-    return mine;
-  }
-
-  std::array<Lane, kLanes> lanes_{};
-};
 
 // ---------------------------------------------------------------------------
 // Histogram: log2-bucketed, lock-free. Bucket i holds values v with
@@ -154,14 +112,6 @@ class Histogram {
 };
 
 // ---------------------------------------------------------------------------
-// Scoped stage timer: reads the clock on entry and records the delta
-// into the histogram on destruction. Both clock and histogram may be
-// null — then the timer is a no-op (telemetry disabled), costing two
-// pointer tests and no clock reads.
-
-class Clock;
-
-// ---------------------------------------------------------------------------
 // Telemetry registry. Names are full series names with labels already
 // rendered (e.g. `waku_pipeline_stage_seconds{stage="root_check",shard="0"}`
 // is registered under family "waku_pipeline_stage_seconds" with label
@@ -175,26 +125,21 @@ class Telemetry {
   Telemetry(const Telemetry&) = delete;
   Telemetry& operator=(const Telemetry&) = delete;
 
-  Counter& counter(const std::string& family, const std::string& labels = "",
-                   const std::string& help = "");
   Histogram& histogram(const std::string& family,
                        const std::string& labels = "",
                        const std::string& help = "");
 
-  // Prometheus text exposition of every registered family. Histogram
-  // families registered with a name ending in "_seconds" are assumed to
-  // record nanoseconds and are scaled by 1e-9.
+  // Prometheus text exposition of every registered family. Families
+  // registered with a name ending in "_seconds" are assumed to record
+  // nanoseconds and are scaled by 1e-9.
   [[nodiscard]] std::string to_prometheus() const;
 
-  // JSON object {family: {series...}} of the same data (quantiles
-  // included for histograms).
+  // JSON object {family: [series...]} of the same data (quantiles
+  // included).
   [[nodiscard]] std::string to_json() const;
 
  private:
-  struct Series;
   struct Family;
-  Series& series(const std::string& family, const std::string& labels,
-                 const std::string& help, int kind);
 
   mutable std::mutex mu_;
   // map keeps exposition ordering deterministic.

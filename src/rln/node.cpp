@@ -84,16 +84,12 @@ WakuRlnRelayNode::WakuRlnRelayNode(net::Network& network,
 
 void WakuRlnRelayNode::install_validator_hooks(
     shard::ShardedValidator& validator, bool next_generation) {
+  telemetry_.attach(validator);
   // Observed shares exist only in transit — journal them (under the
   // owning shard's WAL tag) the moment any shard's pipeline records one,
   // so a crash cannot blind us to double-signals on any shard. During a
   // cutover the incoming generation's shard ids collide with the outgoing
   // ones, so its mirrors ride a distinct tag.
-  // Every container build (initial, reshard next-generation, restore
-  // rebuild) funnels through here, so the configured worker-pool shape
-  // follows the validator across generations.
-  validator.set_parallelism(config_.parallel);
-  telemetry_.attach(validator);
   const WalTag tag =
       next_generation ? WalTag::kNullifierNext : WalTag::kNullifier;
   for (const shard::ShardId s : validator.subscribed()) {

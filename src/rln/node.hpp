@@ -85,13 +85,6 @@ struct NodeConfig {
   /// global mesh and rate-limit domain exactly.
   shard::ShardConfig shards;
 
-  /// Validation worker-pool shape, applied to every validator container
-  /// this node builds (both generations across reshard cutovers). The
-  /// default is deterministic single-threaded execution — the simulator
-  /// and tier-1 tests stay bit-for-bit reproducible; benches and soak
-  /// deployments opt into real cores here.
-  ParallelismConfig parallel;
-
   /// Durable-state directory; empty keeps the node fully ephemeral (the
   /// pre-persistence behaviour). With a directory set, the node opens a
   /// persist::StateStore there, restores on construction, and journals /

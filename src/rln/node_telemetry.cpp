@@ -194,29 +194,20 @@ constexpr StageRef kStages[] = {
 };
 
 /// The per-shard counter families after the pipeline ones, in exposition
-/// order: nullifier-log stripe contention (one series per stripe) and the
-/// pipeline's root-window mirror.
-using Stripe = NullifierLog::StripeContention;
+/// order: the pipeline's root-window mirror.
 struct ShardCounterFamily {
   const char* prom_name;
   const char* help;
-  std::uint64_t Stripe::* stripe;  ///< else...
-  std::uint64_t RootCacheStats::* root_cache;  ///< ...per shard
+  std::uint64_t RootCacheStats::* root_cache;
 };
 constexpr ShardCounterFamily kShardCounterFamilies[] = {
-    {"waku_nullifier_log_stripe_acquisitions_total",
-     "Hot-path lock acquisitions per stripe", &Stripe::acquisitions, nullptr},
-    {"waku_nullifier_log_stripe_contended_total",
-     "Hot-path acquisitions that found the stripe lock held",
-     &Stripe::contended, nullptr},
     {"waku_root_cache_hits_total",
-     "Root checks answered from the shard-local window copy", nullptr,
+     "Root checks answered from the shard-local window copy",
      &RootCacheStats::hits},
     {"waku_root_cache_misses_total",
-     "Root checks that missed the rolling window", nullptr,
-     &RootCacheStats::misses},
+     "Root checks that missed the rolling window", &RootCacheStats::misses},
     {"waku_root_cache_refreshes_total",
-     "Window copies rebuilt after membership events", nullptr,
+     "Window copies rebuilt after membership events",
      &RootCacheStats::refreshes},
 };
 
@@ -491,17 +482,8 @@ std::string NodeTelemetry::metrics_text() const {
   for (const ShardCounterFamily& f : kShardCounterFamilies) {
     w.help_type(f.prom_name, "counter", f.help);
     for (const shard::ShardId s : v.subscribed()) {
-      if (f.root_cache != nullptr) {
-        w.counter(f.prom_name, shard_label(s),
-                  v.pipeline(s).root_cache_stats().*(f.root_cache));
-        continue;
-      }
-      const auto stripes = v.pipeline(s).log().stripe_contention();
-      for (std::size_t i = 0; i < stripes.size(); ++i) {
-        w.counter(f.prom_name,
-                  shard_label(s) + ",stripe=\"" + std::to_string(i) + "\"",
-                  stripes[i].*(f.stripe));
-      }
+      w.counter(f.prom_name, shard_label(s),
+                v.pipeline(s).root_cache_stats().*(f.root_cache));
     }
   }
 

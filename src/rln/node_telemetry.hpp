@@ -144,11 +144,10 @@ class NodeTelemetry {
   [[nodiscard]] NodeTelemetrySnapshot snapshot() const;
   /// Prometheus text exposition: the node/router/executor/trace/operator
   /// scalars, per-shard verdict-reason counters and pipeline families,
-  /// nullifier-log stripe contention and root-cache counters, executor
-  /// lane queue-wait / service-time histograms and depth high-watermarks,
-  /// per-stage p50/p95/p99 quantile gauges, then the self-monitor fleet
-  /// families and the registry's histograms. Lintable by
-  /// scripts/check_metrics_format.py.
+  /// root-cache counters, executor lane queue-wait / service-time
+  /// histograms and depth high-watermarks, per-stage p50/p95/p99 quantile
+  /// gauges, then the self-monitor fleet families and the registry's
+  /// histograms. Lintable by scripts/check_metrics_format.py.
   [[nodiscard]] std::string metrics_text() const;
   /// The same data as one JSON object (histogram quantiles included).
   [[nodiscard]] std::string metrics_json() const;

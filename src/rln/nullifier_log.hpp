@@ -4,26 +4,21 @@
 // (same share) or a double-signal (different share), in which case the two
 // shares reconstruct the spammer's secret key.
 //
-// Storage is sharded into one hash bucket per epoch with a min-epoch
-// watermark, so expiring an epoch is one bucket drop (O(1) per epoch)
-// instead of a sweep over every record.
+// Storage is one hash bucket per epoch in an epoch-ordered map with a
+// min-epoch watermark, so expiring old epochs is one range erase at the
+// front of the map instead of a sweep over every record.
 //
-// Thread safety: the epoch buckets are distributed over a fixed set of
-// lock stripes (stripe = epoch mod kStripes), so observe/peek/gc from
-// different shards' worker threads (validation_executor.hpp) interleave
-// without serializing on one lock — two distinct epochs almost always hit
-// distinct stripes, and all traffic of one epoch must serialize anyway
-// (the duplicate/conflict decision is an atomic read-modify-write on that
-// epoch's bucket). The watermark and entry/bucket counters live behind a
-// separate meta lock that is never held together with a stripe lock.
-// observe() is linearizable per (epoch, nullifier): exactly one caller
-// wins kNew, every identical-share racer sees kDuplicate, every
-// conflicting-share racer sees kConflict with the recorded share.
+// Thread safety: one mutex guards the whole log. Each shard's pipeline
+// runs on one executor lane (validation_executor.hpp), so a log has one
+// writer in every workload; the lock is there for the reshard domain logs
+// and for gc from the log's owner. observe() is linearizable per
+// (epoch, nullifier): exactly one caller wins kNew, every identical-share
+// racer sees kDuplicate, every conflicting-share racer sees kConflict with
+// the recorded share.
 #pragma once
 
-#include <array>
-#include <atomic>
 #include <cstdint>
+#include <map>
 #include <mutex>
 #include <optional>
 #include <unordered_map>
@@ -64,22 +59,6 @@ class NullifierLog {
     /// it (with bucket_sizes()) to assert a restored log equals the
     /// pre-crash log.
     std::uint64_t min_epoch = 0;
-    /// Total stripe-lock acquisitions that found the lock held (summed
-    /// over stripes) — the direct measure of how often concurrent shard
-    /// workers actually collide on a stripe.
-    std::uint64_t stripe_contended = 0;
-  };
-
-  /// Stripe count: enough that 8-16 concurrent shard workers touching
-  /// adjacent epochs rarely collide, small enough that whole-log walks
-  /// (stats, serialize) stay trivial.
-  static constexpr std::size_t kStripes = 16;
-
-  /// Per-stripe lock traffic on the hot paths (observe/peek/gc):
-  /// total acquisitions and how many of them had to wait.
-  struct StripeContention {
-    std::uint64_t acquisitions = 0;
-    std::uint64_t contended = 0;
   };
 
   /// What the log remembers per (epoch, nullifier): the Shamir share plus
@@ -116,24 +95,14 @@ class NullifierLog {
 
   /// Drops entries older than `thr` epochs before `current_epoch`
   /// (messages that old are rejected up front, so the log never needs
-  /// them, §III-F). Amortized O(1) per expired epoch via the watermark.
-  /// Safe concurrently with observe/peek, but not with another gc (the
-  /// log's owner runs it); an observe racing the sweep with an
-  /// already-expired epoch may outlive it, and then holds the watermark at
-  /// or below its epoch until the next gc reclaims it.
+  /// them, §III-F). One range erase of the expired front epochs.
   void gc(std::uint64_t current_epoch, std::uint64_t thr);
 
   [[nodiscard]] Stats stats() const;
   /// Entry count per live epoch bucket, sorted by epoch — the per-shard
   /// view behind Stats, for restart equality assertions and operators.
-  /// Consistent snapshot: all stripe locks are held (in index order) for
-  /// the walk, so a concurrent GC or observe can never double-count or
-  /// half-count an epoch bucket.
   [[nodiscard]] std::vector<std::pair<std::uint64_t, std::size_t>>
   bucket_sizes() const;
-  /// One entry per lock stripe, index order.
-  [[nodiscard]] std::array<StripeContention, kStripes> stripe_contention()
-      const;
   [[nodiscard]] std::size_t epoch_count() const;
   [[nodiscard]] std::size_t entry_count() const;
   /// Approximate in-memory footprint (E4/E5 bookkeeping).
@@ -141,10 +110,10 @@ class NullifierLog {
 
   /// Canonical full-state serialization (buckets sorted by epoch, entries
   /// by nullifier) — identical logs serialize to identical bytes, which is
-  /// what the crash-restart suite asserts on. Not atomic against
-  /// concurrent observers; call quiescent (snapshots run on the owner).
+  /// what the crash-restart suite asserts on.
   [[nodiscard]] Bytes serialize() const;
-  /// Replaces this log's contents with a serialized state.
+  /// Replaces this log's contents with a serialized state. Malformed
+  /// bytes throw and leave the log unchanged.
   void restore(BytesView bytes);
 
   /// Sets the GC watermark on an empty log (checkpoint bootstrap: a light
@@ -155,48 +124,11 @@ class NullifierLog {
  private:
   using Bucket = std::unordered_map<Fr, Entry, ff::FrHash>;
 
-  struct Stripe {
-    mutable std::mutex mu;
-    std::unordered_map<std::uint64_t, Bucket> buckets;
-    /// Hot-path lock traffic (observe/peek/gc). Mutable + atomic: counted
-    /// before the lock is held, including from const probes.
-    mutable std::atomic<std::uint64_t> acquisitions{0};
-    mutable std::atomic<std::uint64_t> contended{0};
-  };
-  /// Counts the acquisition (and whether it had to wait) then locks.
-  /// Diagnostic walkers (stats/serialize/bucket_sizes) lock plainly —
-  /// the counters measure hot-path collisions, not observability cost.
-  static void lock_counted(const Stripe& stripe) {
-    stripe.acquisitions.fetch_add(1, std::memory_order_relaxed);
-    if (!stripe.mu.try_lock()) {
-      stripe.contended.fetch_add(1, std::memory_order_relaxed);
-      stripe.mu.lock();
-    }
-  }
-  Stripe& stripe_for(std::uint64_t epoch) {
-    return stripes_[epoch % kStripes];
-  }
-  const Stripe& stripe_for(std::uint64_t epoch) const {
-    return stripes_[epoch % kStripes];
-  }
-
-  std::array<Stripe, kStripes> stripes_;
-
-  /// Guards the watermark and the live entry/bucket counters. Never held
-  /// together with a stripe lock (stripe work completes first, then meta
-  /// is updated), so there is no lock-order relation to deadlock on.
-  mutable std::mutex meta_mu_;
+  mutable std::mutex mu_;
+  std::map<std::uint64_t, Bucket> buckets_;  ///< ordered by epoch
   std::uint64_t min_epoch_ = 0;  ///< no bucket is older than this watermark
-  /// While a gc sweeps: its cutoff, lowered by every epoch observe inserts
-  /// meanwhile. The sweep may miss those epochs, so it ends with the
-  /// watermark at most here.
-  std::uint64_t sweep_floor_ = 0;
   std::size_t entries_ = 0;
-  std::size_t bucket_count_ = 0;
-
-  /// Atomic: bumped inside the stripe critical section (meta is not held
-  /// there), read by stats().
-  std::atomic<std::uint64_t> conflicts_{0};
+  std::uint64_t conflicts_ = 0;
 };
 
 }  // namespace waku::rln

@@ -13,12 +13,12 @@
 //     throughput scales with min(worker count, hosted shards, cores).
 //
 // Shared stages stay correct under that concurrency because the shared
-// state itself is synchronized: NullifierLog is striped per epoch bucket
-// (observe/peek/gc from different shards interleave without serializing on
-// one lock), and the GroupManager root window is published behind an
-// atomic version counter that each pipeline polls before reading its own
-// mirror of the window — a mirror read and refreshed only on the lane
-// that runs the pipeline's windows.
+// state itself is synchronized: each shard's NullifierLog sits behind its
+// own mutex (one lane writes it; the lock covers the owner's gc and the
+// reshard domain logs), and the GroupManager root window is published
+// behind an atomic version counter that each pipeline polls before reading
+// its own mirror of the window — a mirror read and refreshed only on the
+// lane that runs the pipeline's windows.
 //
 // The default ParallelismConfig is deterministic: no threads are started
 // and submit() runs the window inline on the caller — bit-for-bit the
@@ -43,8 +43,8 @@
 namespace waku::rln {
 
 /// Worker-pool shape of a validator container. Defaults reproduce the
-/// single-threaded semantics exactly; rides in NodeConfig so deployments
-/// opt whole fleets in by configuration.
+/// single-threaded semantics exactly; benches and tests opt a container
+/// into worker lanes with ShardedValidator::set_parallelism.
 struct ParallelismConfig {
   /// No threads; submit() executes inline on the caller. The simulator and
   /// tier-1 tests stay bit-for-bit reproducible under this default.

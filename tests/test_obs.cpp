@@ -1,8 +1,8 @@
 // Observability layer tests (src/obs + node wiring): log2 histogram
-// bucket boundaries and quantile reconstruction, sharded-counter sums
-// under real threads (the TSan target of this suite), deterministic
-// 1-in-N trace sampling, bounded trace rings, the striped nullifier
-// log's aggregated bucket_sizes/contention counters, and the node-level
+// bucket boundaries and quantile reconstruction, histogram sums under
+// real threads (the TSan target of this suite), deterministic 1-in-N
+// trace sampling, bounded trace rings, the nullifier log's aggregated
+// bucket_sizes, and the node-level
 // exposition — a sampled span covering publish -> rx -> verdict ->
 // deliver, Prometheus families in metrics_text(), the guarantee that
 // telemetry-on runs stay deterministic under the simulator, the pinned
@@ -93,20 +93,18 @@ TEST(Histogram, EmptySnapshotIsZero) {
   EXPECT_EQ(s.p99, 0u);
 }
 
-// -- Counter / registry under threads (the TSan target) ----------------------
+// -- Registry under threads (the TSan target) --------------------------------
 
 TEST(Telemetry, ConcurrentRecordsSumExactly) {
   Telemetry reg;
-  Counter& c = reg.counter("waku_test_ops_total", "", "test counter");
   Histogram& h = reg.histogram("waku_test_latency_seconds", "", "test hist");
   constexpr int kThreads = 8;
   constexpr int kPerThread = 20'000;
   std::vector<std::thread> threads;
   threads.reserve(kThreads);
   for (int t = 0; t < kThreads; ++t) {
-    threads.emplace_back([&c, &h, t] {
+    threads.emplace_back([&h, t] {
       for (int i = 0; i < kPerThread; ++i) {
-        c.inc();
         h.record(static_cast<std::uint64_t>(t * 100 + 1));
       }
     });
@@ -114,29 +112,26 @@ TEST(Telemetry, ConcurrentRecordsSumExactly) {
   // Concurrent reads must be safe (and monotone) while writers run.
   std::uint64_t last = 0;
   for (int probe = 0; probe < 100; ++probe) {
-    const std::uint64_t now = c.value();
+    const std::uint64_t now = h.count();
     EXPECT_GE(now, last);
     last = now;
   }
   for (auto& th : threads) th.join();
-  EXPECT_EQ(c.value(), static_cast<std::uint64_t>(kThreads) * kPerThread);
   EXPECT_EQ(h.count(), static_cast<std::uint64_t>(kThreads) * kPerThread);
 }
 
-TEST(Telemetry, RegistrationIsIdempotentAndKindChecked) {
+TEST(Telemetry, RegistrationIsIdempotent) {
   Telemetry reg;
-  Counter& a = reg.counter("waku_test_total", "shard=\"0\"");
-  Counter& b = reg.counter("waku_test_total", "shard=\"0\"");
+  Histogram& a = reg.histogram("waku_test_seconds", "shard=\"0\"");
+  Histogram& b = reg.histogram("waku_test_seconds", "shard=\"0\"");
   EXPECT_EQ(&a, &b);  // same series, stable address
-  a.add(3);
-  EXPECT_EQ(b.value(), 3u);
-  EXPECT_THROW(reg.histogram("waku_test_total"), std::logic_error);
+  a.record(3);
+  EXPECT_EQ(b.count(), 1u);
 }
 
 TEST(Telemetry, PrometheusExpositionScalesSecondsFamilies) {
   Telemetry reg;
   reg.histogram("waku_test_stage_seconds", "stage=\"x\"").record(1'000'000'000);
-  reg.counter("waku_test_events_total").inc();
   const std::string text = reg.to_prometheus();
   // 1e9 ns lands in bucket 30 (upper 2^30-1 ns ~ 1.07s); the le label is
   // rendered in seconds.
@@ -147,10 +142,9 @@ TEST(Telemetry, PrometheusExpositionScalesSecondsFamilies) {
             std::string::npos);
   EXPECT_NE(text.find("waku_test_stage_seconds_sum{stage=\"x\"} 1"),
             std::string::npos);
-  EXPECT_NE(text.find("waku_test_events_total 1"), std::string::npos);
 
   const std::string json = reg.to_json();
-  EXPECT_NE(json.find("\"waku_test_events_total\""), std::string::npos);
+  EXPECT_NE(json.find("\"waku_test_stage_seconds\""), std::string::npos);
   EXPECT_NE(json.find("\"p95\""), std::string::npos);
 }
 
@@ -754,11 +748,11 @@ TEST(PropagationAssembler, ChromeTraceExportShape) {
 namespace waku::rln {
 namespace {
 
-// -- Striped nullifier log: aggregated stats (satellite fix) -----------------
+// -- Nullifier log: aggregated stats -----------------------------------------
 
-TEST(NullifierLogStats, BucketSizesAggregateAcrossStripes) {
+TEST(NullifierLogStats, BucketSizesCoverEveryEpoch) {
   NullifierLog log;
-  // 5 epochs x 40 nullifiers: epochs spread over all 16 lock stripes.
+  // 5 epochs x 40 nullifiers.
   std::size_t expected_entries = 0;
   for (std::uint64_t epoch = 100; epoch < 105; ++epoch) {
     for (std::uint64_t n = 0; n < 40; ++n) {
@@ -774,8 +768,8 @@ TEST(NullifierLogStats, BucketSizesAggregateAcrossStripes) {
   EXPECT_EQ(stats.buckets, 5u);
   EXPECT_EQ(stats.min_epoch, 100u);
 
-  // bucket_sizes must see every stripe, and its sum must equal the
-  // entry count (the pre-fix bug: only stripe 0 was walked).
+  // bucket_sizes must see every epoch, and its sum must equal the
+  // entry count.
   const auto buckets = log.bucket_sizes();
   ASSERT_EQ(buckets.size(), 5u);
   std::size_t sum = 0;
@@ -784,19 +778,6 @@ TEST(NullifierLogStats, BucketSizesAggregateAcrossStripes) {
     sum += size;
   }
   EXPECT_EQ(sum, stats.entries);
-
-  // Contention counters: single-threaded traffic acquires but never
-  // contends; the per-stripe view sums to the hot-path acquisitions.
-  const auto stripes = log.stripe_contention();
-  std::uint64_t acquisitions = 0;
-  std::uint64_t contended = 0;
-  for (const auto& s : stripes) {
-    acquisitions += s.acquisitions;
-    contended += s.contended;
-  }
-  EXPECT_GE(acquisitions, static_cast<std::uint64_t>(expected_entries));
-  EXPECT_EQ(contended, 0u);
-  EXPECT_EQ(stats.stripe_contended, 0u);
 }
 
 // -- Node-level exposition and spans -----------------------------------------
@@ -875,8 +856,7 @@ TEST(NodeObservability, MetricsTextExposesPipelineAndExecutorFamilies) {
             std::string::npos);
   // Nullifier-log and trace families.
   EXPECT_NE(text.find("waku_nullifier_log_entries"), std::string::npos);
-  EXPECT_NE(text.find("waku_nullifier_log_stripe_acquisitions_total"),
-            std::string::npos);
+  EXPECT_NE(text.find("waku_root_cache_hits_total"), std::string::npos);
   EXPECT_NE(text.find("waku_trace_sampled_total"), std::string::npos);
 
   const std::string json = h.node(1).telemetry().metrics_json();
@@ -1216,7 +1196,7 @@ TEST(NodeObservability, MetricsDumpOutputsArePinned) {
   fleet.close_epoch(net.node(0).current_epoch());
 
   EXPECT_EQ(sha256_hex(telemetry.metrics_text()),
-            "2f632f2ae826be75dd918936e5ca6b7d1efdcb545328875fe04d793460a79cca");
+            "879b4783b4ac94f0cc7e8d3fd5fc2286412cc98c17879bab27023f5111d2c552");
   EXPECT_EQ(sha256_hex(telemetry.metrics_json() + "\n"),
             "223943a479b7b7735f7004d576b14142a6213d6c3f57cfe034e2a7500b1d3fc4");
   EXPECT_EQ(sha256_hex(telemetry.tracer().to_json() + "\n"),

@@ -1,7 +1,7 @@
 // Concurrency correctness of the multithreaded validation executor and the
 // shared stages it makes thread-safe:
 //
-//   * striped NullifierLog — exactly-one-signal under concurrent observes
+//   * NullifierLog — exactly-one-signal under concurrent observes
 //     (one kNew winner, no lost double-signal, no spurious conflict), and
 //     structural invariants under an observe/gc race;
 //   * GroupManager root window — lock-free version polling plus locked
@@ -41,9 +41,9 @@ using ff::Fr;
 
 constexpr std::size_t kDepth = 16;
 
-// -- Striped nullifier log ----------------------------------------------------
+// -- Nullifier log under concurrent observers ---------------------------------
 
-TEST(StripedNullifierLog, ConcurrentSameShareObservesYieldOneNewNoConflict) {
+TEST(ConcurrentNullifierLog, ConcurrentSameShareObservesYieldOneNewNoConflict) {
   // T threads race observe() with the IDENTICAL share: exactly one must
   // win kNew, everyone else must see kDuplicate, and no spurious conflict
   // (= no spurious slash) may appear.
@@ -77,7 +77,7 @@ TEST(StripedNullifierLog, ConcurrentSameShareObservesYieldOneNewNoConflict) {
   EXPECT_EQ(log.entry_count(), kNullifiers);
 }
 
-TEST(StripedNullifierLog, ConcurrentConflictingObservesNeverLoseTheSignal) {
+TEST(ConcurrentNullifierLog, ConcurrentConflictingObservesNeverLoseTheSignal) {
   // T threads race observe() with per-thread DISTINCT shares: one kNew
   // winner, and every loser must be told kConflict with a usable previous
   // share — a double-signal must never be masked as a duplicate.
@@ -116,7 +116,7 @@ TEST(StripedNullifierLog, ConcurrentConflictingObservesNeverLoseTheSignal) {
   EXPECT_EQ(log.stats().conflicts, conflicts.load());
 }
 
-TEST(StripedNullifierLog, ObserveGcRaceKeepsStructuralInvariants) {
+TEST(ConcurrentNullifierLog, ObserveGcRaceKeepsStructuralInvariants) {
   // Writers spray observes across a moving epoch range while a GC thread
   // advances the watermark. The contract: no crash/race (TSan), counters
   // consistent with bucket contents, and after a final quiescent gc no
@@ -147,8 +147,9 @@ TEST(StripedNullifierLog, ObserveGcRaceKeepsStructuralInvariants) {
   stop.store(true, std::memory_order_release);
   gc.join();
 
-  // Quiescent: one more gc sweeps any entry that raced below the
-  // watermark (the documented one-cycle lag), then everything must agree.
+  // Quiescent: one more gc expires every epoch the writers touched (an
+  // observe below the watermark lowers it under the same lock, so no
+  // bucket ever outlives a sweep), then everything must agree.
   log.gc(kEpochSpan + kThr, kThr);
   const auto sizes = log.bucket_sizes();
   std::size_t total = 0;
@@ -161,7 +162,7 @@ TEST(StripedNullifierLog, ObserveGcRaceKeepsStructuralInvariants) {
   EXPECT_EQ(log.stats().min_epoch, kEpochSpan);
 }
 
-TEST(StripedNullifierLog, SerializeRestoreRoundTripsAfterConcurrentFill) {
+TEST(ConcurrentNullifierLog, SerializeRestoreRoundTripsAfterConcurrentFill) {
   constexpr std::size_t kThreads = 4;
   NullifierLog log;
   std::vector<std::thread> threads;

@@ -193,6 +193,45 @@ TEST(NullifierLogUnit, DistinctNullifiersCoexist) {
   EXPECT_EQ(log.entry_count(), 2u);
 }
 
+TEST(NullifierLog, SerializeBytesArePinned) {
+  // A seeded fill that hits every observe outcome (duplicates, conflicts
+  // with distinct x, equal-x equivocations), observes below the GC
+  // watermark, and gc calls on an empty and a live log. The serialized
+  // bytes (watermark, conflict count, buckets by epoch, entries by
+  // nullifier) are the format the crash-restart snapshots carry, so a
+  // change to the log's storage must leave them untouched.
+  NullifierLog log;
+  log.gc(/*current_epoch=*/10, /*thr=*/3);  // empty log: seeds watermark 7
+  Rng rng(0x5EED);
+  std::size_t outcomes[3] = {0, 0, 0};
+  std::size_t equal_x_conflicts = 0;
+  for (std::uint64_t i = 0; i < 6000; ++i) {
+    const std::uint64_t current = 10 + i / 300;
+    const std::uint64_t epoch = current - rng.next_below(6);
+    const Fr nullifier = Fr::from_u64(rng.next_below(120));
+    const sss::Share share{Fr::from_u64(rng.next_below(3)),
+                           Fr::from_u64(rng.next_below(3))};
+    const auto r = log.observe(epoch, nullifier, share, rng.next_u64());
+    ++outcomes[static_cast<int>(r.outcome)];
+    if (r.outcome == NullifierLog::Outcome::kConflict && !r.sk_recoverable) {
+      ++equal_x_conflicts;
+    }
+    if (i % 300 == 299) log.gc(current, /*thr=*/3);
+  }
+  EXPECT_GT(outcomes[0], 0u);
+  EXPECT_GT(outcomes[1], 0u);
+  EXPECT_GT(outcomes[2], 0u);
+  EXPECT_GT(equal_x_conflicts, 0u);
+
+  const Bytes bytes = log.serialize();
+  EXPECT_EQ(to_hex(hash::sha256_bytes(bytes)),
+            "37e99a13bb14d31d6d5d3214762cdebd9a867dfec23b0c5a37275cfb0a8123ff");
+  NullifierLog restored;
+  restored.restore(bytes);
+  EXPECT_EQ(restored.serialize(), bytes);
+  EXPECT_EQ(restored.bucket_sizes(), log.bucket_sizes());
+}
+
 // -- GroupManager ------------------------------------------------------------
 
 chain::Event registered_event(std::uint64_t index, const Fr& pk) {
