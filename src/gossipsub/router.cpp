@@ -1,10 +1,27 @@
 #include "gossipsub/router.hpp"
 
 #include <algorithm>
+#include <cstring>
 
 #include "common/expect.hpp"
 
 namespace waku::gossipsub {
+
+namespace {
+
+std::uint64_t load_u64(const std::uint8_t* p) {
+  std::uint64_t v;
+  std::memcpy(&v, p, sizeof v);
+  return v;
+}
+
+/// 64x64 -> 128-bit multiply, folded to 64 bits.
+std::uint64_t fold_mul(std::uint64_t a, std::uint64_t b) {
+  const unsigned __int128 p = static_cast<unsigned __int128>(a) * b;
+  return static_cast<std::uint64_t>(p) ^ static_cast<std::uint64_t>(p >> 64);
+}
+
+}  // namespace
 
 GossipSubRouter::GossipSubRouter(net::Network& network, GossipSubConfig config,
                                  PeerScoreConfig score_config,
@@ -13,6 +30,10 @@ GossipSubRouter::GossipSubRouter(net::Network& network, GossipSubConfig config,
       config_(config),
       id_(network.add_node(this)),
       rng_(seed ^ (0x9e3779b97f4a7c15ULL * (id_ + 1))),
+      frame_seed_([&] {
+        std::uint64_t state = seed ^ (0xd6e8feb86659fd93ULL * (id_ + 1));
+        return splitmix64(state);
+      }()),
       scores_(score_config) {
   mcache_windows_.emplace_back();
 }
@@ -108,17 +129,48 @@ std::vector<NodeId> GossipSubRouter::topic_peers(
   return out;
 }
 
-bool GossipSubRouter::mark_seen(const MessageId& id) {
-  const auto [it, fresh] = seen_.try_emplace(id, network_.sim().now());
-  if (fresh) seen_order_.push_back(&*it);
-  return fresh;
+std::uint64_t GossipSubRouter::frame_key(BytesView bytes) const {
+  // Multiply-fold over 16-byte blocks (the wyhash construction). Not a
+  // commitment: holds_frame compares the bytes before any decision.
+  constexpr std::uint64_t k0 = 0xa0761d6478bd642fULL;
+  constexpr std::uint64_t k1 = 0xe7037ed1a0b428dbULL;
+  std::uint64_t h = frame_seed_ ^ bytes.size();
+  const std::uint8_t* p = bytes.data();
+  std::size_t n = bytes.size();
+  for (; n >= 16; p += 16, n -= 16) {
+    h = fold_mul(load_u64(p) ^ k0 ^ h, load_u64(p + 8) ^ k1);
+  }
+  std::uint8_t tail[16] = {};
+  if (n > 0) std::memcpy(tail, p, n);
+  h = fold_mul(load_u64(tail) ^ k0 ^ h, load_u64(tail + 8) ^ k1);
+  return fold_mul(h ^ k0, bytes.size() ^ k1);
+}
+
+bool GossipSubRouter::holds_frame(std::uint64_t key, BytesView bytes) const {
+  const auto it = recent_frames_.find(key);
+  if (it == recent_frames_.end()) return false;
+  const Bytes& held = *it->second;
+  return held.size() == bytes.size() &&
+         std::memcmp(held.data(), bytes.data(), bytes.size()) == 0;
+}
+
+bool GossipSubRouter::mark_seen(const MessageId& id, std::uint64_t key,
+                                const net::SharedBytes& frame) {
+  const TimeMs now = network_.sim().now();
+  const auto [it, fresh] = seen_.try_emplace(id, now);
+  if (!fresh) return false;
+  seen_order_.push_back(&*it);
+  if (recent_frames_.try_emplace(key, frame).second) {
+    recent_order_.push_back(HeldFrame{key, now, heartbeats_});
+  }
+  return true;
 }
 
 std::pair<MessageId, net::SharedBytes> GossipSubRouter::originate(
     const PubSubMessage& msg) {
   const MessageId id = msg.id();
   auto frame = std::make_shared<const Bytes>(encode_publish(msg));
-  mark_seen(id);
+  mark_seen(id, frame_key(*frame), frame);
   mcache_.emplace(id, frame);
   mcache_windows_.front().emplace_back(msg.topic, id);
   return {id, std::move(frame)};
@@ -169,12 +221,31 @@ void GossipSubRouter::on_message(NodeId from, BytesView payload) {
 }
 
 void GossipSubRouter::on_frame(NodeId from, const net::SharedBytes& bytes) {
-  // A publish is parsed in place (`frame` keeps its default kPublish
-  // type), so graylisted senders and duplicates cost no copy.
+  // A publish byte-equal to a held frame is a duplicate: its id is in
+  // seen_ already, so it costs one hash, one probe and one compare, and
+  // no parse or SHA-256. Graylisted senders skip the probe; below, their
+  // frames are parsed (a malformed one is penalized) and dropped.
+  const bool graylisted = scores_.graylisted(from);
+  const bool publish_frame = is_publish(*bytes);
+  std::uint64_t key = 0;
+  if (publish_frame && !graylisted) {
+    key = frame_key(*bytes);
+    if (holds_frame(key, *bytes)) {
+      ++stats_.duplicates;
+      if (trace_hook_) {
+        trace_hook_("dup", from, parse_publish(*bytes).message());
+      }
+      return;
+    }
+  }
+
+  // Any other publish is parsed in place (`frame` keeps its default
+  // kPublish type), so graylisted senders and late duplicates cost no
+  // copy.
   std::optional<PublishView> publish;
   Frame frame;
   try {
-    if (is_publish(*bytes)) {
+    if (publish_frame) {
       publish = parse_publish(*bytes);
     } else {
       frame = decode_frame(*bytes);
@@ -184,7 +255,7 @@ void GossipSubRouter::on_frame(NodeId from, const net::SharedBytes& bytes) {
     return;
   }
 
-  if (scores_.graylisted(from)) {
+  if (graylisted) {
     // Graylisted peers are ignored wholesale (libp2p behaviour).
     if (frame.type == FrameType::kGraft) {
       scores_.record_behaviour_penalty(from);
@@ -194,7 +265,7 @@ void GossipSubRouter::on_frame(NodeId from, const net::SharedBytes& bytes) {
 
   switch (frame.type) {
     case FrameType::kPublish:
-      handle_publish(from, *publish, bytes);
+      handle_publish(from, *publish, bytes, key);
       break;
     case FrameType::kIHave:
       handle_ihave(from, frame.topic, frame.ids);
@@ -221,9 +292,11 @@ void GossipSubRouter::on_frame(NodeId from, const net::SharedBytes& bytes) {
 }
 
 void GossipSubRouter::handle_publish(NodeId from, const PublishView& view,
-                                     const net::SharedBytes& frame) {
+                                     const net::SharedBytes& frame,
+                                     std::uint64_t key) {
   const MessageId id = view.id();
-  if (!mark_seen(id)) {
+  if (!mark_seen(id, key, frame)) {
+    // A duplicate whose frame is no longer held (or was never held).
     ++stats_.duplicates;
     if (trace_hook_) trace_hook_("dup", from, view.message());
     return;
@@ -544,8 +617,20 @@ void GossipSubRouter::heartbeat() {
     mcache_windows_.pop_back();
   }
 
-  // TTL-prune the dedup cache, oldest first.
+  // Held frames leave with their mcache window, or with their seen_ entry
+  // (the same TTL rule as below) if that goes first; both are in arrival
+  // order.
+  ++heartbeats_;
   const TimeMs now = network_.sim().now();
+  while (!recent_order_.empty() &&
+         (recent_order_.front().heartbeat + config_.history_length <=
+              heartbeats_ ||
+          now - recent_order_.front().seen_at > config_.seen_ttl_ms)) {
+    recent_frames_.erase(recent_order_.front().key);
+    recent_order_.pop_front();
+  }
+
+  // TTL-prune the dedup cache, oldest first.
   while (!seen_order_.empty() &&
          now - seen_order_.front()->second > config_.seen_ttl_ms) {
     const MessageId id = seen_order_.front()->first;

@@ -118,18 +118,29 @@ class GossipSubRouter : public net::NetNode {
     }
     return total;
   }
+  /// Frames held for byte-equal duplicate checks (received first or
+  /// originated within the last history_length heartbeats).
+  [[nodiscard]] std::size_t held_frames() const {
+    return recent_frames_.size();
+  }
   [[nodiscard]] PeerScore& scores() { return scores_; }
   [[nodiscard]] const PeerScore& scores() const { return scores_; }
 
  private:
   void heartbeat();
-  /// Inserts `id` into the seen cache; false if it was already there.
-  bool mark_seen(const MessageId& id);
+  /// Seeded 64-bit hash of a frame's bytes, the recent_frames_ key.
+  [[nodiscard]] std::uint64_t frame_key(BytesView bytes) const;
+  /// True when `bytes` equal the held frame under `key` (a duplicate).
+  [[nodiscard]] bool holds_frame(std::uint64_t key, BytesView bytes) const;
+  /// Inserts `id` into the seen cache and, when it is fresh, holds its
+  /// `frame` under `key`; false if the id was already there.
+  bool mark_seen(const MessageId& id, std::uint64_t key,
+                 const net::SharedBytes& frame);
   /// Marks an own message seen and cached; returns its id and its frame,
   /// encoded once for every peer it goes to.
   std::pair<MessageId, net::SharedBytes> originate(const PubSubMessage& msg);
   void handle_publish(NodeId from, const PublishView& view,
-                      const net::SharedBytes& frame);
+                      const net::SharedBytes& frame, std::uint64_t key);
   void flush_topic_validation(const std::string& topic);
   /// Applies one validation result: deliver + relay, or penalize/drop.
   void dispatch_validated(NodeId from, const PubSubMessage& msg,
@@ -154,7 +165,9 @@ class GossipSubRouter : public net::NetNode {
   GossipSubConfig config_;
   NodeId id_;
   Rng rng_;
+  std::uint64_t frame_seed_;  ///< frame_key seed; not drawn from rng_
   std::uint64_t seqno_ = 0;
+  std::uint64_t heartbeats_ = 0;
   net::Simulator::TaskId heartbeat_task_ = 0;  // 0 = not started
 
   std::unordered_map<std::string, DeliveryHandler> handlers_;
@@ -194,6 +207,20 @@ class GossipSubRouter : public net::NetNode {
   using SeenCache = std::unordered_map<MessageId, TimeMs, MessageIdHash>;
   SeenCache seen_;
   std::deque<const SeenCache::value_type*> seen_order_;
+
+  // Frames received first, or originated, keyed by frame_key. A publish
+  // byte-equal to one is a duplicate before any parse or SHA-256. Each
+  // entry leaves with the mcache window it arrived in (history_length
+  // heartbeats), or with its seen_ entry if the TTL is shorter, so every
+  // held frame's id is in seen_. A key already taken (a 64-bit collision)
+  // is not held; its duplicates take the id path.
+  struct HeldFrame {
+    std::uint64_t key;
+    TimeMs seen_at;
+    std::uint64_t heartbeat;
+  };
+  std::unordered_map<std::uint64_t, net::SharedBytes> recent_frames_;
+  std::deque<HeldFrame> recent_order_;
 
   // Message cache: windowed ids for gossip + encoded frames for IWANT.
   std::deque<std::vector<std::pair<std::string, MessageId>>> mcache_windows_;

@@ -381,32 +381,51 @@ class Sniffer : public net::NetNode {
   std::vector<net::SharedBytes> received;
 };
 
-TEST(GossipSub, RelayForwardsReceivedBytes) {
+/// A relay with one injecting peer and one mesh peer (the sniffer) on
+/// kTopic.
+struct RelayRig {
   net::Simulator sim;
-  net::Network net(sim, {.base_latency_ms = 10, .jitter_ms = 0}, 5);
-  GossipSubRouter relay(net);
-  Sniffer injector(net);
-  Sniffer sniffer(net);
-  net.connect(relay.node_id(), injector.id);
-  net.connect(relay.node_id(), sniffer.id);
+  net::Network net{sim, {.base_latency_ms = 10, .jitter_ms = 0}, 5};
+  GossipSubRouter relay{net};
+  Sniffer injector{net};
+  Sniffer sniffer{net};
   std::uint64_t delivered = 0;
-  relay.subscribe(kTopic, [&](const PubSubMessage&) { ++delivered; });
-  // The sniffer joins the relay's mesh for the topic.
-  sniffer.send(relay.node_id(), control_frame(FrameType::kSubscribe, kTopic));
-  sniffer.send(relay.node_id(), control_frame(FrameType::kGraft, kTopic));
-  sim.run_all();
-  ASSERT_EQ(relay.mesh_peers(kTopic), std::vector<NodeId>{sniffer.id});
+
+  RelayRig() {
+    net.connect(relay.node_id(), injector.id);
+    net.connect(relay.node_id(), sniffer.id);
+    relay.subscribe(kTopic, [this](const PubSubMessage&) { ++delivered; });
+    // The sniffer joins the relay's mesh for the topic.
+    sniffer.send(relay.node_id(), control_frame(FrameType::kSubscribe, kTopic));
+    sniffer.send(relay.node_id(), control_frame(FrameType::kGraft, kTopic));
+    sim.run_all();
+  }
+
+  static Bytes frame(const char* data) {
+    return encode_publish(PubSubMessage{
+        .topic = kTopic, .data = to_bytes(data), .origin = 7, .seqno = 1});
+  }
+  // Each send is a fresh buffer, so equality is by bytes, not pointer.
+  void inject(const Bytes& bytes, NodeId from) {
+    net.send(from, relay.node_id(), bytes);
+    sim.run_until(sim.now() + 100);
+  }
+};
+
+TEST(GossipSub, RelayForwardsReceivedBytes) {
+  RelayRig rig;
+  ASSERT_EQ(rig.relay.mesh_peers(kTopic), std::vector<NodeId>{rig.sniffer.id});
 
   const auto injected = std::make_shared<const Bytes>(
       encode_publish(PubSubMessage{.topic = kTopic,
                                    .data = to_bytes("forward me as is"),
-                                   .origin = injector.id,
+                                   .origin = rig.injector.id,
                                    .seqno = 3}));
-  net.send(injector.id, relay.node_id(), injected);
-  sim.run_all();
-  EXPECT_EQ(delivered, 1u);
-  ASSERT_EQ(sniffer.publishes(), 1u);
-  const net::SharedBytes& forwarded = sniffer.received.back();
+  rig.net.send(rig.injector.id, rig.relay.node_id(), injected);
+  rig.sim.run_all();
+  EXPECT_EQ(rig.delivered, 1u);
+  ASSERT_EQ(rig.sniffer.publishes(), 1u);
+  const net::SharedBytes& forwarded = rig.sniffer.received.back();
   EXPECT_EQ(*forwarded, *injected);
   EXPECT_EQ(forwarded.get(), injected.get()) << "relay copied the frame";
 }
@@ -458,6 +477,80 @@ TEST(GossipSub, SeenCacheExpiresOldestFirst) {
             (std::vector<std::string>{"old", "new", "old", "new"}));
   EXPECT_EQ(router.stats().duplicates, 3u);
   router.stop();
+}
+
+TEST(GossipSubDuplicates, ByteEqualDuplicateIsCountedOnceAndGoesNowhere) {
+  RelayRig rig;
+  const Bytes frame = RelayRig::frame("twice");
+  rig.inject(frame, rig.injector.id);
+  rig.inject(frame, rig.injector.id);
+  rig.inject(frame, rig.sniffer.id);
+  EXPECT_EQ(rig.delivered, 1u);
+  EXPECT_EQ(rig.relay.stats().duplicates, 2u);
+  EXPECT_EQ(rig.relay.stats().forwarded, 1u);
+  EXPECT_EQ(rig.sniffer.publishes(), 1u);
+  EXPECT_EQ(rig.injector.publishes(), 0u);
+  EXPECT_EQ(rig.relay.held_frames(), 1u);
+}
+
+TEST(GossipSubDuplicates, GraylistedSendersDuplicateIsNotCounted) {
+  RelayRig rig;
+  const Bytes frame = RelayRig::frame("graylist");
+  rig.inject(frame, rig.injector.id);
+  while (!rig.relay.scores().graylisted(rig.sniffer.id)) {
+    rig.relay.scores().record_invalid_message(rig.sniffer.id);
+  }
+  rig.inject(frame, rig.sniffer.id);
+  EXPECT_EQ(rig.relay.stats().duplicates, 0u);
+  rig.inject(frame, rig.injector.id);
+  EXPECT_EQ(rig.relay.stats().duplicates, 1u);
+  EXPECT_EQ(rig.delivered, 1u);
+}
+
+TEST(GossipSubDuplicates, DuplicateAfterHistoryLengthIsDeduplicatedById) {
+  RelayRig rig;
+  rig.relay.start();  // heartbeats every 1000 ms from now
+  const Bytes frame = RelayRig::frame("late");
+  rig.inject(frame, rig.injector.id);
+  ASSERT_EQ(rig.relay.held_frames(), 1u);
+  // history_length (5) heartbeats later the frame is no longer held, but
+  // its id is still in the seen cache (120 s TTL).
+  rig.sim.run_until(rig.sim.now() + 5'500);
+  EXPECT_EQ(rig.relay.held_frames(), 0u);
+  rig.inject(frame, rig.injector.id);
+  EXPECT_EQ(rig.relay.stats().duplicates, 1u);
+  EXPECT_EQ(rig.delivered, 1u);
+  EXPECT_EQ(rig.relay.stats().forwarded, 1u);
+  EXPECT_EQ(rig.relay.held_frames(), 0u) << "a late duplicate is not held";
+  rig.relay.stop();
+}
+
+TEST(GossipSubDuplicates, SameLengthFrameDifferingInOneByteIsNew) {
+  RelayRig rig;
+  const Bytes frame = RelayRig::frame("one byte apart");
+  Bytes other = frame;
+  other.back() ^= 0x01;  // last data byte: still a well-formed publish
+  rig.inject(frame, rig.injector.id);
+  rig.inject(other, rig.injector.id);
+  EXPECT_EQ(rig.delivered, 2u);
+  EXPECT_EQ(rig.relay.stats().duplicates, 0u);
+  EXPECT_EQ(rig.sniffer.publishes(), 2u);
+}
+
+TEST(GossipSubDuplicates, EchoesOfOwnPublishAreDuplicates) {
+  RelayRig rig;
+  rig.relay.publish(kTopic, to_bytes("mine"));
+  const std::vector<NodeId> target{rig.injector.id};
+  rig.relay.publish_to(kTopic, to_bytes("targeted"), target);
+  rig.sim.run_until(rig.sim.now() + 100);
+  ASSERT_EQ(rig.sniffer.publishes(), 1u);
+  ASSERT_EQ(rig.injector.publishes(), 1u);
+  rig.inject(*rig.sniffer.received.back(), rig.sniffer.id);
+  rig.inject(*rig.injector.received.back(), rig.injector.id);
+  EXPECT_EQ(rig.delivered, 1u) << "only the local delivery of publish()";
+  EXPECT_EQ(rig.relay.stats().duplicates, 2u);
+  EXPECT_EQ(rig.relay.stats().forwarded, 0u);
+  EXPECT_EQ(rig.sniffer.publishes(), 1u);
 }
 
 TEST(PeerScoreUnit, FreshPeerIsNeutral) {
