@@ -1,25 +1,19 @@
 // Light node: the resource-restricted profile the paper designs for (§I).
 //
-// Two light-node facilities are combined:
-//   * 12/WAKU2-FILTER — a bandwidth-limited client receives only messages
-//     matching its content-topic filter, pushed by a full node, without
-//     joining the gossip mesh;
-//   * the O(log N) partial Merkle view ([18], §IV-A) — full RLN nodes can
-//     run with kilobytes of tree state instead of the full replica.
+// Every peer runs with the O(log N) partial Merkle view ([18], §IV-A): it
+// keeps kilobytes of tree state instead of the full replica, yet proves,
+// validates and relays like any full RLN node.
 //
 // Build & run:  ./build/examples/light_node
 #include <cstdio>
 
 #include "rln/harness.hpp"
-#include "waku/filter.hpp"
 
 using namespace waku;  // NOLINT
 
 int main() {
-  std::printf("== light-node profile: filter protocol + partial tree view ==\n\n");
+  std::printf("== light-node profile: partial tree view ==\n\n");
 
-  // Full nodes run with the partial view: every peer here keeps only
-  // O(log N) Merkle state yet validates and publishes normally.
   rln::HarnessConfig cfg;
   cfg.num_nodes = 8;
   cfg.degree = 3;
@@ -38,25 +32,15 @@ int main() {
                 i, net.node(i).group().storage_bytes());
   }
 
-  // A filter service rides on full node 0; a light client attaches to it.
-  FilterService service(net.network());
-  net.node(0).set_message_handler([&service](const WakuMessage& m) {
-    service.on_relay_message(m);
-  });
-
-  std::size_t client_received = 0;
-  FilterClient client(net.network(), [&client_received](const WakuMessage& m) {
-    ++client_received;
-    std::printf("  light client <- pushed: \"%s\" (topic %s)\n",
+  // Members publish across epochs; every partial-view peer validates and
+  // delivers each message.
+  std::size_t delivered_at_0 = 0;
+  net.node(0).set_message_handler([&delivered_at_0](const WakuMessage& m) {
+    ++delivered_at_0;
+    std::printf("  node 0 <- delivered: \"%s\" (topic %s)\n",
                 to_string(m.payload).c_str(), m.content_topic.c_str());
   });
-  net.network().connect(service.node_id(), client.node_id());
-  client.subscribe(service.node_id(), "/sensor/1/alerts/proto");
-  net.run_ms(1'000);
-
-  std::printf("\nlight client filters on /sensor/1/alerts/proto only:\n");
-
-  // Publishers emit on two topics; only one matches the filter.
+  std::printf("\npublishing from three partial-view members:\n");
   (void)net.node(1).try_publish(to_bytes("temperature spike on rack 7"),
                                 "/sensor/1/alerts/proto");
   net.run_ms(cfg.node.validator.epoch.epoch_length_ms);
@@ -67,13 +51,10 @@ int main() {
                                 "/sensor/1/alerts/proto");
   net.run_ms(8'000);
 
-  std::printf("\nlight client received %zu of 3 published messages "
-              "(2 matched its filter)\n", client_received);
-  std::printf("light client bandwidth: %llu bytes in, vs %llu bytes at a "
-              "full relay node\n",
-              static_cast<unsigned long long>(
-                  net.network().stats(client.node_id()).bytes_received),
-              static_cast<unsigned long long>(
-                  net.network().stats(net.node(4).node_id()).bytes_received));
+  std::printf("\nnode 0 delivered %zu of 3 published messages; %llu "
+              "deliveries across all %zu peers\n",
+              delivered_at_0,
+              static_cast<unsigned long long>(net.total_delivered()),
+              net.size());
   return 0;
 }

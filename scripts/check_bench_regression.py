@@ -27,8 +27,10 @@ runner. A >tolerance (default 25%) drop in
     reachability from BENCH_propagation.json),
 
 or a >tolerance INCREASE in the live-reshard cutover throughput dip,
-fails the build. The tracing-overhead fractions are additionally
-hard-capped at 3% (HARD_CAPS below). Raw msgs/sec are compared when
+fails the build. So does a fresh JSON whose `hardware_threads` differs
+from its baseline's (the efficiency figures are per core); the rows are
+still compared and printed. The tracing-overhead fractions are
+additionally hard-capped at 3% (HARD_CAPS below). Raw msgs/sec are compared when
 WAKU_BENCH_STRICT_ABSOLUTE=1 (same-machine perf tracking; meaningless
 across machine classes, so off in CI).
 
@@ -364,6 +366,23 @@ def main():
         if fresh_doc is None:
             failures.append("%s: fresh run produced no JSON" % name)
             continue
+        # A per-core figure (parallel_efficiency) compares only between
+        # runs on the same core count: a baseline from another machine
+        # class fails the guard instead of passing or failing by chance.
+        fresh_threads, base_threads = (
+            doc.get("hardware_threads") if isinstance(doc, dict) else None
+            for doc in (fresh_doc, baseline_doc)
+        )
+        if fresh_threads != base_threads:
+            print(
+                "  %-44s run %s  baseline %s (MISMATCH)"
+                % (name + " hardware_threads", fresh_threads, base_threads)
+            )
+            failures.append(
+                "%s: the run has hardware_threads %s but the baseline has "
+                "%s; re-record the baseline on a machine with %s threads"
+                % (name, fresh_threads, base_threads, fresh_threads)
+            )
         baseline = extract(baseline_doc)
         fresh = extract(fresh_doc)
         for metric, base_value in sorted(baseline.items()):

@@ -9,7 +9,10 @@
 #   - bench_adversarial and bench_propagation in smoke mode;
 #   - bench_operator_loop and bench_reshard at full size;
 #   - the five example_metrics_dump outputs (text, --json, --traces,
-#     --fleet, --postmortem).
+#     --fleet, --postmortem);
+#   - example_node_state_digest: per node of a persistent, sharded run with
+#     the operator loop and a kill/restart, the SHA-256 of
+#     serialize_state() and of the WAL record stream.
 # The measured fields are dropped first: every `wall_ms` key and the
 # `overhead` object (traced/untraced wall seconds and their ratio). What
 # is left is a function of the seed alone. One line per output,
@@ -39,7 +42,7 @@ if ! { [[ -f "$build/CMakeCache.txt" ]] ||
        cmake -S "$root" -B "$build" -DCMAKE_BUILD_TYPE=Release; } >"$log" 2>&1 ||
    ! cmake --build "$build" -j "$(nproc)" --target bench_adversarial \
        bench_propagation bench_operator_loop bench_reshard \
-       example_metrics_dump >>"$log" 2>&1; then
+       example_metrics_dump example_node_state_digest >>"$log" 2>&1; then
   cat "$log" >&2
   rm -f "$log"
   echo "check_identity.sh: build failed" >&2
@@ -72,6 +75,7 @@ for mode in text json traces fleet postmortem; do
   [[ "$mode" == text ]] && flag=""
   run "metrics_dump_$mode" "$build/example_metrics_dump" $flag
 done
+run node_state_digest "$build/example_node_state_digest"
 
 hashes="$work/hashes.txt"
 python3 - "$work" >"$hashes" <<'EOF'
@@ -100,6 +104,8 @@ for mode in ("text", "json", "traces", "fleet", "postmortem"):
     with open(f"{work}/metrics_dump_{mode}.out", "rb") as f:
         digest = hashlib.sha256(f.read()).hexdigest()
     print(f"{digest}  example_metrics_dump.{mode}")
+with open(f"{work}/node_state_digest.out", "rb") as f:
+    print(f"{hashlib.sha256(f.read()).hexdigest()}  example_node_state_digest")
 EOF
 cat "$hashes"
 

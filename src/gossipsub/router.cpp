@@ -96,25 +96,21 @@ void GossipSubRouter::unsubscribe(const std::string& topic) {
 
 void GossipSubRouter::set_validator(const std::string& topic,
                                     Validator validator) {
-  // Single-message validators ride the batch entry point (a loop over the
-  // window) when batching is on; the original callable is kept alongside
-  // so unbatched inline validation stays a direct, allocation-free call.
-  TopicValidator& hooks = validators_[topic];
-  hooks.single = validator;
-  hooks.batch = [validator = std::move(validator)](
-                    std::span<const IncomingMessage> batch) {
+  // A single-message validator is a loop over the window.
+  set_batch_validator(topic, [validator = std::move(validator)](
+                                 std::span<const IncomingMessage> batch) {
     std::vector<ValidationResult> results;
     results.reserve(batch.size());
     for (const IncomingMessage& incoming : batch) {
       results.push_back(validator(incoming.from, incoming.msg));
     }
     return results;
-  };
+  });
 }
 
 void GossipSubRouter::set_batch_validator(const std::string& topic,
                                           BatchValidator validator) {
-  validators_[topic] = TopicValidator{nullptr, std::move(validator)};
+  validators_[topic] = std::move(validator);
 }
 
 std::vector<NodeId> GossipSubRouter::topic_peers(
@@ -331,14 +327,9 @@ void GossipSubRouter::handle_publish(NodeId from, const PublishView& view,
   // the heartbeat, so the quarantine ends by itself.
   if (config_.validation_batch_max <= 1 ||
       scores_.invalid_messages(from) > 0) {
-    if (vit->second.single != nullptr) {
-      // Direct call — no result vector on the unbatched hot path.
-      dispatch_validated(from, msg, id, frame, vit->second.single(from, msg));
-      return;
-    }
     const IncomingMessage one{from, now, msg};
     const std::vector<ValidationResult> results =
-        vit->second.batch(std::span<const IncomingMessage>(&one, 1));
+        vit->second(std::span<const IncomingMessage>(&one, 1));
     dispatch_validated(
         from, msg, id, frame,
         results.empty() ? ValidationResult::kIgnore : results.front());
@@ -398,7 +389,7 @@ void GossipSubRouter::flush_topic_validation(const std::string& topic) {
     views.push_back(
         IncomingMessage{buffered.from, buffered.received_at, buffered.msg});
   }
-  const std::vector<ValidationResult> results = vit->second.batch(views);
+  const std::vector<ValidationResult> results = vit->second(views);
   for (std::size_t i = 0; i < batch.size(); ++i) {
     dispatch_validated(batch[i].from, batch[i].msg, batch[i].id,
                        batch[i].frame,

@@ -171,14 +171,8 @@ class GossipSubRouter : public net::NetNode {
   net::Simulator::TaskId heartbeat_task_ = 0;  // 0 = not started
 
   std::unordered_map<std::string, DeliveryHandler> handlers_;
-  // Per-topic validation hooks. `batch` is the one entry point; `single`
-  // is kept (when installed via set_validator) as a zero-allocation fast
-  // path for unbatched inline validation.
-  struct TopicValidator {
-    Validator single;  ///< may be null (batch-only installation)
-    BatchValidator batch;
-  };
-  std::unordered_map<std::string, TopicValidator> validators_;
+  // Per-topic validation hooks (set_validator adapts onto this shape).
+  std::unordered_map<std::string, BatchValidator> validators_;
   // A publish buffered for batched validation: the message copied out of
   // its first receipt, the id hashed at arrival, and the received frame,
   // which relay forwards unchanged.

@@ -1,9 +1,7 @@
 // ChaCha20-Poly1305 AEAD (RFC 8439), from scratch.
 //
-// Waku messages are routed by an anonymity-preserving relay, but payload
-// confidentiality comes from an encryption layer above it (26/WAKU2-PAYLOAD
-// in the Waku spec family the paper references). This provides the
-// symmetric AEAD used by waku::payload.
+// The symmetric AEAD behind the encrypted identity keystore
+// (rln/keystore.hpp).
 #pragma once
 
 #include <array>

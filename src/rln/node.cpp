@@ -234,9 +234,6 @@ void WakuRlnRelayNode::wire_shard(shard::ShardedValidator& validator,
       telemetry_.trace(*key, "deliver", "node=" + std::to_string(node_id()));
       telemetry_.finish(*key, "deliver");
     }
-    if (config_.enable_store) {
-      store_.archive(msg, network_.sim().now());
-    }
     if (handler_) handler_(msg);
   });
 }

@@ -15,7 +15,6 @@
 //     nullifier log, own rolling root cache, own batch windows), so the
 //     rate-limit domain is (member, epoch, shard) and a flood on one
 //     shard cannot delay validation on another;
-//   * optional 13/WAKU2-STORE archive;
 //   * optional durable state (src/persist): WAL + snapshots so a restart
 //     restores the tree, root window, per-shard nullifier logs (WAL
 //     records are shard-tagged), rate-limit state, and in-flight
@@ -60,7 +59,6 @@
 #include "shard/reshard.hpp"
 #include "shard/sharded_validator.hpp"
 #include "waku/relay.hpp"
-#include "waku/store.hpp"
 
 namespace waku::rln {
 
@@ -76,7 +74,6 @@ struct NodeConfig {
   TreeMode tree_mode = TreeMode::kFullTree;
   ValidatorConfig validator;
   chain::Address account;      ///< chain account paying gas/deposit
-  bool enable_store = false;   ///< archive delivered messages (WAKU2-STORE)
   gossipsub::GossipSubConfig gossip;
   gossipsub::PeerScoreConfig score;
 
@@ -322,7 +319,6 @@ class WakuRlnRelayNode {
   [[nodiscard]] const shard::ShardedValidator& validator() const {
     return shards_;
   }
-  [[nodiscard]] WakuStore& store() { return store_; }
   [[nodiscard]] const NodeStats& stats() const { return stats_; }
   [[nodiscard]] const NodeConfig& config() const { return config_; }
 
@@ -451,7 +447,6 @@ class WakuRlnRelayNode {
   std::unique_ptr<shard::ShardedValidator> next_shards_;
   shard::ReshardCoordinator reshard_;
   shard::ShardLoadTracker load_tracker_;
-  WakuStore store_;
 
   MessageHandler handler_;
   /// Honest rate-limit state, per shard: the quota is one message per

@@ -18,9 +18,7 @@ void WakuRelay::subscribe_topic(const std::string& pubsub_topic,
 }
 
 void WakuRelay::set_validator(MessageValidator validator) {
-  // Installed as the router's single-message validator: unbatched inline
-  // validation stays a direct, allocation-free call (the router derives
-  // the batch adapter itself, so window configs still apply uniformly).
+  // The router adapts it onto the batch hook, so window configs apply.
   router_.set_validator(
       topic_, [validator = std::move(validator)](
                   net::NodeId from, const gossipsub::PubSubMessage& msg)

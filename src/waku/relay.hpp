@@ -84,10 +84,6 @@ class WakuRelay {
   /// Targeted publish to a chosen peer set only (no local delivery, no
   /// flood) — the attacker capability behind the split-equivocation
   /// adversary. See GossipSubRouter::publish_to.
-  gossipsub::MessageId publish_to(const WakuMessage& message,
-                                  std::span<const net::NodeId> peers) {
-    return publish_to_on(topic_, message, peers);
-  }
   gossipsub::MessageId publish_to_on(const std::string& pubsub_topic,
                                      const WakuMessage& message,
                                      std::span<const net::NodeId> peers);

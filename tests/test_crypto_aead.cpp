@@ -1,10 +1,8 @@
-// Tests for ChaCha20-Poly1305 (RFC 8439 vectors + structural properties)
-// and the Waku payload encryption layer built on it.
+// Tests for ChaCha20-Poly1305 (RFC 8439 vectors + structural properties).
 #include <gtest/gtest.h>
 
 #include "common/rng.hpp"
 #include "hash/chacha20poly1305.hpp"
-#include "waku/payload.hpp"
 
 namespace waku::hash {
 namespace {
@@ -122,48 +120,3 @@ TEST(Aead, EmptyPlaintextWorks) {
 
 }  // namespace
 }  // namespace waku::hash
-
-namespace waku {
-namespace {
-
-TEST(WakuPayload, SealOpenRoundTrip) {
-  Rng rng(0x9A10AD);
-  const hash::ChaChaKey key = derive_payload_key("room-password");
-  const Bytes plaintext = to_bytes("private chat message");
-  const Bytes sealed = seal_payload(key, plaintext, rng);
-  const auto opened = open_payload(key, sealed);
-  ASSERT_TRUE(opened.has_value());
-  EXPECT_EQ(*opened, plaintext);
-}
-
-TEST(WakuPayload, FreshNoncePerSeal) {
-  Rng rng(0x9A10AE);
-  const hash::ChaChaKey key = derive_payload_key("k");
-  const Bytes a = seal_payload(key, to_bytes("same"), rng);
-  const Bytes b = seal_payload(key, to_bytes("same"), rng);
-  EXPECT_NE(a, b);  // randomized nonce -> distinct ciphertexts
-}
-
-TEST(WakuPayload, WrongKeyFails) {
-  Rng rng(0x9A10AF);
-  const Bytes sealed =
-      seal_payload(derive_payload_key("right"), to_bytes("secret"), rng);
-  EXPECT_FALSE(open_payload(derive_payload_key("wrong"), sealed).has_value());
-}
-
-TEST(WakuPayload, DistinctSecretsDistinctKeys) {
-  EXPECT_NE(derive_payload_key("a"), derive_payload_key("b"));
-  EXPECT_EQ(derive_payload_key("a"), derive_payload_key("a"));
-}
-
-TEST(WakuPayload, MalformedEnvelopeRejected) {
-  const hash::ChaChaKey key = derive_payload_key("k");
-  EXPECT_FALSE(open_payload(key, Bytes{}).has_value());
-  EXPECT_FALSE(open_payload(key, Bytes(10, 0)).has_value());
-  Bytes bad_version(64, 0);
-  bad_version[0] = 99;
-  EXPECT_FALSE(open_payload(key, bad_version).has_value());
-}
-
-}  // namespace
-}  // namespace waku

@@ -275,21 +275,6 @@ TEST(Integration, WithdrawalEscapesSlashing) {
   }
 }
 
-TEST(Integration, StoreNodeArchivesTraffic) {
-  HarnessConfig cfg = small_config(6);
-  cfg.node.enable_store = true;
-  RlnHarness h(cfg);
-  h.register_all();
-  h.run_ms(5'000);
-
-  h.node(1).try_publish(to_bytes("for the archive"));
-  h.run_ms(8'000);
-  // Node 0's store holds the relayed message (13/WAKU2-STORE).
-  const HistoryResponse history = h.node(0).store().query(HistoryQuery{});
-  ASSERT_GE(history.messages.size(), 1u);
-  EXPECT_EQ(history.messages[0].payload, to_bytes("for the archive"));
-}
-
 TEST(Integration, LightNodesTrackGroupViaPartialView) {
   HarnessConfig cfg = small_config(8);
   cfg.node.tree_mode = TreeMode::kPartialView;

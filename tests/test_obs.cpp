@@ -12,6 +12,7 @@
 
 #include <atomic>
 #include <filesystem>
+#include <fstream>
 #include <set>
 #include <thread>
 #include <vector>
@@ -1179,6 +1180,20 @@ void run_metrics_dump_deployment(RlnHarness& net) {
   net.run_ms(10'000);
 }
 
+/// The pinned SHA-256 of `output` in scripts/identity_manifest.txt (one
+/// `<sha256>  <output>` line each), which scripts/check_identity.sh checks
+/// against the example's real stdout.
+std::string manifest_hash(const std::string& output) {
+  std::ifstream manifest(WAKU_SOURCE_DIR "/scripts/identity_manifest.txt");
+  std::string digest;
+  std::string name;
+  while (manifest >> digest >> name) {
+    if (name == output) return digest;
+  }
+  ADD_FAILURE() << "no " << output << " line in identity_manifest.txt";
+  return "";
+}
+
 TEST(NodeObservability, MetricsDumpOutputsArePinned) {
   // Every exposition byte of node 0, hashed exactly as the example prints
   // it (text as-is, the JSON dumps with a trailing newline). A refactor
@@ -1196,17 +1211,17 @@ TEST(NodeObservability, MetricsDumpOutputsArePinned) {
   fleet.close_epoch(net.node(0).current_epoch());
 
   EXPECT_EQ(sha256_hex(telemetry.metrics_text()),
-            "879b4783b4ac94f0cc7e8d3fd5fc2286412cc98c17879bab27023f5111d2c552");
+            manifest_hash("example_metrics_dump.text"));
   EXPECT_EQ(sha256_hex(telemetry.metrics_json() + "\n"),
-            "223943a479b7b7735f7004d576b14142a6213d6c3f57cfe034e2a7500b1d3fc4");
+            manifest_hash("example_metrics_dump.json"));
   EXPECT_EQ(sha256_hex(telemetry.tracer().to_json() + "\n"),
-            "e1bc6c182458d9213147547fcd535d0f9eb55eda7fc7374c82e2f23e464775f0");
+            manifest_hash("example_metrics_dump.traces"));
   EXPECT_EQ(sha256_hex(fleet.timeline_json() + "\n"),
-            "86a4a3731973c73b888f17c7dbf7f2b21aa951672e7650b64f3dde773ea40444");
+            manifest_hash("example_metrics_dump.fleet"));
   EXPECT_EQ(
       sha256_hex(telemetry.flight_recorder().postmortem_json("metrics-dump") +
                  "\n"),
-      "8c233010ed969e2408be658c7a57f3ae07def22ce4e7a6897b672a9fc1254d1d");
+      manifest_hash("example_metrics_dump.postmortem"));
 }
 
 constexpr const char* kSnapshotSections[] = {"node",     "router", "pipeline",

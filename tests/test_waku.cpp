@@ -1,14 +1,9 @@
-// Tests for the Waku protocol layer: message serialization, relay
-// propagation and validation, the store protocol's queries, and the filter
-// protocol's light-node push path.
+// Tests for the Waku protocol layer: message serialization, and relay
+// propagation and validation.
 #include <gtest/gtest.h>
 
-#include <memory>
-
-#include "waku/filter.hpp"
 #include "waku/message.hpp"
 #include "waku/relay.hpp"
-#include "waku/store.hpp"
 
 namespace waku {
 namespace {
@@ -109,133 +104,6 @@ TEST(WakuRelay, RejectingValidatorBlocksDelivery) {
   pair.sim.run_until(pair.sim.now() + 2000);
   EXPECT_TRUE(pair.b_got.empty());
   EXPECT_EQ(pair.b.stats().rejected, 1u);
-}
-
-// -- Store -------------------------------------------------------------------
-
-WakuMessage mk_msg(const std::string& body, const std::string& topic) {
-  WakuMessage m;
-  m.payload = to_bytes(body);
-  m.content_topic = topic;
-  return m;
-}
-
-TEST(WakuStore, ArchivesAndQueriesByTime) {
-  WakuStore store;
-  for (std::uint64_t t = 0; t < 10; ++t) {
-    store.archive(mk_msg(std::string("m").append(std::to_string(t)), "/t"),
-                  t * 100);
-  }
-  HistoryQuery q;
-  q.start_time_ms = 250;
-  q.end_time_ms = 650;
-  const HistoryResponse resp = store.query(q);
-  ASSERT_EQ(resp.messages.size(), 4u);  // t=300,400,500,600
-  EXPECT_EQ(resp.messages[0].payload, to_bytes("m3"));
-  EXPECT_FALSE(resp.next_cursor.has_value());
-}
-
-TEST(WakuStore, FiltersByContentTopic) {
-  WakuStore store;
-  store.archive(mk_msg("a", "/chat"), 10);
-  store.archive(mk_msg("b", "/news"), 20);
-  store.archive(mk_msg("c", "/chat"), 30);
-  HistoryQuery q;
-  q.content_topic = "/chat";
-  const HistoryResponse resp = store.query(q);
-  ASSERT_EQ(resp.messages.size(), 2u);
-  EXPECT_EQ(resp.messages[1].payload, to_bytes("c"));
-}
-
-TEST(WakuStore, PaginationWithCursor) {
-  WakuStore store;
-  for (int i = 0; i < 25; ++i) {
-    store.archive(mk_msg(std::string("m").append(std::to_string(i)), "/t"),
-                  static_cast<std::uint64_t>(i));
-  }
-  HistoryQuery q;
-  q.page_size = 10;
-  HistoryResponse page1 = store.query(q);
-  ASSERT_EQ(page1.messages.size(), 10u);
-  ASSERT_TRUE(page1.next_cursor.has_value());
-
-  q.cursor = *page1.next_cursor;
-  HistoryResponse page2 = store.query(q);
-  ASSERT_EQ(page2.messages.size(), 10u);
-  EXPECT_EQ(page2.messages[0].payload, to_bytes("m10"));
-
-  q.cursor = *page2.next_cursor;
-  HistoryResponse page3 = store.query(q);
-  EXPECT_EQ(page3.messages.size(), 5u);
-  EXPECT_FALSE(page3.next_cursor.has_value());
-}
-
-TEST(WakuStore, EvictsOldestWhenFull) {
-  WakuStore store(5);
-  for (int i = 0; i < 8; ++i) {
-    store.archive(mk_msg(std::string("m").append(std::to_string(i)), "/t"),
-                  static_cast<std::uint64_t>(i));
-  }
-  EXPECT_EQ(store.size(), 5u);
-  const HistoryResponse resp = store.query(HistoryQuery{});
-  EXPECT_EQ(resp.messages[0].payload, to_bytes("m3"));
-}
-
-TEST(WakuStore, TracksBytes) {
-  WakuStore store;
-  store.archive(mk_msg(std::string(100, 'x'), "/t"), 0);
-  EXPECT_EQ(store.bytes_stored(), 100u);
-}
-
-// -- Filter ------------------------------------------------------------------
-
-struct FilterFixture : ::testing::Test {
-  net::Simulator sim;
-  net::Network net{sim, {.base_latency_ms = 5, .jitter_ms = 0,
-                         .loss_rate = 0}, 37};
-  FilterService service{net};
-  std::vector<WakuMessage> light_got;
-  FilterClient client{net, [this](const WakuMessage& m) {
-                        light_got.push_back(m);
-                      }};
-
-  void SetUp() override {
-    net.connect(service.node_id(), client.node_id());
-  }
-};
-
-TEST_F(FilterFixture, PushesMatchingMessages) {
-  client.subscribe(service.node_id(), "/wanted");
-  sim.run_all();
-  service.on_relay_message(mk_msg("yes", "/wanted"));
-  service.on_relay_message(mk_msg("no", "/other"));
-  sim.run_all();
-  ASSERT_EQ(light_got.size(), 1u);
-  EXPECT_EQ(light_got[0].payload, to_bytes("yes"));
-  EXPECT_EQ(service.pushed_count(), 1u);
-}
-
-TEST_F(FilterFixture, UnsubscribeStopsPushes) {
-  client.subscribe(service.node_id(), "/wanted");
-  sim.run_all();
-  client.unsubscribe(service.node_id(), "/wanted");
-  sim.run_all();
-  service.on_relay_message(mk_msg("late", "/wanted"));
-  sim.run_all();
-  EXPECT_TRUE(light_got.empty());
-  EXPECT_EQ(service.subscription_count(), 0u);
-}
-
-TEST_F(FilterFixture, MultipleTopicsPerClient) {
-  client.subscribe(service.node_id(), "/a");
-  client.subscribe(service.node_id(), "/b");
-  sim.run_all();
-  service.on_relay_message(mk_msg("1", "/a"));
-  service.on_relay_message(mk_msg("2", "/b"));
-  service.on_relay_message(mk_msg("3", "/c"));
-  sim.run_all();
-  EXPECT_EQ(light_got.size(), 2u);
-  EXPECT_EQ(client.received_count(), 2u);
 }
 
 }  // namespace
