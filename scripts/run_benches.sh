@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # Builds all bench targets in Release and emits one BENCH_<name>.json per
-# bench into the output directory (default: repo root), so successive PRs
-# have a comparable perf trajectory.
+# JSON-writing bench into the output directory (default: repo root), so
+# successive PRs have a comparable perf trajectory. Print-only benches run
+# too; their tables go to stdout only.
 #
 # Usage: scripts/run_benches.sh [--smoke] [output-dir] [bench-name ...]
 #   --smoke      tiny workloads (seconds, not minutes): exports
@@ -54,12 +55,20 @@ for bin in "$BUILD"/bench_*; do
       # WAKU_BENCH_SMOKE.
       "$bin" "$OUT/BENCH_${name#bench_}.json"
       ;;
-    *)
+    bench_merkle_ops|bench_proof_generation|bench_proof_verification|bench_routing_validation)
       # google-benchmark benches: native JSON reporter.
       "$bin" --benchmark_format=console \
              --benchmark_out_format=json \
              --benchmark_out="$OUT/BENCH_${name#bench_}.json" \
              "${GBENCH_ARGS[@]}"
+      ;;
+    bench_epoch_thr|bench_gas_costs|bench_key_sizes|bench_onchain_vs_offchain|bench_slashing|bench_spam_containment|bench_tree_storage)
+      # Print-only benches: take no arguments and write no JSON.
+      "$bin"
+      ;;
+    *)
+      echo "run_benches.sh: $name is in none of the bench lists above" >&2
+      exit 1
       ;;
   esac
 done

@@ -1,6 +1,7 @@
 #include "chain/blockchain.hpp"
 
 #include <algorithm>
+#include <exception>
 
 #include "common/expect.hpp"
 
@@ -176,24 +177,16 @@ Bytes Blockchain::static_call(const Address& to, const std::string& method,
   storage.begin_journal();
   balance_journal_active_ = true;
   Bytes out;
+  std::exception_ptr failure;
   try {
     CallContext ctx(*this, to, Address{}, 0,
                     blocks_.empty() ? 0 : blocks_.size(), meter, storage,
                     events);
     out = it->second->call(ctx, method, calldata);
   } catch (...) {
-    for (auto jt = balance_journal_.rbegin(); jt != balance_journal_.rend();
-         ++jt) {
-      const auto& [from, amount, target] = *jt;
-      balances_[target] -= amount;
-      balances_[from] += amount;
-    }
-    storage.rollback_journal();
-    balance_journal_active_ = false;
-    balance_journal_.clear();
-    throw;
+    failure = std::current_exception();
   }
-  // Static calls must not mutate state even on success.
+  // Static calls must not mutate state, whether the call returned or threw.
   for (auto jt = balance_journal_.rbegin(); jt != balance_journal_.rend();
        ++jt) {
     const auto& [from, amount, target] = *jt;
@@ -203,6 +196,7 @@ Bytes Blockchain::static_call(const Address& to, const std::string& method,
   storage.rollback_journal();
   balance_journal_active_ = false;
   balance_journal_.clear();
+  if (failure) std::rethrow_exception(failure);
   return out;
 }
 

@@ -13,7 +13,7 @@
 //      payload recorded.
 //
 // The store itself is payload-agnostic: record types and snapshot layout
-// belong to the owner (see rln/node.cpp for the node's schema).
+// belong to the owner (see rln/node_journal.hpp for the node's schema).
 #pragma once
 
 #include <cstdint>

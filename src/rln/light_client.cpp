@@ -6,6 +6,30 @@
 
 namespace waku::rln {
 
+namespace {
+
+/// A request's shard list (u16 count, u16 ids). A malformed or absent
+/// list degrades to "all hosted shards" (empty).
+std::vector<shard::ShardId> read_shard_list(ByteReader& r) {
+  std::vector<shard::ShardId> shards;
+  try {
+    for (std::uint16_t left = r.read_u16(); left > 0; --left) {
+      shards.push_back(r.read_u16());
+    }
+  } catch (const std::exception&) {
+    shards.clear();
+  }
+  return shards;
+}
+
+void write_shard_list(ByteWriter& w,
+                      const std::vector<shard::ShardId>& shards) {
+  w.write_u16(static_cast<std::uint16_t>(shards.size()));
+  for (const shard::ShardId shard : shards) w.write_u16(shard);
+}
+
+}  // namespace
+
 RlnFullServiceNode::RlnFullServiceNode(net::Network& network,
                                        WakuRlnRelayNode& node)
     : network_(network),
@@ -46,51 +70,23 @@ void RlnFullServiceNode::on_message(net::NodeId from, BytesView payload) {
     }
     case LightFrame::kCheckpointReq: {
       // Shard-scoped request: the client names its subscribed shards so
-      // the served checkpoint carries only those shards' watermarks. A
-      // malformed/absent list degrades to "all hosted shards".
-      std::vector<shard::ShardId> requested;
-      try {
-        const std::uint16_t count = r.read_u16();
-        for (std::uint16_t i = 0; i < count; ++i) {
-          requested.push_back(r.read_u16());
-        }
-      } catch (const std::exception&) {
-        requested.clear();
-      }
+      // the served checkpoint carries only those shards' watermarks.
       ByteWriter w;
       w.write_u8(static_cast<std::uint8_t>(LightFrame::kCheckpointResp));
-      // The constructor requires a full-tree node, but a durable node can
-      // restore into partial mode afterwards — a remote frame must never
-      // be able to throw through export_checkpoint's precondition. The
-      // refusal is an empty body (fails checkpoint parsing client-side)
-      // rather than silence, so the client's bootstrap callback fires.
-      if (node_.group().mode() == TreeMode::kFullTree) {
-        Checkpoint checkpoint = node_.make_checkpoint(requested);
-        checkpoint.sign(checkpoint_key_);
-        w.write_bytes(checkpoint.serialize());
-      } else {
-        w.write_bytes({});
-      }
+      write_checkpoint(w, read_shard_list(r));
       network_.send(id_, from, std::move(w).take());
       break;
     }
     case LightFrame::kDeltaReq: {
       std::uint64_t from_cursor = 0;
       Fr from_root;
-      std::vector<shard::ShardId> requested;
-      bool parsed = false;
       try {
         from_cursor = r.read_u64();
         from_root = Fr::from_bytes_reduce(r.read_raw(32));
-        parsed = true;
-        const std::uint16_t count = r.read_u16();
-        for (std::uint16_t i = 0; i < count; ++i) {
-          requested.push_back(r.read_u16());
-        }
       } catch (const std::exception&) {
-        if (!parsed) return;  // no binding at all: nothing to answer
-        requested.clear();    // malformed shard list degrades to "all"
+        return;  // no binding at all: nothing to answer
       }
+      const std::vector<shard::ShardId> requested = read_shard_list(r);
       ByteWriter w;
       w.write_u8(static_cast<std::uint8_t>(LightFrame::kDeltaResp));
       std::optional<DeltaCheckpoint> delta;
@@ -109,13 +105,7 @@ void RlnFullServiceNode::on_message(net::NodeId from, BytesView payload) {
         // that), never a lossy delta.
         ++delta_fallbacks_served_;
         w.write_u8(1);  // full-checkpoint fallback
-        if (node_.group().mode() == TreeMode::kFullTree) {
-          Checkpoint checkpoint = node_.make_checkpoint(requested);
-          checkpoint.sign(checkpoint_key_);
-          w.write_bytes(checkpoint.serialize());
-        } else {
-          w.write_bytes({});
-        }
+        write_checkpoint(w, requested);
       }
       network_.send(id_, from, std::move(w).take());
       break;
@@ -158,6 +148,34 @@ void RlnFullServiceNode::on_message(net::NodeId from, BytesView payload) {
   }
 }
 
+void RlnFullServiceNode::write_checkpoint(
+    ByteWriter& w, const std::vector<shard::ShardId>& shards) {
+  // The constructor requires a full-tree node, but a durable node can
+  // restore into partial mode afterwards — a remote frame must never be
+  // able to throw through export_checkpoint's precondition. The refusal is
+  // an empty body (fails checkpoint parsing client-side) rather than
+  // silence, so the client's bootstrap callback fires.
+  if (node_.group().mode() != TreeMode::kFullTree) {
+    w.write_bytes({});
+    return;
+  }
+  Checkpoint checkpoint = node_.make_checkpoint(shards);
+  checkpoint.sign(checkpoint_key_);
+  w.write_bytes(checkpoint.serialize());
+}
+
+bool RlnLightClient::member_count_current(std::uint64_t claimed) {
+  const Bytes count_bytes = chain_->static_call(contract_, "member_count", {});
+  ByteReader count(count_bytes);
+  const std::uint64_t contract_members = count.read_u64();
+  if (claimed > contract_members) return false;
+  if (claimed + max_bootstrap_lag_ < contract_members) {
+    ++stale_checkpoints_rejected_;
+    return false;
+  }
+  return true;
+}
+
 RlnLightClient::RlnLightClient(net::Network& network, Identity identity,
                                std::uint64_t member_index, EpochConfig epoch,
                                std::uint64_t seed, shard::ShardConfig shards)
@@ -189,10 +207,7 @@ void RlnLightClient::bootstrap(net::NodeId service, BootstrapResult done) {
   ByteWriter w;
   w.write_u8(static_cast<std::uint8_t>(LightFrame::kCheckpointReq));
   // Shard-scoped: request only our subscription set's watermarks.
-  const std::vector<shard::ShardId> subscribed =
-      shards_config_.subscribed_shards();
-  w.write_u16(static_cast<std::uint16_t>(subscribed.size()));
-  for (const shard::ShardId shard : subscribed) w.write_u16(shard);
+  write_shard_list(w, shards_config_.subscribed_shards());
   network_.send(id_, service, std::move(w).take());
 }
 
@@ -223,15 +238,7 @@ bool RlnLightClient::adopt_checkpoint(const Checkpoint& checkpoint) {
   //    rejected as stale instead of silently adopted.
   bool installing = false;
   try {
-    const Bytes count_bytes =
-        chain_->static_call(contract_, "member_count", {});
-    ByteReader count(count_bytes);
-    const std::uint64_t contract_members = count.read_u64();
-    if (checkpoint.member_count > contract_members) return false;
-    if (checkpoint.member_count + max_bootstrap_lag_ < contract_members) {
-      ++stale_checkpoints_rejected_;
-      return false;
-    }
+    if (!member_count_current(checkpoint.member_count)) return false;
 
     // Everything that can reject the checkpoint runs on locals first: a
     // refused re-bootstrap must leave an existing good bootstrap intact.
@@ -288,10 +295,7 @@ void RlnLightClient::delta_sync(net::NodeId service, DeltaSyncResult done) {
   w.write_u8(static_cast<std::uint8_t>(LightFrame::kDeltaReq));
   w.write_u64(sync_cursor());
   w.write_raw(group_->recent_roots().back().to_bytes_be());
-  const std::vector<shard::ShardId> subscribed =
-      shards_config_.subscribed_shards();
-  w.write_u16(static_cast<std::uint16_t>(subscribed.size()));
-  for (const shard::ShardId shard : subscribed) w.write_u16(shard);
+  write_shard_list(w, shards_config_.subscribed_shards());
   network_.send(id_, service, std::move(w).take());
 }
 
@@ -321,15 +325,7 @@ bool RlnLightClient::adopt_delta(const DeltaCheckpoint& delta) {
   //    the chain (forged future) nor further behind it than the lag
   //    tolerance (replayed stale delta).
   try {
-    const Bytes count_bytes =
-        chain_->static_call(contract_, "member_count", {});
-    ByteReader count(count_bytes);
-    const std::uint64_t contract_members = count.read_u64();
-    if (delta.member_count > contract_members) return false;
-    if (delta.member_count + max_bootstrap_lag_ < contract_members) {
-      ++stale_checkpoints_rejected_;
-      return false;
-    }
+    if (!member_count_current(delta.member_count)) return false;
   } catch (const std::exception&) {
     return false;
   }

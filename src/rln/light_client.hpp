@@ -86,6 +86,11 @@ class RlnFullServiceNode : public net::NetNode {
   }
 
  private:
+  /// The signed checkpoint body for `shards`; empty when this node no
+  /// longer holds the full tree.
+  void write_checkpoint(ByteWriter& w,
+                        const std::vector<shard::ShardId>& shards);
+
   net::Network& network_;
   WakuRlnRelayNode& node_;
   net::NodeId id_;
@@ -228,6 +233,11 @@ class RlnLightClient : public net::NetNode {
   bool adopt_checkpoint(const Checkpoint& checkpoint);
   /// Verifies and applies a served delta; false leaves state as-is.
   bool adopt_delta(const DeltaCheckpoint& delta);
+  /// Contract cross-check of a served member count, both directions: at
+  /// most what the contract has registered (a forged future tree), at
+  /// least that minus the lag tolerance (a signed but stale one, counted
+  /// in stale_checkpoints_rejected). Throws when the call fails.
+  bool member_count_current(std::uint64_t claimed);
 
   net::Network& network_;
   Identity identity_;

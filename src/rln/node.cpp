@@ -1,6 +1,5 @@
 #include "rln/node.hpp"
 
-#include <algorithm>
 #include <random>
 #include <stdexcept>
 
@@ -20,6 +19,13 @@ namespace {
 /// Node snapshot payload version (docs/FORMATS.md); v5 added the
 /// operator-loop bookkeeping.
 constexpr std::uint8_t kStateVersion = 5;
+
+/// The NodeStats counters a snapshot carries, in snapshot order.
+constexpr std::uint64_t NodeStats::*kSnapshotStats[] = {
+    &NodeStats::published,           &NodeStats::publish_rate_limited,
+    &NodeStats::publish_wrong_shard, &NodeStats::delivered,
+    &NodeStats::slash_commits,       &NodeStats::slash_reveals,
+    &NodeStats::slash_rewards,       &NodeStats::slashes_expired};
 
 /// OS entropy for the keystore seal RNG. Deliberately NOT derived from the
 /// deterministic node seed: a restarted node re-seeded deterministically
@@ -51,10 +57,9 @@ WakuRlnRelayNode::WakuRlnRelayNode(net::Network& network,
       // Per-node seed for the batch verifiers' RLC weights (further
       // diversified per generation and per shard): senders must not be
       // able to predict another node's weight stream.
-      base_validator_seed_(seed ^ 0x52C4A55E9D1ULL),
-      shards_(make_validator(shard::ShardMap(config.shards), config.shards)),
-      reshard_(config.shards),
-      load_tracker_(config.load_tracker),
+      shards_(config.tree_depth, config.validator, config.shards,
+              config.load_tracker, group_, journal_,
+              seed ^ 0x52C4A55E9D1ULL),
       slashing_(rng_, journal_, stats_, chain, contract, config.account,
                 config.slash_expiry_epochs),
       // The default telemetry clock: the node's virtual time, ms as ns.
@@ -62,9 +67,15 @@ WakuRlnRelayNode::WakuRlnRelayNode(net::Network& network,
                  [this] {
                    return network_.local_time(node_id()) * 1'000'000ULL;
                  },
-                 {relay_, shards_, stats_, operator_}) {
+                 {relay_, shards_.current(), stats_, operator_}) {
   group_.set_own_identity(identity_);
-  install_validator_hooks(shards_, /*next_generation=*/false);
+  shards_.bind(telemetry_,
+               {[this](shard::ShardedValidator& validator,
+                       shard::ShardId shard) { wire_shard(validator, shard); },
+                [this](const std::string& topic) {
+                  relay_.router().unsubscribe(topic);
+                },
+                [this](const Fr& sk) { trigger_slash(sk); }});
 
   if (!config_.persist_dir.empty()) {
     try {
@@ -80,54 +91,6 @@ WakuRlnRelayNode::WakuRlnRelayNode(net::Network& network,
     journal_.store()->set_snapshot_provider(
         [this] { return serialize_state(); });
   }
-}
-
-void WakuRlnRelayNode::install_validator_hooks(
-    shard::ShardedValidator& validator, bool next_generation) {
-  telemetry_.attach(validator);
-  // Observed shares exist only in transit — journal them (under the
-  // owning shard's WAL tag) the moment any shard's pipeline records one,
-  // so a crash cannot blind us to double-signals on any shard. During a
-  // cutover the incoming generation's shard ids collide with the outgoing
-  // ones, so its mirrors ride a distinct tag.
-  const WalTag tag =
-      next_generation ? WalTag::kNullifierNext : WalTag::kNullifier;
-  for (const shard::ShardId s : validator.subscribed()) {
-    ValidationPipeline& pipeline = validator.pipeline(s);
-    pipeline.set_observe_hook([this, tag, s](std::uint64_t epoch,
-                                             const Fr& nullifier,
-                                             const sss::Share& share,
-                                             std::uint64_t proof_fp) {
-      journal_.append_observation(tag, s, epoch, nullifier, share, proof_fp);
-    });
-    // Dual-generation enforcement: while a cutover (or its linger
-    // window) is active, every message's rate-limit domain is its
-    // OLD-generation shard and both generations' meshes observe into
-    // that one shared log — migration can never double a quota.
-    pipeline.set_log_selector([this](const WakuMessage& msg) {
-      return reshard_.domain_log(msg.content_topic);
-    });
-    pipeline.set_cutover_observe_hook(
-        [this](const WakuMessage& msg, std::uint64_t epoch,
-               const Fr& nullifier, const sss::Share& share,
-               std::uint64_t proof_fp) {
-          const std::optional<shard::ShardId> domain =
-              reshard_.domain_of(msg.content_topic);
-          if (!domain.has_value()) return;
-          journal_.append_observation(WalTag::kCutoverObservation, *domain,
-                                      epoch, nullifier, share, proof_fp);
-        });
-  }
-}
-
-shard::ShardedValidator* WakuRlnRelayNode::validator_for_generation(
-    std::uint32_t generation) {
-  if (shards_.map().generation() == generation) return &shards_;
-  if (next_shards_ != nullptr &&
-      next_shards_->map().generation() == generation) {
-    return next_shards_.get();
-  }
-  return nullptr;
 }
 
 void WakuRlnRelayNode::wire_shard(shard::ShardedValidator& validator,
@@ -146,8 +109,7 @@ void WakuRlnRelayNode::wire_shard(shard::ShardedValidator& validator,
       [this, shard, generation](const std::vector<net::NodeId>& froms,
                                 const std::vector<net::TimeMs>& received_at,
                                 const std::vector<WakuMessage>& messages) {
-        shard::ShardedValidator* validator =
-            validator_for_generation(generation);
+        shard::ShardedValidator* validator = shards_.generation(generation);
         if (validator == nullptr || !validator->subscribes(shard)) {
           // A mesh of a generation this node no longer runs (straggler
           // traffic after drop-old): drop without penalty.
@@ -184,48 +146,7 @@ void WakuRlnRelayNode::wire_shard(shard::ShardedValidator& validator,
             telemetry_.finish(key, reason);
           }
         }
-        std::vector<ValidationResult> results;
-        results.reserve(outcomes.size());
-        for (std::size_t i = 0; i < outcomes.size(); ++i) {
-          const ValidationOutcome& outcome = outcomes[i];
-          switch (outcome.verdict) {
-            case Verdict::kAccept:
-              results.push_back(ValidationResult::kAccept);
-              continue;
-            case Verdict::kIgnoreEpochGap:
-            case Verdict::kIgnoreDuplicate:
-              results.push_back(ValidationResult::kIgnore);
-              continue;
-            case Verdict::kRejectSpam:
-              // Double-signal: the recovered sk is slashing material
-              // (§III-F). Same-x equivocation yields none to recover.
-              if (outcome.recovered_sk.has_value()) {
-                trigger_slash(*outcome.recovered_sk);
-              }
-              results.push_back(ValidationResult::kReject);
-              continue;
-            case Verdict::kRejectStaleRoot:
-              // A root already stale on arrival is the sender's fault:
-              // reject, which scores it (P4) like any invalid proof. If
-              // the root window moved after the message arrived (a
-              // root-changing block landed while it sat in its batch
-              // window), the proof may have gone stale while buffered,
-              // so it is dropped without a penalty. Unbatched validation
-              // runs at arrival, so there it is always the reject; a
-              // block in the same millisecond as the arrival counts as
-              // before it.
-              results.push_back(root_moved_at_ > received_at[i]
-                                    ? ValidationResult::kIgnore
-                                    : ValidationResult::kReject);
-              continue;
-            case Verdict::kRejectNoProof:
-            case Verdict::kRejectBadProof:
-              results.push_back(ValidationResult::kReject);
-              continue;
-          }
-          results.push_back(ValidationResult::kReject);
-        }
-        return results;
+        return shards_.relay_results(outcomes, received_at, root_moved_at_);
       });
 
   relay_.subscribe_topic(topic, [this](const WakuMessage& msg) {
@@ -243,14 +164,7 @@ void WakuRlnRelayNode::start() {
   // One gossipsub mesh + validator per subscribed shard — for BOTH
   // generations when a restored cutover is mid-overlap/drain (the
   // restart resumes the journaled phase, dual-subscription included).
-  for (const shard::ShardId shard : shards_.subscribed()) {
-    wire_shard(shards_, shard);
-  }
-  if (next_shards_ != nullptr) {
-    for (const shard::ShardId shard : next_shards_->subscribed()) {
-      wire_shard(*next_shards_, shard);
-    }
-  }
+  shards_.wire_all();
 
   // Root-transition history starts at the current (possibly restored)
   // cursor; transitions applied below during replay accrue into it.
@@ -286,26 +200,7 @@ void WakuRlnRelayNode::start() {
   // expiry, once per epoch.
   upkeep_task_ = network_.sim().schedule_every(
       config_.validator.epoch.epoch_length_ms, [this] {
-        const std::uint64_t now = network_.local_time(node_id());
-        shards_.gc(now);
-        if (next_shards_ != nullptr) next_shards_->gc(now);
-        reshard_.gc(current_epoch(), config_.validator.max_epoch_gap);
-        if (reshard_.linger_expired(current_epoch())) {
-          // Journal before applying (same fail-closed order as the
-          // phase transitions): a later cutover's WAL records must
-          // replay onto a coordinator that already ended this linger.
-          journal_.append(WalTag::kReshardLingerEnd, {});
-          telemetry_.record_flight(current_epoch(), "reshard", "linger_end");
-          end_reshard_linger();
-        }
-        for (const shard::ShardId s : shards_.subscribed()) {
-          // The p95 whole-window validation latency joins the load
-          // sample: a shard can be latency-bound (deep logs, fallback
-          // storms) long before its message rate looks alarming.
-          load_tracker_.record(s, shards_.pipeline(s).stats().accepted,
-                               shards_.pipeline(s).log().entry_count(), now,
-                               telemetry_.shard_p95_validate_ms(s));
-        }
+        shards_.upkeep(network_.local_time(node_id()), current_epoch());
         slashing_.expire(current_epoch());
         telemetry_.end_epoch(current_epoch(),
                              [this] { return health_sample(); });
@@ -354,49 +249,11 @@ WakuMessage WakuRlnRelayNode::build_message(Bytes payload,
   return msg;
 }
 
-std::optional<WakuRlnRelayNode::PublishRoute>
-WakuRlnRelayNode::resolve_publish_route(
-    const std::string& content_topic) const {
-  // The quota key is the topic's rate-limit DOMAIN: while domain routing
-  // is active (cutover + the post-drop-old linger) that is the
-  // old-generation shard both meshes observe into — keying by the new
-  // shard any earlier would let this node publish on two sibling new
-  // shards of one old family in the same epoch and double-signal
-  // against itself on the shared domain log. Once the linger ends (the
-  // quota map re-keys in the same step — end_reshard_linger), the
-  // current map is the domain.
-  // NOTE the hosting checks below use each generation's OWN shard of
-  // the topic; `quota` is only the rate-limit key.
-  const shard::ShardId current_shard = shards_.shard_of(content_topic);
-  const shard::ShardId quota =
-      reshard_.domain_of(content_topic).value_or(current_shard);
-  const bool next_authoritative = reshard_.next_generation_authoritative();
-  if (next_authoritative && next_shards_ != nullptr) {
-    const shard::ShardId s = next_shards_->shard_of(content_topic);
-    if (next_shards_->subscribes(s)) {
-      return PublishRoute{next_shards_->map().pubsub_topic(s), quota};
-    }
-  }
-  if (shards_.subscribes(current_shard)) {
-    return PublishRoute{shards_.map().pubsub_topic(current_shard), quota};
-  }
-  // Overlap fallback: not hosting the topic's old-generation shard but
-  // meshing its new-generation one — publish there; dual-generation
-  // enforcement debits the same domain either way.
-  if (!next_authoritative && next_shards_ != nullptr) {
-    const shard::ShardId s = next_shards_->shard_of(content_topic);
-    if (next_shards_->subscribes(s)) {
-      return PublishRoute{next_shards_->map().pubsub_topic(s), quota};
-    }
-  }
-  return std::nullopt;
-}
-
 WakuRlnRelayNode::PublishStatus WakuRlnRelayNode::try_publish(
     Bytes payload, const std::string& content_topic) {
   if (!is_registered()) return PublishStatus::kNotRegistered;
-  const std::optional<PublishRoute> route =
-      resolve_publish_route(content_topic);
+  const std::optional<NodeShards::PublishRoute> route =
+      shards_.route(content_topic);
   if (!route.has_value()) {
     ++stats_.publish_wrong_shard;
     return PublishStatus::kShardNotSubscribed;
@@ -405,19 +262,10 @@ WakuRlnRelayNode::PublishStatus WakuRlnRelayNode::try_publish(
   // The honest quota is per (epoch, shard): shard-scoped nullifier logs
   // make shards independent rate-limit domains, so a publisher active on
   // two shards is not equivocating.
-  const auto it = last_published_epoch_.find(route->quota_shard);
-  if (it != last_published_epoch_.end() && it->second == epoch) {
+  if (!shards_.claim_quota(route->quota_shard, epoch)) {
     ++stats_.publish_rate_limited;
     return PublishStatus::kRateLimited;  // honest 1-per-epoch-per-shard limit
   }
-  last_published_epoch_[route->quota_shard] = epoch;
-  // Journaled before the message leaves: a node that crashes after
-  // publishing and forgets it published would double-signal against
-  // itself on restart — and forfeit its own stake. Shard-tagged so the
-  // restart rebuilds the per-shard quota map.
-  ByteWriter w;
-  w.write_u64(epoch);
-  journal_.append(WalTag::kOwnPublish, w.data(), route->quota_shard);
   const WakuMessage msg =
       build_message(std::move(payload), content_topic, epoch);
   if (const std::optional<obs::TraceKey> key = telemetry_.sampled_key(msg)) {
@@ -432,39 +280,15 @@ WakuRlnRelayNode::PublishStatus WakuRlnRelayNode::try_publish(
   return PublishStatus::kOk;
 }
 
-WakuRlnRelayNode::PublishStatus WakuRlnRelayNode::force_publish(
-    Bytes payload, const std::string& content_topic) {
-  // Attackers route like everyone else (authoritative generation first)
-  // but ignore hosting and the local rate limit.
-  return force_publish_generation(std::move(payload), content_topic,
-                                  reshard_.next_generation_authoritative());
-}
-
 WakuRlnRelayNode::PublishStatus WakuRlnRelayNode::force_publish_generation(
     Bytes payload, const std::string& content_topic,
     bool use_next_generation) {
   if (!is_registered()) return PublishStatus::kNotRegistered;
-  shard::ShardedValidator* validator =
-      use_next_generation && next_shards_ != nullptr ? next_shards_.get()
-                                                     : &shards_;
-  const shard::ShardId shard = validator->shard_of(content_topic);
   relay_.publish_on(
-      validator->map().pubsub_topic(shard),
+      shards_.topic_in(content_topic, use_next_generation),
       build_message(std::move(payload), content_topic, current_epoch()));
   ++stats_.published;
   return PublishStatus::kOk;
-}
-
-void WakuRlnRelayNode::publish_with_invalid_proof(
-    Bytes payload, const std::string& content_topic) {
-  publish_garbage_proof(std::move(payload), content_topic,
-                        /*stale_root=*/false);
-}
-
-void WakuRlnRelayNode::publish_with_stale_root(
-    Bytes payload, const std::string& content_topic) {
-  publish_garbage_proof(std::move(payload), content_topic,
-                        /*stale_root=*/true);
 }
 
 void WakuRlnRelayNode::publish_garbage_proof(Bytes payload,
@@ -515,166 +339,21 @@ bool WakuRlnRelayNode::force_publish_split(Bytes payload_a, Bytes payload_b) {
   return true;
 }
 
-// -- Live reshard ------------------------------------------------------------
-
-shard::ShardedValidator WakuRlnRelayNode::make_validator(
-    shard::ShardMap map, const shard::ShardConfig& layout) const {
-  return shard::ShardedValidator(zksnark::rln_keypair(config_.tree_depth).vk,
-                                 group_, config_.validator, std::move(map),
-                                 layout.subscribed_shards(),
-                                 validator_seed(layout.generation));
-}
-
-void WakuRlnRelayNode::create_next_validator() {
-  next_shards_ = std::make_unique<shard::ShardedValidator>(
-      make_validator(reshard_.next_map(), reshard_.next_config()));
-  install_validator_hooks(*next_shards_, /*next_generation=*/true);
-}
-
-void WakuRlnRelayNode::end_reshard_linger() {
-  reshard_.end_linger();
-  // Re-key the quota map from domain (old-generation) to current
-  // (new-generation) shard ids. A domain entry cannot be mapped to one
-  // new shard (the quota key is a shard, not a topic), so merge
-  // conservatively: every hosted shard inherits the newest epoch any
-  // domain saw. Over-blocks by at most one publish per shard for one
-  // epoch; never under-blocks, so the node cannot double-signal against
-  // itself across the key-space switch.
-  std::uint64_t newest = 0;
-  bool any = false;
-  for (const auto& [shard, epoch] : last_published_epoch_) {
-    newest = std::max(newest, epoch);
-    any = true;
-  }
-  last_published_epoch_.clear();
-  if (!any) return;
-  for (const shard::ShardId s : shards_.subscribed()) {
-    last_published_epoch_[s] = newest;
-  }
-}
-
-void WakuRlnRelayNode::apply_reshard_transition(
-    shard::ReshardPhase to, std::uint64_t linger_until_epoch, bool live) {
-  switch (to) {
-    case shard::ReshardPhase::kStable: {
-      // Drop-old: leave the outgoing generation's meshes, re-key the
-      // quota, swap the incoming validator in, start the domain linger.
-      if (live) {
-        for (const shard::ShardId s : shards_.subscribed()) {
-          relay_.router().unsubscribe(shards_.map().pubsub_topic(s));
-        }
-      }
-      // The shard id space and the pipelines' cumulative counters both
-      // restart under the new generation; stale windows would wrap.
-      // (The quota map is NOT re-keyed here: it stays domain-keyed until
-      // the linger ends — see end_reshard_linger.)
-      load_tracker_.reset();
-      reshard_.advance(linger_until_epoch);
-      WAKU_EXPECTS(next_shards_ != nullptr);
-      shards_ = std::move(*next_shards_);
-      next_shards_.reset();
-      // The moved-from container's hooks captured its old address;
-      // re-install against the new home (pipelines themselves moved by
-      // pointer, so their selectors stay valid).
-      install_validator_hooks(shards_, /*next_generation=*/false);
-      return;
-    }
-    case shard::ReshardPhase::kOverlap: {
-      reshard_.advance();
-      create_next_validator();
-      // Seed the shared domain logs with the outgoing generation's
-      // per-shard history: pre-cutover signals keep counting against the
-      // cutover quota.
-      for (const shard::ShardId s : shards_.subscribed()) {
-        reshard_.seed_domain_log(s, shards_.pipeline(s).log().serialize());
-      }
-      if (live) {
-        for (const shard::ShardId s : next_shards_->subscribed()) {
-          wire_shard(*next_shards_, s);
-        }
-      }
-      return;
-    }
-    case shard::ReshardPhase::kDrain:
-      reshard_.advance();
-      return;
-    case shard::ReshardPhase::kAnnounce:
-      return;  // entered via ReshardCoordinator::begin
-  }
-}
-
-void WakuRlnRelayNode::journal_reshard_phase(
-    shard::ReshardPhase to, std::uint64_t linger_until_epoch) {
-  ByteWriter w;
-  w.write_u8(static_cast<std::uint8_t>(to));
-  w.write_u64(linger_until_epoch);
-  if (to == shard::ReshardPhase::kAnnounce) {
-    const shard::ShardConfig& next = reshard_.next_config();
-    w.write_u16(next.num_shards);
-    w.write_u16(static_cast<std::uint16_t>(next.subscribe.size()));
-    for (const shard::ShardId s : next.subscribe) w.write_u16(s);
-  }
-  journal_.append(WalTag::kReshardPhase, w.data());
-}
-
-bool WakuRlnRelayNode::begin_reshard(
-    std::uint16_t target_num_shards,
-    std::vector<shard::ShardId> new_subscribe) {
-  if (!reshard_.begin(target_num_shards, std::move(new_subscribe))) {
-    return false;
-  }
-  journal_reshard_phase(shard::ReshardPhase::kAnnounce, 0);
-  telemetry_.record_flight(
-      current_epoch(), "reshard",
-      "phase=announce target=" + std::to_string(target_num_shards));
-  return true;
-}
-
-bool WakuRlnRelayNode::advance_reshard() {
-  shard::ReshardPhase to = shard::ReshardPhase::kStable;
-  std::uint64_t linger_until_epoch = 0;
-  switch (reshard_.phase()) {
-    case shard::ReshardPhase::kStable:
-      return false;
-    case shard::ReshardPhase::kAnnounce:
-      to = shard::ReshardPhase::kOverlap;
-      break;
-    case shard::ReshardPhase::kOverlap:
-      to = shard::ReshardPhase::kDrain;
-      break;
-    case shard::ReshardPhase::kDrain:
-      to = shard::ReshardPhase::kStable;
-      // The domain logs stay authoritative until the epoch gate refuses
-      // every epoch the cutover could still be adjudicating.
-      linger_until_epoch = current_epoch() + config_.validator.max_epoch_gap + 1;
-      break;
-  }
-  // Journal BEFORE applying: if the crash lands in between, the restart
-  // replays the transition and resumes in the NEW phase — the fail-closed
-  // direction (a node that already acted in a phase must never wake up
-  // believing it hadn't; the reverse merely repeats an idempotent setup).
-  journal_reshard_phase(to, linger_until_epoch);
-  telemetry_.record_flight(
-      current_epoch(), "reshard",
-      std::string("phase=") + shard::reshard_phase_name(to));
-  apply_reshard_transition(to, linger_until_epoch, /*live=*/true);
-  return true;
-}
-
 // -- Autonomous operator loop -------------------------------------------------
 
 void WakuRlnRelayNode::operator_tick() {
   if (!config_.operator_loop.enabled) return;
   OperatorInputs in;
   in.epoch = current_epoch();
-  in.in_cutover = reshard_.in_cutover();
-  in.lingering = reshard_.lingering();
-  in.recommendation = load_tracker_.recommend(shards_.map());
+  const shard::ReshardCoordinator& reshard = shards_.reshard();
+  in.in_cutover = reshard.in_cutover();
+  in.lingering = reshard.lingering();
+  in.recommendation = shards_.load_tracker().recommend(shards_.map());
   const obs::AnomalyEngine& anomalies = telemetry_.anomalies();
   in.p95_budget_breach = anomalies.firing(obs::AnomalyRule::kP95BudgetBreach);
   in.propagation_latency_breach =
       anomalies.firing(obs::AnomalyRule::kPropagationLatency);
-  in.current = reshard_.current_config();
+  in.current = reshard.current_config();
   std::optional<OperatorDecision> decision =
       operator_.decide(config_.operator_loop, in);
   if (!decision.has_value()) return;
@@ -684,7 +363,7 @@ void WakuRlnRelayNode::operator_tick() {
   if (decision->action == OperatorDecision::Action::kAdvance) {
     telemetry_.record_flight(in.epoch, "operator",
                              std::string("advance from=") +
-                                 shard::reshard_phase_name(reshard_.phase()));
+                                 shard::reshard_phase_name(reshard.phase()));
     advance_reshard();
     return;
   }
@@ -750,21 +429,11 @@ obs::NodeHealthSample WakuRlnRelayNode::health_sample() const {
   s.spam_detected = t.pipeline.spam_detected;
   s.log_entries = t.pipeline.log_entries;
   s.executor_rejected = t.executor.rejected;
-  // Quota saturation: fraction of hosted shards whose 1-msg/epoch honest
-  // quota is already consumed this epoch.
-  std::size_t saturated = 0;
-  for (const shard::ShardId sh : shards_.subscribed()) {
-    const auto it = last_published_epoch_.find(sh);
-    if (it != last_published_epoch_.end() && it->second == s.epoch) {
-      ++saturated;
-    }
+  for (const shard::ShardId sh : shards_.current().subscribed()) {
     s.shards.push_back(
         obs::ShardHealth{sh, telemetry_.shard_p95_validate_ms(sh)});
   }
-  if (!s.shards.empty()) {
-    s.quota_saturation = static_cast<double>(saturated) /
-                         static_cast<double>(s.shards.size());
-  }
+  s.quota_saturation = shards_.quota_saturation(s.epoch);
   return s;
 }
 
@@ -799,33 +468,8 @@ Bytes WakuRlnRelayNode::serialize_state() const {
   // the credential above is its only (encrypted) carrier.
   w.write_bytes(group_.serialize(
       /*include_identity=*/config_.keystore_password.empty()));
-  // Cutover state machine + shared domain logs + (mid-reshard) the
-  // incoming generation's pipeline state: a crashed node restarts into
-  // the exact journaled phase, dual-subscription and all.
-  w.write_bytes(reshard_.serialize());
-  w.write_bytes(shards_.serialize_state());
-  w.write_u8(next_shards_ != nullptr ? 1 : 0);
-  if (next_shards_ != nullptr) {
-    w.write_bytes(next_shards_->serialize_state());
-  }
-  // Per-shard honest-quota map, sorted by shard so identical states
-  // serialize byte-identically (restart tests assert on it).
-  std::vector<std::pair<shard::ShardId, std::uint64_t>> quota(
-      last_published_epoch_.begin(), last_published_epoch_.end());
-  std::sort(quota.begin(), quota.end());
-  w.write_u16(static_cast<std::uint16_t>(quota.size()));
-  for (const auto& [shard, epoch] : quota) {
-    w.write_u16(shard);
-    w.write_u64(epoch);
-  }
-  w.write_u64(stats_.published);
-  w.write_u64(stats_.publish_rate_limited);
-  w.write_u64(stats_.publish_wrong_shard);
-  w.write_u64(stats_.delivered);
-  w.write_u64(stats_.slash_commits);
-  w.write_u64(stats_.slash_reveals);
-  w.write_u64(stats_.slash_rewards);
-  w.write_u64(stats_.slashes_expired);
+  shards_.serialize(w);
+  for (const auto field : kSnapshotStats) w.write_u64(stats_.*field);
   slashing_.serialize(w);
   // Operator-loop bookkeeping (v5): a restarted node resumes the
   // cooldown/dwell anchors instead of re-triggering immediately.
@@ -869,101 +513,20 @@ void WakuRlnRelayNode::restore_snapshot(BytesView payload) {
     // identity (the restored own_index is kept as-is).
     group_.set_own_identity(identity_);
   }
-  const Bytes reshard_bytes = r.read_bytes();
-  reshard_.restore(reshard_bytes);
-  // The coordinator is authoritative for the effective layout: a node
-  // that completed (or is mid-way through) a reshard has moved past its
-  // construction-time ShardConfig, so rebuild the validator containers
-  // to match before restoring their pipeline state into them.
-  if (!(shards_.map() == reshard_.current_map())) {
-    shards_ = make_validator(reshard_.current_map(), reshard_.current_config());
-    install_validator_hooks(shards_, /*next_generation=*/false);
-  }
-  next_shards_.reset();
-  if (reshard_.in_cutover() && reshard_.phase() != shard::ReshardPhase::kAnnounce) {
-    create_next_validator();
-  }
-  const Bytes shards_bytes = r.read_bytes();
-  shards_.restore_state(shards_bytes);
-  if (r.read_u8() != 0) {
-    const Bytes next_bytes = r.read_bytes();
-    WAKU_EXPECTS(next_shards_ != nullptr);
-    next_shards_->restore_state(next_bytes);
-  }
-  last_published_epoch_.clear();
-  const std::uint16_t quota_count = r.read_u16();
-  for (std::uint16_t i = 0; i < quota_count; ++i) {
-    const shard::ShardId shard = r.read_u16();
-    last_published_epoch_[shard] = r.read_u64();
-  }
+  shards_.restore(r);
   stats_ = NodeStats{};
-  stats_.published = r.read_u64();
-  stats_.publish_rate_limited = r.read_u64();
-  stats_.publish_wrong_shard = r.read_u64();
-  stats_.delivered = r.read_u64();
-  stats_.slash_commits = r.read_u64();
-  stats_.slash_reveals = r.read_u64();
-  stats_.slash_rewards = r.read_u64();
-  stats_.slashes_expired = r.read_u64();
+  for (const auto field : kSnapshotStats) stats_.*field = r.read_u64();
   slashing_.restore(r);
   operator_.restore(r);
 }
 
 void WakuRlnRelayNode::apply_wal_record(WalTag tag, std::uint16_t shard,
                                         BytesView payload) {
-  ByteReader r(payload);
   switch (tag) {
-    case WalTag::kNullifier:
-    case WalTag::kNullifierNext:
-    case WalTag::kCutoverObservation: {
-      const Observation o = NodeJournal::read_observation(payload);
-      if (tag == WalTag::kCutoverObservation) {
-        reshard_.inject_domain_observation(shard, o.epoch, o.nullifier,
-                                           o.share, o.proof_fp);
-        break;
-      }
-      // Routed by the record's shard tag into that shard's log; records
-      // for shards this node no longer hosts are dropped inside.
-      // Incoming-generation mirrors can only precede the drop-old phase
-      // record, so that container exists at this point of the replay (or
-      // the cutover never resumed — drop).
-      shard::ShardedValidator* validator =
-          tag == WalTag::kNullifier ? &shards_ : next_shards_.get();
-      if (validator != nullptr) {
-        validator->inject_observation(shard, o.epoch, o.nullifier, o.share,
-                                      o.proof_fp);
-      }
-      break;
-    }
     case WalTag::kSlashCommit:
     case WalTag::kSlashReveal:
     case WalTag::kSlashResolve:
       slashing_.replay(tag, payload);
-      break;
-    case WalTag::kOwnPublish:
-      last_published_epoch_[shard] = r.read_u64();
-      break;
-    case WalTag::kReshardPhase: {
-      const auto to = static_cast<shard::ReshardPhase>(r.read_u8());
-      const std::uint64_t linger_until_epoch = r.read_u64();
-      if (to == shard::ReshardPhase::kAnnounce) {
-        const std::uint16_t target = r.read_u16();
-        const std::uint16_t count = r.read_u16();
-        std::vector<shard::ShardId> subscribe;
-        subscribe.reserve(count);
-        for (std::uint16_t i = 0; i < count; ++i) {
-          subscribe.push_back(r.read_u16());
-        }
-        reshard_.begin(target, std::move(subscribe));
-      } else {
-        // Relay wiring is left to start(), which wires whatever phase
-        // the replay lands on.
-        apply_reshard_transition(to, linger_until_epoch, /*live=*/false);
-      }
-      break;
-    }
-    case WalTag::kReshardLingerEnd:
-      end_reshard_linger();
       break;
     case WalTag::kOperatorDecision: {
       const OperatorDecision d = operator_.replay(payload);
@@ -977,6 +540,8 @@ void WakuRlnRelayNode::apply_wal_record(WalTag tag, std::uint16_t shard,
               " target=" + std::to_string(d.target) + " (wal replay)");
       break;
     }
+    default:
+      shards_.replay(tag, shard, payload);
   }
 }
 
@@ -1007,23 +572,10 @@ void WakuRlnRelayNode::restore_from_store() {
   }
 }
 
-std::vector<shard::ShardWatermark> WakuRlnRelayNode::hosted_watermarks(
-    std::span<const shard::ShardId> shards) const {
-  std::vector<shard::ShardWatermark> watermarks =
-      shards_.nullifier_watermarks();
-  if (!shards.empty()) {
-    std::erase_if(watermarks, [&shards](const shard::ShardWatermark& wm) {
-      return std::find(shards.begin(), shards.end(), wm.shard) ==
-             shards.end();
-    });
-  }
-  return watermarks;
-}
-
 Checkpoint WakuRlnRelayNode::make_checkpoint(
     std::span<const shard::ShardId> shards) const {
   return make_group_checkpoint(group_, event_cursor_,
-                               hosted_watermarks(shards));
+                               shards_.current().nullifier_watermarks(shards));
 }
 
 std::optional<DeltaCheckpoint> WakuRlnRelayNode::make_delta_checkpoint(
@@ -1053,7 +605,7 @@ std::optional<DeltaCheckpoint> WakuRlnRelayNode::make_delta_checkpoint(
   delta.to_cursor = event_cursor_;
   delta.member_count = group_.member_count();
   delta.removed_count = group_.removed_count();
-  delta.nullifier_watermarks = hosted_watermarks(shards);
+  delta.nullifier_watermarks = shards_.current().nullifier_watermarks(shards);
   delta.root_tail.reserve(transitions);
   for (std::size_t i = tail_begin; i < root_history_.size(); ++i) {
     delta.root_tail.push_back(root_history_[i].root);

@@ -21,14 +21,18 @@
 //     commit-reveal slashes, then resumes the contract event stream from a
 //     replay cursor instead of genesis.
 //
-// The node is a composition of owned parts: NodeJournal (node_journal.hpp:
-// the WalTag schema, the StateStore, the observation-record codec),
+// The node is a composition of five owned parts: NodeJournal
+// (node_journal.hpp: the WalTag schema, the StateStore, the
+// observation-record codec), NodeShards (node_shards.hpp: the shard
+// generations, i.e. the per-shard validators, the live-reshard cutover,
+// the load tracker and the honest quota, reached through shards()),
 // SlashingEngine (slashing.hpp: commit–reveal), OperatorLoop
 // (operator_loop.hpp: the autonomous reshard operator's decide step) and
 // NodeTelemetry (node_telemetry.hpp: metric registry, traces, flight
 // recorder, self-monitor and exposition, reached through telemetry()).
-// The first three hold durable state, WAL records and a snapshot section;
-// the node wires the parts together and applies their decisions.
+// NodeShards, SlashingEngine and OperatorLoop hold durable state, WAL
+// records and a snapshot section; the node wires the parts to the relay
+// and the chain and applies their decisions.
 //
 // Attacker hooks (force_publish / publish_with_invalid_proof) exist so the
 // spam experiments can drive misbehaving-but-registered peers through the
@@ -37,10 +41,8 @@
 
 #include <deque>
 #include <functional>
-#include <memory>
 #include <optional>
 #include <string>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -52,12 +54,11 @@
 #include "rln/group_manager.hpp"
 #include "rln/identity.hpp"
 #include "rln/node_journal.hpp"
+#include "rln/node_shards.hpp"
 #include "rln/node_telemetry.hpp"
 #include "rln/operator_loop.hpp"
 #include "rln/slashing.hpp"
 #include "rln/validation_pipeline.hpp"
-#include "shard/reshard.hpp"
-#include "shard/sharded_validator.hpp"
 #include "waku/relay.hpp"
 
 namespace waku::rln {
@@ -162,21 +163,28 @@ class WakuRlnRelayNode {
 
   /// Spammer publish: generates a *valid* proof but ignores the local rate
   /// limit — the double-signaling attack the scheme exists to punish.
-  PublishStatus force_publish(Bytes payload,
-                              const std::string& content_topic =
-                                  kDefaultContentTopic);
+  /// Attackers route like everyone else (authoritative generation first)
+  /// but ignore hosting.
+  PublishStatus force_publish(
+      Bytes payload, const std::string& content_topic = kDefaultContentTopic) {
+    return force_publish_generation(
+        std::move(payload), content_topic,
+        shards_.reshard().next_generation_authoritative());
+  }
 
   /// Resource-exhaustion attacker: attaches a garbage proof.
-  void publish_with_invalid_proof(Bytes payload,
-                                  const std::string& content_topic =
-                                      kDefaultContentTopic);
+  void publish_with_invalid_proof(
+      Bytes payload, const std::string& content_topic = kDefaultContentTopic) {
+    publish_garbage_proof(std::move(payload), content_topic, false);
+  }
 
   /// Stale-root attacker: a well-formed bundle whose tree root is outside
   /// every validator's rolling root window — dies in the O(1) root stage,
   /// before the SNARK verifier can be made to spend cycles.
-  void publish_with_stale_root(Bytes payload,
-                               const std::string& content_topic =
-                                   kDefaultContentTopic);
+  void publish_with_stale_root(
+      Bytes payload, const std::string& content_topic = kDefaultContentTopic) {
+    publish_garbage_proof(std::move(payload), content_topic, true);
+  }
 
   /// Split-equivocation attacker (§III-F evasion attempt): two conflicting
   /// messages for the SAME epoch, each shown to a disjoint half of the
@@ -193,16 +201,14 @@ class WakuRlnRelayNode {
 
   // -- Sharding --------------------------------------------------------------
 
-  [[nodiscard]] const shard::ShardMap& shard_map() const {
-    return shards_.map();
-  }
-  [[nodiscard]] const std::vector<shard::ShardId>& subscribed_shards() const {
-    return shards_.subscribed();
-  }
+  /// The shard generations: layout, cutover phase, both generations'
+  /// validators, the load tracker (node_shards.hpp).
+  [[nodiscard]] NodeShards& shards() { return shards_; }
+  [[nodiscard]] const NodeShards& shards() const { return shards_; }
   /// The shard-qualified pubsub topic `content_topic` routes onto.
   [[nodiscard]] std::string shard_topic_for(
       const std::string& content_topic) const {
-    return shards_.map().pubsub_topic(shards_.shard_of(content_topic));
+    return shards_.topic_in(content_topic, /*next=*/false);
   }
 
   // -- Live reshard (shard/reshard.hpp) --------------------------------------
@@ -215,34 +221,20 @@ class WakuRlnRelayNode {
   /// false when a cutover is already running, the previous cutover's
   /// linger window has not expired, or the layout is invalid.
   bool begin_reshard(std::uint16_t target_num_shards,
-                     std::vector<shard::ShardId> new_subscribe = {});
+                     std::vector<shard::ShardId> new_subscribe = {}) {
+    return shards_.begin(target_num_shards, std::move(new_subscribe),
+                         current_epoch());
+  }
 
   /// Advances the cutover one phase: announce -> overlap (dual-subscribe
   /// both generations' meshes, dual-generation RLN enforcement on) ->
   /// drain (publishes route to the new generation) -> drop-old (old
   /// meshes unsubscribed; domain logs and the domain-keyed quota linger
   /// for Thr+1 epochs, then the per-shard quota re-keys — see
-  /// end_reshard_linger). Each transition is journaled before it takes
+  /// NodeShards::end_linger). Each transition is journaled before it takes
   /// effect, so a crash mid-reshard restarts into the correct phase
   /// fail-closed. Returns false when no cutover is running.
-  bool advance_reshard();
-
-  [[nodiscard]] shard::ReshardPhase reshard_phase() const {
-    return reshard_.phase();
-  }
-  [[nodiscard]] const shard::ReshardCoordinator& reshard() const {
-    return reshard_;
-  }
-  /// The incoming generation's validator during announce/overlap/drain.
-  [[nodiscard]] shard::ShardedValidator* next_validator() {
-    return next_shards_ ? next_shards_.get() : nullptr;
-  }
-
-  /// Per-shard load samples feed this every upkeep tick; recommend() on
-  /// it answers "should this deployment reshard, and to how many shards".
-  [[nodiscard]] shard::ShardLoadTracker& load_tracker() {
-    return load_tracker_;
-  }
+  bool advance_reshard() { return shards_.advance(current_epoch()); }
 
   // -- Autonomous operator loop ----------------------------------------------
 
@@ -313,11 +305,13 @@ class WakuRlnRelayNode {
 
   [[nodiscard]] WakuRelay& relay() { return relay_; }
   [[nodiscard]] GroupManager& group() { return group_; }
-  /// The per-shard validation container: aggregate stats() and per-shard
-  /// pipeline access.
-  [[nodiscard]] shard::ShardedValidator& validator() { return shards_; }
+  /// The current generation's validation container: aggregate stats()
+  /// and per-shard pipeline access.
+  [[nodiscard]] shard::ShardedValidator& validator() {
+    return shards_.current();
+  }
   [[nodiscard]] const shard::ShardedValidator& validator() const {
-    return shards_;
+    return shards_.current();
   }
   [[nodiscard]] const NodeStats& stats() const { return stats_; }
   [[nodiscard]] const NodeConfig& config() const { return config_; }
@@ -342,80 +336,18 @@ class WakuRlnRelayNode {
   /// one no validator knows.
   void publish_garbage_proof(Bytes payload, const std::string& content_topic,
                              bool stale_root);
-  /// A validator container over `map` with `layout`'s subscription and
-  /// generation seed (hooks are installed by the caller, at the
-  /// container's final address).
-  [[nodiscard]] shard::ShardedValidator make_validator(
-      shard::ShardMap map, const shard::ShardConfig& layout) const;
   /// Installs the shard-scoped batch validator + delivery handler on one
   /// subscribed shard's pubsub topic. The wiring resolves the validator
   /// container by GENERATION at call time, so the drop-old swap (next
   /// validator becomes current) never leaves a mesh validating through a
   /// dead container.
   void wire_shard(shard::ShardedValidator& validator, shard::ShardId shard);
-  /// The validator container owning generation `generation`'s meshes
-  /// right now; nullptr for a generation this node no longer runs.
-  [[nodiscard]] shard::ShardedValidator* validator_for_generation(
-      std::uint32_t generation);
-  /// (Re-)installs observe hooks + cutover log selectors on every
-  /// pipeline of `validator`; `next_generation` picks the WAL tag its
-  /// own-log mirrors journal under.
-  void install_validator_hooks(shard::ShardedValidator& validator,
-                               bool next_generation);
-  /// The structural mechanics of one cutover phase transition, shared by
-  /// the live path (advance_reshard) and WAL replay; `live` additionally
-  /// performs relay (un)wiring, which replay leaves to start().
-  void apply_reshard_transition(shard::ReshardPhase to,
-                                std::uint64_t linger_until_epoch, bool live);
-  /// Journals a kReshardPhase record for the transition just applied.
-  void journal_reshard_phase(shard::ReshardPhase to,
-                             std::uint64_t linger_until_epoch);
-  /// Creates the incoming generation's validator (overlap entry).
-  void create_next_validator();
-  /// Linger expiry: drops the coordinator's domain state and re-keys the
-  /// per-shard honest-quota map from old-generation (domain) to
-  /// new-generation shard ids. The quota stays DOMAIN-keyed for as long
-  /// as validators enforce the shared domain log — switching earlier
-  /// (e.g. at drop-old) would let a node publish on two sibling new
-  /// shards of one old family in the same epoch and double-signal
-  /// against itself. The re-key is a conservative max-merge: every new
-  /// shard inherits the newest epoch any domain saw, so it never
-  /// under-blocks (at the cost of at most one skipped publish per shard
-  /// for one epoch). Applied live from the upkeep tick (journaled as
-  /// kReshardLingerEnd first) and replayed from the WAL at the same
-  /// stream position, so a later cutover's records land on a
-  /// non-lingering coordinator either way.
-  void end_reshard_linger();
-
-  struct PublishRoute {
-    std::string pubsub_topic;
-    /// The rate-limit domain key for the honest quota: the current
-    /// (pre-drop-old: old) generation's shard of the topic.
-    shard::ShardId quota_shard;
-  };
-  /// Publish routing across the cutover: the authoritative generation's
-  /// mesh if this node hosts the topic's shard there, the other live
-  /// generation's as fallback during overlap/drain; nullopt when neither
-  /// generation's shard is hosted.
-  [[nodiscard]] std::optional<PublishRoute> resolve_publish_route(
-      const std::string& content_topic) const;
-
-  /// Per-generation RLC seed for a validator container.
-  [[nodiscard]] std::uint64_t validator_seed(std::uint32_t generation) const {
-    return base_validator_seed_ ^
-           (0xC0FFEE5ULL * (static_cast<std::uint64_t>(generation) + 1));
-  }
   /// Applies one block of contract events (live or replayed): one group
   /// apply + commit, slashing reacting to each event at its position, one
   /// recorded root transition.
   void handle_chain_block(chain::Blockchain::BlockEvents events);
   /// Kicks off commit-reveal slashing for a recovered secret key (§III-F).
   void trigger_slash(const Fr& spammer_sk);
-  /// The hosted shards' nullifier watermarks, filtered to `shards` unless
-  /// empty (what checkpoints carry).
-  [[nodiscard]] std::vector<shard::ShardWatermark> hosted_watermarks(
-      std::span<const shard::ShardId> shards) const;
-
   /// One operator-loop step per upkeep tick (no-op unless enabled).
   void operator_tick();
 
@@ -439,23 +371,11 @@ class WakuRlnRelayNode {
   Identity identity_;
   WakuRelay relay_;
   GroupManager group_;
-  /// RLC seed base: per-generation validator containers derive from it.
-  std::uint64_t base_validator_seed_;
-  shard::ShardedValidator shards_;
-  /// The incoming generation's validator during announce/overlap/drain;
-  /// becomes shards_ at drop-old.
-  std::unique_ptr<shard::ShardedValidator> next_shards_;
-  shard::ReshardCoordinator reshard_;
-  shard::ShardLoadTracker load_tracker_;
-
-  MessageHandler handler_;
-  /// Honest rate-limit state, per shard: the quota is one message per
-  /// epoch per shard (each shard is its own rate-limit domain — shard-
-  /// scoped nullifier logs cannot see cross-shard double-signals, by
-  /// design).
-  std::unordered_map<shard::ShardId, std::uint64_t> last_published_epoch_;
   NodeStats stats_;
   NodeJournal journal_;
+  NodeShards shards_;
+
+  MessageHandler handler_;
   SlashingEngine slashing_;
   OperatorLoop operator_;
   std::uint64_t event_cursor_ = 0;  ///< contract events applied

@@ -5,8 +5,8 @@
 // Chain-derived state is NOT journaled — the chain's event log is
 // authoritative and replayable from the snapshot cursor; the WAL carries
 // only what exists nowhere else after a crash. Each record's payload
-// belongs to the part that owns the state (SlashingEngine: tags 2–4,
-// OperatorLoop: tag 10, the node itself: the rest); the byte layouts are
+// belongs to the part that owns the state (NodeShards: tags 1 and 5–9,
+// SlashingEngine: tags 2–4, OperatorLoop: tag 10); the byte layouts are
 // documented in docs/FORMATS.md.
 #pragma once
 

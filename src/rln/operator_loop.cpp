@@ -42,14 +42,14 @@ std::optional<OperatorDecision> OperatorLoop::decide(
       rec.reshard_recommended
           ? rec.target_shards
           : static_cast<std::uint16_t>(rec.current_shards * 2);
-  // Without a chooser, fall back to the conservative refinement (each
-  // old home keeps its lowest family member) — always a valid split
-  // subscription, so an un-configured operator still acts.
-  return OperatorDecision{
-      OperatorDecision::Action::kBegin, in.epoch, target,
-      config.subscribe_chooser
-          ? config.subscribe_chooser(target)
-          : shard::refined_subscription(in.current, target)};
+  // Without a chooser, keep the current subscription: each old home s
+  // stays new shard s, the lowest member of its family (s < old N <=
+  // target), and empty (all shards) stays all. That is always a valid
+  // split subscription, so an un-configured operator still acts.
+  return OperatorDecision{OperatorDecision::Action::kBegin, in.epoch, target,
+                          config.subscribe_chooser
+                              ? config.subscribe_chooser(target)
+                              : in.current.subscribe};
 }
 
 void OperatorLoop::apply(const OperatorDecision& decision) {

@@ -45,7 +45,8 @@ struct OperatorConfig {
   /// ticks run on the same epoch cadence, so skew is at most one epoch).
   std::uint64_t phase_dwell_epochs = 2;
   /// New-generation subscription for an operator-initiated begin; the
-  /// default (unset) subscribes every new shard. Deployments that shard
+  /// default (unset) keeps the current subscription (each old home stays
+  /// the lowest shard of its family). Deployments that shard
   /// hosting across nodes install a per-node chooser
   /// (set_operator_subscribe_chooser), which survives harness restarts
   /// via the node hook.

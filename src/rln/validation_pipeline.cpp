@@ -348,17 +348,9 @@ Bytes ValidationPipeline::serialize_state() const {
   ByteWriter w;
   w.write_u8(1);  // version
   w.write_bytes(log_.serialize());
-  w.write_u64(stats_.accepted);
-  w.write_u64(stats_.epoch_gap);
-  w.write_u64(stats_.duplicates);
-  w.write_u64(stats_.no_proof);
-  w.write_u64(stats_.bad_proof);
-  w.write_u64(stats_.stale_root);
-  w.write_u64(stats_.spam_detected);
-  w.write_u64(stats_.batches);
-  w.write_u64(stats_.batch_aggregated);
-  w.write_u64(stats_.batch_fallbacks);
-  w.write_u64(stats_.precheck_duplicates);
+  for (const auto field : std::span(kSummedStats).first(kDurableStats)) {
+    w.write_u64(stats_.*field);
+  }
   return std::move(w).take();
 }
 
@@ -368,17 +360,9 @@ void ValidationPipeline::restore_state(BytesView bytes) {
   const Bytes log_bytes = r.read_bytes();
   log_.restore(log_bytes);
   stats_ = ValidatorStats{};
-  stats_.accepted = r.read_u64();
-  stats_.epoch_gap = r.read_u64();
-  stats_.duplicates = r.read_u64();
-  stats_.no_proof = r.read_u64();
-  stats_.bad_proof = r.read_u64();
-  stats_.stale_root = r.read_u64();
-  stats_.spam_detected = r.read_u64();
-  stats_.batches = r.read_u64();
-  stats_.batch_aggregated = r.read_u64();
-  stats_.batch_fallbacks = r.read_u64();
-  stats_.precheck_duplicates = r.read_u64();
+  for (const auto field : std::span(kSummedStats).first(kDurableStats)) {
+    stats_.*field = r.read_u64();
+  }
 }
 
 }  // namespace waku::rln

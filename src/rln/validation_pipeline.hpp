@@ -15,6 +15,7 @@
 // and 5.
 #pragma once
 
+#include <algorithm>
 #include <functional>
 #include <optional>
 #include <span>
@@ -88,33 +89,33 @@ struct ValidatorStats {
   /// overwrites it with the real watermark.
   std::uint64_t log_min_epoch = ~std::uint64_t{0};
 
-  /// Field-wise accumulation (deployment-wide aggregation). Keep in sync
-  /// when adding a counter — aggregators rely on this, not hand-sums.
-  /// Watermarks aggregate by minimum (the deployment-wide oldest live
-  /// epoch), counters by sum.
-  ValidatorStats& operator+=(const ValidatorStats& o) {
-    accepted += o.accepted;
-    epoch_gap += o.epoch_gap;
-    duplicates += o.duplicates;
-    no_proof += o.no_proof;
-    bad_proof += o.bad_proof;
-    stale_root += o.stale_root;
-    spam_detected += o.spam_detected;
-    batches += o.batches;
-    batch_aggregated += o.batch_aggregated;
-    batch_fallbacks += o.batch_fallbacks;
-    precheck_duplicates += o.precheck_duplicates;
-    miller_loops += o.miller_loops;
-    final_exps += o.final_exps;
-    log_entries += o.log_entries;
-    log_buckets += o.log_buckets;
-    log_conflicts += o.log_conflicts;
-    log_min_epoch = log_min_epoch < o.log_min_epoch ? log_min_epoch
-                                                    : o.log_min_epoch;
-    return *this;
-  }
+  /// Field-wise accumulation (deployment-wide aggregation): every
+  /// kSummedStats counter by sum, the watermark by minimum (the
+  /// deployment-wide oldest live epoch). Aggregators rely on this, not
+  /// hand-sums.
+  ValidatorStats& operator+=(const ValidatorStats& o);
   bool operator==(const ValidatorStats&) const = default;
 };
+
+/// Every ValidatorStats counter but the watermark; a new counter joins
+/// here. The first kDurableStats of them are what
+/// ValidationPipeline::serialize_state() carries, in this order.
+inline constexpr std::uint64_t ValidatorStats::*kSummedStats[] = {
+    &ValidatorStats::accepted,            &ValidatorStats::epoch_gap,
+    &ValidatorStats::duplicates,          &ValidatorStats::no_proof,
+    &ValidatorStats::bad_proof,           &ValidatorStats::stale_root,
+    &ValidatorStats::spam_detected,       &ValidatorStats::batches,
+    &ValidatorStats::batch_aggregated,    &ValidatorStats::batch_fallbacks,
+    &ValidatorStats::precheck_duplicates, &ValidatorStats::miller_loops,
+    &ValidatorStats::final_exps,          &ValidatorStats::log_entries,
+    &ValidatorStats::log_buckets,         &ValidatorStats::log_conflicts};
+inline constexpr std::size_t kDurableStats = 11;
+
+inline ValidatorStats& ValidatorStats::operator+=(const ValidatorStats& o) {
+  for (const auto field : kSummedStats) this->*field += o.*field;
+  log_min_epoch = std::min(log_min_epoch, o.log_min_epoch);
+  return *this;
+}
 
 /// Stage-2 counters of a pipeline's root-window mirror.
 struct RootCacheStats {

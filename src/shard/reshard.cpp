@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <stdexcept>
+#include <string>
 
 #include "common/expect.hpp"
 #include "common/serde.hpp"
@@ -20,6 +22,14 @@ const char* reshard_phase_name(ReshardPhase phase) {
       return "drain";
   }
   return "unknown";
+}
+
+ReshardPhase reshard_phase_from_byte(std::uint8_t byte) {
+  if (byte > static_cast<std::uint8_t>(ReshardPhase::kDrain)) {
+    throw std::out_of_range("reshard phase byte " + std::to_string(byte) +
+                            " out of range");
+  }
+  return static_cast<ReshardPhase>(byte);
 }
 
 ReshardCoordinator::ReshardCoordinator(const ShardConfig& current)
@@ -192,35 +202,29 @@ Bytes ReshardCoordinator::serialize() const {
 
 void ReshardCoordinator::restore(BytesView bytes) {
   ByteReader r(bytes);
-  WAKU_EXPECTS(r.read_u8() == 1);
-  phase_ = static_cast<ReshardPhase>(r.read_u8());
-  current_ = read_shard_config(r);
-  current_map_ = ShardMap::deserialize(r.read_bytes());
-  next_.reset();
-  next_map_.reset();
-  if (r.read_u8() != 0) {
-    next_ = read_shard_config(r);
-    next_map_ = ShardMap::deserialize(r.read_bytes());
+  if (r.read_u8() != 1) {
+    throw std::out_of_range("ReshardCoordinator: unknown version");
   }
-  domain_map_.reset();
+  // Parsed into a fresh coordinator, committed once the whole input decoded.
+  const ReshardPhase phase = reshard_phase_from_byte(r.read_u8());
+  ReshardCoordinator parsed(read_shard_config(r));
+  parsed.phase_ = phase;
+  parsed.current_map_ = ShardMap::deserialize(r.read_bytes());
   if (r.read_u8() != 0) {
-    domain_map_ = ShardMap::deserialize(r.read_bytes());
+    parsed.next_ = read_shard_config(r);
+    parsed.next_map_ = ShardMap::deserialize(r.read_bytes());
   }
-  linger_until_epoch_ = r.read_u64();
-  domain_logs_.clear();
+  if (r.read_u8() != 0) {
+    parsed.domain_map_ = ShardMap::deserialize(r.read_bytes());
+  }
+  parsed.linger_until_epoch_ = r.read_u64();
   const std::uint16_t logs = r.read_u16();
   for (std::uint16_t i = 0; i < logs; ++i) {
     const ShardId shard = r.read_u16();
     const Bytes log_bytes = r.read_bytes();
-    domain_logs_[shard].restore(log_bytes);
+    parsed.domain_logs_[shard].restore(log_bytes);
   }
-}
-
-std::vector<ShardId> refined_subscription(const ShardConfig& current,
-                                          std::uint16_t target_num_shards) {
-  (void)target_num_shards;  // every old home is already a valid new home
-  if (current.subscribe.empty()) return {};  // all shards -> all shards
-  return current.subscribe;
+  *this = std::move(parsed);
 }
 
 // -- Load-driven rebalancing --------------------------------------------------

@@ -49,9 +49,10 @@
 //     once a shard crosses its throughput budget or the load skew
 //     crosses a threshold.
 //
-// The coordinator is transport- and persistence-agnostic: the node owns
-// relay wiring and WAL journaling (rln/node.cpp, WAL v3 records), the sim
-// layer owns fleet orchestration (sim::run_live_reshard_campaign).
+// The coordinator is transport- and persistence-agnostic: the node's
+// NodeShards part owns relay wiring and WAL journaling
+// (rln/node_shards.cpp, WAL v3 records), the sim layer owns fleet
+// orchestration (sim::run_live_reshard_campaign).
 #pragma once
 
 #include <deque>
@@ -73,6 +74,9 @@ enum class ReshardPhase : std::uint8_t {
 };
 
 [[nodiscard]] const char* reshard_phase_name(ReshardPhase phase);
+/// The phase a journaled or serialized byte names; throws
+/// std::out_of_range for a byte above kDrain.
+[[nodiscard]] ReshardPhase reshard_phase_from_byte(std::uint8_t byte);
 
 class ReshardCoordinator {
  public:
@@ -169,6 +173,9 @@ class ReshardCoordinator {
   /// domain logs) — rides in the node snapshot so a mid-reshard restart
   /// resumes the exact phase fail-closed.
   [[nodiscard]] Bytes serialize() const;
+  /// Inverse of serialize(). Throws std::out_of_range on an unknown
+  /// version, a phase byte above kDrain or truncated input, and then
+  /// leaves the coordinator as it was.
   void restore(BytesView bytes);
 
  private:
@@ -183,17 +190,6 @@ class ReshardCoordinator {
   std::map<ShardId, rln::NullifierLog> domain_logs_;
   std::uint64_t linger_until_epoch_ = 0;
 };
-
-/// The conservative default new-generation subscription for a node whose
-/// operator triggers a reshard without an installed chooser: each
-/// subscribed old home s keeps its lowest family member (new shard s —
-/// valid because s < old N <= target and s mod old N == s). Always
-/// passes begin()'s refinement check; an empty old subscription (= all
-/// shards) maps to an empty new one (= all). Deployments that want the
-/// family spread out across nodes install a per-node chooser instead
-/// (rln::OperatorConfig::subscribe_chooser).
-[[nodiscard]] std::vector<ShardId> refined_subscription(
-    const ShardConfig& current, std::uint16_t target_num_shards);
 
 // -- Load-driven rebalancing --------------------------------------------------
 

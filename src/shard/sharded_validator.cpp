@@ -98,10 +98,15 @@ void ShardedValidator::gc(std::uint64_t local_now_ms) {
   for (auto& [shard, pipeline] : pipelines_) pipeline.gc(local_now_ms);
 }
 
-std::vector<ShardWatermark> ShardedValidator::nullifier_watermarks() const {
+std::vector<ShardWatermark> ShardedValidator::nullifier_watermarks(
+    std::span<const ShardId> only) const {
   std::vector<ShardWatermark> out;
   out.reserve(pipelines_.size());
   for (const auto& [shard, pipeline] : pipelines_) {
+    if (!only.empty() &&
+        std::find(only.begin(), only.end(), shard) == only.end()) {
+      continue;
+    }
     out.push_back(ShardWatermark{shard, pipeline.log().stats().min_epoch});
   }
   return out;

@@ -119,9 +119,11 @@ class ShardedValidator {
   /// Nullifier-log GC across every subscribed shard.
   void gc(std::uint64_t local_now_ms);
 
-  /// Per-shard GC watermarks, ordered by shard id — the shard-scoped
-  /// checkpoint payload.
-  [[nodiscard]] std::vector<ShardWatermark> nullifier_watermarks() const;
+  /// Per-shard GC watermarks, ordered by shard id, of the shards in `only`
+  /// (every subscribed shard when empty): the shard-scoped checkpoint
+  /// payload.
+  [[nodiscard]] std::vector<ShardWatermark> nullifier_watermarks(
+      std::span<const ShardId> only = {}) const;
   /// Checkpoint bootstrap: seed each listed shard's (empty) log watermark;
   /// watermarks for unsubscribed shards are ignored.
   void seed_nullifier_watermarks(std::span<const ShardWatermark> watermarks);

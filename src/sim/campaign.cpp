@@ -141,9 +141,9 @@ void Campaign::harvest_traces(obs::PropagationAssembler& assembler) {
 bool Campaign::all_converged(std::uint16_t shards, std::uint32_t generation) {
   for (std::size_t i = 0; i < harness.size(); ++i) {
     if (!harness.alive(i)) continue;
-    const shard::ShardMap& map = harness.node(i).shard_map();
+    const shard::ShardMap& map = harness.node(i).shards().map();
     if (map.num_shards() != shards || map.generation() != generation ||
-        harness.node(i).reshard_phase() != shard::ReshardPhase::kStable) {
+        harness.node(i).shards().phase() != shard::ReshardPhase::kStable) {
       return false;
     }
   }

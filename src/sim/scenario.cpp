@@ -723,7 +723,7 @@ OperatorHotspotOutcome run_operator_hotspot_campaign(
   AdversaryContext ctx = c.context();
   const auto attacker_tick = [&] {
     if (!attack || !h.alive(attack_slot)) return;
-    const shard::ReshardPhase phase = h.node(attack_slot).reshard_phase();
+    const shard::ReshardPhase phase = h.node(attack_slot).shards().phase();
     if (phase != shard::ReshardPhase::kOverlap &&
         phase != shard::ReshardPhase::kDrain) {
       return;
@@ -776,8 +776,8 @@ OperatorHotspotOutcome run_operator_hotspot_campaign(
           // mesh (the new home's hosts) from drain on.
           rln::WakuRlnRelayNode& node = h.node(i);
           const bool new_routing =
-              node.shard_map().generation() != gen0 ||
-              node.reshard_phase() == shard::ReshardPhase::kDrain;
+              node.shards().map().generation() != gen0 ||
+              node.shards().phase() == shard::ReshardPhase::kDrain;
           out.honest_ideal += new_routing ? c.honest_hosts(to, i % to)
                                           : c.honest_hosts(from, i % from);
         });
@@ -813,7 +813,7 @@ OperatorHotspotOutcome run_operator_hotspot_campaign(
   h.run_ms(config.quiesce_ms);
   if (c.epoch_turned()) scrape(c.epoch_now());
 
-  out.to_shards = h.node(0).shard_map().num_shards();
+  out.to_shards = h.node(0).shards().map().num_shards();
   out.epochs_to_converge =
       out.converged ? out.converged_epoch - out.trigger_epoch : 0;
   for (std::size_t i = 0; i < n; ++i) {

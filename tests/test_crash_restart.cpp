@@ -10,6 +10,7 @@
 
 #include "common/serde.hpp"
 #include "persist/snapshot.hpp"
+#include "persist/state_store.hpp"
 #include "rln/harness.hpp"
 
 namespace waku::rln {
@@ -404,6 +405,25 @@ TEST(CrashRestart, OldSnapshotVersionRefusesToBootWithTypedError) {
   }
 }
 
+TEST(CrashRestart, UnknownReshardPhaseInWalRefusesToBoot) {
+  // A kReshardPhase record whose phase byte is above kDrain is corrupt:
+  // the restart fails with the decoder's typed error instead of booting
+  // with the record skipped.
+  const std::string dir = fresh_dir("unknown_reshard_phase");
+  RlnHarness h(persisted_config(dir));
+  h.register_all();
+  h.run_ms(3'000);
+  h.kill_node(0);
+  {
+    persist::StateStore store(dir + "/node0");
+    ByteWriter w;
+    w.write_u8(7);   // phase
+    w.write_u64(0);  // linger_until_epoch
+    store.append(static_cast<std::uint8_t>(WalTag::kReshardPhase), w.data());
+  }
+  EXPECT_THROW(h.restart_node(0), std::out_of_range);
+}
+
 TEST(CrashRestart, WithdrawnMemberPurgesPendingSlash) {
   // The in-flight set must not leak: a pending slash against an index
   // that withdraws before the reveal lands is purged (and journaled as
@@ -500,7 +520,7 @@ TEST(CrashRestart, MidReshardCrashResumesEachPhase) {
   RlnHarness h(cfg);
   h.register_all();
   h.run_ms(3'000);
-  const shard::ShardMap old_map = h.node(0).shard_map();
+  const shard::ShardMap old_map = h.node(0).shards().map();
   const std::string topic = shard::content_topic_for_shard(old_map, 0);
 
   // -- Announce, then crash.
@@ -509,8 +529,8 @@ TEST(CrashRestart, MidReshardCrashResumesEachPhase) {
   }
   h.kill_node(0);
   h.restart_node(0);
-  EXPECT_EQ(h.node(0).reshard_phase(), shard::ReshardPhase::kAnnounce);
-  EXPECT_EQ(h.node(0).next_validator(), nullptr);
+  EXPECT_EQ(h.node(0).shards().phase(), shard::ReshardPhase::kAnnounce);
+  EXPECT_EQ(h.node(0).shards().next(), nullptr);
 
   // -- Overlap with live traffic, then crash mid-window.
   for (std::size_t i = 0; i < h.size(); ++i) h.node(i).advance_reshard();
@@ -520,18 +540,19 @@ TEST(CrashRestart, MidReshardCrashResumesEachPhase) {
   ASSERT_EQ(h.node(0).try_publish(to_bytes("own overlap publish"), topic),
             WakuRlnRelayNode::PublishStatus::kOk);
   h.run_ms(3'000);  // deliver + validate: domain logs fill, WAL journals
-  const std::size_t domain_entries = h.node(0).reshard().domain_entries();
+  const std::size_t domain_entries =
+      h.node(0).shards().reshard().domain_entries();
   ASSERT_GT(domain_entries, 0u);
   h.node(0).force_snapshot();
   const Bytes pre_state = h.node(0).serialize_state();
 
   h.kill_node(0);
   h.restart_node(0);
-  EXPECT_EQ(h.node(0).reshard_phase(), shard::ReshardPhase::kOverlap);
-  ASSERT_NE(h.node(0).next_validator(), nullptr);
+  EXPECT_EQ(h.node(0).shards().phase(), shard::ReshardPhase::kOverlap);
+  ASSERT_NE(h.node(0).shards().next(), nullptr);
   // Nothing lost: the domain log (shared cutover quota) and the full
   // node state survived byte-for-byte.
-  EXPECT_EQ(h.node(0).reshard().domain_entries(), domain_entries);
+  EXPECT_EQ(h.node(0).shards().reshard().domain_entries(), domain_entries);
   EXPECT_EQ(h.node(0).serialize_state(), pre_state);
   // Nothing doubled: the node's own same-epoch republish is still
   // refused — forgetting it published would make it double-signal
@@ -543,22 +564,22 @@ TEST(CrashRestart, MidReshardCrashResumesEachPhase) {
   for (std::size_t i = 0; i < h.size(); ++i) h.node(i).advance_reshard();
   h.kill_node(0);
   h.restart_node(0);
-  EXPECT_EQ(h.node(0).reshard_phase(), shard::ReshardPhase::kDrain);
-  ASSERT_NE(h.node(0).next_validator(), nullptr);
-  EXPECT_EQ(h.node(0).reshard().domain_entries(), domain_entries);
+  EXPECT_EQ(h.node(0).shards().phase(), shard::ReshardPhase::kDrain);
+  ASSERT_NE(h.node(0).shards().next(), nullptr);
+  EXPECT_EQ(h.node(0).shards().reshard().domain_entries(), domain_entries);
 
   // -- Drop-old, then crash during the linger window.
   for (std::size_t i = 0; i < h.size(); ++i) h.node(i).advance_reshard();
   h.kill_node(0);
   h.restart_node(0);
-  EXPECT_EQ(h.node(0).reshard_phase(), shard::ReshardPhase::kStable);
-  EXPECT_EQ(h.node(0).shard_map().num_shards(), 4);
-  EXPECT_EQ(h.node(0).shard_map().generation(), old_map.generation() + 1);
-  EXPECT_EQ(h.node(0).next_validator(), nullptr);
+  EXPECT_EQ(h.node(0).shards().phase(), shard::ReshardPhase::kStable);
+  EXPECT_EQ(h.node(0).shards().map().num_shards(), 4);
+  EXPECT_EQ(h.node(0).shards().map().generation(), old_map.generation() + 1);
+  EXPECT_EQ(h.node(0).shards().next(), nullptr);
   // The domain linger survived: straggler old-generation traffic still
   // debits the shared cutover quota after the restart.
-  EXPECT_TRUE(h.node(0).reshard().lingering());
-  EXPECT_EQ(h.node(0).reshard().domain_entries(), domain_entries);
+  EXPECT_TRUE(h.node(0).shards().reshard().lingering());
+  EXPECT_EQ(h.node(0).shards().reshard().domain_entries(), domain_entries);
   // The conservative drop-old quota merge survived too.
   EXPECT_EQ(h.node(0).try_publish(to_bytes("post drop-old"), topic),
             WakuRlnRelayNode::PublishStatus::kRateLimited);
@@ -592,23 +613,23 @@ TEST(CrashRestart, SecondCutoverReplaysAfterJournaledLingerEnd) {
   for (int step = 0; step < 3; ++step) {
     for (std::size_t i = 0; i < h.size(); ++i) h.node(i).advance_reshard();
   }
-  ASSERT_TRUE(h.node(0).reshard().lingering());
+  ASSERT_TRUE(h.node(0).shards().reshard().lingering());
   // Thr+1 epochs pass; the upkeep tick journals the linger end.
   h.run_ms(5 * cfg.node.validator.epoch.epoch_length_ms);
-  ASSERT_FALSE(h.node(0).reshard().lingering());
+  ASSERT_FALSE(h.node(0).shards().reshard().lingering());
 
   for (std::size_t i = 0; i < h.size(); ++i) {
     ASSERT_TRUE(h.node(i).begin_reshard(8));
     ASSERT_TRUE(h.node(i).advance_reshard());  // overlap
   }
-  ASSERT_EQ(h.node(0).reshard_phase(), shard::ReshardPhase::kOverlap);
+  ASSERT_EQ(h.node(0).shards().phase(), shard::ReshardPhase::kOverlap);
 
   h.kill_node(0);
   h.restart_node(0);
-  EXPECT_EQ(h.node(0).reshard_phase(), shard::ReshardPhase::kOverlap);
-  ASSERT_NE(h.node(0).next_validator(), nullptr);
-  EXPECT_EQ(h.node(0).next_validator()->map().num_shards(), 8);
-  EXPECT_EQ(h.node(0).shard_map().num_shards(), 4);
+  EXPECT_EQ(h.node(0).shards().phase(), shard::ReshardPhase::kOverlap);
+  ASSERT_NE(h.node(0).shards().next(), nullptr);
+  EXPECT_EQ(h.node(0).shards().next()->map().num_shards(), 8);
+  EXPECT_EQ(h.node(0).shards().map().num_shards(), 4);
 }
 
 TEST(CrashRestart, CutoverObservationSurvivesCrashWithoutSnapshot) {
@@ -626,7 +647,7 @@ TEST(CrashRestart, CutoverObservationSurvivesCrashWithoutSnapshot) {
   h.register_all();
   h.run_ms(3'000);
   const std::string topic =
-      shard::content_topic_for_shard(h.node(0).shard_map(), 0);
+      shard::content_topic_for_shard(h.node(0).shards().map(), 0);
 
   for (std::size_t i = 0; i < h.size(); ++i) {
     ASSERT_TRUE(h.node(i).begin_reshard(4));
@@ -637,7 +658,7 @@ TEST(CrashRestart, CutoverObservationSurvivesCrashWithoutSnapshot) {
   // First half of a cross-generation pair lands before the crash...
   h.node(1).force_publish_generation(to_bytes("half one"), topic, false);
   h.run_ms(2'000);
-  ASSERT_GT(h.node(0).reshard().domain_entries(), 0u);
+  ASSERT_GT(h.node(0).shards().reshard().domain_entries(), 0u);
 
   h.kill_node(0);
   h.restart_node(0);
@@ -701,8 +722,8 @@ TEST(NodeJournalLayout, EveryWalTagMatchesFormatsDoc) {
   }
   h.run_ms(25'000);  // past the linger window
   WakuRlnRelayNode& node = h.node(1);
-  ASSERT_EQ(node.shard_map().num_shards(), 2u);
-  ASSERT_FALSE(node.reshard().lingering());
+  ASSERT_EQ(node.shards().map().num_shards(), 2u);
+  ASSERT_FALSE(node.shards().reshard().lingering());
   const std::uint64_t now_epoch = node.current_epoch();
 
   struct Record {

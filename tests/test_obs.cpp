@@ -1046,7 +1046,7 @@ TEST(NodeFlightRecorder, CutoverLeavesContinuousEventTrail) {
   }
   // Past linger (max_epoch_gap + 1 epochs) the coordinator folds back.
   h.run_ms(25'000);
-  EXPECT_EQ(h.node(0).shard_map().num_shards(), 2u);
+  EXPECT_EQ(h.node(0).shards().map().num_shards(), 2u);
 
   // Every phase of the lifecycle shows up in the ring, in order.
   std::vector<std::string> reshard_details;
@@ -1095,8 +1095,8 @@ TEST(NodeFlightRecorder, OperatorDecisionsSurviveKillRestart) {
   const std::uint64_t decisions =
       h.node(1).operator_loop().bookkeeping().decisions;
   ASSERT_GE(decisions, 4u);  // begin + 3 advances, at least
-  ASSERT_EQ(h.node(1).reshard_phase(), shard::ReshardPhase::kStable);
-  const std::uint16_t shards_after = h.node(1).shard_map().num_shards();
+  ASSERT_EQ(h.node(1).shards().phase(), shard::ReshardPhase::kStable);
+  const std::uint16_t shards_after = h.node(1).shards().map().num_shards();
   ASSERT_GT(shards_after, 1u);
 
   h.kill_node(1);
@@ -1104,8 +1104,8 @@ TEST(NodeFlightRecorder, OperatorDecisionsSurviveKillRestart) {
 
   // Bookkeeping replayed exactly: same decision count, same layout.
   EXPECT_EQ(h.node(1).operator_loop().bookkeeping().decisions, decisions);
-  EXPECT_EQ(h.node(1).shard_map().num_shards(), shards_after);
-  EXPECT_EQ(h.node(1).reshard_phase(), shard::ReshardPhase::kStable);
+  EXPECT_EQ(h.node(1).shards().map().num_shards(), shards_after);
+  EXPECT_EQ(h.node(1).shards().phase(), shard::ReshardPhase::kStable);
 
   // The fresh ring was re-seeded from the WAL and stamped with the boot.
   bool saw_restart = false;

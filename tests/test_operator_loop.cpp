@@ -139,7 +139,7 @@ TEST(OperatorLoop, AnomaliesCountAsPressureAndDoubleTheLayout) {
     // No recommendation to take a target from: twice the current count.
     EXPECT_EQ(d->target, 6u);
     // Without a chooser, each old home keeps its lowest family member.
-    EXPECT_EQ(d->subscribe, shard::refined_subscription(in.current, 6));
+    EXPECT_EQ(d->subscribe, in.current.subscribe);
   }
   // A recommendation's own target wins over the doubling fallback.
   OperatorLoop loop;

@@ -149,6 +149,37 @@ TEST(ReshardCoordinator, SerializeRestoresMidCutover) {
   EXPECT_EQ(restored.current_config().num_shards, 2);
 }
 
+TEST(ReshardCoordinator, RestoreRejectsBadBytesAndKeepsItsState) {
+  // Snapshot bytes come from disk: a phase byte above kDrain, an unknown
+  // version or a truncated blob is a typed decode error, and the
+  // coordinator keeps the state it had.
+  ShardConfig cfg;
+  cfg.num_shards = 2;
+  ReshardCoordinator coord(cfg);
+  ASSERT_TRUE(coord.begin(4, {}));
+  ASSERT_TRUE(coord.advance());  // overlap
+  const Bytes before = coord.serialize();
+  const Bytes good = ReshardCoordinator(cfg).serialize();
+
+  Bytes bad_phase = good;
+  bad_phase[1] = 9;
+  EXPECT_THROW(coord.restore(bad_phase), std::out_of_range);
+  EXPECT_EQ(coord.serialize(), before);
+  EXPECT_EQ(coord.phase(), ReshardPhase::kOverlap);
+
+  Bytes bad_version = good;
+  bad_version[0] = 2;
+  EXPECT_THROW(coord.restore(bad_version), std::out_of_range);
+  EXPECT_EQ(coord.serialize(), before);
+
+  const Bytes truncated(good.begin(), good.end() - 1);
+  EXPECT_THROW(coord.restore(truncated), std::out_of_range);
+  EXPECT_EQ(coord.serialize(), before);
+
+  EXPECT_THROW((void)reshard_phase_from_byte(4), std::out_of_range);
+  EXPECT_EQ(reshard_phase_from_byte(3), ReshardPhase::kDrain);
+}
+
 // -- Dual-generation enforcement through the shared domain log ---------------
 
 constexpr std::size_t kDepth = 8;
@@ -356,14 +387,14 @@ TEST(NodeLiveReshard, QuotaSurvivesDropOldReKeying) {
   h.run_ms(2'000);
 
   WakuRlnRelayNode& node = h.node(0);
-  const ShardMap old_map = node.shard_map();
+  const ShardMap old_map = node.shards().map();
   const std::string topic = content_topic_for_shard(old_map, 0);
 
   ASSERT_TRUE(node.begin_reshard(4));
   for (std::size_t i = 1; i < h.size(); ++i) h.node(i).begin_reshard(4);
-  ASSERT_EQ(node.reshard_phase(), ReshardPhase::kAnnounce);
+  ASSERT_EQ(node.shards().phase(), ReshardPhase::kAnnounce);
   for (std::size_t i = 0; i < h.size(); ++i) h.node(i).advance_reshard();
-  ASSERT_EQ(node.reshard_phase(), ReshardPhase::kOverlap);
+  ASSERT_EQ(node.shards().phase(), ReshardPhase::kOverlap);
   h.run_ms(2'000);
 
   ASSERT_EQ(node.try_publish(to_bytes("during overlap"), topic),
@@ -372,15 +403,15 @@ TEST(NodeLiveReshard, QuotaSurvivesDropOldReKeying) {
             WakuRlnRelayNode::PublishStatus::kRateLimited);
 
   for (std::size_t i = 0; i < h.size(); ++i) h.node(i).advance_reshard();
-  ASSERT_EQ(node.reshard_phase(), ReshardPhase::kDrain);
+  ASSERT_EQ(node.shards().phase(), ReshardPhase::kDrain);
   // New generation authoritative, same epoch, same domain: still blocked.
   EXPECT_EQ(node.try_publish(to_bytes("during drain"), topic),
             WakuRlnRelayNode::PublishStatus::kRateLimited);
 
   for (std::size_t i = 0; i < h.size(); ++i) h.node(i).advance_reshard();
-  ASSERT_EQ(node.reshard_phase(), ReshardPhase::kStable);
-  EXPECT_EQ(node.shard_map().num_shards(), 4);
-  EXPECT_EQ(node.shard_map().generation(), old_map.generation() + 1);
+  ASSERT_EQ(node.shards().phase(), ReshardPhase::kStable);
+  EXPECT_EQ(node.shards().map().num_shards(), 4);
+  EXPECT_EQ(node.shards().map().generation(), old_map.generation() + 1);
   // Post drop-old, the conservative quota merge still blocks this epoch
   // on every new shard.
   EXPECT_EQ(node.try_publish(to_bytes("after drop-old"), topic),
@@ -408,13 +439,13 @@ TEST(NodeLiveReshard, LingerQuotaStaysDomainKeyed) {
     for (std::size_t i = 0; i < h.size(); ++i) h.node(i).advance_reshard();
   }
   WakuRlnRelayNode& node = h.node(0);
-  ASSERT_EQ(node.reshard_phase(), shard::ReshardPhase::kStable);
-  ASSERT_TRUE(node.reshard().lingering());
+  ASSERT_EQ(node.shards().phase(), shard::ReshardPhase::kStable);
+  ASSERT_TRUE(node.shards().reshard().lingering());
   // Let the drop-old quota era pass so fresh publishes are allowed.
   h.run_ms(h.config().node.validator.epoch.epoch_length_ms);
 
   // Two topics on sibling NEW shards (0 and 2) of old family 0.
-  const shard::ShardMap& new_map = node.shard_map();
+  const shard::ShardMap& new_map = node.shards().map();
   std::string topic_a;
   std::string topic_b;
   for (std::uint64_t i = 0; topic_a.empty() || topic_b.empty(); ++i) {
@@ -431,7 +462,7 @@ TEST(NodeLiveReshard, LingerQuotaStaysDomainKeyed) {
   // Once the linger expires (Thr+1 epochs; upkeep journals the expiry)
   // the shards really are independent rate-limit domains again.
   h.run_ms(5 * h.config().node.validator.epoch.epoch_length_ms);
-  ASSERT_FALSE(h.node(0).reshard().lingering());
+  ASSERT_FALSE(h.node(0).shards().reshard().lingering());
   ASSERT_EQ(node.try_publish(to_bytes("a, fresh epoch"), topic_a),
             WakuRlnRelayNode::PublishStatus::kOk);
   EXPECT_EQ(node.try_publish(to_bytes("b, same epoch, own shard"), topic_b),
@@ -453,7 +484,7 @@ TEST(NodeLiveReshard, DeliveryAcrossCutoverMeshes) {
   h.run_ms(4'000);  // heartbeats: new-generation meshes form
 
   const std::string topic =
-      content_topic_for_shard(h.node(0).shard_map(), 0);
+      content_topic_for_shard(h.node(0).shards().map(), 0);
   std::uint64_t delivered_before = h.total_delivered();
   ASSERT_EQ(h.node(0).try_publish(to_bytes("overlap publish"), topic),
             WakuRlnRelayNode::PublishStatus::kOk);
@@ -463,8 +494,8 @@ TEST(NodeLiveReshard, DeliveryAcrossCutoverMeshes) {
   for (std::size_t i = 0; i < h.size(); ++i) h.node(i).advance_reshard();
   for (std::size_t i = 0; i < h.size(); ++i) h.node(i).advance_reshard();
   for (std::size_t i = 0; i < h.size(); ++i) {
-    ASSERT_EQ(h.node(i).reshard_phase(), ReshardPhase::kStable);
-    ASSERT_EQ(h.node(i).shard_map().num_shards(), 4);
+    ASSERT_EQ(h.node(i).shards().phase(), ReshardPhase::kStable);
+    ASSERT_EQ(h.node(i).shards().map().num_shards(), 4);
   }
   h.run_ms(h.config().node.validator.epoch.epoch_length_ms);
 
@@ -515,20 +546,20 @@ TEST(LiveReshardCampaign, CutoverUnderLoadWithOverlapFlooder) {
 
 // -- Autonomous operator loop ------------------------------------------------
 
-TEST(OperatorSubscription, RefinedSubscriptionIsValidSplitInput) {
+TEST(OperatorSubscription, CurrentSubscriptionIsValidSplitInput) {
+  // The operator loop's default new-generation subscription is the
+  // current one: each old home keeps its lowest family member, and
+  // begin() accepts it.
   ShardConfig current;
   current.num_shards = 4;
   current.subscribe = {1, 3};
-  // Each old home keeps its lowest family member — begin() accepts it.
-  EXPECT_EQ(refined_subscription(current, 8), (std::vector<ShardId>{1, 3}));
   ReshardCoordinator coord(current);
-  EXPECT_TRUE(coord.begin(8, refined_subscription(current, 8)));
+  EXPECT_TRUE(coord.begin(8, current.subscribe));
 
   ShardConfig all;
   all.num_shards = 2;  // empty subscribe = all shards
-  EXPECT_TRUE(refined_subscription(all, 4).empty());
   ReshardCoordinator coord_all(all);
-  EXPECT_TRUE(coord_all.begin(4, refined_subscription(all, 4)));
+  EXPECT_TRUE(coord_all.begin(4, all.subscribe));
 }
 
 TEST(OperatorLoopCampaign, HotspotSplitsAutonomously) {
