@@ -34,6 +34,22 @@ additionally hard-capped at 3% (HARD_CAPS below). Raw msgs/sec are compared when
 WAKU_BENCH_STRICT_ABSOLUTE=1 (same-machine perf tracking; meaningless
 across machine classes, so off in CI).
 
+Deterministic sizes, compared exactly
+-------------------------------------
+Byte counts of tree storage, snapshots and checkpoints depend only on
+the member count and the code, never on the machine, so they are
+compared for equality, not within a tolerance:
+
+  * BENCH_membership_scale.json "bootstrap" rows: tree_storage_bytes,
+    snapshot_bytes and checkpoint_bytes;
+  * BENCH_bootstrap.json "summary" rows: full_tree_storage_bytes.
+
+Rows are matched by "members": a smoke run measures fewer sizes than
+the committed full run, and a size only one side has is skipped. Any
+difference fails the build, so a storage or format change must
+re-record the baseline it moves. Neither WAKU_BENCH_TOLERANCE nor
+WAKU_BENCH_STRICT_ABSOLUTE touches these rows.
+
 The honest-member gate
 ----------------------
 Every campaign in the fresh BENCH_adversarial.json must keep the paper's
@@ -288,6 +304,53 @@ def adversarial_verdict_failures(doc):
     return checked, failures
 
 
+# Deterministic fields compared exactly: file -> (row list, fields). Rows
+# pair up by "members" (see the module docstring).
+EXACT_ROWS = {
+    "BENCH_membership_scale.json": (
+        "bootstrap",
+        ("tree_storage_bytes", "snapshot_bytes", "checkpoint_bytes"),
+    ),
+    "BENCH_bootstrap.json": ("summary", ("full_tree_storage_bytes",)),
+}
+
+
+def exact_row_failures(name, baseline_doc, fresh_doc):
+    """Compares EXACT_ROWS[name] between two documents; returns the number
+    of fields compared and the failures."""
+    rows_key, fields = EXACT_ROWS[name]
+
+    def by_members(doc):
+        rows = doc.get(rows_key, []) if isinstance(doc, dict) else []
+        return {row["members"]: row for row in rows if "members" in row}
+
+    baseline_rows = by_members(baseline_doc)
+    fresh_rows = by_members(fresh_doc)
+    compared = 0
+    failures = []
+    for members in sorted(set(baseline_rows) & set(fresh_rows)):
+        for field in fields:
+            base_value = baseline_rows[members].get(field)
+            fresh_value = fresh_rows[members].get(field)
+            if base_value is None:
+                continue
+            compared += 1
+            ok = fresh_value == base_value
+            metric = "%s.%s@%d" % (name, field, members)
+            print(
+                "  %-60s base %12s  fresh %12s  (%s)"
+                % (metric, base_value, fresh_value, "ok" if ok else "CHANGED")
+            )
+            if not ok:
+                failures.append(
+                    "%s: %s -> %s (deterministic, compared exactly)"
+                    % (metric, base_value, fresh_value)
+                )
+    if compared == 0:
+        print("  %-60s no member count in both runs, skipped" % name)
+    return compared, failures
+
+
 # Gates over a fresh document alone (no baseline comparison).
 FRESH_GATES = {
     "BENCH_adversarial.json": adversarial_verdict_failures,
@@ -434,6 +497,25 @@ def main():
                     "%s: %.3f -> %.3f (allowed %.0f%%)"
                     % (metric, base_value, fresh_value, 100 * args.tolerance)
                 )
+
+    for name in sorted(EXACT_ROWS):
+        if args.only and name not in args.only:
+            continue
+        baseline_doc = load(os.path.join(args.baseline_dir, name))
+        fresh_doc = load(os.path.join(args.fresh_dir, name))
+        if baseline_doc is None:
+            print("  %-34s no committed baseline, skipped" % name)
+            continue
+        if fresh_doc is None:
+            missing = "%s: fresh run produced no JSON" % name
+            if missing not in failures:  # an extractor may have said so
+                failures.append(missing)
+            continue
+        checked, exact_failures = exact_row_failures(
+            name, baseline_doc, fresh_doc
+        )
+        compared += checked
+        failures.extend(exact_failures)
 
     for name, gate in sorted(FRESH_GATES.items()):
         if args.only and name not in args.only:

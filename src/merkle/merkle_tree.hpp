@@ -7,10 +7,10 @@
 //
 // IncrementalMerkleTree stores every computed node — O(N) per peer, the
 // configuration whose cost §IV quotes as 67 MB at depth 20. Nodes live in a
-// PagedNodeArena (node_arena.hpp): level-major fixed-size pages of
-// contiguous Fr, materialized lazily against the empty-subtree ladder, so a
-// 2^20-leaf tree is ~33k dense 2 KB pages, a 32-leaf one ~32 KB, and
-// appends never pay vector reallocation copies. The O(log N) alternative
+// PagedNodeArena (node_arena.hpp): level-major pages of contiguous Fr that
+// store only their written prefix against the empty-subtree ladder, so a
+// 2^20-leaf tree is ~33k full 2 KB pages, a 32-leaf one 2,496 B, and
+// appends never pay whole-level reallocation copies. The O(log N) alternative
 // lives in partial_view.hpp.
 #pragma once
 
@@ -88,8 +88,9 @@ class IncrementalMerkleTree {
   }
 
   /// Bytes of node storage currently held — the quantity E4 measures.
-  /// Counts materialized arena pages, so it includes page-rounding slack
-  /// (bounded by ~one page per level) but not lazily-zero regions.
+  /// Counts the stored prefix of each arena page, so it includes rounding
+  /// slack (a partly written page holds under twice what was written into
+  /// it) but not lazily-zero regions.
   [[nodiscard]] std::size_t storage_bytes() const;
 
   /// Full-state serialization (every stored node), so a restart restores
@@ -103,8 +104,8 @@ class IncrementalMerkleTree {
 
   std::size_t depth_;
   std::uint64_t leaf_count_ = 0;
-  // Level-major paged node storage; pages materialize as leaves are
-  // appended, so allocation is O(inserted leaves) + one page per level.
+  // Level-major paged node storage; pages grow as leaves are appended, so
+  // allocation is O(inserted leaves) plus one node per level above them.
   PagedNodeArena arena_;
 };
 

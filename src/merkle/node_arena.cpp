@@ -1,5 +1,8 @@
 #include "merkle/node_arena.hpp"
 
+#include <algorithm>
+#include <bit>
+
 #include "common/expect.hpp"
 
 namespace waku::merkle {
@@ -14,8 +17,11 @@ const Fr& PagedNodeArena::get(std::size_t level, std::uint64_t idx) const {
   const Level& lvl = levels_[level];
   const std::uint64_t per_page = page_nodes(level);
   const std::uint64_t page = idx / per_page;
-  if (page >= lvl.pages.size() || !lvl.pages[page]) return zero_at(level);
-  return lvl.pages[page][idx % per_page];
+  const std::uint64_t offset = idx % per_page;
+  if (page >= lvl.pages.size() || offset >= lvl.pages[page].capacity) {
+    return zero_at(level);
+  }
+  return lvl.pages[page].nodes[offset];
 }
 
 void PagedNodeArena::set(std::size_t level, std::uint64_t idx,
@@ -25,28 +31,31 @@ void PagedNodeArena::set(std::size_t level, std::uint64_t idx,
   if (idx >= lvl.used) lvl.used = idx + 1;
   const std::uint64_t per_page = page_nodes(level);
   const std::uint64_t page = idx / per_page;
-  if (page >= lvl.pages.size()) {
-    if (value == zero_at(level)) return;  // keep the tail lazy
-    lvl.pages.resize(page + 1);
-  }
-  if (!lvl.pages[page]) {
-    if (value == zero_at(level)) return;
-    auto slab = std::make_unique<Fr[]>(per_page);
+  const std::uint64_t offset = idx % per_page;
+  if (page >= lvl.pages.size() || offset >= lvl.pages[page].capacity) {
     const Fr& z = zero_at(level);
-    for (std::uint64_t i = 0; i < per_page; ++i) slab[i] = z;
-    lvl.pages[page] = std::move(slab);
+    if (value == z) return;  // keep the unwritten part lazy
+    if (page >= lvl.pages.size()) lvl.pages.resize(page + 1);
+    Page& p = lvl.pages[page];
+    // Grow to the next power of two that holds `offset`: appends pay
+    // log2(kPageNodes) copies per page, and a one-node level stays one node.
+    const auto capacity = static_cast<std::uint32_t>(
+        std::min<std::uint64_t>(per_page, std::bit_ceil(offset + 1)));
+    auto nodes = std::make_unique<Fr[]>(capacity);
+    std::copy_n(p.nodes.get(), p.capacity, nodes.get());
+    std::fill(nodes.get() + p.capacity, nodes.get() + capacity, z);
+    p.nodes = std::move(nodes);
+    p.capacity = capacity;
   }
-  lvl.pages[page][idx % per_page] = value;
+  lvl.pages[page].nodes[offset] = value;
 }
 
 std::size_t PagedNodeArena::storage_bytes() const {
-  std::size_t bytes = 0;
-  for (std::size_t l = 0; l < levels_.size(); ++l) {
-    std::size_t pages = 0;
-    for (const auto& p : levels_[l].pages) pages += p ? 1 : 0;
-    bytes += pages * page_nodes(l) * 32;  // canonical Fr is 32 bytes
+  std::size_t nodes = 0;
+  for (const Level& lvl : levels_) {
+    for (const Page& p : lvl.pages) nodes += p.capacity;
   }
-  return bytes;
+  return nodes * 32;  // canonical Fr is 32 bytes
 }
 
 }  // namespace waku::merkle

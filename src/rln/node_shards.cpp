@@ -390,7 +390,26 @@ void NodeShards::serialize(ByteWriter& w) const {
 }
 
 void NodeShards::restore(ByteReader& r) {
-  reshard_.restore(r.read_bytes());
+  // The section is decoded and checked before anything is replaced, so a
+  // snapshot with a corrupt layout leaves the part as it was.
+  shard::ReshardCoordinator reshard{shard::ShardConfig{}};
+  reshard.restore(r.read_bytes());
+  const Bytes current_bytes = r.read_bytes();
+  std::optional<Bytes> next_bytes;
+  if (r.read_u8() != 0) {
+    // Only the overlap and drain phases hold an incoming generation.
+    if (!reshard.in_cutover() || reshard.phase() == ReshardPhase::kAnnounce) {
+      throw std::out_of_range(
+          "NodeShards: next-generation state outside a cutover");
+    }
+    next_bytes = r.read_bytes();
+  }
+  std::map<shard::ShardId, std::uint64_t> quota;
+  for (std::uint16_t left = r.read_u16(); left > 0; --left) {
+    const shard::ShardId shard = r.read_u16();
+    quota[shard] = r.read_u64();
+  }
+  reshard_ = std::move(reshard);
   // The coordinator is authoritative for the effective layout: a node that
   // completed (or is mid-way through) a reshard has moved past its
   // construction-time ShardConfig, so rebuild the validator containers to
@@ -404,17 +423,9 @@ void NodeShards::restore(ByteReader& r) {
   if (reshard_.in_cutover() && reshard_.phase() != ReshardPhase::kAnnounce) {
     create_next();
   }
-  current_.restore_state(r.read_bytes());
-  if (r.read_u8() != 0) {
-    const Bytes next_bytes = r.read_bytes();
-    WAKU_EXPECTS(next_ != nullptr);
-    next_->restore_state(next_bytes);
-  }
-  quota_.clear();
-  for (std::uint16_t left = r.read_u16(); left > 0; --left) {
-    const shard::ShardId shard = r.read_u16();
-    quota_[shard] = r.read_u64();
-  }
+  current_.restore_state(current_bytes);
+  if (next_bytes.has_value()) next_->restore_state(*next_bytes);
+  quota_ = std::move(quota);
 }
 
 }  // namespace waku::rln

@@ -140,6 +140,9 @@ class NodeShards {
   /// Snapshot section: reshard bytes | shards bytes | has_next u8 [| next
   /// bytes] | quota (u16 count + sorted (shard u16, epoch u64) pairs).
   void serialize(ByteWriter& w) const;
+  /// Inverse of serialize(). Throws std::out_of_range, before replacing
+  /// anything, on a coordinator blob restore() rejects, next-generation
+  /// bytes while the coordinator is stable or announcing, or truncation.
   void restore(ByteReader& r);
 
  private:

@@ -355,14 +355,19 @@ Bytes ValidationPipeline::serialize_state() const {
 }
 
 void ValidationPipeline::restore_state(BytesView bytes) {
+  // Decoded in full before anything is replaced (the log's restore is
+  // all-or-nothing too), so corrupt disk bytes leave the pipeline as it was.
   ByteReader r(bytes);
-  WAKU_EXPECTS(r.read_u8() == 1);
-  const Bytes log_bytes = r.read_bytes();
-  log_.restore(log_bytes);
-  stats_ = ValidatorStats{};
-  for (const auto field : std::span(kSummedStats).first(kDurableStats)) {
-    stats_.*field = r.read_u64();
+  if (r.read_u8() != 1) {
+    throw std::out_of_range("ValidationPipeline: unknown state version");
   }
+  const Bytes log_bytes = r.read_bytes();
+  ValidatorStats stats;
+  for (const auto field : std::span(kSummedStats).first(kDurableStats)) {
+    stats.*field = r.read_u64();
+  }
+  log_.restore(log_bytes);
+  stats_ = stats;
 }
 
 }  // namespace waku::rln

@@ -165,12 +165,24 @@ void write_shard_config(ByteWriter& w, const ShardConfig& config) {
 }
 
 ShardConfig read_shard_config(ByteReader& r) {
+  // A layout no ShardMap or validator accepts is a decode error here, not
+  // a precondition failure once the coordinator has been replaced.
   ShardConfig config;
   config.num_shards = r.read_u16();
+  if (config.num_shards == 0) {
+    throw std::out_of_range("ReshardCoordinator: config names no shards");
+  }
   config.generation = r.read_u32();
   const std::uint16_t n = r.read_u16();
   config.subscribe.reserve(n);
-  for (std::uint16_t i = 0; i < n; ++i) config.subscribe.push_back(r.read_u16());
+  for (std::uint16_t i = 0; i < n; ++i) {
+    const ShardId s = r.read_u16();
+    if (s >= config.num_shards) {
+      throw std::out_of_range("ReshardCoordinator: subscribed shard " +
+                              std::to_string(s) + " out of range");
+    }
+    config.subscribe.push_back(s);
+  }
   return config;
 }
 

@@ -174,8 +174,9 @@ class ReshardCoordinator {
   /// resumes the exact phase fail-closed.
   [[nodiscard]] Bytes serialize() const;
   /// Inverse of serialize(). Throws std::out_of_range on an unknown
-  /// version, a phase byte above kDrain or truncated input, and then
-  /// leaves the coordinator as it was.
+  /// version, a phase byte above kDrain, a config of 0 shards or with a
+  /// subscribed shard out of range, a bad map lineage or truncated input,
+  /// and then leaves the coordinator as it was.
   void restore(BytesView bytes);
 
  private:

@@ -2,6 +2,8 @@
 
 #include <functional>
 #include <mutex>
+#include <stdexcept>
+#include <string>
 #include <unordered_map>
 
 #include "common/expect.hpp"
@@ -180,17 +182,26 @@ Bytes ShardMap::serialize() const {
 }
 
 ShardMap ShardMap::deserialize(BytesView bytes) {
+  // The bytes come from disk: a lineage split() could not have built is a
+  // decode error, thrown as the truncation errors of ByteReader are.
+  const auto reject = [](const char* what) {
+    throw std::out_of_range(std::string("ShardMap: ") + what);
+  };
   ByteReader r(bytes);
   const std::uint8_t layers = r.read_u8();
-  WAKU_EXPECTS(layers >= 1);
+  // split() refuses to deepen a lineage past 32 layers.
+  if (layers < 1 || layers > 32) reject("layer count out of range");
   const std::uint16_t base_num = r.read_u16();
   const std::uint32_t base_gen = r.read_u32();
+  if (base_num < 1) reject("no shards");
   ShardMap map(base_num, base_gen);
   for (std::uint8_t k = 1; k < layers; ++k) {
     const std::uint16_t num = r.read_u16();
     const std::uint32_t gen = r.read_u32();
-    WAKU_EXPECTS(gen == map.generation_ + 1);
-    WAKU_EXPECTS(num % map.num_shards_ == 0 && num > map.num_shards_);
+    if (gen != map.generation_ + 1) reject("broken generation chain");
+    if (num % map.num_shards_ != 0 || num <= map.num_shards_) {
+      reject("bad split factor");
+    }
     map = map.split(static_cast<std::uint16_t>(num / map.num_shards_));
   }
   return map;

@@ -119,6 +119,10 @@ class ShardMap {
   /// Canonical serialization (split lineage included) — reshard
   /// coordinator snapshots carry maps across restarts.
   [[nodiscard]] Bytes serialize() const;
+  /// Inverse of serialize(). Throws std::out_of_range on truncated input
+  /// or a lineage split() cannot build: no layers or over 32, a layer of
+  /// 0 shards, a generation that is not its parent's + 1, or a shard count
+  /// that is not a multiple (>= 2x) of its parent's.
   static ShardMap deserialize(BytesView bytes);
 
   /// Value equality including the split lineage (a split map never equals

@@ -1,6 +1,7 @@
 #include "shard/sharded_validator.hpp"
 
 #include <algorithm>
+#include <utility>
 
 #include "common/expect.hpp"
 #include "common/serde.hpp"
@@ -143,11 +144,18 @@ Bytes ShardedValidator::serialize_state() const {
 
 void ShardedValidator::restore_state(BytesView bytes) {
   ByteReader r(bytes);
-  WAKU_EXPECTS(r.read_u8() == 1);
-  const std::uint16_t count = r.read_u16();
-  for (std::uint16_t i = 0; i < count; ++i) {
-    const ShardId shard = r.read_u16();
-    const Bytes state = r.read_bytes();
+  if (r.read_u8() != 1) {
+    throw std::out_of_range("ShardedValidator: unknown state version");
+  }
+  // Every shard's entry is read before any pipeline is touched, so a
+  // truncated blob leaves all of them as they were.
+  std::vector<std::pair<ShardId, Bytes>> states(
+      r.bounded_count(r.read_u16(), 2 + 4));  // u16 shard, u32 length
+  for (auto& [shard, state] : states) {
+    shard = r.read_u16();
+    state = r.read_bytes();
+  }
+  for (const auto& [shard, state] : states) {
     const auto it = pipelines_.find(shard);
     // A shard persisted by a previous configuration but no longer
     // subscribed is dropped — its log belongs to a mesh we are not in.

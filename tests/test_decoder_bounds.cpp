@@ -2,6 +2,9 @@
 // peer or disk bytes is checked against the bytes that remain before any
 // allocation is sized from it. Each decoder must throw its typed error on
 // an inflated count, and must not first reserve memory for that count.
+// The snapshot readers of the validation and shard layers throw the same
+// typed error on corrupt bytes, and leave the object they restore as it
+// was.
 //
 // Unsanitized builds replace the global operator new in this binary to
 // record the largest single allocation a decode makes. Sanitized builds
@@ -20,6 +23,11 @@
 #include "rln/checkpoint.hpp"
 #include "rln/group_manager.hpp"
 #include "rln/nullifier_log.hpp"
+#include "rln/validation_pipeline.hpp"
+#include "shard/reshard.hpp"
+#include "shard/shard_map.hpp"
+#include "shard/sharded_validator.hpp"
+#include "zksnark/rln_circuit.hpp"
 
 #if defined(__SANITIZE_ADDRESS__) || defined(__SANITIZE_THREAD__)
 #define WAKU_TRACK_ALLOCATIONS 0
@@ -208,6 +216,120 @@ TEST(DecoderBounds, MembersRegisteredCountOverflowIsAContractViolation) {
             kSmallAllocation);
   EXPECT_EQ(group.member_count(), 0u);
   EXPECT_EQ(group.root(), root);
+}
+
+// -- Snapshot readers: corrupt disk bytes are typed decode errors --------
+
+constexpr std::size_t kPipelineDepth = 4;
+
+rln::ValidatorConfig snapshot_validator_config() {
+  return rln::ValidatorConfig{
+      .epoch = rln::EpochConfig{.epoch_length_ms = 1000}, .max_epoch_gap = 2};
+}
+
+/// A pipeline with one observation, so its state differs from a fresh one.
+void observe_one(rln::ValidationPipeline& pipeline) {
+  pipeline.inject_observation(
+      7, ff::Fr::from_u64(9),
+      sss::Share{ff::Fr::from_u64(5), ff::Fr::from_u64(6)}, 77);
+}
+
+TEST(DecoderBounds, PipelineStateVersionIsATypedErrorAndKeepsState) {
+  rln::GroupManager group(kPipelineDepth, rln::TreeMode::kFullTree);
+  rln::ValidationPipeline pipeline(zksnark::rln_keypair(kPipelineDepth).vk,
+                                   group, snapshot_validator_config(), 1);
+  const Bytes empty = pipeline.serialize_state();
+  observe_one(pipeline);
+  const Bytes before = pipeline.serialize_state();
+  ASSERT_NE(before, empty);
+
+  Bytes bad_version = empty;
+  bad_version[0] = 2;
+  EXPECT_THROW(pipeline.restore_state(bad_version), std::out_of_range);
+  EXPECT_EQ(pipeline.serialize_state(), before);
+  // Cut inside the stats that follow the log: the log is not replaced.
+  const Bytes truncated(empty.begin(), empty.end() - 1);
+  EXPECT_THROW(pipeline.restore_state(truncated), std::out_of_range);
+  EXPECT_EQ(pipeline.serialize_state(), before);
+}
+
+TEST(DecoderBounds, ShardedValidatorStateVersionIsATypedErrorAndKeepsState) {
+  rln::GroupManager group(kPipelineDepth, rln::TreeMode::kFullTree);
+  shard::ShardConfig layout;
+  layout.num_shards = 2;
+  shard::ShardedValidator validator(zksnark::rln_keypair(kPipelineDepth).vk,
+                                    group, snapshot_validator_config(), layout,
+                                    1);
+  const Bytes empty = validator.serialize_state();
+  observe_one(validator.pipeline(0));
+  observe_one(validator.pipeline(1));
+  const Bytes before = validator.serialize_state();
+
+  Bytes bad_version = empty;
+  bad_version[0] = 0;
+  EXPECT_THROW(validator.restore_state(bad_version), std::out_of_range);
+  EXPECT_EQ(validator.serialize_state(), before);
+  // Cut inside shard 1's entry: shard 0 is not restored either.
+  const Bytes truncated(empty.begin(), empty.end() - 1);
+  EXPECT_THROW(validator.restore_state(truncated), std::out_of_range);
+  EXPECT_EQ(validator.serialize_state(), before);
+}
+
+/// A ShardMap blob: (num_shards, generation) per lineage layer, root first.
+Bytes shard_map_bytes(
+    std::uint8_t layers,
+    std::initializer_list<std::pair<std::uint16_t, std::uint32_t>> chain) {
+  ByteWriter w;
+  w.write_u8(layers);
+  for (const auto& [num, gen] : chain) {
+    w.write_u16(num);
+    w.write_u32(gen);
+  }
+  return std::move(w).take();
+}
+
+TEST(DecoderBounds, ShardMapLineageErrorsAreTyped) {
+  // The well-formed blob decodes; each corruption of it is a typed error.
+  EXPECT_EQ(shard::ShardMap::deserialize(
+                shard_map_bytes(2, {{2, 5}, {4, 6}})),
+            shard::ShardMap(2, 5).split(2));
+  for (const Bytes& bad : {
+           shard_map_bytes(0, {{2, 5}}),             // no layers
+           shard_map_bytes(33, {{2, 5}}),            // deeper than split()
+           shard_map_bytes(1, {{0, 5}}),             // a layer of no shards
+           shard_map_bytes(2, {{2, 5}, {4, 7}}),     // generation skips
+           shard_map_bytes(2, {{2, 5}, {4, 5}}),     // generation repeats
+           shard_map_bytes(2, {{2, 5}, {3, 6}}),     // not a multiple
+           shard_map_bytes(2, {{2, 5}, {2, 6}}),     // factor 1
+           shard_map_bytes(2, {{4, 5}, {2, 6}}),     // shrinks
+       }) {
+    EXPECT_THROW((void)shard::ShardMap::deserialize(bad), std::out_of_range)
+        << to_hex(bad);
+  }
+}
+
+TEST(DecoderBounds, CoordinatorConfigOfNoShardsIsATypedError) {
+  shard::ShardConfig layout;
+  layout.num_shards = 2;
+  shard::ReshardCoordinator coord(layout);
+  ASSERT_TRUE(coord.begin(4, {}));
+  const Bytes before = coord.serialize();
+  // version | phase | config (u16 num_shards at offset 2, u32 generation,
+  // u16 subscribe count, ...) — as ReshardCoordinator::serialize writes it.
+  const Bytes good = shard::ReshardCoordinator(layout).serialize();
+  ASSERT_EQ(good[2] | (good[3] << 8), 2);
+  Bytes no_shards = good;
+  no_shards[2] = 0;
+  EXPECT_THROW(coord.restore(no_shards), std::out_of_range);
+  EXPECT_EQ(coord.serialize(), before);
+  // A subscription naming a shard the config does not have.
+  shard::ShardConfig subscribed = layout;
+  subscribed.subscribe = {1};
+  Bytes out_of_range_shard = shard::ReshardCoordinator(subscribed).serialize();
+  ASSERT_EQ(out_of_range_shard[10], 1);  // the subscribed id's low byte
+  out_of_range_shard[10] = 2;
+  EXPECT_THROW(coord.restore(out_of_range_shard), std::out_of_range);
+  EXPECT_EQ(coord.serialize(), before);
 }
 
 }  // namespace

@@ -3,6 +3,9 @@
 // the storage claims behind experiment E4.
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <vector>
+
 #include "common/expect.hpp"
 #include "common/rng.hpp"
 #include "hash/poseidon.hpp"
@@ -138,8 +141,9 @@ TEST(MerkleTree, RejectsBadDepth) {
 TEST(MerkleTree, StorageGrowsLinearly) {
   // A tree with N leaves stores ~2N nodes (leaves + internal levels), so
   // storage is linear in membership: ~64 bytes per member amortized. The
-  // paged arena rounds each level up to whole pages, which adds at most
-  // ~one page per level of slack on top of the dense ~2N·32 bytes.
+  // paged arena rounds each page's stored prefix up to a power of two,
+  // which adds under one page per level of slack on top of the dense
+  // ~2N·32 bytes.
   IncrementalMerkleTree tree(20);
   for (std::uint64_t i = 0; i < 1000; ++i) tree.insert(leaf_of(i));
   const std::size_t s1000 = tree.storage_bytes();
@@ -150,11 +154,116 @@ TEST(MerkleTree, StorageGrowsLinearly) {
 
 TEST(MerkleTree, SmallGroupTreeStaysSmall) {
   // A relay in a 32-member group holds the paper's depth-20 tree, which
-  // touches one page per level: pages must be small for the tree to be.
+  // touches one page per level, and 15 of those levels hold one node:
+  // each page must cost what it holds for the tree to be small.
   IncrementalMerkleTree tree(20);
   for (std::uint64_t i = 0; i < 32; ++i) tree.insert(leaf_of(i));
-  EXPECT_LT(tree.storage_bytes(), 64u * 1024);
+  EXPECT_LE(tree.storage_bytes(), 4096u);
   EXPECT_GE(tree.storage_bytes(), 32u * 2 * 32);
+}
+
+// --- Page growth inside the arena ---
+
+Fr arena_value(std::uint64_t i) { return Fr::from_u64(5000 + i); }
+
+TEST(PagedNodeArena, ValuesSurviveEachPageGrowth) {
+  // Writing offsets 0..kPageNodes-1 grows the first page 1, 2, 4, ..., 64
+  // nodes wide; every growth must carry the nodes already written.
+  PagedNodeArena arena(12);
+  std::size_t grown = 0;
+  for (std::uint64_t i = 0; i < PagedNodeArena::kPageNodes; ++i) {
+    const std::size_t before = arena.storage_bytes();
+    arena.set(0, i, arena_value(i));
+    if (arena.storage_bytes() != before) {
+      ++grown;
+      // The next power of two that holds offset i.
+      EXPECT_EQ(arena.storage_bytes(), std::bit_ceil(i + 1) * 32) << i;
+    }
+    for (std::uint64_t j = 0; j <= i; ++j) {
+      ASSERT_EQ(arena.get(0, j), arena_value(j)) << "wrote " << i;
+    }
+  }
+  EXPECT_EQ(grown, 7u);  // 1, 2, 4, 8, 16, 32, 64
+  // A write far into the page grows it in one step, past the copies.
+  PagedNodeArena jump(12);
+  jump.set(1, 1, arena_value(1));
+  jump.set(1, 40, arena_value(40));
+  EXPECT_EQ(jump.storage_bytes(), PagedNodeArena::kPageNodes * 32);
+  EXPECT_EQ(jump.get(1, 1), arena_value(1));
+  EXPECT_EQ(jump.get(1, 40), arena_value(40));
+  EXPECT_EQ(jump.get(1, 0), zero_at(1));
+}
+
+TEST(PagedNodeArena, ReadsPastTheWrittenPartAreTheZeroLadder) {
+  PagedNodeArena arena(20);
+  for (std::size_t level = 0; level <= 20; ++level) {
+    arena.set(level, 0, arena_value(level));
+  }
+  for (std::size_t level = 0; level <= 20; ++level) {
+    EXPECT_EQ(arena.get(level, 0), arena_value(level));
+    const std::uint64_t last = (std::uint64_t{1} << (20 - level)) - 1;
+    if (last == 0) continue;  // the root level holds one node
+    // Next to the stored node inside its page, and the level's far end.
+    EXPECT_EQ(arena.get(level, 1), zero_at(level)) << "level " << level;
+    EXPECT_EQ(arena.get(level, last), zero_at(level)) << "level " << level;
+  }
+  // 21 levels, one node each.
+  EXPECT_EQ(arena.storage_bytes(), 21u * 32);
+}
+
+TEST(PagedNodeArena, ZeroWritesPastTheWrittenPartAllocateNothing) {
+  PagedNodeArena arena(12);
+  arena.set(0, 0, arena_value(0));
+  arena.set(0, 2, arena_value(2));  // page holds 4
+  const std::size_t held = arena.storage_bytes();
+  ASSERT_EQ(held, 4u * 32);
+  arena.set(0, 40, zero_at(0));    // past the stored prefix of page 0
+  arena.set(0, 100, zero_at(0));   // inside a page never written
+  arena.set(0, 4095, zero_at(0));  // the level's last node
+  EXPECT_EQ(arena.storage_bytes(), held);
+  // The high-water mark still counts them: it is the serialized prefix.
+  EXPECT_EQ(arena.used(0), 4096u);
+  // A zero write inside the stored prefix is an ordinary overwrite.
+  arena.set(0, 2, zero_at(0));
+  EXPECT_EQ(arena.get(0, 2), zero_at(0));
+  EXPECT_EQ(arena.storage_bytes(), held);
+}
+
+TEST(MerkleTree, UpdateAcrossAGrownPageBoundaryKeepsPathsValid) {
+  // Five leaves grow the first leaf page 4 -> 8; leaf 4 is the first node
+  // past the old boundary, leaf 3 the last before it. Updating either
+  // one, and appending across the next growth, must keep every path valid.
+  IncrementalMerkleTree tree(12);
+  for (std::uint64_t i = 0; i < 5; ++i) tree.insert(leaf_of(i));
+  std::vector<Fr> leaves;
+  for (std::uint64_t i = 0; i < 5; ++i) leaves.push_back(leaf_of(i));
+  const auto all_paths_valid = [&] {
+    for (std::uint64_t i = 0; i < leaves.size(); ++i) {
+      if (!verify_path(tree.root(), leaves[i], tree.auth_path(i))) {
+        return false;
+      }
+    }
+    return true;
+  };
+  tree.update(4, leaf_of(4004));
+  leaves[4] = leaf_of(4004);
+  EXPECT_TRUE(all_paths_valid());
+  tree.update(3, leaf_of(3003));
+  leaves[3] = leaf_of(3003);
+  EXPECT_TRUE(all_paths_valid());
+  for (std::uint64_t i = 5; i < 9; ++i) {  // grows 8 -> 16
+    tree.insert(leaf_of(i));
+    leaves.push_back(leaf_of(i));
+  }
+  tree.update(8, leaf_of(8008));
+  leaves[8] = leaf_of(8008);
+  tree.remove(7);
+  leaves[7] = Fr::zero();
+  EXPECT_TRUE(all_paths_valid());
+  // Same root as a tree that never grew a page: inserted in one batch.
+  IncrementalMerkleTree batch(12);
+  batch.insert_batch(leaves);
+  EXPECT_EQ(tree.root(), batch.root());
 }
 
 // --- Paged arena backend ---

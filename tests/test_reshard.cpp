@@ -423,6 +423,62 @@ TEST(NodeLiveReshard, QuotaSurvivesDropOldReKeying) {
             WakuRlnRelayNode::PublishStatus::kOk);
 }
 
+/// The node's shard section with next-generation bytes spliced in: a
+/// has_next flag of 1 followed by a copy of the current generation's state.
+Bytes shard_section_with_next(const rln::NodeShards& shards) {
+  ByteWriter section;
+  shards.serialize(section);
+  ByteReader r(section.data());
+  const Bytes reshard = r.read_bytes();
+  const Bytes current = r.read_bytes();
+  EXPECT_EQ(r.read_u8(), 0);  // no incoming generation to hold
+  ByteWriter w;
+  w.write_bytes(reshard);
+  w.write_bytes(current);
+  w.write_u8(1);
+  w.write_bytes(current);
+  w.write_raw(r.read_raw(r.remaining()));  // the quota
+  return std::move(w).take();
+}
+
+TEST(NodeLiveReshard, NextGenerationBytesOutsideACutoverAreATypedError) {
+  // Snapshot bytes come from disk. Only the overlap and drain phases hold
+  // an incoming generation, so next-generation state while the coordinator
+  // is stable or announcing is corrupt: a typed decode error that leaves
+  // the node's shard part as it was.
+  rln::RlnHarness h(reshard_harness_config());
+  h.register_all();
+  h.run_ms(2'000);
+  rln::NodeShards& shards = h.node(0).shards();
+  const auto state = [&shards] {
+    ByteWriter w;
+    shards.serialize(w);
+    return std::move(w).take();
+  };
+
+  ASSERT_EQ(shards.phase(), ReshardPhase::kStable);
+  const Bytes stable_before = state();
+  const Bytes stable_bad = shard_section_with_next(shards);
+  ByteReader stable_reader(stable_bad);
+  EXPECT_THROW(shards.restore(stable_reader), std::out_of_range);
+  EXPECT_EQ(state(), stable_before);
+
+  ASSERT_TRUE(h.node(0).begin_reshard(4));
+  ASSERT_EQ(shards.phase(), ReshardPhase::kAnnounce);
+  const Bytes announce_before = state();
+  const Bytes announce_bad = shard_section_with_next(shards);
+  ByteReader announce_reader(announce_bad);
+  EXPECT_THROW(shards.restore(announce_reader), std::out_of_range);
+  EXPECT_EQ(state(), announce_before);
+  EXPECT_EQ(shards.phase(), ReshardPhase::kAnnounce);
+  EXPECT_EQ(shards.next(), nullptr);
+
+  // The well-formed section still restores.
+  ByteReader good(announce_before);
+  shards.restore(good);
+  EXPECT_EQ(state(), announce_before);
+}
+
 TEST(NodeLiveReshard, LingerQuotaStaysDomainKeyed) {
   // While validators still enforce the shared old-generation domain log
   // (the post-drop-old linger), the publish quota must be keyed by the

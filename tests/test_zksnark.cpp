@@ -10,6 +10,7 @@
 
 #include "common/expect.hpp"
 #include "common/rng.hpp"
+#include "common/serde.hpp"
 #include "hash/poseidon.hpp"
 #include "hash/sha256.hpp"
 #include "merkle/merkle_tree.hpp"
@@ -172,6 +173,51 @@ TEST(ConstraintSystem, DigestOfNotedSystemSurvivesSealing) {
   EXPECT_EQ(n.cs.digest(), before);
   EXPECT_EQ(n.violation_after_bumping(4), "square");
   EXPECT_EQ(n.violation_after_bumping(5), "<unannotated>");
+}
+
+TEST(ConstraintSystem, StreamedDigestIsSha256OfTheByteWriterEncoding) {
+  // The digest is fed to SHA-256 field by field; it must equal the hash of
+  // the whole encoding built in one ByteWriter: u64 variables | u64 public
+  // | u64 constraints | per linear combination (a, b, c of each
+  // constraint) u32 term count, then per term u32 var | 32-byte BE coeff.
+  ConstraintSystem cs;
+  const VarIndex x = cs.allocate_public();
+  const VarIndex y = cs.allocate_private();
+  const VarIndex z = cs.allocate_private();
+  LinearCombination wide = LinearCombination::constant(Fr::from_u64(7));
+  wide.add_term(x, Fr::from_u64(3)).add_term(z, Fr::from_u64(11).neg());
+  const std::vector<std::array<LinearCombination, 3>> constraints = {
+      {LinearCombination::variable(x), LinearCombination::variable(y),
+       LinearCombination::variable(z)},
+      {wide, LinearCombination::constant(Fr::one()), LinearCombination{}},
+      {LinearCombination::variable(y, Fr::from_u64(3)), wide,
+       LinearCombination::variable(x, Fr::from_u64(3))},
+  };
+  for (const auto& [a, b, c] : constraints) cs.enforce(a, b, c);
+
+  ByteWriter w;
+  w.write_u64(cs.num_variables());
+  w.write_u64(cs.num_public());
+  w.write_u64(cs.num_constraints());
+  for (const auto& sides : constraints) {
+    for (const LinearCombination& lc : sides) {
+      w.write_u32(static_cast<std::uint32_t>(lc.terms().size()));
+      for (const auto& [var, coeff] : lc.terms()) {
+        w.write_u32(var);
+        w.write_raw(coeff.to_bytes_be());
+      }
+    }
+  }
+  const Fr expected = Fr::from_bytes_reduce(hash::sha256_bytes(w.data()));
+  EXPECT_EQ(cs.digest(), expected);
+  cs.seal();
+  EXPECT_EQ(cs.digest(), expected);
+}
+
+TEST(ConstraintSystem, Depth20DigestIsPinned) {
+  EXPECT_EQ(ff::fr_to_hex(rln_constraint_system(20).digest()),
+            "0x2fdf23dc2104ae762b874f5f18bc52df"
+            "1322c4ba594a164910f09153d5fdbf4f");
 }
 
 TEST(CircuitBuilder, MulAddsOneConstraint) {
