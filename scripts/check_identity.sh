@@ -13,9 +13,12 @@
 #   - example_node_state_digest: per node of a persistent, sharded run with
 #     the operator loop and a kill/restart, the SHA-256 of
 #     serialize_state() and of the WAL record stream.
-# The measured fields are dropped first: every `wall_ms` key and the
-# `overhead` object (traced/untraced wall seconds and their ratio). What
-# is left is a function of the seed alone. One line per output,
+# Every output is hashed as raw bytes, so spacing, key order and number
+# text count. The bench JSON files first have their measured values
+# blanked: each `"wall_ms": <n>` value and the flat `"overhead": {...}`
+# object (traced/untraced wall seconds and their ratio). What is left is
+# a function of the seed alone. bench_propagation's Chrome trace export
+# (`<out>.trace.json`) is hashed too. One line per output,
 # `<sha256>  <name>`, goes to stdout. With --against, the lines are
 # compared with MANIFEST (scripts/identity_manifest.txt is the committed
 # one) and the script exits non-zero on any difference.
@@ -80,32 +83,32 @@ run node_state_digest "$build/example_node_state_digest"
 hashes="$work/hashes.txt"
 python3 - "$work" >"$hashes" <<'EOF'
 import hashlib
-import json
+import re
 import sys
 
-MEASURED_KEYS = {"wall_ms", "overhead"}
+# The measured values, blanked in place; every other byte is hashed.
+MEASURED = [
+    (re.compile(rb'"wall_ms":\s*[-+0-9.eE]+'), b'"wall_ms": _'),
+    (re.compile(rb'"overhead":\s*\{[^{}]*\}'), b'"overhead": _'),
+]
 
 
-def strip(node):
-    if isinstance(node, dict):
-        return {k: strip(v) for k, v in node.items() if k not in MEASURED_KEYS}
-    if isinstance(node, list):
-        return [strip(v) for v in node]
-    return node
+def digest(path, blank=False):
+    with open(path, "rb") as f:
+        data = f.read()
+    if blank:
+        for pattern, repl in MEASURED:
+            data = pattern.sub(repl, data)
+    return hashlib.sha256(data).hexdigest()
 
 
 work = sys.argv[1]
 for name in ("adversarial", "propagation", "operator_loop", "reshard"):
-    with open(f"{work}/{name}.json") as f:
-        doc = strip(json.load(f))
-    text = json.dumps(doc, sort_keys=True, separators=(",", ":"))
-    print(f"{hashlib.sha256(text.encode()).hexdigest()}  bench_{name}.json")
+    print(f"{digest(f'{work}/{name}.json', blank=True)}  bench_{name}.json")
+print(f"{digest(f'{work}/propagation.trace.json')}  bench_propagation.trace.json")
 for mode in ("text", "json", "traces", "fleet", "postmortem"):
-    with open(f"{work}/metrics_dump_{mode}.out", "rb") as f:
-        digest = hashlib.sha256(f.read()).hexdigest()
-    print(f"{digest}  example_metrics_dump.{mode}")
-with open(f"{work}/node_state_digest.out", "rb") as f:
-    print(f"{hashlib.sha256(f.read()).hexdigest()}  example_node_state_digest")
+    print(f"{digest(f'{work}/metrics_dump_{mode}.out')}  example_metrics_dump.{mode}")
+print(f"{digest(f'{work}/node_state_digest.out')}  example_node_state_digest")
 EOF
 cat "$hashes"
 

@@ -1,55 +1,28 @@
 #include "obs/fleet.hpp"
 
 #include <algorithm>
-#include <cinttypes>
-#include <cstdio>
 
-#include "obs/recorder.hpp"
+#include "obs/json.hpp"
 #include "obs/telemetry.hpp"
 
 namespace waku::obs {
 
-namespace {
-
-void field_u64(std::string& out, const char* name, std::uint64_t v,
-               bool last = false) {
-  char buf[96];
-  std::snprintf(buf, sizeof buf, "\"%s\":%" PRIu64 "%s", name, v,
-                last ? "" : ",");
-  out += buf;
-}
-
-void field_f(std::string& out, const char* name, double v,
-             bool last = false) {
-  out += "\"";
-  out += name;
-  out += "\":";
-  out += format_double(v);
-  if (!last) out += ",";
-}
-
-}  // namespace
-
 std::string FleetEpochSeries::to_json() const {
-  std::string out = "{";
-  field_u64(out, "epoch", epoch);
-  field_u64(out, "nodes_reporting", nodes_reporting);
-  field_f(out, "honest_delivery_ratio", honest_delivery_ratio);
-  field_f(out, "containment_ratio", containment_ratio);
-  field_f(out, "containment_drift", containment_drift);
-  field_f(out, "p95_spread_ms", p95_spread_ms);
-  field_f(out, "max_p95_ms", max_p95_ms);
-  field_f(out, "quota_saturation", quota_saturation);
-  field_u64(out, "total_log_entries", total_log_entries);
-  field_f(out, "log_growth_per_epoch", log_growth_per_epoch);
-  field_u64(out, "executor_rejected", executor_rejected);
-  field_f(out, "propagation_p95_ms", propagation_p95_ms);
-  field_f(out, "propagation_redundancy", propagation_redundancy);
-  field_f(out, "propagation_reachability", propagation_reachability);
-  field_u64(out, "propagation_incomplete", propagation_incomplete,
-            /*last=*/true);
-  out += "}";
-  return out;
+  JsonWriter w;
+  w.obj().key("epoch").u64(epoch).key("nodes_reporting").u64(nodes_reporting);
+  w.key("honest_delivery_ratio").num(honest_delivery_ratio);
+  w.key("containment_ratio").num(containment_ratio);
+  w.key("containment_drift").num(containment_drift);
+  w.key("p95_spread_ms").num(p95_spread_ms).key("max_p95_ms").num(max_p95_ms);
+  w.key("quota_saturation").num(quota_saturation);
+  w.key("total_log_entries").u64(total_log_entries);
+  w.key("log_growth_per_epoch").num(log_growth_per_epoch);
+  w.key("executor_rejected").u64(executor_rejected);
+  w.key("propagation_p95_ms").num(propagation_p95_ms);
+  w.key("propagation_redundancy").num(propagation_redundancy);
+  w.key("propagation_reachability").num(propagation_reachability);
+  w.key("propagation_incomplete").u64(propagation_incomplete);
+  return std::move(w).take();
 }
 
 void FleetAggregator::ingest(NodeHealthSample sample) {
@@ -187,13 +160,10 @@ std::string FleetAggregator::to_prometheus() const {
 }
 
 std::string FleetAggregator::timeline_json() const {
-  std::string out = "[";
-  for (std::size_t i = 0; i < history_.size(); ++i) {
-    if (i > 0) out += ",";
-    out += history_[i].to_json();
-  }
-  out += "]";
-  return out;
+  JsonWriter w;
+  w.arr();
+  for (const FleetEpochSeries& row : history_) w.raw(row.to_json());
+  return std::move(w).take();
 }
 
 // -- AnomalyEngine ------------------------------------------------------------
@@ -212,19 +182,6 @@ const char* anomaly_rule_name(AnomalyRule rule) {
       return "propagation_latency";
   }
   return "unknown";
-}
-
-std::string AnomalyVerdict::to_json() const {
-  std::string out = "{\"rule\":\"";
-  out += anomaly_rule_name(rule);
-  out += "\",";
-  field_u64(out, "epoch", epoch);
-  out += std::string("\"firing\":") + (firing ? "true" : "false") + ",";
-  out += std::string("\"changed\":") + (changed ? "true" : "false") + ",";
-  field_f(out, "observed", observed);
-  field_f(out, "threshold", threshold, /*last=*/true);
-  out += "}";
-  return out;
 }
 
 AnomalyVerdict AnomalyEngine::step(AnomalyRule rule, std::uint64_t epoch,

@@ -168,8 +168,6 @@ struct AnomalyVerdict {
   bool changed = false;  ///< firing state flipped at this evaluation
   double observed = 0.0;
   double threshold = 0.0;
-
-  [[nodiscard]] std::string to_json() const;
 };
 
 class AnomalyEngine {

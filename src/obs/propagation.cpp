@@ -2,9 +2,8 @@
 
 #include <algorithm>
 #include <cinttypes>
-#include <cstdio>
 
-#include "obs/telemetry.hpp"  // format_double
+#include "obs/json.hpp"
 
 namespace waku::obs {
 
@@ -45,19 +44,20 @@ bool verdict_is_reject(const std::string& verdict) {
            verdict == "epoch_gap" || verdict == "duplicate");
 }
 
-std::string key_hex(TraceKey key) {
-  char buf[24];
-  std::snprintf(buf, sizeof buf, "%016" PRIx64, key);
-  return buf;
-}
-
-void append_u64(std::string& out, const char* name, std::uint64_t v,
-                bool comma = true) {
-  out += '"';
-  out += name;
-  out += "\":";
-  out += std::to_string(v);
-  if (comma) out += ',';
+/// The rollup members, shared by PropagationSummary::to_json and
+/// summary_json (which appends the tree detail).
+void write_summary(JsonWriter& w, const PropagationSummary& s) {
+  w.key("trees").u64(s.trees).key("complete_trees").u64(s.complete_trees);
+  w.key("incomplete_trees").u64(s.incomplete_trees);
+  w.key("rejected_trees").u64(s.rejected_trees);
+  w.key("adversary_trees").u64(s.adversary_trees);
+  w.key("propagation_p50_ns").u64(s.p50_ns);
+  w.key("propagation_p95_ns").u64(s.p95_ns);
+  w.key("propagation_p99_ns").u64(s.p99_ns);
+  w.key("redundancy_ratio").num(s.redundancy_ratio);
+  w.key("reachability").num(s.reachability).key("hop_histogram").arr();
+  for (const std::size_t n : s.hop_histogram) w.u64(n);
+  w.end();
 }
 
 }  // namespace
@@ -299,101 +299,57 @@ PropagationSummary PropagationAssembler::summary() const {
 }
 
 std::string PropagationTree::to_json() const {
-  std::string out = "{\"key\":\"" + key_hex(key) + "\",";
-  out += "\"origin_node\":";
-  out += has_origin ? std::to_string(origin_node) : "null";
-  out += ",";
-  append_u64(out, "publish_ns", publish_ns);
-  out += "\"shard\":";
-  out += has_shard ? std::to_string(shard) : "null";
-  out += ",";
-  append_u64(out, "deliveries", deliveries);
-  append_u64(out, "last_delivery_ns", last_delivery_ns);
-  append_u64(out, "latency_ns", latency_ns());
-  append_u64(out, "useful_rx", useful_rx);
-  append_u64(out, "duplicate_rx", duplicate_rx);
-  append_u64(out, "rejections", rejections);
-  out += "\"max_delivery_depth\":" + std::to_string(max_delivery_depth) + ",";
-  out += "\"reject_depth\":" + std::to_string(reject_depth) + ",";
-  out += std::string("\"truncated\":") + (truncated ? "true" : "false") + ",";
-  out += std::string("\"complete\":") + (complete ? "true" : "false") + ",";
-  out += std::string("\"rejected\":") + (rejected ? "true" : "false") + ",";
-  out += std::string("\"adversary_origin\":") +
-         (adversary_origin ? "true" : "false") + ",";
-  out += "\"hops\":[";
-  bool first = true;
+  JsonWriter w;
+  w.obj().key("key").fmt("\"%016" PRIx64 "\"", key).key("origin_node");
+  has_origin ? w.u64(origin_node) : w.null();
+  w.key("publish_ns").u64(publish_ns).key("shard");
+  has_shard ? w.u64(shard) : w.null();
+  w.key("deliveries").u64(deliveries);
+  w.key("last_delivery_ns").u64(last_delivery_ns);
+  w.key("latency_ns").u64(latency_ns()).key("useful_rx").u64(useful_rx);
+  w.key("duplicate_rx").u64(duplicate_rx).key("rejections").u64(rejections);
+  w.key("max_delivery_depth").i64(max_delivery_depth);
+  w.key("reject_depth").i64(reject_depth);
+  w.key("truncated").boolean(truncated).key("complete").boolean(complete);
+  w.key("rejected").boolean(rejected);
+  w.key("adversary_origin").boolean(adversary_origin).key("hops").arr();
   for (const PropagationNodeView& v : nodes) {
-    if (!first) out += ",";
-    first = false;
-    out += "{";
-    append_u64(out, "node", v.node);
-    out += "\"depth\":" + std::to_string(v.depth) + ",";
-    append_u64(out, "first_rx_ns", v.first_rx_ns);
-    out += "\"from\":";
-    out += v.from == kNoPeer ? "null" : std::to_string(v.from);
-    out += ",\"verdict\":\"" + json_escape(v.verdict) + "\",";
-    out += std::string("\"delivered\":") + (v.delivered ? "true" : "false") +
-           ",";
-    append_u64(out, "deliver_ns", v.deliver_ns);
-    append_u64(out, "forwards", v.forwards);
-    append_u64(out, "duplicate_rx", v.duplicate_rx, /*comma=*/false);
-    out += "}";
+    w.obj().key("node").u64(v.node).key("depth").i64(v.depth);
+    w.key("first_rx_ns").u64(v.first_rx_ns).key("from");
+    v.from == kNoPeer ? w.null() : w.u64(v.from);
+    w.key("verdict").str(v.verdict).key("delivered").boolean(v.delivered);
+    w.key("deliver_ns").u64(v.deliver_ns).key("forwards").u64(v.forwards);
+    w.key("duplicate_rx").u64(v.duplicate_rx).end();
   }
-  out += "]}";
-  return out;
+  return std::move(w).take();
 }
 
 std::string PropagationSummary::to_json() const {
-  std::string out = "{";
-  append_u64(out, "trees", trees);
-  append_u64(out, "complete_trees", complete_trees);
-  append_u64(out, "incomplete_trees", incomplete_trees);
-  append_u64(out, "rejected_trees", rejected_trees);
-  append_u64(out, "adversary_trees", adversary_trees);
-  append_u64(out, "propagation_p50_ns", p50_ns);
-  append_u64(out, "propagation_p95_ns", p95_ns);
-  append_u64(out, "propagation_p99_ns", p99_ns);
-  out += "\"redundancy_ratio\":" + format_double(redundancy_ratio) + ",";
-  out += "\"reachability\":" + format_double(reachability) + ",";
-  out += "\"hop_histogram\":[";
-  for (std::size_t d = 0; d < hop_histogram.size(); ++d) {
-    if (d > 0) out += ",";
-    out += std::to_string(hop_histogram[d]);
-  }
-  out += "]}";
-  return out;
+  JsonWriter w;
+  write_summary(w.obj(), *this);
+  return std::move(w).take();
 }
 
 std::string PropagationAssembler::summary_json() const {
-  std::string out = summary().to_json();
-  out.pop_back();  // reopen the summary object to append the tree detail
-  out += ",\"trees_detail\":[";
-  bool first = true;
+  JsonWriter w;
+  write_summary(w.obj(), summary());
+  w.key("trees_detail").arr();
   for (const auto& [key, per_node] : by_key_) {
-    if (!first) out += ",";
-    first = false;
-    out += build_tree(key, per_node).to_json();
+    w.raw(build_tree(key, per_node).to_json());
   }
-  out += "]}";
-  return out;
+  return std::move(w).take();
 }
 
 std::string PropagationAssembler::chrome_trace_json() const {
-  std::string out = "{\"traceEvents\":[";
-  bool first = true;
-  const auto emit = [&](const std::string& ev) {
-    if (!first) out += ",";
-    first = false;
-    out += ev;
-  };
+  JsonWriter w;
+  w.obj().key("traceEvents").arr();
   for (const std::uint64_t node_id : known_nodes_) {
-    emit("{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":" +
-         std::to_string(node_id) + ",\"tid\":0,\"args\":{\"name\":\"node " +
-         std::to_string(node_id) + "\"}}");
+    w.obj().key("name").str("process_name").key("ph").str("M");
+    w.key("pid").u64(node_id).key("tid").u64(0).key("args").obj();
+    w.key("name").str("node " + std::to_string(node_id)).end().end();
   }
   for (const auto& [key, per_node] : by_key_) {
     const PropagationTree tree = build_tree(key, per_node);
-    const std::string name = "msg " + key_hex(key);
     for (const PropagationNodeView& v : tree.nodes) {
       // One complete ("X") span per (message, node); ts/dur in us. A
       // zero-length span still gets 1us so the slice renders.
@@ -401,22 +357,16 @@ std::string PropagationAssembler::chrome_trace_json() const {
       const std::uint64_t end_us =
           std::max(v.span_end_ns, v.span_start_ns) / 1000;
       const std::uint64_t dur_us = end_us > ts_us ? end_us - ts_us : 1;
-      std::string ev = "{\"name\":\"" + name +
-                       "\",\"cat\":\"propagation\",\"ph\":\"X\",\"ts\":" +
-                       std::to_string(ts_us) + ",\"dur\":" +
-                       std::to_string(dur_us) + ",\"pid\":" +
-                       std::to_string(v.node) + ",\"tid\":0,\"args\":{";
-      ev += "\"depth\":" + std::to_string(v.depth) + ",";
-      ev += "\"verdict\":\"" + json_escape(v.verdict) + "\",";
-      ev += std::string("\"delivered\":") + (v.delivered ? "true" : "false") +
-            ",";
-      ev += "\"forwards\":" + std::to_string(v.forwards) + ",";
-      ev += "\"duplicate_rx\":" + std::to_string(v.duplicate_rx) + "}}";
-      emit(ev);
+      w.obj().key("name").fmt("\"msg %016" PRIx64 "\"", key);
+      w.key("cat").str("propagation").key("ph").str("X");
+      w.key("ts").u64(ts_us).key("dur").u64(dur_us).key("pid").u64(v.node);
+      w.key("tid").u64(0).key("args").obj().key("depth").i64(v.depth);
+      w.key("verdict").str(v.verdict).key("delivered").boolean(v.delivered);
+      w.key("forwards").u64(v.forwards);
+      w.key("duplicate_rx").u64(v.duplicate_rx).end().end();
     }
   }
-  out += "]}";
-  return out;
+  return std::move(w).take();
 }
 
 std::string PropagationAssembler::forensics_json() const {
@@ -431,49 +381,32 @@ std::string PropagationAssembler::forensics_json() const {
               return a.node < b.node;
             });
 
-  std::string out = "{\"attacks\":[";
-  bool first_attack = true;
+  JsonWriter w;
+  w.obj().key("attacks").arr();
   for (const auto& [key, per_node] : by_key_) {
     const PropagationTree tree = build_tree(key, per_node);
     if (!tree.rejected && !tree.adversary_origin) continue;
-    if (!first_attack) out += ",";
-    first_attack = false;
-    out += "{\"key\":\"" + key_hex(key) + "\",";
-    out += "\"origin_node\":";
-    out += tree.has_origin ? std::to_string(tree.origin_node) : "null";
-    out += ",";
-    append_u64(out, "publish_ns", tree.publish_ns);
-    out += "\"reject_depth\":" + std::to_string(tree.reject_depth) + ",";
-    out += "\"observations\":[";
-    bool first_obs = true;
+    w.obj().key("key").fmt("\"%016" PRIx64 "\"", key).key("origin_node");
+    tree.has_origin ? w.u64(tree.origin_node) : w.null();
+    w.key("publish_ns").u64(tree.publish_ns);
+    w.key("reject_depth").i64(tree.reject_depth).key("observations").arr();
     for (const PropagationNodeView& v : tree.nodes) {
       if (v.verdict.empty() && v.first_rx_ns == 0) continue;
-      if (!first_obs) out += ",";
-      first_obs = false;
-      out += "{";
-      append_u64(out, "node", v.node);
-      append_u64(out, "rx_ns", v.first_rx_ns);
-      out += "\"verdict\":\"" + json_escape(v.verdict) + "\"}";
+      w.obj().key("node").u64(v.node).key("rx_ns").u64(v.first_rx_ns);
+      w.key("verdict").str(v.verdict).end();
     }
-    out += "],\"slash_chain\":[";
-    bool first_slash = true;
+    w.end().key("slash_chain").arr();
     for (const TaggedFlightEvent& ev : chain) {
       // Causal window: only slashes at/after this spam's publish.
       if (tree.has_origin && ev.event.at_ns < tree.publish_ns) continue;
-      if (!first_slash) out += ",";
-      first_slash = false;
-      out += "{";
-      append_u64(out, "node", ev.node);
-      append_u64(out, "at_ns", ev.event.at_ns);
-      append_u64(out, "epoch", ev.event.epoch);
-      out += "\"detail\":\"" + json_escape(ev.event.detail) + "\"}";
+      w.obj().key("node").u64(ev.node).key("at_ns").u64(ev.event.at_ns);
+      w.key("epoch").u64(ev.event.epoch).key("detail").str(ev.event.detail);
+      w.end();
     }
-    out += "]}";
+    w.end().end();
   }
-  out += "],";
-  append_u64(out, "slash_events", chain.size(), /*comma=*/false);
-  out += "}";
-  return out;
+  w.end().key("slash_events").u64(chain.size());
+  return std::move(w).take();
 }
 
 }  // namespace waku::obs

@@ -1,53 +1,14 @@
 #include "obs/recorder.hpp"
 
-#include <cinttypes>
-#include <cstdio>
+#include "obs/json.hpp"
 
 namespace waku::obs {
 
-std::string json_escape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  for (const char c : s) {
-    switch (c) {
-      case '"':
-        out += "\\\"";
-        break;
-      case '\\':
-        out += "\\\\";
-        break;
-      case '\n':
-        out += "\\n";
-        break;
-      case '\r':
-        out += "\\r";
-        break;
-      case '\t':
-        out += "\\t";
-        break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof buf, "\\u%04x",
-                        static_cast<unsigned>(static_cast<unsigned char>(c)));
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
-}
-
 std::string FlightEvent::to_json() const {
-  char buf[64];
-  std::string out = "{";
-  std::snprintf(buf, sizeof buf, "\"at_ns\":%" PRIu64 ",\"epoch\":%" PRIu64,
-                at_ns, epoch);
-  out += buf;
-  out += ",\"kind\":\"" + json_escape(kind) + "\"";
-  out += ",\"detail\":\"" + json_escape(detail) + "\"}";
-  return out;
+  JsonWriter w;
+  w.obj().key("at_ns").u64(at_ns).key("epoch").u64(epoch);
+  w.key("kind").str(kind).key("detail").str(detail);
+  return std::move(w).take();
 }
 
 void FlightRecorder::record(std::uint64_t at_ns, std::uint64_t epoch,
@@ -79,21 +40,12 @@ std::uint64_t FlightRecorder::evicted() const {
 
 std::string FlightRecorder::postmortem_json(const std::string& reason) const {
   const std::lock_guard<std::mutex> lock(mu_);
-  char buf[64];
-  std::string out = "{\"reason\":\"" + json_escape(reason) + "\",";
-  std::snprintf(buf, sizeof buf,
-                "\"recorded\":%" PRIu64 ",\"evicted\":%" PRIu64 ",", recorded_,
-                evicted_);
-  out += buf;
-  out += "\"events\":[";
-  bool first = true;
-  for (const FlightEvent& ev : ring_) {
-    if (!first) out += ",";
-    first = false;
-    out += ev.to_json();
-  }
-  out += "]}";
-  return out;
+  JsonWriter w;
+  w.obj().key("reason").str(reason);
+  w.key("recorded").u64(recorded_).key("evicted").u64(evicted_);
+  w.key("events").arr();
+  for (const FlightEvent& ev : ring_) w.raw(ev.to_json());
+  return std::move(w).take();
 }
 
 }  // namespace waku::obs

@@ -24,10 +24,6 @@
 
 namespace waku::obs {
 
-/// Minimal JSON string escaping for event details / postmortem dumps
-/// (quotes, backslashes, control characters).
-[[nodiscard]] std::string json_escape(const std::string& s);
-
 struct FlightEvent {
   std::uint64_t at_ns = 0;
   std::uint64_t epoch = 0;

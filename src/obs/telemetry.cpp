@@ -3,6 +3,8 @@
 #include <cinttypes>
 #include <cstdio>
 
+#include "obs/json.hpp"
+
 namespace waku::obs {
 
 std::string format_double(double v) {
@@ -55,37 +57,20 @@ std::string Telemetry::to_prometheus() const {
 }
 
 std::string Telemetry::to_json() const {
-  std::string out = "{";
+  JsonWriter w;
+  w.obj();
   std::lock_guard<std::mutex> lock(mu_);
-  bool first_fam = true;
   for (const auto& [name, fam] : families_) {
-    if (!first_fam) out += ",";
-    first_fam = false;
-    out += "\"" + name + "\":[";
-    bool first = true;
+    w.key(name).arr();
     for (const auto& [labels, h] : fam->series) {
-      if (!first) out += ",";
-      first = false;
-      out += "{\"labels\":\"";
-      for (char c : labels) {
-        if (c == '"' || c == '\\') out += '\\';
-        out += c;
-      }
-      out += "\",";
-      char buf[160];
       const auto snap = h->snapshot();
-      std::snprintf(buf, sizeof(buf),
-                    "\"count\":%" PRIu64 ",\"sum\":%" PRIu64
-                    ",\"p50\":%" PRIu64 ",\"p95\":%" PRIu64
-                    ",\"p99\":%" PRIu64,
-                    snap.count, snap.sum, snap.p50, snap.p95, snap.p99);
-      out += buf;
-      out += "}";
+      w.obj().key("labels").str(labels).key("count").u64(snap.count);
+      w.key("sum").u64(snap.sum).key("p50").u64(snap.p50);
+      w.key("p95").u64(snap.p95).key("p99").u64(snap.p99).end();
     }
-    out += "]";
+    w.end();
   }
-  out += "}";
-  return out;
+  return std::move(w).take();
 }
 
 // ---------------------------------------------------------------------------

@@ -2,50 +2,22 @@
 
 #include <algorithm>
 #include <cinttypes>
-#include <cstdio>
 
-#include "obs/recorder.hpp"
+#include "obs/json.hpp"
 
 namespace waku::obs {
 
-namespace {
-
-// Shared with FlightRecorder: json_escape handles quotes, backslashes,
-// AND control characters (the hand-rolled escaper this replaced produced
-// invalid JSON for details containing newlines or other control bytes).
-void append_json_string(std::string& out, const std::string& s) {
-  out += '"';
-  out += json_escape(s);
-  out += '"';
-}
-
-}  // namespace
-
 std::string Trace::to_json() const {
-  char buf[128];
-  std::string out;
-  std::snprintf(buf, sizeof(buf),
-                "{\"key\":\"%016" PRIx64 "\",\"start_ns\":%" PRIu64
-                ",\"end_ns\":%" PRIu64 ",\"duration_ns\":%" PRIu64
-                ",\"outcome\":",
-                key, start_ns, end_ns, duration_ns());
-  out += buf;
-  append_json_string(out, outcome);
-  out += ",\"events\":[";
-  bool first = true;
+  JsonWriter w;
+  w.obj().key("key").fmt("\"%016" PRIx64 "\"", key);
+  w.key("start_ns").u64(start_ns).key("end_ns").u64(end_ns);
+  w.key("duration_ns").u64(duration_ns()).key("outcome").str(outcome);
+  w.key("events").arr();
   for (const auto& ev : events) {
-    if (!first) out += ",";
-    first = false;
-    std::snprintf(buf, sizeof(buf), "{\"at_ns\":%" PRIu64 ",\"stage\":",
-                  ev.at_ns);
-    out += buf;
-    append_json_string(out, ev.stage);
-    out += ",\"detail\":";
-    append_json_string(out, ev.detail);
-    out += "}";
+    w.obj().key("at_ns").u64(ev.at_ns).key("stage").str(ev.stage);
+    w.key("detail").str(ev.detail).end();
   }
-  out += "]}";
-  return out;
+  return std::move(w).take();
 }
 
 void TraceCollector::record(TraceKey key, std::uint64_t at_ns,
@@ -164,29 +136,15 @@ std::vector<Trace> TraceCollector::slowest() const {
 
 std::string TraceCollector::to_json() const {
   std::lock_guard<std::mutex> lock(mu_);
-  std::string out = "{\"completed\":[";
-  bool first = true;
-  for (const auto& t : completed_) {
-    if (!first) out += ",";
-    first = false;
-    out += t.to_json();
-  }
-  out += "],\"slowest\":[";
-  first = true;
-  for (const auto& t : slow_) {
-    if (!first) out += ",";
-    first = false;
-    out += t.to_json();
-  }
-  char buf[192];
-  std::snprintf(buf, sizeof(buf),
-                "],\"stats\":{\"sampled\":%" PRIu64 ",\"finished\":%" PRIu64
-                ",\"evicted\":%" PRIu64 ",\"truncated\":%" PRIu64
-                ",\"open\":%zu}}",
-                stats_.sampled, stats_.finished, stats_.evicted,
-                stats_.truncated, open_.size());
-  out += buf;
-  return out;
+  JsonWriter w;
+  w.obj().key("completed").arr();
+  for (const auto& t : completed_) w.raw(t.to_json());
+  w.end().key("slowest").arr();
+  for (const auto& t : slow_) w.raw(t.to_json());
+  w.end().key("stats").obj().key("sampled").u64(stats_.sampled);
+  w.key("finished").u64(stats_.finished).key("evicted").u64(stats_.evicted);
+  w.key("truncated").u64(stats_.truncated).key("open").u64(open_.size());
+  return std::move(w).take();
 }
 
 }  // namespace waku::obs

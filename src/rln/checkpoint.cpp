@@ -11,17 +11,33 @@ namespace {
 constexpr std::uint8_t kVersion = 2;  // v2: shard watermarks + Schnorr sig
 constexpr std::size_t kWatermarkBytes = 2 + 8;  // shard u16 + min_epoch u64
 
+/// The per-shard watermark list, shared by both artifacts' codecs.
+void write_watermarks(ByteWriter& w,
+                      const std::vector<shard::ShardWatermark>& watermarks) {
+  w.write_u16(static_cast<std::uint16_t>(watermarks.size()));
+  for (const shard::ShardWatermark& wm : watermarks) {
+    w.write_u16(wm.shard);
+    w.write_u64(wm.min_epoch);
+  }
+}
+
+std::vector<shard::ShardWatermark> read_watermarks(ByteReader& r) {
+  const std::size_t count = r.bounded_count(r.read_u16(), kWatermarkBytes);
+  std::vector<shard::ShardWatermark> watermarks(count);
+  for (shard::ShardWatermark& wm : watermarks) {
+    wm.shard = r.read_u16();
+    wm.min_epoch = r.read_u64();
+  }
+  return watermarks;
+}
+
 Bytes payload_bytes(const Checkpoint& cp) {
   ByteWriter w;
   w.write_u8(kVersion);
   w.write_u64(cp.event_cursor);
   w.write_u64(cp.member_count);
   w.write_u64(cp.removed_count);
-  w.write_u16(static_cast<std::uint16_t>(cp.nullifier_watermarks.size()));
-  for (const shard::ShardWatermark& wm : cp.nullifier_watermarks) {
-    w.write_u16(wm.shard);
-    w.write_u64(wm.min_epoch);
-  }
+  write_watermarks(w, cp.nullifier_watermarks);
   w.write_u32(static_cast<std::uint32_t>(cp.recent_roots.size()));
   for (const Fr& root : cp.recent_roots) w.write_raw(root.to_bytes_be());
   w.write_bytes(cp.view);
@@ -46,15 +62,7 @@ Checkpoint Checkpoint::deserialize(BytesView bytes) {
   cp.event_cursor = r.read_u64();
   cp.member_count = r.read_u64();
   cp.removed_count = r.read_u64();
-  const std::size_t watermark_count =
-      r.bounded_count(r.read_u16(), kWatermarkBytes);
-  cp.nullifier_watermarks.reserve(watermark_count);
-  for (std::size_t i = 0; i < watermark_count; ++i) {
-    shard::ShardWatermark wm;
-    wm.shard = r.read_u16();
-    wm.min_epoch = r.read_u64();
-    cp.nullifier_watermarks.push_back(wm);
-  }
+  cp.nullifier_watermarks = read_watermarks(r);
   const std::size_t root_count = r.bounded_count(r.read_u32(), 32);
   cp.recent_roots.reserve(root_count);
   for (std::size_t i = 0; i < root_count; ++i) {
@@ -74,9 +82,10 @@ bool Checkpoint::verify(const Fr& service_pk) const {
   return hash::schnorr::verify(service_pk, payload_bytes(*this), signature);
 }
 
-std::optional<std::uint64_t> Checkpoint::watermark_for(
-    shard::ShardId shard) const {
-  for (const shard::ShardWatermark& wm : nullifier_watermarks) {
+std::optional<std::uint64_t> watermark_for(
+    const std::vector<shard::ShardWatermark>& watermarks,
+    shard::ShardId shard) {
+  for (const shard::ShardWatermark& wm : watermarks) {
     if (wm.shard == shard) return wm.min_epoch;
   }
   return std::nullopt;
@@ -94,11 +103,7 @@ Bytes delta_payload_bytes(const DeltaCheckpoint& d) {
   w.write_u64(d.to_cursor);
   w.write_u64(d.member_count);
   w.write_u64(d.removed_count);
-  w.write_u16(static_cast<std::uint16_t>(d.nullifier_watermarks.size()));
-  for (const shard::ShardWatermark& wm : d.nullifier_watermarks) {
-    w.write_u16(wm.shard);
-    w.write_u64(wm.min_epoch);
-  }
+  write_watermarks(w, d.nullifier_watermarks);
   w.write_u8(static_cast<std::uint8_t>(d.root_tail.size()));
   for (const Fr& root : d.root_tail) w.write_raw(root.to_bytes_be());
   return std::move(w).take();
@@ -124,15 +129,7 @@ DeltaCheckpoint DeltaCheckpoint::deserialize(BytesView bytes) {
   d.to_cursor = r.read_u64();
   d.member_count = r.read_u64();
   d.removed_count = r.read_u64();
-  const std::size_t watermark_count =
-      r.bounded_count(r.read_u16(), kWatermarkBytes);
-  d.nullifier_watermarks.reserve(watermark_count);
-  for (std::size_t i = 0; i < watermark_count; ++i) {
-    shard::ShardWatermark wm;
-    wm.shard = r.read_u16();
-    wm.min_epoch = r.read_u64();
-    d.nullifier_watermarks.push_back(wm);
-  }
+  d.nullifier_watermarks = read_watermarks(r);
   const std::uint8_t tail = r.read_u8();
   if (tail > kDeltaRootTailMax) {
     throw std::out_of_range("DeltaCheckpoint: root tail over cap");
@@ -153,14 +150,6 @@ void DeltaCheckpoint::sign(const hash::schnorr::KeyPair& key) {
 bool DeltaCheckpoint::verify(const Fr& service_pk) const {
   return hash::schnorr::verify(service_pk, delta_payload_bytes(*this),
                                signature);
-}
-
-std::optional<std::uint64_t> DeltaCheckpoint::watermark_for(
-    shard::ShardId shard) const {
-  for (const shard::ShardWatermark& wm : nullifier_watermarks) {
-    if (wm.shard == shard) return wm.min_epoch;
-  }
-  return std::nullopt;
 }
 
 Checkpoint make_group_checkpoint(

@@ -50,14 +50,16 @@ struct Checkpoint {
   /// payload. Any payload or signature tampering fails.
   [[nodiscard]] bool verify(const Fr& service_pk) const;
 
-  /// Watermark for one shard, if the checkpoint carries it.
-  [[nodiscard]] std::optional<std::uint64_t> watermark_for(
-      shard::ShardId shard) const;
-
   [[nodiscard]] GroupCheckpoint group_checkpoint() const {
     return GroupCheckpoint{member_count, removed_count, recent_roots, view};
   }
 };
+
+/// Watermark for one shard in a (full or delta) checkpoint's list, if it
+/// carries that shard.
+[[nodiscard]] std::optional<std::uint64_t> watermark_for(
+    const std::vector<shard::ShardWatermark>& watermarks,
+    shard::ShardId shard);
 
 /// Builds the unsigned checkpoint for a full peer's group state.
 /// `watermarks` is the serving peer's per-shard nullifier GC state,
@@ -113,9 +115,6 @@ struct DeltaCheckpoint {
 
   void sign(const hash::schnorr::KeyPair& key);
   [[nodiscard]] bool verify(const Fr& service_pk) const;
-
-  [[nodiscard]] std::optional<std::uint64_t> watermark_for(
-      shard::ShardId shard) const;
 };
 
 }  // namespace waku::rln

@@ -28,6 +28,21 @@ void write_shard_list(ByteWriter& w,
   for (const shard::ShardId shard : shards) w.write_u16(shard);
 }
 
+/// The served GC watermark of every shard in `subscribed`, or nullopt if
+/// one is missing: without it the client cannot know which old epochs
+/// that shard already expired, so it adopts nothing.
+std::optional<std::vector<shard::ShardWatermark>> cover_subscribed(
+    const std::vector<shard::ShardId>& subscribed,
+    const std::vector<shard::ShardWatermark>& served) {
+  std::vector<shard::ShardWatermark> watermarks;
+  for (const shard::ShardId shard : subscribed) {
+    const std::optional<std::uint64_t> wm = watermark_for(served, shard);
+    if (!wm.has_value()) return std::nullopt;
+    watermarks.push_back(shard::ShardWatermark{shard, *wm});
+  }
+  return watermarks;
+}
+
 }  // namespace
 
 RlnFullServiceNode::RlnFullServiceNode(net::Network& network,
@@ -220,14 +235,10 @@ bool RlnLightClient::adopt_checkpoint(const Checkpoint& checkpoint) {
   //    key. Fail-closed on any payload or signature tampering.
   if (!checkpoint.verify(service_pk_)) return false;
   // 1b. Shard scope: every shard we subscribe to must come with the
-  //     serving log's GC watermark — without it we cannot know which old
-  //     epochs that shard already expired, so adopt nothing.
-  std::vector<shard::ShardWatermark> watermarks;
-  for (const shard::ShardId shard : shards_config_.subscribed_shards()) {
-    const std::optional<std::uint64_t> wm = checkpoint.watermark_for(shard);
-    if (!wm.has_value()) return false;
-    watermarks.push_back(shard::ShardWatermark{shard, *wm});
-  }
+  //     serving log's GC watermark.
+  const auto watermarks = cover_subscribed(
+      shards_config_.subscribed_shards(), checkpoint.nullifier_watermarks);
+  if (!watermarks.has_value()) return false;
   // 2. Internal consistency: the view's root must close the root window
   //    (from_checkpoint enforces this; a mismatch throws).
   // 3. Contract cross-check, both directions: the member counter the
@@ -251,7 +262,7 @@ bool RlnLightClient::adopt_checkpoint(const Checkpoint& checkpoint) {
     validator_.emplace(zksnark::rln_keypair(group_->depth()).vk, *group_,
                        ValidatorConfig{epoch_, /*max_epoch_gap=*/2},
                        shards_config_, rng_.next_u64());
-    validator_->seed_nullifier_watermarks(watermarks);
+    validator_->seed_nullifier_watermarks(*watermarks);
 
     // Resume the contract event stream where the checkpoint left off —
     // this is the whole point: O(log N) transferred, zero genesis replay.
@@ -315,12 +326,9 @@ bool RlnLightClient::adopt_delta(const DeltaCheckpoint& delta) {
       delta.removed_count < group_->removed_count()) {
     return false;
   }
-  std::vector<shard::ShardWatermark> watermarks;
-  for (const shard::ShardId shard : shards_config_.subscribed_shards()) {
-    const std::optional<std::uint64_t> wm = delta.watermark_for(shard);
-    if (!wm.has_value()) return false;
-    watermarks.push_back(shard::ShardWatermark{shard, *wm});
-  }
+  const auto watermarks = cover_subscribed(
+      shards_config_.subscribed_shards(), delta.nullifier_watermarks);
+  if (!watermarks.has_value()) return false;
   // 4. Contract cross-check: the claimed destination may not be ahead of
   //    the chain (forged future) nor further behind it than the lag
   //    tolerance (replayed stale delta).
@@ -332,7 +340,7 @@ bool RlnLightClient::adopt_delta(const DeltaCheckpoint& delta) {
 
   group_->advance_window(delta.root_tail, delta.member_count,
                          delta.removed_count);
-  validator_->seed_nullifier_watermarks(watermarks);
+  validator_->seed_nullifier_watermarks(*watermarks);
   bootstrap_cursor_ = delta.to_cursor;
   events_applied_ = 0;
   ++delta_syncs_applied_;

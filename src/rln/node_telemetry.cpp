@@ -1,8 +1,8 @@
 #include "rln/node_telemetry.hpp"
 
 #include <algorithm>
-#include <cstdio>
 
+#include "obs/json.hpp"
 #include "waku/message.hpp"
 
 namespace waku::rln {
@@ -253,23 +253,20 @@ NodeTelemetrySnapshot& NodeTelemetrySnapshot::operator+=(
 
 std::string telemetry_section_json(const NodeTelemetrySnapshot& t,
                                    std::string_view section) {
-  std::string out = "{";
-  const auto field = [&out](const char* key, std::uint64_t v) {
-    if (out.size() > 1) out += ",";
-    out.append("\"").append(key).append("\":").append(std::to_string(v));
-  };
+  obs::JsonWriter w;
+  w.obj();
   if (section == "pipeline") {
     for (const PipelineField& f : kPipelineFields) {
-      if (f.json_key != nullptr) field(f.json_key, t.pipeline.*(f.field));
+      if (f.json_key != nullptr) w.key(f.json_key).u64(t.pipeline.*(f.field));
     }
   } else {
     for (const ScalarField& f : kScalarFields) {
       if (f.json_key != nullptr && section == f.section) {
-        field(f.json_key, f.at.get(t));
+        w.key(f.json_key).u64(f.at.get(t));
       }
     }
   }
-  return out + "}";
+  return std::move(w).take();
 }
 
 NodeTelemetry::NodeTelemetry(const obs::ObsConfig& config,
@@ -541,60 +538,42 @@ std::string NodeTelemetry::metrics_text() const {
 
 std::string NodeTelemetry::metrics_json() const {
   const NodeTelemetrySnapshot t = snapshot();
-  std::string out = "{";
-  std::string sep;  // between the fields of the object being written
-  const auto begin = [&] {
-    out += out.back() == '[' ? "{" : ",{";
-    sep = "";
-  };
-  const auto u64 = [&](const char* key, std::uint64_t v) {
-    out += sep + "\"" + key + "\":" + std::to_string(v);
-    sep = ",";
-  };
+  obs::JsonWriter w;
   const auto section = [&](const char* name) {
-    out.append("\"").append(name).append("\":");
-    out += telemetry_section_json(t, name) + ",";
+    w.key(name).raw(telemetry_section_json(t, name));
   };
 
+  w.obj();
   section("node");
   section("router");
   section("pipeline");
-  out += "\"per_shard\":[";
+  w.key("per_shard").arr();
   for (const auto& [s, stats] : t.per_shard) {
-    begin();
-    u64("shard", s);
-    u64("accepted", stats.accepted);
-    u64("spam_detected", stats.spam_detected);
-    u64("stale_root", stats.stale_root);
-    u64("log_entries", stats.log_entries);
-    char p95[64];
-    std::snprintf(p95, sizeof p95, ",\"p95_validate_ms\":%.3f}",
-                  shard_p95_validate_ms(s));
-    out += p95;
+    w.obj().key("shard").u64(s).key("accepted").u64(stats.accepted);
+    w.key("spam_detected").u64(stats.spam_detected);
+    w.key("stale_root").u64(stats.stale_root);
+    w.key("log_entries").u64(stats.log_entries);
+    w.key("p95_validate_ms").fmt("%.3f", shard_p95_validate_ms(s)).end();
   }
-  out += "],";
+  w.end();
 
   section("executor");
-  out += "\"executor_lanes\":[";
-  const std::vector<LaneObsSnapshot> lanes =
-      src_.validator.executor_lane_stats();
-  for (const LaneObsSnapshot& lane : lanes) {
-    begin();
-    u64("lane", lane.lane);
-    u64("queue_wait_count", lane.queue_wait.count);
-    u64("queue_wait_p95_ns", lane.queue_wait.p95);
-    u64("service_count", lane.service.count);
-    u64("service_p95_ns", lane.service.p95);
-    u64("depth_high_watermark", lane.depth_high_watermark);
-    out += "}";
+  w.key("executor_lanes").arr();
+  for (const LaneObsSnapshot& lane : src_.validator.executor_lane_stats()) {
+    w.obj().key("lane").u64(lane.lane);
+    w.key("queue_wait_count").u64(lane.queue_wait.count);
+    w.key("queue_wait_p95_ns").u64(lane.queue_wait.p95);
+    w.key("service_count").u64(lane.service.count);
+    w.key("service_p95_ns").u64(lane.service.p95);
+    w.key("depth_high_watermark").u64(lane.depth_high_watermark).end();
   }
-  out += "],";
+  w.end();
 
   section("trace");
   section("operator");
-  out += "\"fleet\":" + self_fleet_.timeline_json() + ",";
-  out += "\"registry\":" + registry_.to_json() + "}";
-  return out;
+  w.key("fleet").raw(self_fleet_.timeline_json());
+  w.key("registry").raw(registry_.to_json());
+  return std::move(w).take();
 }
 
 }  // namespace waku::rln

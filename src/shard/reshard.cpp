@@ -1,7 +1,6 @@
 #include "shard/reshard.hpp"
 
 #include <algorithm>
-#include <cstdio>
 #include <stdexcept>
 #include <string>
 
@@ -335,21 +334,6 @@ RebalanceRecommendation ShardLoadTracker::recommend(
         ShardMap::moved_topics(map, map.split(factor), topics).size();
   }
   return rec;
-}
-
-std::string RebalanceRecommendation::to_json() const {
-  char buf[512];
-  std::snprintf(
-      buf, sizeof buf,
-      "{\"reshard_recommended\": %s, \"current_shards\": %u, "
-      "\"target_shards\": %u, \"max_rate_msgs_per_sec\": %.2f, "
-      "\"mean_rate_msgs_per_sec\": %.2f, \"skew\": %.3f, "
-      "\"max_log_entries\": %zu, \"max_p95_validate_ms\": %.2f, "
-      "\"predicted_moved_topics\": %zu, \"reason\": \"%s\"}",
-      reshard_recommended ? "true" : "false", current_shards, target_shards,
-      max_rate_msgs_per_sec, mean_rate_msgs_per_sec, skew, max_log_entries,
-      max_p95_validate_ms, predicted_moved_topics, reason.c_str());
-  return buf;
 }
 
 }  // namespace waku::shard

@@ -213,8 +213,6 @@ struct RebalanceRecommendation {
   /// the recommended split — the migration cost an operator weighs.
   std::size_t predicted_moved_topics = 0;
   std::string reason;
-
-  [[nodiscard]] std::string to_json() const;
 };
 
 /// Aggregates per-shard validated-message rates and nullifier-log sizes

@@ -4,6 +4,7 @@
 
 #include "common/serde.hpp"
 #include "hash/poseidon.hpp"
+#include "hash/sha256.hpp"
 #include "rln/harness.hpp"
 #include "rln/light_client.hpp"
 
@@ -421,6 +422,42 @@ TEST_F(LightFixture, TamperedCheckpointPayloadFailsSchnorrVerification) {
   // And serialization round-trips the signature intact.
   const rln::Checkpoint wire = rln::Checkpoint::deserialize(cp.serialize());
   EXPECT_TRUE(wire.verify(key.pk));
+}
+
+TEST(CheckpointWire, SerializeBytesArePinned) {
+  // Hand-built full and delta checkpoints with two shard watermarks,
+  // signed under a fixed key: the wire bytes documented in
+  // docs/FORMATS.md must not move under a refactor of either codec.
+  const auto key = hash::schnorr::keygen_from_seed(0xC4E3);
+  const std::vector<shard::ShardWatermark> watermarks{{0, 3}, {2, 9}};
+
+  Checkpoint cp;
+  cp.event_cursor = 7;
+  cp.member_count = 5;
+  cp.removed_count = 1;
+  cp.nullifier_watermarks = watermarks;
+  cp.recent_roots = {Fr::from_u64(11), Fr::from_u64(12)};
+  cp.view = {1, 2, 3};
+  cp.sign(key);
+
+  DeltaCheckpoint delta;
+  delta.from_cursor = 7;
+  delta.from_root = Fr::from_u64(12);
+  delta.to_cursor = 9;
+  delta.member_count = 6;
+  delta.removed_count = 1;
+  delta.nullifier_watermarks = watermarks;
+  delta.root_tail = {Fr::from_u64(13), Fr::from_u64(14)};
+  delta.sign(key);
+
+  EXPECT_EQ(to_hex(hash::sha256(cp.serialize())),
+            "e6b81276363066915c472664fda3f90dfdafdac558b9f30a749b4ed0efc49aa7");
+  EXPECT_EQ(to_hex(hash::sha256(delta.serialize())),
+            "d1fd1a65b32e02a837a04a1ef8b18771d41f3938d50c6a5818fccd71d236ff35");
+  EXPECT_EQ(Checkpoint::deserialize(cp.serialize()).serialize(),
+            cp.serialize());
+  EXPECT_EQ(DeltaCheckpoint::deserialize(delta.serialize()).serialize(),
+            delta.serialize());
 }
 
 TEST_F(LightFixture, ClientSecretNeverNeededByService) {

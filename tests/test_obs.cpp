@@ -20,6 +20,7 @@
 #include "hash/sha256.hpp"
 #include "obs/clock.hpp"
 #include "obs/fleet.hpp"
+#include "obs/json.hpp"
 #include "obs/propagation.hpp"
 #include "obs/recorder.hpp"
 #include "obs/telemetry.hpp"
@@ -278,6 +279,17 @@ TEST(FlightRecorder, RingIsBoundedAndCountsEvictions) {
   EXPECT_EQ(events.back().detail, "event 9");
 }
 
+TEST(JsonWriter, PlacesCommasAndClosesOpenContainers) {
+  JsonWriter w;
+  w.obj().key("a").arr().u64(1).i64(-2).obj().end().arr().end().end();
+  w.key("s").str("q\"\n").key("b").boolean(false).key("n").null();
+  w.key("d").num(0.5).key("f").fmt("%.3f", 1.0).key("r").raw("[]");
+  w.key("open").arr().str("x");  // take() closes the array and the object
+  EXPECT_EQ(std::move(w).take(),
+            R"({"a":[1,-2,{},[]],"s":"q\"\n","b":false,"n":null,"d":0.5,)"
+            R"("f":1.000,"r":[],"open":["x"]})");
+}
+
 TEST(FlightRecorder, PostmortemJsonEscapesAndStructures) {
   EXPECT_EQ(json_escape("plain"), "plain");
   EXPECT_EQ(json_escape("a\"b\\c"), "a\\\"b\\\\c");
@@ -448,11 +460,21 @@ TEST(AnomalyEngine, EveryRuleTripsOnItsOwnSignal) {
   const std::vector<AnomalyVerdict> v = eng.evaluate(row);
   ASSERT_EQ(v.size(), 5u);
   for (const AnomalyVerdict& verdict : v) {
-    EXPECT_TRUE(verdict.firing)
-        << anomaly_rule_name(verdict.rule);
-    EXPECT_NE(verdict.to_json().find(anomaly_rule_name(verdict.rule)),
-              std::string::npos);
+    EXPECT_TRUE(verdict.firing) << anomaly_rule_name(verdict.rule);
+    EXPECT_TRUE(verdict.changed) << anomaly_rule_name(verdict.rule);
+    EXPECT_EQ(verdict.epoch, 1u);
   }
+  // One verdict per rule, in rule order, each with its own signal.
+  EXPECT_EQ(v[0].rule, AnomalyRule::kDeliverySloBurn);
+  EXPECT_DOUBLE_EQ(v[0].observed, 0.5);
+  EXPECT_EQ(v[1].rule, AnomalyRule::kP95BudgetBreach);
+  EXPECT_DOUBLE_EQ(v[1].observed, 10'000.0);
+  EXPECT_EQ(v[2].rule, AnomalyRule::kContainmentRegression);
+  EXPECT_DOUBLE_EQ(v[2].observed, 0.5);
+  EXPECT_EQ(v[3].rule, AnomalyRule::kMemorySlope);
+  EXPECT_DOUBLE_EQ(v[3].observed, 1e9);
+  EXPECT_EQ(v[4].rule, AnomalyRule::kPropagationLatency);
+  EXPECT_DOUBLE_EQ(v[4].observed, 10'000.0);
   EXPECT_EQ(eng.fired_total(), 5u);
 }
 
@@ -647,6 +669,21 @@ TEST(PropagationAssembler, SpamRejectDepthShallowAndDeep) {
   }
   EXPECT_EQ(slashed_count, 2u);
   EXPECT_NE(forensics.find("\"slash_events\":2"), std::string::npos);
+  // The whole record, byte for byte.
+  EXPECT_EQ(forensics,
+            R"({"attacks":[{"key":"00000000000000a7","origin_node":10,)"
+            R"("publish_ns":1000,"reject_depth":1,"observations":[)"
+            R"({"node":11,"rx_ns":2000,"verdict":"spam"}],"slash_chain":[)"
+            R"({"node":11,"at_ns":2500,"epoch":1,"detail":"commit index=10"},)"
+            R"({"node":11,"at_ns":9000,"epoch":2,)"
+            R"("detail":"member_slashed index=10"}]},)"
+            R"({"key":"00000000000000b7","origin_node":10,"publish_ns":5000,)"
+            R"("reject_depth":3,"observations":[)"
+            R"({"node":12,"rx_ns":6000,"verdict":""},)"
+            R"({"node":13,"rx_ns":7000,"verdict":""},)"
+            R"({"node":14,"rx_ns":8000,"verdict":"spam"}],"slash_chain":[)"
+            R"({"node":11,"at_ns":9000,"epoch":2,)"
+            R"("detail":"member_slashed index=10"}]}],"slash_events":2})");
 }
 
 TEST(PropagationAssembler, MarkedAdversaryAnchorsRootlessTrees) {
@@ -693,6 +730,12 @@ TEST(PropagationAssembler, MarkedAdversaryAnchorsRootlessTrees) {
             std::string::npos);
   EXPECT_EQ(a.forensics_json().find("\"key\":\"00000000000000e5\""),
             std::string::npos);
+  // A rootless record renders its unknown origin as null.
+  EXPECT_EQ(a.forensics_json(),
+            R"({"attacks":[{"key":"00000000000005ad","origin_node":null,)"
+            R"("publish_ns":0,"reject_depth":-1,"observations":[)"
+            R"({"node":8,"rx_ns":2000,"verdict":"accept"}],)"
+            R"("slash_chain":[]}],"slash_events":0})");
 }
 
 TEST(PropagationAssembler, IncompleteTreesAreSurfacedNotSkipped) {
@@ -984,9 +1027,14 @@ TEST(NodeObservability, PropagationAssemblySurvivesNodeKill) {
   EXPECT_EQ(trees[0].deliveries, 3u);  // includes the now-dead node's view
 }
 
+std::string sha256_hex(const std::string& s) {
+  return to_hex(hash::sha256(to_bytes(s)));
+}
+
 TEST(NodeObservability, PropagationOutputsAreByteIdentical) {
   // The assembler only iterates sorted containers; two identical runs
-  // must render byte-identical summary, chrome-trace, and forensics JSON.
+  // must render byte-identical summary, chrome-trace, and forensics JSON,
+  // and those bytes are pinned so a change to the JSON encoding shows.
   auto run = [] {
     RlnHarness h(obs_config(/*sample_every=*/1));
     h.register_all();
@@ -1003,7 +1051,10 @@ TEST(NodeObservability, PropagationOutputsAreByteIdentical) {
     a.set_default_subscribers(h.size());
     return a.summary_json() + a.chrome_trace_json() + a.forensics_json();
   };
-  EXPECT_EQ(run(), run());
+  const std::string first = run();
+  EXPECT_EQ(first, run());
+  EXPECT_EQ(sha256_hex(first),
+            "8e981115ef60c30de72202d06183548162ed29651c006aa7a8f018a3272f9e9e");
 }
 
 // -- Flight recorder + operator loop (node wiring) ---------------------------
@@ -1157,10 +1208,6 @@ TEST(NodeFlightRecorder, OperatorAndRecorderRunsStayDeterministic) {
 }
 
 // -- Exposition pins and the deployment sum -----------------------------------
-
-std::string sha256_hex(const std::string& s) {
-  return to_hex(hash::sha256(to_bytes(s)));
-}
 
 /// The deployment examples/metrics_dump.cpp runs: three nodes, two epochs
 /// of honest traffic, then one double-signal.

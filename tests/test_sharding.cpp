@@ -368,8 +368,8 @@ TEST(ShardedBootstrap, CheckpointMissingSubscribedWatermarkIsRejected) {
   const std::vector<shard::ShardId> only_shard0{0};
   Checkpoint scoped = h.node(0).make_checkpoint(only_shard0);
   scoped.sign(key);
-  ASSERT_TRUE(scoped.watermark_for(0).has_value());
-  ASSERT_FALSE(scoped.watermark_for(2).has_value());
+  ASSERT_TRUE(watermark_for(scoped.nullifier_watermarks, 0).has_value());
+  ASSERT_FALSE(watermark_for(scoped.nullifier_watermarks, 2).has_value());
   sim::StaleCheckpointService misscoped_service(h.network(),
                                                 scoped.serialize());
 
